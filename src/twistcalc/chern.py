@@ -13,6 +13,7 @@ is computed fully symbolically and equals 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .ncalg import Element
 from .qphase import DeformationContext, ExactScalar
@@ -248,7 +249,7 @@ def character_tau(funcs) -> ExactScalar:
         om = om * f.d()
     half = n_deg // 2
     norm = ctx.i_power(-half).scale(
-        Fraction(2 ** (half + 1) * _fact(half), _fact(n_deg)))
+        Fraction(2 ** (half + 1) * factorial(half), factorial(n_deg)))
     return integrate_form(om) * norm
 
 
@@ -271,7 +272,7 @@ def charge(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
     if ctx is None:
         ctx = DeformationContext(2 * n + 1)
     val = charge_integral(n, ctx)
-    norm = ctx.i_power(-n).scale(Fraction(2 ** (n + 1), _fact(2 * n)))
+    norm = ctx.i_power(-n).scale(Fraction(2 ** (n + 1), factorial(2 * n)))
     return val * norm
 
 
@@ -286,12 +287,6 @@ def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> Exac
     val = integrate_form(m.trace())
     half = n  # the sphere dimension is 2n
     norm = ctx.i_power(-half).scale(
-        Fraction(2 ** (half + 1) * _fact(half), _fact(2 * n) * _fact(n)))
+        Fraction(2 ** (half + 1) * factorial(half),
+                 factorial(2 * n) * factorial(n)))
     return val * norm
-
-
-def _fact(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out

@@ -316,20 +316,6 @@ class Element:
         key = ((0,) * self.ctx.dim, ())
         return set(self.terms) <= {key}
 
-    def collapse_phases(self) -> "Element":
-        out = Element(self.ctx)
-        for k, v in self.terms.items():
-            w = v.collapse_phases()
-            if w:
-                out.terms[k] = w
-        return out
-
-    def conj_coefficients(self) -> "Element":
-        res = Element.__new__(Element)
-        res.ctx = self.ctx
-        res.terms = {k: v.conj() for k, v in self.terms.items()}
-        return res
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self):

@@ -29,8 +29,8 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 # coefficients in Q(i, sqrt2) are 4-tuples (1, i, sqrt2, i*sqrt2) of Fractions
-_C_ZERO = (_F0, _F0, _F0, _F0)
 _C_ONE = (_F1, _F0, _F0, _F0)
+_C_MINUS_ONE = (-_F1, _F0, _F0, _F0)
 
 
 def _c_add(u, v):
@@ -44,6 +44,13 @@ def _c_neg(u):
 def _c_mul(u, v):
     a, b, c, d = u
     e, f, g, h = v
+    # most coefficients are rational: scale the other factor componentwise
+    if not (f or g or h):
+        if not (b or c or d):
+            return (a * e, _F0, _F0, _F0)
+        return (a * e, b * e, c * e, d * e)
+    if not (b or c or d):
+        return (a * e, a * f, a * g, a * h)
     return (
         a * e - b * f + 2 * (c * g - d * h),
         a * f + b * e + 2 * (c * h + d * g),
@@ -318,6 +325,10 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def scale(self, r) -> "ExactScalar":
+        if r == 1:
+            return self
+        if r == -1:
+            return -self
         r = Fraction(r)
         if not r:
             return ExactScalar({})
@@ -383,15 +394,6 @@ class ExactScalar:
             raise ValueError(f"scalar {self} is not rational")
         (_, v), = self.terms.items()
         return v[0]
-
-    def collapse_phases(self) -> "ExactScalar":
-        """Force all phase exponents to zero (the q -> 1 limit)."""
-        if not self.terms:
-            return self
-        acc = _C_ZERO
-        for v in self.terms.values():
-            acc = _c_add(acc, v)
-        return ExactScalar({(0,) * len(next(iter(self.terms))): acc})
 
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):

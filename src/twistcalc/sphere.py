@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial
 
 from .haar import haar_plane
 from .ncalg import Element, Monomial, _mono_mul
@@ -34,12 +35,29 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def central_quadric(ctx: DeformationContext) -> Element:
-    """c = sum_a x^a x^{a'}; central in the whole differential algebra."""
+    """c = sum_a x^a x^{a'}; central in the whole differential algebra.
+
+    Cached per context: the result is shared between callers and must not
+    be mutated.
+    """
     out = Element.zero(ctx)
     for a in range(1, ctx.dim + 1):
         out = out + Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))
     return out
+
+
+@lru_cache(maxsize=None)
+def _quadric_minus_one(ctx: DeformationContext) -> Element:
+    """c - 1, the degree-0 generator of J (cached, shared)."""
+    return central_quadric(ctx) - Element.one(ctx)
+
+
+@lru_cache(maxsize=None)
+def _quadric_d(ctx: DeformationContext) -> Element:
+    """dc, the degree-1 generator of J (cached, shared)."""
+    return central_quadric(ctx).d()
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +130,7 @@ def omega_form(ctx: DeformationContext, k: int) -> Element:
         shift, sign, dxs = dx_sort(ctx, s)
         out = out + Element(
             ctx, {((0,) * dim, dxs): eps.shifted(shift, sign)})
-    norm = ctx.i_power(dim // 2).scale(Fraction(1, _fact(n_deg)))
+    norm = ctx.i_power(dim // 2).scale(Fraction(1, factorial(n_deg)))
     return out * norm
 
 
@@ -130,8 +148,7 @@ def top_decompose(om: Element) -> Element:
     ctx = om.ctx
     if om.terms and om.form_degree() != ctx.dim - 1:
         raise ValueError("top decomposition needs a form of degree D-1")
-    dc = central_quadric(ctx).d()
-    top = om * dc
+    top = om * _quadric_d(ctx)
     full = tuple(range(1, ctx.dim + 1))
     out: dict[Monomial, ExactScalar] = {}
     norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
@@ -203,28 +220,27 @@ def _in_scalar_span(target: dict, gens: list[dict]) -> bool:
             col_rows.setdefault(j, set()).add(ri)
     used = [False] * nrows
 
-    def combine(ri, pivot_row, pivot_rhs, col, pivot_val_is_one):
+    def combine(ri, pivot_row, pivot_rhs, col):
+        """Clear column col from row ri using a pivot row normalised to 1."""
         row = rows[ri]
-        a = row.pop(col)
+        factor = row.pop(col)
         col_rows[col].discard(ri)
-        if pivot_val_is_one:
-            factor = a
-            for j, v in pivot_row.items():
-                if j == col:
-                    continue
-                u = row.get(j)
-                w = (u - factor * v) if u is not None else -(factor * v)
-                if w:
-                    if u is None:
-                        col_rows.setdefault(j, set()).add(ri)
-                    row[j] = w
-                elif u is not None:
-                    del row[j]
-                    col_rows[j].discard(ri)
-            if pivot_rhs is not None:
-                r = rhs[ri]
-                w = (r - factor * pivot_rhs) if r is not None else -(factor * pivot_rhs)
-                rhs[ri] = w if w else None
+        for j, v in pivot_row.items():
+            if j == col:
+                continue
+            u = row.get(j)
+            w = (u - factor * v) if u is not None else -(factor * v)
+            if w:
+                if u is None:
+                    col_rows.setdefault(j, set()).add(ri)
+                row[j] = w
+            elif u is not None:
+                del row[j]
+                col_rows[j].discard(ri)
+        if pivot_rhs is not None:
+            r = rhs[ri]
+            w = (r - factor * pivot_rhs) if r is not None else -(factor * pivot_rhs)
+            rhs[ri] = w if w else None
 
     for col in sorted(col_rows):
         cands = [ri for ri in col_rows.get(col, ()) if not used[ri]]
@@ -285,7 +301,7 @@ def _in_scalar_span(target: dict, gens: list[dict]) -> bool:
             for ri in list(col_rows.get(col, ())):
                 if used[ri] or ri == pi:
                     continue
-                combine(ri, prow, prhs, col, True)
+                combine(ri, prow, prhs, col)
     for ri in range(nrows):
         if not used[ri] and not rows[ri] and rhs[ri] is not None:
             return False
@@ -316,11 +332,16 @@ def in_quotient_ideal(el: Element) -> bool:
 def _middle_degree_membership(part: Element, k: int) -> bool:
     ctx = part.ctx
     dmax = part.x_degree()
-    cm1 = central_quadric(ctx) - Element.one(ctx)
-    dc = central_quadric(ctx).d()
+    cm1 = _quadric_minus_one(ctx)
+    dc = _quadric_d(ctx)
     targets: dict[tuple, dict] = {}
     for key, cf in part.terms.items():
         targets.setdefault(_signature(ctx, key), {})[key] = cf
+    # Each term of c and of dc raises n_a and n_{a'} together (x^a x^{a'},
+    # dx^a x^{a'}, x^a dx^{a'}), so (c-1)*m and dc*m keep every entry
+    # n_a - n_{a'} of _signature(m) and the parity of the middle index: a
+    # generator lies in the block of its monomial m, and monomials of other
+    # blocks are skipped before multiplying.
     for sig, tgt in targets.items():
         gens = []
         for key in _monomials(ctx, dmax, k):
@@ -330,10 +351,11 @@ def _middle_degree_membership(part: Element, k: int) -> bool:
             if g:
                 gens.append(g.terms)
         for key in _monomials(ctx, dmax + 1, k - 1):
-            g = dc * Element.monomial(ctx, key)
-            if not g or _signature(ctx, next(iter(g.terms))) != sig:
+            if _signature(ctx, key) != sig:
                 continue
-            gens.append(g.terms)
+            g = dc * Element.monomial(ctx, key)
+            if g:
+                gens.append(g.terms)
         if not _in_scalar_span(tgt, gens):
             return False
     return True
@@ -351,8 +373,7 @@ def sphere_equal(a: Element, b: Element) -> bool:
 def pairing_sphere(alpha: Element, beta: Element) -> Element:
     """Representative of <[alpha],[beta]> = (1/4)[<alpha^dc, beta^dc>]."""
     from .tensorcalc import pairing_plane
-    ctx = alpha.ctx
-    dc = central_quadric(ctx).d()
+    dc = _quadric_d(alpha.ctx)
     return pairing_plane(alpha * dc, beta * dc).scale(Fraction(1, 4))
 
 
@@ -374,7 +395,7 @@ def _hodge_sphere_basis(ctx: DeformationContext, dxs: tuple) -> Element:
             coeff = eps.shifted(shift, sign)
             out = out + Element(ctx, {((0,) * dim, sorted_dxs): coeff}) * xa
     sign = -1 if ((n_deg - k) // 2 + (n_deg - k)) % 2 else 1
-    norm = ctx.i_power(-(dim // 2)).scale(Fraction(sign, _fact(n_deg - k)))
+    norm = ctx.i_power(-(dim // 2)).scale(Fraction(sign, factorial(n_deg - k)))
     return out * norm
 
 
@@ -390,13 +411,6 @@ def hodge_sphere(el: Element) -> Element:
     for (exps, dxs), coeff in el.terms.items():
         left = Element(ctx, {(exps, ()): coeff})
         out = out + left * _hodge_sphere_basis(ctx, dxs)
-    return out
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for j in range(2, n + 1):
-        out *= j
     return out
 
 

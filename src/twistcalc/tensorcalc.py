@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from .ncalg import Element
-from .qphase import DeformationContext, ExactScalar, _C_ONE
+from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
     "lambda_entry", "apply_lambda", "epsilon_q", "epsilon_qinv",
@@ -176,7 +177,7 @@ def epsilon_q(ctx: DeformationContext, indices) -> ExactScalar:
     if r is None:
         return ctx.scalar_zero()
     shift, sign, _ = r
-    return ExactScalar({shift: _C_ONE}).scale(sign)
+    return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
 
 
 def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
@@ -256,7 +257,7 @@ def hodge_plane(alpha: Element) -> Element:
     dim = ctx.dim
     # C_{D,k} = (-i)^{D//2} (-1)^{(D-k)//2} / (D-k)!
     const = ctx.i_power(-(dim // 2)).scale(
-        Fraction(_half_sign(dim - k), _fact(dim - k)))
+        Fraction(_half_sign(dim - k), factorial(dim - k)))
     out = Element.zero(ctx)
     cache: dict[tuple, Element] = {}
     for (e, u), c in alpha.terms.items():
@@ -283,11 +284,4 @@ def _hodge_basis(ctx, u: tuple) -> Element:
         shift, sign, dxs = r
         coeff = eps.shifted(shift, sign)
         out = out + Element(ctx, {((0,) * ctx.dim, dxs): coeff})
-    return out
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for j in range(2, n + 1):
-        out *= j
     return out

@@ -236,6 +236,13 @@ def test_charge_is_one_with_three_parameters():
     assert charge(3, ctx) == ctx.scalar_one()
 
 
+def test_charge_is_one_with_six_parameters():
+    # the 8-sphere: every exponent of the six phases must cancel
+    ctx = DeformationContext(9)
+    assert ctx.nparams == 6
+    assert charge(4, ctx) == ctx.scalar_one()
+
+
 def test_charge_via_curvature_power():
     for n in (1, 2):
         ctx = DeformationContext(2 * n + 1)

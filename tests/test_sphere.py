@@ -161,6 +161,24 @@ def test_middle_degree_rejects_perturbed_members():
             assert sphere_class_sup(member + spoiler, points=4) > 1e-6
 
 
+def test_ideal_generators_stay_in_their_signature_block():
+    # the middle-degree solver skips a monomial m outside the target block
+    # before forming (c-1)*m and dc*m; that is exact only if every term of
+    # both products has the signature of m
+    from twistcalc.sphere import _monomials, _signature
+    for dim in range(2, 8):
+        ctx = DeformationContext(dim)
+        cm1 = central_quadric(ctx) - Element.one(ctx)
+        dc = central_quadric(ctx).d()
+        for k in range(dim + 1):
+            for key in _monomials(ctx, 2, k):
+                m = Element.monomial(ctx, key)
+                sig = _signature(ctx, key)
+                for gen in (cm1 * m, dc * m):
+                    for term in gen.terms:
+                        assert _signature(ctx, term) == sig, (dim, key, term)
+
+
 def test_membership_solver_against_numeric_rank():
     # cross-validate the exact solve with least-squares residuals of the
     # same linear system evaluated at random unit phases
