@@ -690,12 +690,12 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli):
     for a in range(1, dim + 1):
         ua = model.unitaries[a]
         up = model.unitaries[ctx.primed(a)]
-        if not np.allclose(up, ua.conj().T, atol=1e-12):
+        if not up.matches(ua.adjoint()):
             ok = False
         for b in range(1, dim + 1):
             ub = model.unitaries[b]
             z = model.eval_scalar(ctx.q_power(a, b))
-            if not np.allclose(ua @ ub, z * (ub @ ua), atol=1e-12):
+            if not (ua @ ub).matches(ub @ ua, scale=z):
                 ok = False
     r.case("torus unitaries realise the phases", ok)
     prng = random.Random(seed + 1)

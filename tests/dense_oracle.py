@@ -1,0 +1,180 @@
+"""Dense reference for the torus oracle.
+
+The Kronecker construction of the clock/shift unitaries, dense monomial
+products and the tangent pullback by determinants, as the oracle computed
+them before it stored words as (perm, phase) arrays.  Each function reads
+only the parameters of a ``TorusRep`` (context, moduli, roots) and the
+sample streams of the oracle, so its sups can be compared with the sparse
+ones sample by sample.
+"""
+
+from itertools import combinations
+import random
+
+import numpy as np
+
+from twistcalc.oracle import (_models, _tangent_basis, plane_sample,
+                              sphere_sample)
+
+
+def _clock(m: int, zeta: complex) -> np.ndarray:
+    return np.diag([zeta ** j for j in range(m)])
+
+
+def _shift(m: int) -> np.ndarray:
+    s = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        s[(j + 1) % m, j] = 1.0
+    return s
+
+
+class DenseRep:
+    """The unitaries of a TorusRep as dense Kronecker products."""
+
+    def __init__(self, model):
+        model.check_dense()
+        self.model = model
+        self.size = model.size
+        ctx = model.ctx
+        slots_per_gen = [[] for _ in range(ctx.dim + 1)]
+        for p_idx, (r, s) in enumerate(ctx.params):
+            m = model.moduli[p_idx]
+            c = _clock(m, model.roots[p_idx])
+            sh = _shift(m)
+            ident = np.eye(m, dtype=complex)
+            rp, sp = ctx.primed(r), ctx.primed(s)
+            for a in range(1, ctx.dim + 1):
+                if a == r:
+                    mat = c
+                elif a == s:
+                    mat = sh
+                elif a == rp:
+                    mat = c.conj().T
+                elif a == sp:
+                    mat = sh.conj().T
+                else:
+                    mat = ident
+                slots_per_gen[a].append(mat)
+        self.unitaries = {}
+        for a in range(1, ctx.dim + 1):
+            u = np.eye(1, dtype=complex)
+            for mat in slots_per_gen[a]:
+                u = np.kron(u, mat)
+            self.unitaries[a] = u
+        self._mono_cache = {}
+
+    def monomial_matrix(self, key) -> np.ndarray:
+        got = self._mono_cache.get(key)
+        if got is not None:
+            return got
+        exps, dxs = key
+        u = np.eye(self.size, dtype=complex)
+        for a, e in enumerate(exps, start=1):
+            for _ in range(e):
+                u = u @ self.unitaries[a]
+        for a in dxs:
+            u = u @ self.unitaries[a]
+        self._mono_cache[key] = u
+        return u
+
+    def eval_element(self, el, point) -> dict:
+        out = {}
+        for key, coeff in el.terms.items():
+            exps, dxs = key
+            z = self.model.eval_scalar(coeff)
+            for a, e in enumerate(exps):
+                if e:
+                    z *= point[a] ** e
+            mat = out.get(dxs)
+            if mat is None:
+                out[dxs] = z * self.monomial_matrix(key)
+            else:
+                mat += z * self.monomial_matrix(key)
+        return out
+
+
+_DENSE = {}
+
+
+def dense_rep(model) -> DenseRep:
+    """DenseRep of a model, shared by the models with the same parameters
+    until a model of other parameters comes (the two models of one seed
+    stay), so the dense words of one test are built once."""
+    key = (model.ctx.dim, tuple(model.moduli), tuple(model.root_exps))
+    if key not in _DENSE:
+        if len(_DENSE) >= 2:
+            _DENSE.clear()
+        _DENSE[key] = DenseRep(model)
+    return _DENSE[key]
+
+
+def plane_sup(data: dict) -> float:
+    return max((float(np.abs(mat).max()) for mat in data.values()),
+               default=0.0)
+
+
+def pullback_sup(data: dict, tangent: np.ndarray) -> float:
+    """Largest matrix entry of the form evaluated on tangent tuples."""
+    worst = 0.0
+    by_deg = {}
+    for dxs, mat in data.items():
+        by_deg.setdefault(len(dxs), {})[dxs] = mat
+    for k, comps in by_deg.items():
+        if k == 0:
+            for mat in comps.values():
+                worst = max(worst, float(np.abs(mat).max()))
+            continue
+        nt = tangent.shape[0]
+        if k > nt:
+            continue
+        for combo in combinations(range(nt), k):
+            acc = None
+            for dxs, mat in comps.items():
+                cols = [s - 1 for s in dxs]
+                minor = tangent[list(combo)][:, cols]
+                det = complex(np.linalg.det(minor))
+                if acc is None:
+                    acc = det * mat
+                else:
+                    acc += det * mat
+            if acc is not None:
+                worst = max(worst, float(np.abs(acc).max()))
+    return worst
+
+
+def element_sup(el, seed=42, points=20, moduli=None) -> float:
+    """The oracle's element_sup, on dense matrices."""
+    rng = random.Random(seed ^ 0x5EED)
+    worst = 0.0
+    for model in _models(el.ctx, seed, moduli):
+        dense = dense_rep(model)
+        for _ in range(points):
+            pt = plane_sample(el.ctx, rng)
+            worst = max(worst, plane_sup(dense.eval_element(el, pt)))
+    return worst
+
+
+def sphere_class_sup(el, seed=42, points=20, moduli=None) -> float:
+    """The oracle's sphere_class_sup, on dense matrices."""
+    rng = random.Random(seed ^ 0xC1A55)
+    worst = 0.0
+    for model in _models(el.ctx, seed, moduli):
+        dense = dense_rep(model)
+        for _ in range(points):
+            pt = sphere_sample(el.ctx, rng)
+            worst = max(worst, pullback_sup(dense.eval_element(el, pt),
+                                            _tangent_basis(el.ctx, pt)))
+    return worst
+
+
+def batch_sups(bc, el) -> tuple:
+    """(element_sup, sphere_sup) of a BatchChecker, on dense matrices."""
+    plane = sphere = 0.0
+    for model in bc.models:
+        dense = dense_rep(model)
+        for pt in bc.plane_points:
+            plane = max(plane, plane_sup(dense.eval_element(el, pt)))
+        for pt, tangent in zip(bc.sphere_points, bc.tangents):
+            sphere = max(sphere, pullback_sup(dense.eval_element(el, pt),
+                                              tangent))
+    return plane, sphere

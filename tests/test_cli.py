@@ -67,6 +67,16 @@ def test_oracle_command(capsys):
     assert payload["zero"] is False
 
 
+def test_oracle_command_size_reach_and_guard(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--dim", "7",
+                           "--expr", "x1*x2 - q(1,2)^1*x2*x1", "--json")
+    assert code == 0
+    assert json.loads(out)["zero"] is True
+    code, _, err = run_cli(capsys, "oracle", "--dim", "8", "--expr", "x1")
+    assert code == 2
+    assert "side 86822723" in err
+
+
 def test_suite_command_and_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "suite", "run", "qphase", "--json")
     assert code == 0

@@ -1,13 +1,16 @@
 """The numeric model: torus unitaries, evaluation, identity checking."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dense_oracle
+from dense_oracle import DenseRep
 from helpers import central, random_element
 from twistcalc import DeformationContext, Element
-from twistcalc.oracle import (BatchChecker, TorusRep, check_element,
+from twistcalc.oracle import (BatchChecker, TorusRep, _models, check_element,
                               check_scalar, check_sphere_class,
                               element_sup, plane_sample, sphere_class_sup,
                               sphere_sample)
@@ -19,16 +22,15 @@ def test_unitary_exchange_relations():
                       (6, (5, 7, 11))):
         ctx = DeformationContext(d)
         model = TorusRep(ctx, moduli=moduli, rng=random.Random(1))
-        eye = np.eye(model.size)
         for a in range(1, d + 1):
             ua = model.unitaries[a]
             up = model.unitaries[ctx.primed(a)]
-            assert np.allclose(up, ua.conj().T, atol=1e-12)
-            assert np.allclose(ua @ up, eye, atol=1e-12)
+            assert up.matches(ua.adjoint())
+            assert (ua @ up).matches(model.word(((0,) * d, ())))
             for b in range(1, d + 1):
                 ub = model.unitaries[b]
                 z = model.eval_scalar(ctx.q_power(a, b))
-                assert np.allclose(ua @ ub, z * (ub @ ua), atol=1e-12)
+                assert (ua @ ub).matches(ub @ ua, scale=z)
 
 
 def test_moduli_arity_guard():
@@ -124,7 +126,6 @@ def test_scalar_checks():
 
 def test_distinct_prime_moduli_between_models():
     ctx = DeformationContext(5)
-    from twistcalc.oracle import _models
     m1, m2 = _models(ctx, seed=42)
     assert m1.moduli != m2.moduli
     assert all(m >= 13 for m in m1.moduli + m2.moduli)
@@ -153,3 +154,107 @@ def test_batch_checker_agrees_with_single_checks():
     assert bc.element_sup(Element.x(ctx, 1)) > 1e-3
     assert bc.scalar_sup(ctx.scalar_zero()) == 0.0
     assert bc.scalar_sup(ctx.q_power(1, 2) - ctx.scalar_one()) > 1e-3
+
+
+# -- the sparse words against the dense Kronecker reference -------------------
+
+def _random_key(ctx, rng, top):
+    exps = tuple(rng.randint(0, top) for _ in range(ctx.dim))
+    dxs = tuple(sorted(rng.sample(range(1, ctx.dim + 1),
+                                  rng.randint(0, ctx.dim))))
+    return exps, dxs
+
+
+def test_sparse_words_match_dense_products():
+    rng = random.Random(12)
+    for d, moduli, top in ((3, None, 2), (4, None, 2), (5, None, 2),
+                           (6, (5, 7, 11), 1)):
+        ctx = DeformationContext(d)
+        model = TorusRep(ctx, moduli=moduli, rng=random.Random(d))
+        ref = DenseRep(model)
+        for a in range(1, d + 1):
+            assert np.array_equal(model.dense(model.unitaries[a]),
+                                  ref.unitaries[a])
+        for _ in range(5):
+            key = _random_key(ctx, rng, top)
+            assert np.allclose(model.monomial_matrix(key),
+                               ref.monomial_matrix(key), rtol=0, atol=1e-12)
+
+
+def _sup_cases(ctx, rng, degrees):
+    """A random J-member of each degree k, the same member plus
+    dx^1...dx^k (a nonzero class), and a random plane element."""
+    cc = central(ctx)
+    for k in degrees:
+        memb = (cc - Element.one(ctx)) * random_element(ctx, rng, 1, k, 2)
+        if k:
+            memb = memb + cc.d() * random_element(ctx, rng, 1, k - 1, 1)
+        spoiler = Element(ctx, {((0,) * ctx.dim, tuple(range(1, k + 1))):
+                                ctx.scalar_one()})
+        yield memb
+        yield memb + spoiler
+        yield random_element(ctx, rng, 2, k, 3)
+
+
+@pytest.mark.parametrize("d, moduli, degrees", [
+    (4, None, range(4)), (5, None, range(5)),
+    # dense words of side 385 cost 2.3 MB each: three degrees keep this small
+    (6, (5, 7, 11), (1, 2, 5))])
+def test_sups_match_dense_reference(d, moduli, degrees):
+    """Relative to max(sup, 1): a J-member's sup is rounding noise."""
+    ctx = DeformationContext(d)
+    rng = random.Random(20 + d)
+    seed = 13
+    bc = BatchChecker(ctx, seed=seed, points=3, moduli=moduli)
+    for el in _sup_cases(ctx, rng, degrees):
+        pairs = [
+            (element_sup(el, seed=seed, points=2, moduli=moduli),
+             dense_oracle.element_sup(el, seed=seed, points=2, moduli=moduli)),
+            (sphere_class_sup(el, seed=seed, points=2, moduli=moduli),
+             dense_oracle.sphere_class_sup(el, seed=seed, points=2,
+                                           moduli=moduli)),
+        ]
+        pairs += zip((bc.element_sup(el), bc.sphere_sup(el)),
+                     dense_oracle.batch_sups(bc, el))
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * max(want, 1.0), (el, got, want)
+
+
+# -- reach and size guards ----------------------------------------------------
+
+@pytest.mark.parametrize("d", [6, 7])
+def test_default_moduli_reach_without_dense_matrices(d):
+    ctx = DeformationContext(d)
+    assert [m.size for m in _models(ctx, 42)] == [4199, 20677]
+    rng = random.Random(30 + d)
+    x1, x2 = Element.x(ctx, 1), Element.x(ctx, 2)
+    cc = central(ctx)
+    memb = (cc - Element.one(ctx)) * random_element(ctx, rng, 1, 2, 1) \
+        + cc.d() * random_element(ctx, rng, 1, 1, 1)
+    tracemalloc.start()
+    try:
+        assert check_element(x1 * x2 - (x2 * x1) * ctx.q_power(1, 2),
+                             points=4)
+        assert check_sphere_class(memb, points=4)
+        assert not check_sphere_class(memb + Element.dx(ctx, 1)
+                                      * Element.dx(ctx, 2), points=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense matrix of side 4199 alone takes 282 MB
+    assert peak < 64 * 2 ** 20
+
+
+def test_model_size_guard():
+    msg = r"side 86822723 \(moduli 13, 17, 19, 23, 29, 31\)"
+    with pytest.raises(ValueError, match=msg):
+        TorusRep(DeformationContext(8))
+    model = TorusRep(DeformationContext(6))
+    key = ((1,) + (0,) * 5, ())
+    with pytest.raises(ValueError, match=r"side 4199 \(moduli 13, 17, 19\)"):
+        model.monomial_matrix(key)
+    with pytest.raises(ValueError, match="side 4199"):
+        model.eval_element(Element.x(model.ctx, 1), plane_sample(
+            model.ctx, random.Random(0)))
+    with pytest.raises(ValueError, match="side 4199"):
+        DenseRep(model)
