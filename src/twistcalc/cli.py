@@ -7,6 +7,7 @@ expressions, out-of-range indices).
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import math
 import sys
@@ -36,12 +37,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--moduli", type=_moduli_arg, default=None)
     run.add_argument("--json", action="store_true")
+    run.add_argument("--profile", metavar="FILE", default=None,
+                     help="write cProfile stats of the run to FILE")
 
     ch = sub.add_parser("charge", help="instanton charge on the 2n-sphere")
     ch.add_argument("--n", type=int, required=True)
     ch.add_argument("--numeric-check", action="store_true",
                     help="also report the numeric value at sample phases")
     ch.add_argument("--json", action="store_true")
+    ch.add_argument("--profile", metavar="FILE", default=None,
+                    help="write cProfile stats of the computation to FILE")
 
     ha = sub.add_parser("haar", help="Haar functional of a function")
     ha.add_argument("--dim", type=int, required=True)
@@ -114,6 +119,17 @@ def _complex_json(z) -> dict | None:
     if z is None:
         return None
     return {"re": z.real, "im": z.imag}
+
+
+def _profiled(command, args) -> int:
+    """Run a command, under cProfile when --profile names a stats file."""
+    if args.profile is None:
+        return command(args)
+    profile = cProfile.Profile()
+    try:
+        return profile.runcall(command, args)
+    finally:
+        profile.dump_stats(args.profile)
 
 
 def _cmd_suite_run(args) -> int:
@@ -230,9 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "suite":
-            return _cmd_suite_run(args)
+            return _profiled(_cmd_suite_run, args)
         if args.command == "charge":
-            return _cmd_charge(args)
+            return _profiled(_cmd_charge, args)
         if args.command == "haar":
             return _cmd_haar(args)
         if args.command == "hodge":

@@ -198,9 +198,9 @@ def format_element(el: Element) -> str:
                     qfacs.append(f"q({a},{b})^{e}")
             comp = coeff.terms[phase]
             for slot, unit in _UNITS:
-                r = comp[slot]
-                if not r:
+                if not comp[slot]:
                     continue
+                r = Fraction(comp[slot], comp[4])
                 facs = []
                 tail = bool(unit) or qfacs or mono
                 if abs(r) != 1 or not tail:

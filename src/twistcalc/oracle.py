@@ -184,7 +184,7 @@ class TorusRep:
         """Dense U-word of a canonical monomial."""
         return self.dense(self.word(key))
 
-    def _values(self, el: Element, point: np.ndarray):
+    def term_values(self, el: Element, point: np.ndarray):
         """(key, coefficient times classical monomial value) per term."""
         if el.ctx != self.ctx:
             raise ValueError("element and model contexts differ")
@@ -200,7 +200,7 @@ class TorusRep:
         self.check_dense()
         out: dict[tuple, np.ndarray] = {}
         cols = np.arange(self.size)
-        for key, z in self._values(el, point):
+        for key, z in self.term_values(el, point):
             mat = out.get(key[1])
             if mat is None:
                 mat = out[key[1]] = np.zeros((self.size, self.size),
@@ -219,7 +219,7 @@ class TorusRep:
         the components of each degree below D are summed against them.
         """
         classes: dict = {}
-        for key, z in self._values(el, point):
+        for key, z in self.term_values(el, point):
             dxs = key[1]
             if minors is not None and len(dxs) == self.ctx.dim:
                 continue  # a top form vanishes on the D-1 tangent vectors

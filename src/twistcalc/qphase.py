@@ -12,12 +12,21 @@ Scalars are finite sums of terms
 with p, q, r, s rational.  This is the full coefficient ring of the engine:
 i enters through volume normalisations, sqrt2 through the Clifford matrices,
 and nothing else irrational ever appears.
+
+Each Q(i, sqrt2) coefficient is stored as a 5-tuple of ints (a, b, c, d, n)
+meaning (a + b*i + c*sqrt2 + d*i*sqrt2)/n, always in canonical form: n > 0
+and gcd(a, b, c, d, n) = 1, so zero is (0, 0, 0, 0, 1).  Equal coefficients
+are therefore equal tuples, which keeps ``==`` and ``hash`` of scalars exact.
+Arithmetic runs on ints and takes a single gcd at the end (none when the
+denominator is 1); Fractions appear only at the boundary (``scalar``,
+``rational_value`` and the printers).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "DeformationContext",
@@ -26,57 +35,79 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+_RT2 = 2.0 ** 0.5
 
-# coefficients in Q(i, sqrt2) are 4-tuples (1, i, sqrt2, i*sqrt2) of Fractions
-_C_ONE = (_F1, _F0, _F0, _F0)
-_C_MINUS_ONE = (-_F1, _F0, _F0, _F0)
+# coefficients in Q(i, sqrt2): see the module docstring for the 5-tuple form
+_C_ONE = (1, 0, 0, 0, 1)
+_C_MINUS_ONE = (-1, 0, 0, 0, 1)
+
+
+def _c_reduce(a, b, c, d, n):
+    """Canonical tuple of (a + b i + c sqrt2 + d i sqrt2)/n, given n > 0."""
+    if n == 1:
+        return (a, b, c, d, 1)
+    g = gcd(a, b, c, d, n)
+    if g == 1:
+        return (a, b, c, d, n)
+    return (a // g, b // g, c // g, d // g, n // g)
 
 
 def _c_add(u, v):
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
+    n, m = u[4], v[4]
+    if n == m:
+        return _c_reduce(u[0] + v[0], u[1] + v[1], u[2] + v[2],
+                         u[3] + v[3], n)
+    return _c_reduce(u[0] * m + v[0] * n, u[1] * m + v[1] * n,
+                     u[2] * m + v[2] * n, u[3] * m + v[3] * n, n * m)
 
 
 def _c_neg(u):
-    return (-u[0], -u[1], -u[2], -u[3])
+    return (-u[0], -u[1], -u[2], -u[3], u[4])
 
 
 def _c_mul(u, v):
-    a, b, c, d = u
-    e, f, g, h = v
+    a, b, c, d, n = u
+    e, f, g, h, m = v
+    n *= m
     # most coefficients are rational: scale the other factor componentwise
     if not (f or g or h):
         if not (b or c or d):
-            return (a * e, _F0, _F0, _F0)
-        return (a * e, b * e, c * e, d * e)
-    if not (b or c or d):
-        return (a * e, a * f, a * g, a * h)
-    return (
-        a * e - b * f + 2 * (c * g - d * h),
-        a * f + b * e + 2 * (c * h + d * g),
-        a * g + c * e - b * h - d * f,
-        a * h + d * e + b * g + c * f,
-    )
+            a *= e
+            if n == 1:
+                return (a, 0, 0, 0, 1)
+            k = gcd(a, n)
+            return (a // k, 0, 0, 0, n // k)
+        a, b, c, d = a * e, b * e, c * e, d * e
+    elif not (b or c or d):
+        a, b, c, d = a * e, a * f, a * g, a * h
+    else:
+        a, b, c, d = (a * e - b * f + 2 * (c * g - d * h),
+                      a * f + b * e + 2 * (c * h + d * g),
+                      a * g + c * e - b * h - d * f,
+                      a * h + d * e + b * g + c * f)
+    return _c_reduce(a, b, c, d, n)
 
 
 def _c_conj(u):
-    return (u[0], -u[1], u[2], -u[3])
+    return (u[0], -u[1], u[2], -u[3], u[4])
 
 
 def _c_inv(u):
-    # multiply by the three Galois conjugates; the norm is rational
-    w = _c_mul(_c_mul((u[0], -u[1], u[2], -u[3]), (u[0], u[1], -u[2], -u[3])),
-               (u[0], -u[1], -u[2], u[3]))
-    n = _c_mul(u, w)
-    if n[1] or n[2] or n[3] or not n[0]:
+    # multiply the numerator by its three Galois conjugates; the norm is an
+    # integer, and the inverse is n * (that product) / norm
+    a, b, c, d, n = u
+    w = _c_mul(_c_mul((a, -b, c, -d, 1), (a, b, -c, -d, 1)),
+               (a, -b, -c, d, 1))
+    norm = _c_mul((a, b, c, d, 1), w)
+    if norm[1] or norm[2] or norm[3] or not norm[0]:
         raise ZeroDivisionError("coefficient is not invertible")
-    return tuple(x / n[0] for x in w)
+    s = n if norm[0] > 0 else -n
+    return _c_reduce(w[0] * s, w[1] * s, w[2] * s, w[3] * s, abs(norm[0]))
 
 
 def _c_eval(u) -> complex:
-    rt2 = 2.0 ** 0.5
-    return complex(float(u[0]) + rt2 * float(u[2]),
-                   float(u[1]) + rt2 * float(u[3]))
+    a, b, c, d, n = u
+    return complex(a / n + _RT2 * (c / n), b / n + _RT2 * (d / n))
 
 
 class DeformationContext:
@@ -192,28 +223,34 @@ class DeformationContext:
         return (0,) * self.nparams
 
     def scalar_zero(self) -> "ExactScalar":
-        return ExactScalar({})
+        res = ExactScalar.__new__(ExactScalar)
+        res.terms = {}
+        return res
 
     def scalar(self, value) -> "ExactScalar":
         """Rational (int or Fraction) as an exact scalar."""
-        v = Fraction(value)
-        if not v:
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            v = Fraction(value)
+            num, den = v.numerator, v.denominator
+        if not num:
             return ExactScalar({})
-        return ExactScalar({self.zero_exps(): (v, _F0, _F0, _F0)})
+        return ExactScalar({self.zero_exps(): (num, 0, 0, 0, den)})
 
     def scalar_one(self) -> "ExactScalar":
         return self.scalar(1)
 
     def i_unit(self) -> "ExactScalar":
-        return ExactScalar({self.zero_exps(): (_F0, _F1, _F0, _F0)})
+        return ExactScalar({self.zero_exps(): (0, 1, 0, 0, 1)})
 
     def i_power(self, k: int) -> "ExactScalar":
-        one_i = (_F1, _F0), (_F0, _F1), (-_F1, _F0), (_F0, -_F1)
+        one_i = (1, 0), (0, 1), (-1, 0), (0, -1)
         re, im = one_i[k % 4]
-        return ExactScalar({self.zero_exps(): (re, im, _F0, _F0)})
+        return ExactScalar({self.zero_exps(): (re, im, 0, 0, 1)})
 
     def sqrt2(self) -> "ExactScalar":
-        return ExactScalar({self.zero_exps(): (_F0, _F0, _F1, _F0)})
+        return ExactScalar({self.zero_exps(): (0, 0, 1, 0, 1)})
 
     def q_power(self, a: int, b: int, k: int = 1) -> "ExactScalar":
         """The scalar q_{ab}^k, reduced to canonical form."""
@@ -302,10 +339,11 @@ class ExactScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
+        if type(other) is not ExactScalar:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, ExactScalar):
+                return NotImplemented
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -329,11 +367,16 @@ class ExactScalar:
             return self
         if r == -1:
             return -self
-        r = Fraction(r)
-        if not r:
+        if type(r) is int:
+            p, q = r, 1
+        else:
+            r = Fraction(r)
+            p, q = r.numerator, r.denominator
+        if not p:
             return ExactScalar({})
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {k: (v[0] * r, v[1] * r, v[2] * r, v[3] * r)
+        res.terms = {k: _c_reduce(v[0] * p, v[1] * p, v[2] * p, v[3] * p,
+                                  v[4] * q)
                      for k, v in self.terms.items()}
         return res
 
@@ -393,7 +436,7 @@ class ExactScalar:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
         (_, v), = self.terms.items()
-        return v[0]
+        return Fraction(v[0], v[4])
 
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):
@@ -401,7 +444,7 @@ class ExactScalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -448,9 +491,9 @@ def _coeff_pieces(v):
     """Expand a Q(i,sqrt2) coefficient into printable factor lists."""
     pieces = []
     for idx, name in enumerate(_UNIT_NAMES):
-        r = v[idx]
-        if not r:
+        if not v[idx]:
             continue
+        r = Fraction(v[idx], v[4])
         if name is None:
             fac = [str(r)]
         elif r == 1:

@@ -95,9 +95,9 @@ def antisym_w(ctx: DeformationContext, upper, lower) -> ExactScalar:
         raise ValueError("antisymmetrizer entry needs equal index counts")
     if not upper:
         return ctx.scalar_one()
-    for a in upper + lower:
-        ctx.check_index(a)
-    return _w_on_basis(ctx, len(lower), lower).get(upper, ctx.scalar_zero())
+    _check_indices(ctx, upper + lower)
+    got = _w_on_basis(ctx, len(lower), lower).get(upper)
+    return got if got is not None else ctx.scalar_zero()
 
 
 def _reduced_word(perm: tuple) -> list[int]:
@@ -166,23 +166,49 @@ def dx_sort(ctx: DeformationContext, seq):
     return tuple(acc), sign, tuple(seq)
 
 
-def epsilon_q(ctx: DeformationContext, indices) -> ExactScalar:
-    """Coefficient of dx^1...dx^D in the reordering of dx^{i_1}...dx^{i_D}."""
+def _check_indices(ctx: DeformationContext, indices: tuple) -> None:
+    """Raise IndexError unless every index lies in 1..D."""
+    if min(indices) < 1 or max(indices) > ctx.dim:
+        for a in indices:
+            ctx.check_index(a)
+
+
+def _perm_or_none(ctx: DeformationContext, indices):
+    """The validated index tuple if it is repeat-free, else None."""
     indices = tuple(indices)
     if len(indices) != ctx.dim:
         raise ValueError("epsilon tensor needs exactly D indices")
-    for a in indices:
-        ctx.check_index(a)
-    r = dx_sort(ctx, indices)
-    if r is None:
+    _check_indices(ctx, indices)
+    return indices if len(set(indices)) == ctx.dim else None
+
+
+def epsilon_q(ctx: DeformationContext, indices) -> ExactScalar:
+    """Coefficient of dx^1...dx^D in the reordering of dx^{i_1}...dx^{i_D}."""
+    perm = _perm_or_none(ctx, indices)
+    if perm is None:
         return ctx.scalar_zero()
-    shift, sign, _ = r
-    return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
+    return _epsilon_perm(ctx, perm)
 
 
 def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
     """Same as :func:`epsilon_q` with every phase exponent negated."""
-    return epsilon_q(ctx, indices).invert_phases()
+    perm = _perm_or_none(ctx, indices)
+    if perm is None:
+        return ctx.scalar_zero()
+    return _epsilon_perm_inv(ctx, perm)
+
+
+# Only repeat-free index tuples reach these caches, so each holds at most D!
+# entries per context; callers share the results, which are never mutated.
+@lru_cache(maxsize=None)
+def _epsilon_perm(ctx: DeformationContext, indices: tuple) -> ExactScalar:
+    shift, sign, _ = dx_sort(ctx, indices)
+    return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
+
+
+@lru_cache(maxsize=None)
+def _epsilon_perm_inv(ctx: DeformationContext, indices: tuple) -> ExactScalar:
+    return _epsilon_perm(ctx, indices).invert_phases()
 
 
 def volume_element(ctx: DeformationContext) -> Element:

@@ -1,6 +1,7 @@
 """Command line surface: outputs, JSON schema, exit codes, determinism."""
 
 import json
+import pstats
 
 import pytest
 
@@ -75,6 +76,25 @@ def test_oracle_command_size_reach_and_guard(capsys):
     code, _, err = run_cli(capsys, "oracle", "--dim", "8", "--expr", "x1")
     assert code == 2
     assert "side 86822723" in err
+
+
+def test_oracle_suite_reaches_default_moduli_at_d6(capsys):
+    # side 13*17*19 = 4199: above the dense-view cap, so no dense matrix
+    code, out, err = run_cli(capsys, "suite", "run", "oracle", "--dim", "6",
+                             "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["cases"] == 8
+    assert payload["failures"] == []
+
+
+def test_profile_flag_writes_loadable_stats(capsys, tmp_path):
+    for argv in (("suite", "run", "qphase"), ("charge", "--n", "1")):
+        path = tmp_path / f"{argv[0]}.prof"
+        code, _, _ = run_cli(capsys, *argv, "--profile", str(path))
+        assert code == 0
+        stats = pstats.Stats(str(path))
+        assert stats.total_calls > 0
 
 
 def test_suite_command_and_exit_codes(capsys):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcalc import DeformationContext
+import fraction_coeffs as ref
+from twistcalc import DeformationContext, qphase
+from twistcalc.exprio import format_scalar
 
 
 def test_independent_parameter_count():
@@ -158,3 +160,66 @@ def test_commutative_context_has_no_phases():
     ctx = DeformationContext(6, commutative=True)
     assert ctx.nparams == 0
     assert ctx.q_power(1, 2) == ctx.scalar_one()
+
+
+# -- coefficient ring against the Fraction 4-tuple reference ------------------
+
+_fracs = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-30, max_value=30,
+                                max_denominator=12))
+_coeffs = st.tuples(_fracs, _fracs, _fracs, _fracs)
+
+
+def _assert_canonical(u):
+    assert len(u) == 5 and all(type(x) is int for x in u), u
+    assert u[4] > 0, u
+    assert math.gcd(*u) == 1, u
+    if not any(u[:4]):
+        assert u == (0, 0, 0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeffs, _coeffs, _fracs)
+def test_coefficient_ops_match_fraction_reference(x, y, r):
+    u, v = ref.to_engine(x), ref.to_engine(y)
+    _assert_canonical(u)
+    assert ref.from_engine(u) == x
+    checks = [
+        (qphase._c_add(u, v), ref.c_add(x, y)),
+        (qphase._c_add(u, qphase._c_neg(u)), (0, 0, 0, 0)),
+        (qphase._c_mul(u, v), ref.c_mul(x, y)),
+        (qphase._c_neg(u), ref.c_neg(x)),
+        (qphase._c_conj(u), ref.c_conj(x)),
+    ]
+    if any(x):
+        checks.append((qphase._c_inv(u), ref.c_inv(x)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            qphase._c_inv(u)
+    ctx = DeformationContext(5)
+    s = qphase.ExactScalar({(2,): u})
+    checks.append((s.scale(r).terms.get((2,), (0, 0, 0, 0, 1)),
+                   ref.c_scale(x, r)))
+    for got, want in checks:
+        _assert_canonical(got)
+        assert ref.from_engine(got) == tuple(want)
+    assert qphase._c_eval(u) == ref.c_eval(x)
+    assert s.scale(r) == (s * ctx.scalar(r) if r else ctx.scalar_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(-3, 3), _coeffs, max_size=3), _coeffs)
+def test_scalar_hash_and_printing_match_reference(terms, y):
+    ctx = DeformationContext(5)
+    s = qphase.ExactScalar({(e,): ref.to_engine(x) for e, x in terms.items()})
+    want = {(e,): x for e, x in terms.items() if any(x)}
+    assert str(s) == ref.scalar_str(want)
+    assert format_scalar(s, ctx) == ref.format_scalar(want, ctx)
+    # the same value reached along another route is equal and hashes equal
+    t = qphase.ExactScalar({(0,): ref.to_engine(y)})
+    other = (s + t) - t
+    assert other == s and hash(other) == hash(s)
+    doubled = (s + s).scale(Fraction(1, 2))
+    assert doubled == s and hash(doubled) == hash(s)
+    for coeff in list(other.terms.values()) + list(doubled.terms.values()):
+        _assert_canonical(coeff)

@@ -8,11 +8,11 @@ from itertools import combinations, permutations, product
 import pytest
 
 from helpers import basis_form, classical_gram_pairing, random_element
-from twistcalc import DeformationContext, Element
+from twistcalc import DeformationContext, Element, tensorcalc
 from twistcalc.tensorcalc import (antisym_w, antisym_w_bruteforce,
-                                  apply_lambda, epsilon_q, epsilon_qinv,
-                                  hodge_plane, lambda_entry, pairing_plane,
-                                  volume_element)
+                                  apply_lambda, dx_sort, epsilon_q,
+                                  epsilon_qinv, hodge_plane, lambda_entry,
+                                  pairing_plane, volume_element)
 
 
 def _word_phase(ctx, t, word):
@@ -57,6 +57,30 @@ def test_epsilon_examples():
     assert epsilon_q(ctx, (1, 1, 2, 3)).is_zero()
     with pytest.raises(ValueError):
         epsilon_q(ctx, (1, 2))
+
+
+def test_epsilon_memo_matches_dx_sort_and_holds_only_permutations():
+    caches = (tensorcalc._epsilon_perm, tensorcalc._epsilon_perm_inv)
+    for d in (2, 3, 4, 5):
+        ctx = DeformationContext(d)
+        for cache in caches:
+            cache.cache_clear()
+        for idx in product(range(1, d + 1), repeat=d):
+            r = dx_sort(ctx, idx)
+            if r is None:
+                assert epsilon_q(ctx, idx).is_zero()
+                assert epsilon_qinv(ctx, idx).is_zero()
+                continue
+            shift, sign, _ = r
+            assert epsilon_q(ctx, idx) == ctx.scalar(sign).shifted(shift)
+            assert epsilon_qinv(ctx, idx) == ctx.scalar(sign).shifted(
+                tuple(-x for x in shift))
+        for cache in caches:
+            assert cache.cache_info().currsize <= math.factorial(d)
+    with pytest.raises(IndexError):
+        epsilon_q(DeformationContext(4), (1, 1, 2, 9))
+    with pytest.raises(IndexError):
+        epsilon_qinv(DeformationContext(4), (0, 1, 2, 3))
 
 
 def test_epsilon_q_antisymmetry_relation():
