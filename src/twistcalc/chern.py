@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ncalg import Element
+from .ncalg import Element, _add_into, _finish, _mul_into
 from .qphase import DeformationContext, ExactScalar
 from .sphere import integrate_form, reduce_mod_c
 
@@ -55,6 +55,19 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             n = self.size
+            ctx = _element_ctx(self, other)
+            if ctx is not None:
+                # each entry is one sum of products: one accumulator for it
+                out = []
+                for ra in self.rows:
+                    row = []
+                    for j in range(n):
+                        acc: dict = {}
+                        for x, rb in zip(ra, other.rows):
+                            _mul_into(acc, ctx, x.terms, rb[j].terms)
+                        row.append(_finish(ctx, acc))
+                    out.append(row)
+                return Matrix(out)
             out = []
             for i in range(n):
                 row = []
@@ -74,6 +87,12 @@ class Matrix:
         return Matrix([[fn(a) for a in r] for r in self.rows])
 
     def trace(self):
+        ctx = _element_ctx(self)
+        if ctx is not None:
+            acc: dict = {}
+            for i, row in enumerate(self.rows):
+                _add_into(acc, row[i].terms)
+            return _finish(ctx, acc)
         acc = self.rows[0][0]
         for i in range(1, self.size):
             acc = acc + self.rows[i][i]
@@ -90,6 +109,21 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
+
+
+def _element_ctx(*matrices) -> DeformationContext | None:
+    """The common context when every entry is an ``Element``, else None."""
+    ctx = None
+    for m in matrices:
+        for row in m.rows:
+            for x in row:
+                if type(x) is not Element:
+                    return None
+                if ctx is None:
+                    ctx = x.ctx
+                elif x.ctx is not ctx and x.ctx != ctx:
+                    raise ValueError("elements live over different contexts")
+    return ctx
 
 
 def _kron(a: Matrix, b: Matrix, mul) -> Matrix:

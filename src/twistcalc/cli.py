@@ -142,6 +142,8 @@ def _cmd_suite_run(args) -> int:
         print(f"suite {report.suite}: {report.cases} cases, "
               f"{len(report.failures)} failures [{status}] "
               f"({report.wall_time_s:.2f}s, seed {report.seed})")
+        for nm, (cases, wall) in report.suites.items():
+            print(f"  {nm}: {cases} cases ({wall:.2f}s)")
         for f in report.failures:
             print(f"  FAIL {f['expression']}: expected {f['expected']}, "
                   f"got {f['got']}")

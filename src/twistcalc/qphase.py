@@ -27,6 +27,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
+from operator import add
+from types import MappingProxyType
 
 __all__ = [
     "DeformationContext",
@@ -118,13 +120,17 @@ class DeformationContext:
     the engine computes in the classical limit.
     """
 
-    __slots__ = ("dim", "params", "param_index", "commutative", "_pair_table")
+    __slots__ = ("dim", "params", "param_index", "nparams", "commutative",
+                 "_pair_table", "_hash", "_indices", "_zero_exps")
 
     def __init__(self, dim: int, commutative: bool = False):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
         self.commutative = bool(commutative)
+        # every lru_cache keyed by a context hashes it: compute that once
+        self._hash = hash((dim, self.commutative))
+        self._indices = frozenset(range(1, dim + 1))
         half = dim // 2
         if self.commutative:
             self.params: list[tuple[int, int]] = []
@@ -132,6 +138,8 @@ class DeformationContext:
             self.params = [(a, b) for a in range(1, half + 1)
                            for b in range(a + 1, half + 1)]
         self.param_index = {p: i for i, p in enumerate(self.params)}
+        self.nparams = len(self.params)
+        self._zero_exps = (0,) * self.nparams
         self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {}
         for a in range(1, dim + 1):
             for b in range(1, dim + 1):
@@ -150,17 +158,13 @@ class DeformationContext:
         """g_{ab} = g^{ab} = 1 iff b is the primed partner of a."""
         return 1 if b == self.dim + 1 - a else 0
 
-    @property
-    def nparams(self) -> int:
-        return len(self.params)
-
     def __eq__(self, other):
-        return (isinstance(other, DeformationContext)
-                and other.dim == self.dim
-                and other.commutative == self.commutative)
+        return other is self or (isinstance(other, DeformationContext)
+                                 and other.dim == self.dim
+                                 and other.commutative == self.commutative)
 
     def __hash__(self):
-        return hash((self.dim, self.commutative))
+        return self._hash
 
     def __repr__(self):
         tag = ", commutative" if self.commutative else ""
@@ -220,12 +224,10 @@ class DeformationContext:
     # -- scalar factories ----------------------------------------------------
 
     def zero_exps(self) -> tuple[int, ...]:
-        return (0,) * self.nparams
+        return self._zero_exps
 
     def scalar_zero(self) -> "ExactScalar":
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = {}
-        return res
+        return _ZERO
 
     def scalar(self, value) -> "ExactScalar":
         """Rational (int or Fraction) as an exact scalar."""
@@ -235,7 +237,7 @@ class DeformationContext:
             v = Fraction(value)
             num, den = v.numerator, v.denominator
         if not num:
-            return ExactScalar({})
+            return _ZERO
         return ExactScalar({self.zero_exps(): (num, 0, 0, 0, den)})
 
     def scalar_one(self) -> "ExactScalar":
@@ -344,10 +346,14 @@ class ExactScalar:
                 return self.scale(other)
             if not isinstance(other, ExactScalar):
                 return NotImplemented
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 v = _c_mul(v1, v2)
                 u = out.get(k)
                 if u is not None:
@@ -373,7 +379,7 @@ class ExactScalar:
             r = Fraction(r)
             p, q = r.numerator, r.denominator
         if not p:
-            return ExactScalar({})
+            return _ZERO
         res = ExactScalar.__new__(ExactScalar)
         res.terms = {k: _c_reduce(v[0] * p, v[1] * p, v[2] * p, v[3] * p,
                                   v[4] * q)
@@ -384,10 +390,10 @@ class ExactScalar:
         """Multiply by ±(phase monomial with the given exponents)."""
         res = ExactScalar.__new__(ExactScalar)
         if sign == 1:
-            res.terms = {tuple(x + y for x, y in zip(k, shift)): v
+            res.terms = {tuple(map(add, k, shift)): v
                          for k, v in self.terms.items()}
         else:
-            res.terms = {tuple(x + y for x, y in zip(k, shift)): _c_neg(v)
+            res.terms = {tuple(map(add, k, shift)): _c_neg(v)
                          for k, v in self.terms.items()}
         return res
 
@@ -483,6 +489,12 @@ class ExactScalar:
 
     __repr__ = __str__
 
+
+# The one zero scalar, shared by every caller: its terms are a read-only view,
+# so a caller that tried to fill it in place would raise instead of
+# corrupting every other zero.
+_ZERO = ExactScalar.__new__(ExactScalar)
+_ZERO.terms = MappingProxyType({})
 
 _UNIT_NAMES = (None, "i", "sqrt2", "i*sqrt2")
 

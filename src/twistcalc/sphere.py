@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from .haar import haar_plane
-from .ncalg import Element, Monomial, _mono_mul
+from .ncalg import Element, Monomial, _add_into, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar
 from .tensorcalc import dx_sort, epsilon_q, epsilon_qinv
 
@@ -89,7 +89,7 @@ def reduce_mod_c(f: Element) -> Element:
     pending = f
     done: dict[Monomial, ExactScalar] = {}
     while pending.terms:
-        rewritten = Element.zero(ctx)
+        acc: dict = {}
         for (exps, dxs), coeff in pending.terms.items():
             if exps[0] and exps[last]:
                 stripped = list(exps)
@@ -99,9 +99,8 @@ def reduce_mod_c(f: Element) -> Element:
                 # stripped * (x^1 x^D) = phase * monomial: undo that phase
                 shift, sign, prod_key = _mono_mul(ctx, key, pair_key)
                 assert prod_key == (exps, dxs) and sign == 1
-                piece = Element(
-                    ctx, {key: coeff.shifted(tuple(-s for s in shift))})
-                rewritten = rewritten + piece * repl
+                piece = {key: coeff.shifted(tuple(-s for s in shift))}
+                _mul_into(acc, ctx, piece, repl.terms)
             else:
                 u = done.get((exps, dxs))
                 w = coeff if u is None else u + coeff
@@ -109,7 +108,7 @@ def reduce_mod_c(f: Element) -> Element:
                     done[(exps, dxs)] = w
                 elif u is not None:
                     del done[(exps, dxs)]
-        pending = rewritten
+        pending = _finish(ctx, acc)
     res = Element.__new__(Element)
     res.ctx, res.terms = ctx, done
     return res
@@ -124,23 +123,22 @@ def omega_form(ctx: DeformationContext, k: int) -> Element:
     dim = ctx.dim
     n_deg = dim - 1
     rest = [a for a in range(1, dim + 1) if a != k]
-    out = Element.zero(ctx)
+    acc: dict = {}
     for s in permutations(rest):
         eps = epsilon_qinv(ctx, s + (k,))
         shift, sign, dxs = dx_sort(ctx, s)
-        out = out + Element(
-            ctx, {((0,) * dim, dxs): eps.shifted(shift, sign)})
+        _add_into(acc, {((0,) * dim, dxs): eps.shifted(shift, sign)})
     norm = ctx.i_power(dim // 2).scale(Fraction(1, factorial(n_deg)))
-    return out * norm
+    return _finish(ctx, acc) * norm
 
 
 @lru_cache(maxsize=None)
 def volume_form(ctx: DeformationContext) -> Element:
     """Representative of the sphere volume: sum_k x^k omega_k."""
-    out = Element.zero(ctx)
+    acc: dict = {}
     for k in range(1, ctx.dim + 1):
-        out = out + Element.x(ctx, k) * omega_form(ctx, k)
-    return out
+        _mul_into(acc, ctx, Element.x(ctx, k).terms, omega_form(ctx, k).terms)
+    return _finish(ctx, acc)
 
 
 def top_decompose(om: Element) -> Element:
@@ -384,19 +382,19 @@ def _hodge_sphere_basis(ctx: DeformationContext, dxs: tuple) -> Element:
     n_deg = dim - 1
     k = len(dxs)
     rest = [a for a in range(1, dim + 1) if a not in dxs]
-    out = Element.zero(ctx)
+    acc: dict = {}
     for a in rest:
         tail = [l for l in rest if l != a]
-        xa = Element.x(ctx, ctx.primed(a))
+        xa = Element.x(ctx, ctx.primed(a)).terms
         for l in permutations(tail):
             eps = epsilon_q(ctx, dxs + (a,) + l)
             target = tuple(ctx.primed(t) for t in reversed(l))
             shift, sign, sorted_dxs = dx_sort(ctx, target)
             coeff = eps.shifted(shift, sign)
-            out = out + Element(ctx, {((0,) * dim, sorted_dxs): coeff}) * xa
+            _mul_into(acc, ctx, {((0,) * dim, sorted_dxs): coeff}, xa)
     sign = -1 if ((n_deg - k) // 2 + (n_deg - k)) % 2 else 1
     norm = ctx.i_power(-(dim // 2)).scale(Fraction(sign, factorial(n_deg - k)))
-    return out * norm
+    return _finish(ctx, acc) * norm
 
 
 def hodge_sphere(el: Element) -> Element:
@@ -407,11 +405,11 @@ def hodge_sphere(el: Element) -> Element:
     k = el.form_degree()
     if k > ctx.dim - 1:
         raise ValueError("sphere forms have degree at most D-1")
-    out = Element.zero(ctx)
+    acc: dict = {}
     for (exps, dxs), coeff in el.terms.items():
-        left = Element(ctx, {(exps, ()): coeff})
-        out = out + left * _hodge_sphere_basis(ctx, dxs)
-    return out
+        _mul_into(acc, ctx, {(exps, ()): coeff},
+                  _hodge_sphere_basis(ctx, dxs).terms)
+    return _finish(ctx, acc)
 
 
 class SphereForm:

@@ -33,6 +33,8 @@ class SuiteReport:
     failures: list = field(default_factory=list)
     seed: int = 0
     wall_time_s: float = 0.0
+    # per-suite (cases, wall seconds) of an 'all' run, in run order
+    suites: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -47,6 +49,13 @@ class SuiteReport:
         }
         if include_wall_time:
             out["wall_time_s"] = round(self.wall_time_s, 3)
+        if self.suites:
+            out["suites"] = {}
+            for nm, (cases, wall) in self.suites.items():
+                entry = {"cases": cases}
+                if include_wall_time:
+                    entry["wall_time_s"] = round(wall, 3)
+                out["suites"][nm] = entry
         return out
 
 
@@ -788,14 +797,17 @@ def run_suite(name: str, dim: int = 5, n: int | None = None, seed: int = 42,
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     report = SuiteReport(suite=name, seed=seed)
     runner = _Runner(report)
-    started = time.time()
+    started = time.perf_counter()
     names = [s for s in SUITE_NAMES if s != "all"] if name == "all" else [name]
     for nm in names:
         rng = random.Random(_stable_seed(seed, nm))
         fn = _SUITES[nm]
+        cases, t0 = report.cases, time.perf_counter()
         if nm == "chern" and n is not None:
             fn(runner, dim, rng, moduli, n=n)
         else:
             fn(runner, dim, rng, moduli)
-    report.wall_time_s = time.time() - started
+        if name == "all":
+            report.suites[nm] = (report.cases - cases, time.perf_counter() - t0)
+    report.wall_time_s = time.perf_counter() - started
     return report

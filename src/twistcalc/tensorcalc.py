@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .ncalg import Element
+from .ncalg import Element, _add_into, _finish, _mul_into
 from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
@@ -175,11 +175,16 @@ def _check_indices(ctx: DeformationContext, indices: tuple) -> None:
 
 def _perm_or_none(ctx: DeformationContext, indices):
     """The validated index tuple if it is repeat-free, else None."""
-    indices = tuple(indices)
+    if type(indices) is not tuple:
+        indices = tuple(indices)
     if len(indices) != ctx.dim:
         raise ValueError("epsilon tensor needs exactly D indices")
-    _check_indices(ctx, indices)
-    return indices if len(set(indices)) == ctx.dim else None
+    seen = set(indices)
+    if not seen <= ctx._indices:
+        _check_indices(ctx, indices)  # raises: an index lies outside 1..D
+        return None
+    # D indices drawn from 1..D are a permutation exactly when none repeats
+    return indices if len(seen) == ctx.dim else None
 
 
 def epsilon_q(ctx: DeformationContext, indices) -> ExactScalar:
@@ -220,16 +225,17 @@ def volume_element(ctx: DeformationContext) -> Element:
 # -- pairing and Hodge star on the plane --------------------------------------
 
 def _pairing_basis(ctx, u: tuple, v: tuple) -> ExactScalar:
-    """<dx^{u_1}..dx^{u_k}, dx^{v_1}..dx^{v_k}> on basis wedge monomials."""
+    """<dx^{u_1}..dx^{u_k}, dx^{v_1}..dx^{v_k}> on basis wedge monomials.
+
+    ``u`` and ``v`` are dx sets of elements, so their indices are valid."""
     k = len(u)
     if k == 0:
         return ctx.scalar_one()
-    lower = tuple(ctx.primed(a) for a in reversed(u))
-    w = antisym_w(ctx, v, lower)
-    if not w:
-        return w
-    sign = -1 if ((k // 2) % 2) else 1
-    return w.scale(sign)
+    lower = tuple(ctx.dim + 1 - a for a in reversed(u))
+    w = _w_on_basis(ctx, k, lower).get(v)
+    if w is None:
+        return ctx.scalar_zero()
+    return w.scale(-1) if (k // 2) % 2 else w
 
 
 def pairing_plane(alpha: Element, beta: Element) -> Element:
@@ -248,24 +254,30 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
     if k != beta.form_degree():
         raise ValueError("pairing needs equal form degrees")
     table = ctx._pair_table
-    out = Element.zero(ctx)
+    # both slots' functions grouped by dx set: one basis pairing per pair
+    # of groups
+    lefts: dict[tuple, dict] = {}
     for (e1, u), c1 in alpha.terms.items():
-        left = Element(ctx, {(e1, ()): c1})
-        for (e2, v), c2 in beta.terms.items():
+        lefts.setdefault(u, {})[(e1, ())] = c1
+    rights: dict[tuple, dict] = {}
+    for (e2, v), c2 in beta.terms.items():
+        # the second slot's function leaves rightward through its dx's
+        shift = [0] * ctx.nparams
+        for a in v:
+            for b, f in enumerate(e2, start=1):
+                if f:
+                    red = table[(a, b)]
+                    if red is not None:
+                        shift[red[0]] -= red[1] * f
+        rights.setdefault(v, {})[(e2, ())] = c2.shifted(tuple(shift))
+    acc: dict = {}
+    for u, left in lefts.items():
+        for v, right in rights.items():
             w = _pairing_basis(ctx, u, v)
-            if not w:
-                continue
-            # the second slot's function leaves rightward through its dx's
-            acc = [0] * ctx.nparams
-            for a in v:
-                for b, f in enumerate(e2, start=1):
-                    if f:
-                        red = table[(a, b)]
-                        if red is not None:
-                            acc[red[0]] -= red[1] * f
-            right = Element(ctx, {(e2, ()): c2.shifted(tuple(acc))})
-            out = out + (left * right).scale(w)
-    return out
+            if w:
+                _mul_into(acc, ctx, left,
+                          {key: c2 * w for key, c2 in right.items()})
+    return _finish(ctx, acc)
 
 
 def _half_sign(m: int) -> int:
@@ -284,21 +296,21 @@ def hodge_plane(alpha: Element) -> Element:
     # C_{D,k} = (-i)^{D//2} (-1)^{(D-k)//2} / (D-k)!
     const = ctx.i_power(-(dim // 2)).scale(
         Fraction(_half_sign(dim - k), factorial(dim - k)))
-    out = Element.zero(ctx)
+    acc: dict = {}
     cache: dict[tuple, Element] = {}
     for (e, u), c in alpha.terms.items():
         star_u = cache.get(u)
         if star_u is None:
             star_u = _hodge_basis(ctx, u) * const
             cache[u] = star_u
-        out = out + Element(ctx, {(e, ()): c}) * star_u
-    return out
+        _mul_into(acc, ctx, {(e, ()): c}, star_u.terms)
+    return _finish(ctx, acc)
 
 
 def _hodge_basis(ctx, u: tuple) -> Element:
     """Unnormalised star of a basis wedge monomial dx^{u}."""
     rest = [a for a in range(1, ctx.dim + 1) if a not in u]
-    out = Element.zero(ctx)
+    acc: dict = {}
     for l_tuple in permutations(rest):
         eps = epsilon_q(ctx, u + l_tuple)
         if not eps:
@@ -308,6 +320,5 @@ def _hodge_basis(ctx, u: tuple) -> Element:
         if r is None:
             continue
         shift, sign, dxs = r
-        coeff = eps.shifted(shift, sign)
-        out = out + Element(ctx, {((0,) * ctx.dim, dxs): coeff})
-    return out
+        _add_into(acc, {((0,) * ctx.dim, dxs): eps.shifted(shift, sign)})
+    return _finish(ctx, acc)

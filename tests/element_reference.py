@@ -1,0 +1,156 @@
+"""Reference Element products: one ExactScalar per term pair, sums with +.
+
+The product path the engine used before its fused kernel: ``mono_mul``
+normal-orders two monomials without a cache, ``element_mul`` multiplies the
+two coefficients of every term pair as ``ExactScalar``s and adds each result
+into the output, and the pairing, the plane Hodge star and the matrix
+product sum their pieces with ``out = out + x``.  The tests compare the
+engine against these functions.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
+
+from twistcalc.ncalg import Element
+from twistcalc.tensorcalc import antisym_w, dx_sort, epsilon_q
+
+
+def mono_mul(ctx, m1, m2):
+    """``(exps, sign, key)`` of the normal-ordered product, or None."""
+    (e1, s1), (e2, s2) = m1, m2
+    table = ctx._pair_table
+    acc = [0] * ctx.nparams
+    for a in s1:
+        for b, f in enumerate(e2, start=1):
+            if f:
+                red = table[(a, b)]
+                if red is not None:
+                    acc[red[0]] += red[1] * f
+    for b, f in enumerate(e2, start=1):
+        if f:
+            for a in range(b + 1, ctx.dim + 1):
+                ea = e1[a - 1]
+                if ea:
+                    red = table[(a, b)]
+                    if red is not None:
+                        acc[red[0]] += red[1] * ea * f
+    sign = 1
+    if s1 and s2:
+        for a in s1:
+            for b in s2:
+                if a == b:
+                    return None
+                if a > b:
+                    sign = -sign
+                    red = table[(a, b)]
+                    if red is not None:
+                        acc[red[0]] += red[1]
+        dxs = tuple(sorted(s1 + s2))
+    else:
+        dxs = s1 or s2
+    exps = tuple(x + y for x, y in zip(e1, e2))
+    return tuple(acc), sign, (exps, dxs)
+
+
+def element_mul(a: Element, b: Element) -> Element:
+    if a.ctx != b.ctx:
+        raise ValueError("elements live over different contexts")
+    ctx = a.ctx
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            r = mono_mul(ctx, m1, m2)
+            if r is None:
+                continue
+            shift, sign, key = r
+            v = (c1 * c2).shifted(shift, sign)
+            u = out.get(key)
+            w = v if u is None else u + v
+            if w:
+                out[key] = w
+            elif u is not None:
+                del out[key]
+    res = Element.__new__(Element)
+    res.ctx, res.terms = ctx, out
+    return res
+
+
+def _pairing_basis(ctx, u: tuple, v: tuple):
+    k = len(u)
+    if k == 0:
+        return ctx.scalar_one()
+    lower = tuple(ctx.primed(a) for a in reversed(u))
+    w = antisym_w(ctx, v, lower)
+    if not w:
+        return w
+    return w.scale(-1 if ((k // 2) % 2) else 1)
+
+
+def pairing_plane(alpha: Element, beta: Element) -> Element:
+    ctx = alpha.ctx
+    if alpha.is_zero() or beta.is_zero():
+        return Element.zero(ctx)
+    table = ctx._pair_table
+    out = Element.zero(ctx)
+    for (e1, u), c1 in alpha.terms.items():
+        left = Element(ctx, {(e1, ()): c1})
+        for (e2, v), c2 in beta.terms.items():
+            w = _pairing_basis(ctx, u, v)
+            if not w:
+                continue
+            acc = [0] * ctx.nparams
+            for a in v:
+                for b, f in enumerate(e2, start=1):
+                    if f:
+                        red = table[(a, b)]
+                        if red is not None:
+                            acc[red[0]] -= red[1] * f
+            right = Element(ctx, {(e2, ()): c2.shifted(tuple(acc))})
+            out = out + element_mul(left, right).scale(w)
+    return out
+
+
+def _hodge_basis(ctx, u: tuple) -> Element:
+    rest = [a for a in range(1, ctx.dim + 1) if a not in u]
+    out = Element.zero(ctx)
+    for l_tuple in permutations(rest):
+        eps = epsilon_q(ctx, u + l_tuple)
+        if not eps:
+            continue
+        target = tuple(ctx.primed(a) for a in reversed(l_tuple))
+        r = dx_sort(ctx, target)
+        if r is None:
+            continue
+        shift, sign, dxs = r
+        out = out + Element(ctx, {((0,) * ctx.dim, dxs): eps.shifted(shift, sign)})
+    return out
+
+
+def hodge_plane(alpha: Element) -> Element:
+    ctx = alpha.ctx
+    k = alpha.form_degree()
+    dim = ctx.dim
+    half_sign = -1 if (((dim - k) // 2) % 2) else 1
+    const = ctx.i_power(-(dim // 2)).scale(
+        Fraction(half_sign, factorial(dim - k)))
+    out = Element.zero(ctx)
+    for (e, u), c in alpha.terms.items():
+        star_u = _hodge_basis(ctx, u).scale(const)
+        out = out + element_mul(Element(ctx, {(e, ()): c}), star_u)
+    return out
+
+
+def matrix_mul(a, b):
+    """Rows of the product of two square matrices of Elements (lists of rows)."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = element_mul(a[i][0], b[0][j])
+            for l in range(1, n):
+                acc = acc + element_mul(a[i][l], b[l][j])
+            row.append(acc)
+        out.append(row)
+    return out

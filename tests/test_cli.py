@@ -5,8 +5,9 @@ import pstats
 
 import pytest
 
+from twistcalc import cli
 from twistcalc.cli import main
-from twistcalc.suites import run_suite
+from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,29 @@ def test_suite_command_and_exit_codes(capsys):
     assert payload["cases"] > 0
     assert set(payload) == {"suite", "cases", "failures", "seed",
                             "wall_time_s"}
+
+
+def test_suite_run_all_reports_each_suite(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "suite", "run", "all", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[:5] == ["suite", "cases", "failures", "seed",
+                                 "wall_time_s"]
+    per = payload["suites"]
+    assert list(per) == [s for s in SUITE_NAMES if s != "all"]
+    assert all(set(entry) == {"cases", "wall_time_s"} for entry in per.values())
+    assert sum(entry["cases"] for entry in per.values()) == payload["cases"] == 846
+    # the text form lists the same breakdown; without wall times only the
+    # case counts remain
+    report = SuiteReport(suite="all", cases=3, seed=1, wall_time_s=0.5,
+                         suites={"qphase": (2, 0.25), "ncalg": (1, 0.125)})
+    assert report.to_dict(include_wall_time=False)["suites"] == {
+        "qphase": {"cases": 2}, "ncalg": {"cases": 1}}
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: report)
+    code, out, _ = run_cli(capsys, "suite", "run", "all")
+    assert code == 0
+    assert out.splitlines()[1:] == ["  qphase: 2 cases (0.25s)",
+                                    "  ncalg: 1 cases (0.12s)"]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,0 +1,211 @@
+"""The fused Element product kernel against the term-by-term reference."""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import element_reference as ref
+from twistcalc import DeformationContext, Element, ExactScalar, chern, ncalg
+from twistcalc.chern import Matrix
+from twistcalc.qphase import _c_reduce
+from twistcalc.tensorcalc import epsilon_q, epsilon_qinv, hodge_plane, pairing_plane
+
+
+def _assert_canonical(el: Element):
+    """No zero scalar and no zero coefficient is stored; coefficients are
+    canonical 5-tuples."""
+    for coeff in el.terms.values():
+        assert coeff.terms, el
+        for u in coeff.terms.values():
+            assert any(u[:4]), el
+            assert u[4] > 0 and math.gcd(*u) == 1, el
+
+
+@st.composite
+def _coeff(draw, ctx):
+    """A scalar with up to three phase monomials and parts in 1, i, sqrt2,
+    i*sqrt2 over a small denominator."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        phase = tuple(draw(st.integers(-2, 2)) for _ in range(ctx.nparams))
+        parts = [draw(st.integers(-3, 3)) for _ in range(4)]
+        if not any(parts):
+            parts[0] = 1
+        terms[phase] = _c_reduce(*parts, draw(st.integers(1, 4)))
+    return ExactScalar(terms)
+
+
+@st.composite
+def _monomial(draw, ctx, form_deg=None):
+    exps = [0] * ctx.dim
+    for _ in range(draw(st.integers(0, 3))):
+        exps[draw(st.integers(0, ctx.dim - 1))] += 1
+    if form_deg is None:
+        form_deg = draw(st.integers(0, min(3, ctx.dim)))
+    dxs = draw(st.lists(st.integers(1, ctx.dim), min_size=form_deg,
+                        max_size=form_deg, unique=True))
+    return tuple(exps), tuple(sorted(dxs))
+
+
+@st.composite
+def _element(draw, ctx, max_terms=4, form_deg=None):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[draw(_monomial(ctx, form_deg))] = draw(_coeff(ctx))
+    return Element(ctx, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_products_match_reference(d, data):
+    ctx = DeformationContext(d)
+    a = data.draw(_element(ctx))
+    b = data.draw(_element(ctx))
+    got = a * b
+    assert got == ref.element_mul(a, b)
+    _assert_canonical(got)
+    # a sum of products through one accumulator is the sum of the products
+    c = data.draw(_element(ctx))
+    acc = {}
+    ncalg._mul_into(acc, ctx, a.terms, b.terms)
+    ncalg._mul_into(acc, ctx, c.terms, a.terms)
+    ncalg._add_into(acc, b.terms)
+    total = ncalg._finish(ctx, acc)
+    assert total == ref.element_mul(a, b) + ref.element_mul(c, a) + b
+    _assert_canonical(total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_cancelling_term_pairs_leave_no_zero_coefficient(d, data):
+    # a = ca (m + n), b = cb (n - lambda m) with lambda chosen so that the
+    # m*n and n*m contributions to their common monomial cancel exactly
+    ctx = DeformationContext(d)
+    m = data.draw(_monomial(ctx))
+    n = data.draw(_monomial(ctx))
+    rmn, rnm = ref.mono_mul(ctx, m, n), ref.mono_mul(ctx, n, m)
+    if m == n or rmn is None:
+        return
+    (sh1, sg1, key), (sh2, sg2, key2) = rmn, rnm
+    assert key == key2
+    ca, cb = data.draw(_coeff(ctx)), data.draw(_coeff(ctx))
+    lam = cb.shifted(tuple(x - y for x, y in zip(sh1, sh2)), -sg1 * sg2)
+    a = Element(ctx, {m: ca, n: ca})
+    b = Element(ctx, {n: cb, m: lam})
+    got = a * b
+    assert got == ref.element_mul(a, b)
+    assert key not in got.terms
+    _assert_canonical(got)
+    assert (a * b - ref.element_mul(a, b)).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_pairing_and_plane_hodge_match_reference(d, data):
+    ctx = DeformationContext(d)
+    k = data.draw(st.integers(0, min(3, d)))
+    alpha = data.draw(_element(ctx, 3, k))
+    beta = data.draw(_element(ctx, 3, k))
+    got = pairing_plane(alpha, beta)
+    assert got == ref.pairing_plane(alpha, beta)
+    _assert_canonical(got)
+    if alpha:
+        star = hodge_plane(alpha)
+        assert star == ref.hodge_plane(alpha)
+        _assert_canonical(star)
+
+
+def test_matrix_product_and_trace_match_reference():
+    rng = random.Random(5)
+    for d, size in ((3, 2), (5, 4)):
+        ctx = DeformationContext(d)
+        rows = [[_random_element(ctx, rng) for _ in range(size)]
+                for _ in range(size)]
+        cols = [[_random_element(ctx, rng) for _ in range(size)]
+                for _ in range(size)]
+        got = Matrix(rows) * Matrix(cols)
+        assert got.rows == ref.matrix_mul(rows, cols)
+        want = rows[0][0]
+        for i in range(1, size):
+            want = want + rows[i][i]
+        assert Matrix(rows).trace() == want
+        for row in got.rows:
+            for el in row:
+                _assert_canonical(el)
+
+
+def _random_element(ctx, rng):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * ctx.dim
+        exps[rng.randrange(ctx.dim)] = rng.randint(0, 2)
+        dxs = tuple(sorted(rng.sample(range(1, ctx.dim + 1), rng.randint(0, 2))))
+        phase = tuple(rng.randint(-1, 1) for _ in range(ctx.nparams))
+        terms[(tuple(exps), dxs)] = ExactScalar(
+            {phase: _c_reduce(rng.randint(-2, 2), rng.randint(-1, 1),
+                              rng.randint(-1, 1), 0, rng.randint(1, 3))})
+    return Element(ctx, terms)
+
+
+def test_normal_ordering_cache_is_bounded():
+    info = ncalg._mono_mul.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize == ncalg.MONO_CACHE_SIZE
+    assert chern.charge(4) == DeformationContext(9).scalar_one()
+    info = ncalg._mono_mul.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_products_over_equal_contexts_built_apart():
+    c1, c2 = DeformationContext(5), DeformationContext(5)
+    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    a = Element.x(c1, 2) * Element.dx(c1, 1) + Element.x(c1, 1).scale(3)
+    b_same = Element.x(c1, 1) * Element.dx(c1, 4) + Element.one(c1)
+    b_other = Element.x(c2, 1) * Element.dx(c2, 4) + Element.one(c2)
+    assert a * b_other == a * b_same
+    assert b_other * a == b_same * a
+    assert a + b_other == a + b_same
+    mixed = Element.x(DeformationContext(4), 1)
+    with pytest.raises(ValueError):
+        a * mixed
+    with pytest.raises(ValueError):
+        a + mixed
+    with pytest.raises(ValueError):
+        Matrix([[a]]) * Matrix([[mixed]])
+    with pytest.raises(ValueError):
+        Element.x(DeformationContext(5, commutative=True), 1) * a
+
+
+def test_shared_zero_is_read_only():
+    ctx = DeformationContext(5)
+    zero = ctx.scalar_zero()
+    assert zero is DeformationContext(7).scalar_zero()
+    with pytest.raises(TypeError):
+        zero.terms[(0,)] = (1, 0, 0, 0, 1)
+    assert zero == ExactScalar({}) and ExactScalar({}) == zero
+    assert hash(zero) == hash(ExactScalar({}))
+    assert not zero and zero.is_zero()
+    one = ctx.scalar_one()
+    assert one * zero is zero and zero * one is zero
+    assert zero + one == one and one + zero == one
+    assert ctx.scalar(0) is zero and one.scale(0) is zero
+
+
+def test_epsilon_validation():
+    ctx = DeformationContext(4)
+    for eps in (epsilon_q, epsilon_qinv):
+        with pytest.raises(ValueError):
+            eps(ctx, (1, 2, 3))
+        with pytest.raises(ValueError):
+            eps(ctx, (1, 2, 3, 4, 1))
+        with pytest.raises(IndexError):
+            eps(ctx, (1, 2, 3, 5))
+        with pytest.raises(IndexError):
+            eps(ctx, (5, 5, 1, 2))
+        with pytest.raises(IndexError):
+            eps(ctx, [0, 1, 2, 3])
+        assert eps(ctx, [1, 1, 2, 3]).is_zero()
+        assert eps(ctx, iter((2, 1, 3, 4))) == eps(ctx, (2, 1, 3, 4))
+        assert not eps(ctx, (4, 3, 2, 1)).is_zero()
