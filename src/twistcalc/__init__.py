@@ -13,8 +13,7 @@ from .chern import (GammaRep, Matrix, character_tau, charge,
 from .exprio import ExprSyntaxError, format_element, format_scalar, parse_expr
 from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
 from .ncalg import Element, normal_order
-from .oracle import (TorusRep, check_element, check_identity, check_scalar,
-                     check_sphere_class)
+from .oracle import TorusRep, check_element, check_scalar, check_sphere_class
 from .qphase import DeformationContext, ExactScalar, PhaseMonomial
 from .sphere import (SphereForm, central_quadric, hodge_sphere,
                      in_quotient_ideal, integrate_form, omega_form,
@@ -37,8 +36,7 @@ __all__ = [
     "GammaRep", "Matrix", "gamma_rep", "clifford_trace",
     "instanton_projector", "curvature", "character_tau", "charge",
     "charge_integral", "charge_from_curvature",
-    "TorusRep", "check_identity", "check_element", "check_sphere_class",
-    "check_scalar",
+    "TorusRep", "check_element", "check_sphere_class", "check_scalar",
     "parse_expr", "format_element", "format_scalar", "ExprSyntaxError",
     "run_suite", "SuiteReport",
 ]

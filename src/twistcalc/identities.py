@@ -1,0 +1,372 @@
+"""The catalogue of verified identities: each family is declared here once.
+
+An ``Identity`` is one equation ``lhs = rhs`` of a kind:
+
+- ``scalar``: two ``ExactScalar`` values, equal exactly;
+- ``element``: two ambient ``Element`` values, equal exactly;
+- ``sphere``: two ambient representatives with the same sphere class.
+
+``holds`` is the one decision for every kind.  A family generator takes a
+context (or a gamma representation) plus any random inputs its caller has
+already drawn, and yields identities; it draws nothing itself.  ``group``
+names the family instance and ``label`` the single identity: a suite makes one
+case of each run of identities sharing a group, and an acceptance criterion
+checks each identity, and exports ``lhs - rhs`` to the numeric oracle, under
+its label.  Both sides stay apart so that exact checks are equality tests.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial
+from typing import NamedTuple
+
+from .chern import clifford_trace
+from .haar import haar_plane
+from .ncalg import Element
+from .qphase import DeformationContext, PhaseMonomial
+from .sphere import (central_quadric, hodge_sphere, integrate_form,
+                     pairing_sphere, sphere_equal, volume_form)
+from .tensorcalc import (antisym_w, antisym_w_bruteforce, apply_lambda,
+                         epsilon_q, epsilon_qinv, hodge_plane, pairing_plane,
+                         volume_element)
+
+
+class Identity(NamedTuple):
+    group: str
+    label: str
+    kind: str  # "scalar", "element" or "sphere"
+    ctx: DeformationContext
+    lhs: object
+    rhs: object
+
+
+def holds(identity: Identity) -> bool:
+    """The exact decision: equal values, or equal sphere classes."""
+    if identity.kind == "sphere":
+        return sphere_equal(identity.lhs, identity.rhs)
+    return identity.lhs == identity.rhs
+
+
+def basis_form(ctx, dxs) -> Element:
+    return Element.monomial(ctx, ((0,) * ctx.dim, tuple(dxs)))
+
+
+def _per_rank(draws):
+    """(j, upper, lower) per drawn index pair, j counting draws of one rank."""
+    seen = Counter()
+    for up, lo in draws:
+        seen[len(up)] += 1
+        yield seen[len(up)] - 1, up, lo
+
+
+# -- Haar functional ----------------------------------------------------------
+
+def haar_well_defined(ctx, max_deg: int):
+    """h((c-1) m) = 0 for every monomial m of degree at most max_deg."""
+    d = ctx.dim
+    group = f"D={d}: h((c-1) f) = 0 up to degree {max_deg}"
+    rel = central_quadric(ctx) - Element.one(ctx)
+    zero = ctx.scalar_zero()
+    for total in range(max_deg + 1):
+        for combo in combinations_with_replacement(range(d), total):
+            e = [0] * d
+            for j in combo:
+                e[j] += 1
+            m = Element.monomial(ctx, (tuple(e), ()))
+            yield Identity(group, f"D={d} h((c-1)m) {tuple(e)}", "scalar",
+                           ctx, haar_plane(ctx, rel * m), zero)
+
+
+def haar_trace(ctx, pairs):
+    """h(fg) = h(gf) for each drawn pair (f, g)."""
+    d = ctx.dim
+    for j, (f, g) in enumerate(pairs):
+        yield Identity(f"D={d}: h(fg) = h(gf)", f"D={d} trace #{j}", "scalar",
+                       ctx, haar_plane(ctx, f * g), haar_plane(ctx, g * f))
+
+
+def haar_reality(ctx, fs):
+    """conj h(f) = h(f*) for each drawn f."""
+    d = ctx.dim
+    for j, f in enumerate(fs):
+        yield Identity(f"D={d}: conj h(f) = h(f*)", f"D={d} reality #{j}",
+                       "scalar", ctx, haar_plane(ctx, f).conj(),
+                       haar_plane(ctx, f.star()))
+
+
+def haar_moments(ctx):
+    """h(x^i x^i') = 1/D for each i, one family instance per i."""
+    d = ctx.dim
+    for i in range(1, d + 1):
+        e = [0] * d
+        e[i - 1] += 1
+        e[ctx.primed(i) - 1] += 1
+        m = Element.monomial(ctx, (tuple(e), ()))
+        yield Identity(f"D={d}: h(x{i} x{i}*) = 1/{d}",
+                       f"D={d} h(x{i} x{i}') = 1/{d}", "scalar", ctx,
+                       haar_plane(ctx, m), ctx.scalar(Fraction(1, d)))
+
+
+def haar_square_moments(ctx):
+    """h((x^i)^2) = 0 for each i other than its own partner i'."""
+    d = ctx.dim
+    for i in range(1, d + 1):
+        if i != ctx.primed(i):
+            e = [0] * d
+            e[i - 1] = 2
+            m = Element.monomial(ctx, (tuple(e), ()))
+            yield Identity(f"D={d}: h((x{i})^2) = 0", f"D={d} h((x{i})^2) = 0",
+                           "scalar", ctx, haar_plane(ctx, m),
+                           ctx.scalar_zero())
+
+
+# -- sphere integral ----------------------------------------------------------
+
+def stokes(ctx, thetas):
+    """The sphere integral of d(theta) vanishes, theta of degree N - 1."""
+    zero = ctx.scalar_zero()
+    for j, th in enumerate(thetas):
+        yield Identity("Stokes: integral d(theta) = 0",
+                       f"N={ctx.dim - 1} Stokes #{j}", "scalar", ctx,
+                       integrate_form(th.d()), zero)
+
+
+# -- Hodge stars on full bases ------------------------------------------------
+
+def _basis(ctx, n: int, star):
+    """{k: [(dx indices, basis form, its star)]} for k <= n; each star is
+    computed once."""
+    out = {}
+    for k in range(n + 1):
+        out[k] = []
+        for s in combinations(range(1, ctx.dim + 1), k):
+            form = basis_form(ctx, s)
+            out[k].append((s, form, star(form)))
+    return out
+
+
+def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol):
+    """The identities of a Hodge star on n-forms, on every basis form and
+    pair of basis forms; one family instance per identity, in the order of
+    ``names``: **, exchange, isometry, duality, reality, defining relation."""
+
+    def eq(i, label, lhs, rhs):
+        return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, ctx,
+                        lhs, rhs)
+
+    def singles():
+        for k in range(n + 1):
+            sign = -1 if k * (n - k) % 2 else 1
+            for s, a, sa in basis[k]:
+                yield sign, f"{s}", a, sa
+
+    def pairs(complement=False):
+        for k in range(n + 1):
+            sign = -1 if k * (n - k) % 2 else 1
+            for s, a, sa in basis[k]:
+                for t, b, sb in basis[n - k if complement else k]:
+                    yield sign, f"{s}|{t}", a, sa, b, sb
+
+    for sign, s, a, sa in singles():
+        yield eq(0, f"**{s}", star(sa), a.scale(sign))
+    for sign, st, a, sa, b, sb in pairs():
+        yield eq(1, f"exchange {st}", a * sb, (sa * b).scale(sign))
+    for _, st, a, sa, b, sb in pairs():
+        yield eq(2, f"isometry {st}", pairing(a, b), pairing(sa, sb))
+    for _, st, a, sa, b, sb in pairs(complement=True):
+        yield eq(3, f"duality {st}", pairing(sa, b), pairing(a * b, vol))
+    for _, s, a, sa in singles():
+        yield eq(4, f"*conj {s}", star(a.star()), sa.star())
+    for _, st, a, sa, b, sb in pairs():
+        yield eq(5, f"defining {st}", a * sb, pairing(a, b) * vol)
+
+
+def hodge_plane_units(ctx):
+    """*1 = V and *V = 1 on the plane."""
+    d, v, one = ctx.dim, volume_element(ctx), Element.one(ctx)
+    yield Identity(f"D={d}: *1 = V", f"D={d} *1 - V", "element", ctx,
+                   hodge_plane(one), v)
+    yield Identity(f"D={d}: *V = 1", f"D={d} *V - 1", "element", ctx,
+                   hodge_plane(v), one)
+
+
+def hodge_plane_basis(ctx):
+    """The plane Hodge identities on full bases."""
+    d = ctx.dim
+    yield from _hodge_family(
+        ctx, d, _basis(ctx, d, hodge_plane), "element", f"D={d}",
+        ("** = graded sign on all basis forms", "a^*b = sign *a^b",
+         "<a,b> = <*a,*b>", "<*a,g> = <a^g,V>", "*(a*) = (*a)*",
+         "defining relation a^*b = <a,b>V"),
+        hodge_plane, pairing_plane, volume_element(ctx))
+
+
+def hodge_sphere_units(ctx):
+    """*1 = volume and *volume = 1 as sphere classes."""
+    n, vol, one = ctx.dim - 1, volume_form(ctx), Element.one(ctx)
+    yield Identity(f"N={n}: *1 = volume", f"N={n} *1 - vol", "sphere", ctx,
+                   hodge_sphere(one), vol)
+    yield Identity(f"N={n}: *volume = 1", f"N={n} *vol - 1", "sphere", ctx,
+                   hodge_sphere(vol), one)
+
+
+def hodge_sphere_basis(ctx):
+    """The sphere Hodge identities on full bases, as sphere classes, led by
+    the explicit star against the star through the normal,
+    (-1)^(N-k)/2 *(theta ^ dc)."""
+    n = ctx.dim - 1
+    dc = central_quadric(ctx).d()
+    basis = _basis(ctx, n, hodge_sphere)
+    for k in range(n + 1):
+        for s, th, sth in basis[k]:
+            yield Identity(f"N={n}: explicit star = star through the normal",
+                           f"N={n} normal-route {s}", "sphere", ctx, sth,
+                           hodge_plane(th * dc).scale(
+                               Fraction((-1) ** (n - k), 2)))
+    yield from _hodge_family(
+        ctx, n, basis, "sphere", f"N={n}",
+        ("** = graded sign", "t^*e = sign *t^e", "<t,e> = <*t,*e>",
+         "<*t,n> = <t^n,volume>", "*(t*) = (*t)*", "defining relation"),
+        hodge_sphere, pairing_sphere, volume_form(ctx))
+
+
+# -- braid matrix and q-antisymmetrizer ---------------------------------------
+
+def _braid_word(ctx, t: tuple, word):
+    """(basis tuple, phase) of the basis tensor e_t after the braid matrix
+    acts on the slots (pos, pos + 1) of each pos in ``word``, in turn."""
+    acc = [0] * ctx.nparams
+    for pos in word:
+        t, red = apply_lambda(ctx, t, pos)
+        if red is not None:
+            acc[red[0]] += red[1]
+    return t, ctx.phase_scalar(PhaseMonomial(tuple(acc)))
+
+
+def braid_squares(ctx):
+    """lambda^2 = 1: the coefficient of e_t in lambda^2 e_t is 1."""
+    d = ctx.dim
+    for t in product(range(1, d + 1), repeat=2):
+        u, phase = _braid_word(ctx, t, (0, 0))
+        yield Identity(f"D={d}: braid matrix squares to identity",
+                       f"D={d} braid^2 {t}", "scalar", ctx,
+                       phase if u == t else ctx.scalar_zero(),
+                       ctx.scalar_one())
+
+
+def braid_equation(ctx):
+    """lambda_1 lambda_2 lambda_1 = lambda_2 lambda_1 lambda_2 on e_t: both
+    sides have the same coefficient at the basis tensor the left one hits."""
+    d = ctx.dim
+    for t in product(range(1, d + 1), repeat=3):
+        ua, pa = _braid_word(ctx, t, (0, 1, 0))
+        ub, pb = _braid_word(ctx, t, (1, 0, 1))
+        yield Identity(f"D={d}: braid equation", f"D={d} braid eq {t}",
+                       "scalar", ctx, pa,
+                       pb if ub == ua else ctx.scalar_zero())
+
+
+def _contraction(ctx, up: tuple, lo: tuple, cyclic: bool = False):
+    """sum_l eps_q(up l) eps_qinv(lo l) over the D - k trailing slots, or
+    eps_q(l up) eps_qinv(l lo) over the leading ones when cyclic."""
+    s = ctx.scalar_zero()
+    for l in product(range(1, ctx.dim + 1), repeat=ctx.dim - len(up)):
+        u, v = (l + up, l + lo) if cyclic else (up + l, lo + l)
+        s = s + epsilon_q(ctx, u) * epsilon_qinv(ctx, v)
+    return s
+
+
+def epsilon_contraction(ctx):
+    """eps . eps contracted over D - k slots = (D-k)! W, for every pair of
+    index tuples of every rank k."""
+    d = ctx.dim
+    full = range(1, d + 1)
+    group = f"D={d}: epsilon contraction = (D-k)! W, exhaustive"
+    for k in range(d + 1):
+        fact = factorial(d - k)
+        # each tuple's text is formatted once, not once per pair: at D = 4
+        # formatting 70k labels would cost a third of the sums
+        tuples = [(t, f"{t}") for t in product(full, repeat=k)]
+        for up, up_text in tuples:
+            for lo, lo_text in tuples:
+                yield Identity(group, f"D={d} contraction {up_text}|{lo_text}",
+                               "scalar", ctx, _contraction(ctx, up, lo),
+                               antisym_w(ctx, up, lo).scale(fact))
+
+
+def epsilon_contraction_draws(ctx, draws):
+    """The contraction identity on drawn (upper, lower) pairs, over trailing
+    and over leading slots; one family instance per identity."""
+    d = ctx.dim
+    for j, (up, lo) in enumerate(draws):
+        w = antisym_w(ctx, up, lo).scale(factorial(d - len(up)))
+        yield Identity(f"D={d} contraction {up}|{lo} #{j}",
+                       f"D={d} contraction #{j}", "scalar", ctx,
+                       _contraction(ctx, up, lo), w)
+        yield Identity(f"D={d} cyclic contraction {up}|{lo} #{j}",
+                       f"D={d} cyclic contraction #{j}", "scalar", ctx,
+                       _contraction(ctx, up, lo, cyclic=True), w)
+
+
+def w_partial_traces(ctx, draws):
+    """sum_m W^{up m}_{lo m} = sum_m W^{m up}_{m lo} = (D-k+1) W^{up}_{lo}
+    with k = len(up) + 1, on drawn (up, lo) pairs."""
+    d = ctx.dim
+    zero = ctx.scalar_zero()
+    cases = [(j, up, lo, antisym_w(ctx, up, lo).scale(d - len(up)))
+             for j, up, lo in _per_rank(draws)]
+    for j, up, lo, want in cases:
+        yield Identity(f"D={d}: trailing partial trace of W",
+                       f"D={d} k={len(up) + 1} trace-last #{j}", "scalar", ctx,
+                       sum((antisym_w(ctx, up + (m,), lo + (m,))
+                            for m in range(1, d + 1)), zero), want)
+    for j, up, lo, want in cases:
+        yield Identity(f"D={d}: leading partial trace of W",
+                       f"D={d} k={len(up) + 1} trace-first #{j}", "scalar",
+                       ctx, sum((antisym_w(ctx, (m,) + up, (m,) + lo)
+                                 for m in range(1, d + 1)), zero), want)
+
+
+def w_recursion(ctx, draws):
+    """W by its recursion equals the sum over permutations, on drawn
+    (upper, lower) pairs; one family instance per draw."""
+    for j, up, lo in _per_rank(draws):
+        rank = " (k=4)" if len(up) == 4 else ""
+        yield Identity(f"W^{up}_{lo} recursion = permutation sum{rank} #{j}",
+                       f"W rec vs sum k={len(up)} #{j}", "scalar", ctx,
+                       antisym_w(ctx, up, lo),
+                       antisym_w_bruteforce(ctx, up, lo))
+
+
+# -- Clifford algebra ---------------------------------------------------------
+
+def clifford_relations(rep):
+    """gamma^i gamma^j + q_ji gamma^j gamma^i = 2 g^ij, entry by entry."""
+    n, ctx = rep.n, rep.ctx
+    group = f"n={n}: Clifford relations hold"
+    zero = ctx.scalar_zero()
+    for i in range(1, ctx.dim + 1):
+        for j in range(1, ctx.dim + 1):
+            defect = rep.relation_defect(i, j)
+            for a, b in product(range(2 ** n), repeat=2):
+                yield Identity(group, f"n={n} relation ({i},{j})[{a}{b}]",
+                               "scalar", ctx, defect.rows[a][b], zero)
+
+
+def clifford_traces(rep, draws=None):
+    """Tr(gamma^{i_1} ... gamma^{i_D}) = 2^n eps_qinv(i) on drawn index
+    tuples, or on every tuple when ``draws`` is None."""
+    n, ctx = rep.n, rep.ctx
+    if draws is None:
+        group = f"n={n}: trace formula exhaustive"
+        items = [(f"n={n} trace {idx}", idx)
+                 for idx in product(range(1, ctx.dim + 1), repeat=ctx.dim)]
+    else:
+        group = f"n={n}: trace formula random"
+        items = [(f"n={n} trace #{j}", idx) for j, idx in enumerate(draws)]
+    for label, idx in items:
+        yield Identity(group, label, "scalar", ctx, clifford_trace(rep, idx),
+                       epsilon_qinv(ctx, idx).scale(2 ** n))

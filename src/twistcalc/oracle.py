@@ -38,7 +38,7 @@ from .qphase import DeformationContext, ExactScalar
 
 __all__ = [
     "TorusRep", "Word", "sphere_sample", "plane_sample",
-    "check_identity", "check_element", "check_sphere_class", "check_scalar",
+    "check_element", "check_sphere_class", "check_scalar",
     "BatchChecker", "DEFAULT_TOL", "MAX_SIZE", "MAX_DENSE_SIDE",
 ]
 
@@ -338,19 +338,15 @@ def sphere_class_sup(el: Element, seed: int = 42, points: int = 20,
     return worst
 
 
-def check_identity(obj, seed: int = 42, points: int = 20,
-                   tol: float = DEFAULT_TOL, moduli=None) -> bool:
-    """Numeric vanishing of an element or of a sphere-form difference.
-
-    Plain elements are checked as plane identities; sphere forms (or their
-    differences) are checked as quotient classes via the tangent pullback.
-    """
-    from .sphere import SphereForm
-    if isinstance(obj, SphereForm):
-        return check_sphere_class(obj.rep, seed=seed, points=points, tol=tol,
-                                  moduli=moduli)
-    return check_element(obj, seed=seed, points=points, tol=tol,
-                         moduli=moduli)
+def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
+    """Draw j of the phases: parameter i becomes a random primitive root of
+    unity of order _PRIMES[(i + j) % len(_PRIMES)]."""
+    roots = []
+    for i in range(nparams):
+        m = _PRIMES[(i + j) % len(_PRIMES)]
+        k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
+        roots.append(cmath.exp(2j * cmath.pi * k / m))
+    return tuple(roots)
 
 
 def check_scalar(s: ExactScalar, ctx: DeformationContext, seed: int = 42,
@@ -359,15 +355,8 @@ def check_scalar(s: ExactScalar, ctx: DeformationContext, seed: int = 42,
     rng = random.Random(seed ^ 0x5CA1A)
     if not ctx.nparams:
         return abs(s.eval_at_roots(())) < tol
-    for j in range(draws):
-        ms = [_PRIMES[(i + j) % len(_PRIMES)] for i in range(ctx.nparams)]
-        roots = []
-        for m in ms:
-            k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
-            roots.append(cmath.exp(2j * cmath.pi * k / m))
-        if abs(s.eval_at_roots(roots)) >= tol:
-            return False
-    return True
+    return all(abs(s.eval_at_roots(_root_draw(rng, ctx.nparams, j))) < tol
+               for j in range(draws))
 
 
 class BatchChecker:
@@ -388,19 +377,8 @@ class BatchChecker:
         self.sphere_points = [sphere_sample(ctx, rng) for _ in range(points)]
         self.tangents = [_tangent_basis(ctx, p) for p in self.sphere_points]
         self._minors = [_tangent_minors(t) for t in self.tangents]
-        self.root_draws = self._draw_roots(rng)
-
-    def _draw_roots(self, rng):
-        draws = []
-        n = self.ctx.nparams
-        for j in range(self.points):
-            roots = []
-            for i in range(n):
-                m = _PRIMES[(i + j) % len(_PRIMES)]
-                k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
-                roots.append(cmath.exp(2j * cmath.pi * k / m))
-            draws.append(tuple(roots))
-        return draws
+        self.root_draws = [_root_draw(rng, ctx.nparams, j)
+                           for j in range(points)]
 
     def scalar_sup(self, s: ExactScalar) -> float:
         if not s.terms:

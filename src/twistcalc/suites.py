@@ -1,8 +1,10 @@
 """Named verification suites behind the CLI: each runs a module's invariants.
 
 Every case is (expression, expected, got); a report collects the failures.
-Cases are generated deterministically from the seed, so identical seeds give
-identical reports (wall time aside).
+The shared identity families come from the ``identities`` catalogue: a suite
+draws their random inputs, and each family instance is one case.  Cases are
+generated deterministically from the seed, so identical seeds give identical
+reports (wall time aside), and every case label is unique.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import filterfalse, groupby, permutations
+from operator import attrgetter
 
 import numpy as np
 
-from . import chern, oracle, sphere, tensorcalc
+from . import chern, identities, oracle, sphere, tensorcalc
 from .exprio import format_element
 from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
+from .identities import basis_form
 from .ncalg import Element
 from .qphase import DeformationContext
 
@@ -79,6 +83,17 @@ class _Runner:
         self.case(expression, not el, expected="0",
                   got=str(el) if el else "0")
 
+    def check(self, family):
+        """One case per run of catalogue identities sharing a group: it
+        passes when every identity holds, and a failure reports the sides of
+        the first identity that does not."""
+        for group, run in groupby(family, key=attrgetter("group")):
+            bad = next(filterfalse(identities.holds, run), None)
+            if bad is None:
+                self.case(group, True)
+            else:
+                self.case(group, False, expected=bad.rhs, got=bad.lhs)
+
 
 def random_element(ctx, rng, xdeg=2, form_deg=0, nterms=3, with_phases=True):
     """Random sparse element: small rational coefficients, bounded degrees."""
@@ -104,8 +119,10 @@ def random_monomial(ctx, rng, xdeg=3):
     return Element(ctx, {(tuple(e), ()): ctx.scalar_one()})
 
 
-def basis_form(ctx, dxs) -> Element:
-    return Element(ctx, {((0,) * ctx.dim, tuple(dxs)): ctx.scalar_one()})
+def random_index_pair(rng, d: int, k: int) -> tuple:
+    """Two random index tuples of length k over 1..d, upper then lower."""
+    return (tuple(rng.randint(1, d) for _ in range(k)),
+            tuple(rng.randint(1, d) for _ in range(k)))
 
 
 # ---------------------------------------------------------------- suites --
@@ -136,13 +153,13 @@ def _suite_qphase(r: _Runner, dim: int, rng: random.Random, moduli):
     s = ctx.i_unit() * ctx.q_power(1, 2)
     r.equal("conj(i q) = -i q^-1", s.conj(),
             (-ctx.i_unit()) * ctx.q_power(1, 2, -1))
-    for _ in range(20):
+    for j in range(20):
         c = ctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         c = c + ctx.i_unit().scale(rng.randint(-2, 2))
         c = c.shifted((rng.randint(-2, 2),))
-        r.equal("conj(conj(s)) = s", c.conj().conj(), c)
+        r.equal(f"conj(conj(s)) = s #{j}", c.conj().conj(), c)
         th = [rng.uniform(0, 2 * math.pi)]
-        r.case("eval(conj s) = conj(eval s)",
+        r.case(f"eval(conj s) = conj(eval s) #{j}",
                abs(c.conj().eval(th) - c.eval(th).conjugate()) < 1e-12)
     r.case("eval(q, pi) = -1",
            abs(ctx.q_power(1, 2).eval([math.pi]) + 1.0) < 1e-12)
@@ -166,7 +183,7 @@ def _suite_ncalg(r: _Runner, dim: int, rng: random.Random, moduli):
     # confluence: word product independent of association, random words
     for d in (2, 3, 6):
         c = DeformationContext(d)
-        for _ in range(12):
+        for j in range(12):
             word = [("dx" if rng.random() < 0.4 else "x", rng.randint(1, d))
                     for _ in range(rng.randint(2, 8))]
             left = Element.one(c)
@@ -177,7 +194,7 @@ def _suite_ncalg(r: _Runner, dim: int, rng: random.Random, moduli):
             for kind, a in reversed(word):
                 g = Element.x(c, a) if kind == "x" else Element.dx(c, a)
                 right = g * right
-            r.equal(f"D={d} confluence of {word}", left, right)
+            r.equal(f"D={d} confluence of {word} #{j}", left, right)
     # basis dimension 2^D: degree-k wedge monomials reorder onto C(D,k) keys
     c = DeformationContext(min(dim, 5))
     for k in range(0, c.dim + 1):
@@ -203,12 +220,12 @@ def _suite_ncalg(r: _Runner, dim: int, rng: random.Random, moduli):
     r.equal("star(dx1^dx2) = -dx4^dx5",
             (Element.dx(c5, 1) * Element.dx(c5, 2)).star(),
             -(Element.dx(c5, 4) * Element.dx(c5, 5)))
-    for _ in range(15):
+    for j in range(15):
         k = rng.randint(0, 3)
         a = random_element(c5, rng, 2, k, 2)
-        r.equal("star(star(f)) = f", a.star().star(), a)
-        r.equal("star(d f) = d(star f)", a.d().star(), a.star().d())
-        r.zero("dd f", a.d().d())
+        r.equal(f"star(star(f)) = f #{j}", a.star().star(), a)
+        r.equal(f"star(d f) = d(star f) #{j}", a.d().star(), a.star().d())
+        r.zero(f"dd f #{j}", a.d().d())
     text_el = random_element(c5, rng, 2, 1, 3)
     from .exprio import parse_expr
     r.equal("print/parse round trip", parse_expr(c5, format_element(text_el)),
@@ -216,96 +233,22 @@ def _suite_ncalg(r: _Runner, dim: int, rng: random.Random, moduli):
 
 
 def _suite_tensor(r: _Runner, dim: int, rng: random.Random, moduli):
-    # braid equation and involutivity, exhaustive per dimension
     for d in range(2, 7):
         ctx = DeformationContext(d)
-        ok_sq = True
-        for t in product(range(1, d + 1), repeat=2):
-            u, red = tensorcalc.apply_lambda(ctx, t, 0)
-            v, red2 = tensorcalc.apply_lambda(ctx, u, 0)
-            acc = [0] * ctx.nparams
-            for rr in (red, red2):
-                if rr is not None:
-                    acc[rr[0]] += rr[1]
-            if v != t or any(acc):
-                ok_sq = False
-        r.case(f"D={d}: braid matrix squares to identity", ok_sq)
-        ok_braid = True
-        for t in product(range(1, d + 1), repeat=3):
-            a = _apply_word(ctx, t, (0, 1, 0))
-            b = _apply_word(ctx, t, (1, 0, 1))
-            if a != b:
-                ok_braid = False
-        r.case(f"D={d}: braid equation", ok_braid)
-    # W recursion vs brute force
+        r.check(identities.braid_squares(ctx))
+        r.check(identities.braid_equation(ctx))
     d = min(dim, 5)
-    ctx = DeformationContext(d)
-    for k in (2, 3):
-        for _ in range(12):
-            up = tuple(rng.randint(1, d) for _ in range(k))
-            lo = tuple(rng.randint(1, d) for _ in range(k))
-            r.equal(f"W^{up}_{lo} recursion = permutation sum",
-                    tensorcalc.antisym_w(ctx, up, lo),
-                    tensorcalc.antisym_w_bruteforce(ctx, up, lo))
-    for _ in range(4):
-        up = tuple(rng.randint(1, d) for _ in range(4))
-        lo = tuple(rng.randint(1, d) for _ in range(4))
-        r.equal(f"W^{up}_{lo} recursion = permutation sum (k=4)",
-                tensorcalc.antisym_w(ctx, up, lo),
-                tensorcalc.antisym_w_bruteforce(ctx, up, lo))
-    # contraction identity, exhaustive small / random D=5
+    r.check(identities.w_recursion(DeformationContext(d), [
+        random_index_pair(rng, d, k) for k, count in ((2, 12), (3, 12), (4, 4))
+        for _ in range(count)]))
     for d in (3, 4):
-        ctx = DeformationContext(d)
-        full = range(1, d + 1)
-        ok = True
-        for k in range(0, d + 1):
-            for up in product(full, repeat=k):
-                for lo in product(full, repeat=k):
-                    s = ctx.scalar_zero()
-                    for l in product(full, repeat=d - k):
-                        s = s + tensorcalc.epsilon_q(ctx, up + l) * \
-                            tensorcalc.epsilon_qinv(ctx, lo + l)
-                    if s != tensorcalc.antisym_w(ctx, up, lo).scale(
-                            math.factorial(d - k)):
-                        ok = False
-        r.case(f"D={d}: epsilon contraction = (D-k)! W, exhaustive", ok)
-    ctx = DeformationContext(5)
-    full = range(1, 6)
-    for _ in range(25):
-        k = rng.randint(1, 4)
-        up = tuple(rng.randint(1, 5) for _ in range(k))
-        lo = tuple(rng.randint(1, 5) for _ in range(k))
-        s = ctx.scalar_zero()
-        for l in product(full, repeat=5 - k):
-            s = s + tensorcalc.epsilon_q(ctx, up + l) * \
-                tensorcalc.epsilon_qinv(ctx, lo + l)
-        cyc = ctx.scalar_zero()
-        for l in product(full, repeat=5 - k):
-            cyc = cyc + tensorcalc.epsilon_q(ctx, l + up) * \
-                tensorcalc.epsilon_qinv(ctx, l + lo)
-        w = tensorcalc.antisym_w(ctx, up, lo).scale(math.factorial(5 - k))
-        r.equal(f"D=5 contraction {up}|{lo}", s, w)
-        r.equal(f"D=5 cyclic contraction {up}|{lo}", cyc, w)
-    # partial traces
+        r.check(identities.epsilon_contraction(DeformationContext(d)))
+    r.check(identities.epsilon_contraction_draws(DeformationContext(5), [
+        random_index_pair(rng, 5, rng.randint(1, 4)) for _ in range(25)]))
     for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        ok1 = ok2 = True
-        for k in (2, 3):
-            for _ in range(8):
-                up = tuple(rng.randint(1, d) for _ in range(k - 1))
-                lo = tuple(rng.randint(1, d) for _ in range(k - 1))
-                tr1 = ctx.scalar_zero()
-                tr2 = ctx.scalar_zero()
-                for m in range(1, d + 1):
-                    tr1 = tr1 + tensorcalc.antisym_w(ctx, up + (m,), lo + (m,))
-                    tr2 = tr2 + tensorcalc.antisym_w(ctx, (m,) + up, (m,) + lo)
-                want = tensorcalc.antisym_w(ctx, up, lo).scale(d - k + 1)
-                if tr1 != want:
-                    ok1 = False
-                if tr2 != want:
-                    ok2 = False
-        r.case(f"D={d}: trailing partial trace of W", ok1)
-        r.case(f"D={d}: leading partial trace of W", ok2)
+        r.check(identities.w_partial_traces(DeformationContext(d), [
+            random_index_pair(rng, d, k - 1) for k in (2, 3)
+            for _ in range(8)]))
     # metric/epsilon lemma
     for d in (2, 3, 4, 5):
         ctx = DeformationContext(d)
@@ -334,64 +277,30 @@ def _suite_tensor(r: _Runner, dim: int, rng: random.Random, moduli):
     # mixed tensor/wedge pairing identity
     ctx = DeformationContext(min(dim, 5))
     d = ctx.dim
-    for _ in range(15):
-        k = rng.randint(1, 3)
-        a_idx = tuple(rng.randint(1, d) for _ in range(k))
-        i_idx = tuple(rng.randint(1, d) for _ in range(k))
+    for j in range(15):
+        a_idx, i_idx = random_index_pair(rng, d, rng.randint(1, 3))
         lhs = tensorcalc.antisym_w(
             ctx, tuple(reversed(i_idx)),
             tuple(ctx.primed(a) for a in reversed(a_idx)))
         rhs = tensorcalc.antisym_w(
             ctx, a_idx, tuple(ctx.primed(i) for i in i_idx))
-        r.equal(f"wedge/tensor pairing symmetry {a_idx}|{i_idx}", lhs, rhs)
-
-
-def _apply_word(ctx, t, word):
-    acc = [0] * ctx.nparams
-    for pos in word:
-        t, red = tensorcalc.apply_lambda(ctx, t, pos)
-        if red is not None:
-            acc[red[0]] += red[1]
-    return t, tuple(acc)
-
-
-def _central(ctx):
-    return sphere.central_quadric(ctx)
+        r.equal(f"wedge/tensor pairing symmetry {a_idx}|{i_idx} #{j}", lhs,
+                rhs)
 
 
 def _suite_haar(r: _Runner, dim: int, rng: random.Random, moduli):
-    for d in (3, 4, dim):
+    for d in dict.fromkeys((3, 4, dim)):  # once each, also at dim 3 or 4
         ctx = DeformationContext(d)
-        one = Element.one(ctx)
-        cc = _central(ctx)
-        r.equal(f"D={d}: h(1) = 1", haar_plane(ctx, one), ctx.scalar_one())
-        r.equal(f"D={d}: h(c) = 1", haar_plane(ctx, cc), ctx.scalar_one())
-        for i in range(1, d + 1):
-            f = Element.x(ctx, i) * Element.x(ctx, ctx.primed(i))
-            r.equal(f"D={d}: h(x{i} x{i}*) = 1/{d}", haar_plane(ctx, f),
-                    ctx.scalar(Fraction(1, d)))
-        # well-definedness on a degree sweep
-        cm1 = cc - one
-        ok = True
-        for total in range(0, 5):
-            for combo in combinations_with_replacement(range(ctx.dim), total):
-                e = [0] * ctx.dim
-                for j in combo:
-                    e[j] += 1
-                m = Element(ctx, {(tuple(e), ()): ctx.scalar_one()})
-                if haar_plane(ctx, cm1 * m):
-                    ok = False
-        r.case(f"D={d}: h((c-1) f) = 0 up to degree 4", ok)
-        # trace property and reality
-        ok_tr = ok_re = True
-        for _ in range(40):
-            f, g = random_monomial(ctx, rng), random_monomial(ctx, rng)
-            if haar_plane(ctx, f * g) != haar_plane(ctx, g * f):
-                ok_tr = False
-            if haar_plane(ctx, f).conj() != haar_plane(ctx, f.star()):
-                ok_re = False
-        r.case(f"D={d}: h(fg) = h(gf)", ok_tr)
-        r.case(f"D={d}: conj h(f) = h(f*)", ok_re)
+        r.equal(f"D={d}: h(1) = 1", haar_plane(ctx, Element.one(ctx)),
+                ctx.scalar_one())
+        r.equal(f"D={d}: h(c) = 1",
+                haar_plane(ctx, sphere.central_quadric(ctx)), ctx.scalar_one())
+        r.check(identities.haar_moments(ctx))
+        r.check(identities.haar_well_defined(ctx, 4))
+        pairs = [(random_monomial(ctx, rng), random_monomial(ctx, rng))
+                 for _ in range(40)]
+        r.check(identities.haar_trace(ctx, pairs))
+        r.check(identities.haar_reality(ctx, [f for f, _ in pairs]))
         # positivity under numeric evaluation
         ok_pos = True
         for _ in range(10):
@@ -429,7 +338,7 @@ def _suite_sphere(r: _Runner, dim: int, rng: random.Random, moduli):
     n_deg = dim - 1
     ctx = DeformationContext(dim)
     one = Element.one(ctx)
-    cc = _central(ctx)
+    cc = sphere.central_quadric(ctx)
     dc = cc.d()
     vol_el = tensorcalc.volume_element(ctx)
     r.equal("reduce(c) = 1", sphere.reduce_mod_c(cc), one)
@@ -454,12 +363,8 @@ def _suite_sphere(r: _Runner, dim: int, rng: random.Random, moduli):
     r.equal("top_decompose(volume) = c", sphere.top_decompose(vol_form), cc)
     r.equal("integral of the volume = 1", sphere.integrate_form(vol_form),
             ctx.scalar_one())
-    ok_st = True
-    for _ in range(25):
-        th = random_element(ctx, rng, 4, n_deg - 1, 3)
-        if sphere.integrate_form(th.d()):
-            ok_st = False
-    r.case("Stokes: integral d(theta) = 0", ok_st)
+    r.check(identities.stokes(ctx, [random_element(ctx, rng, 4, n_deg - 1, 3)
+                                    for _ in range(25)]))
     ok_tr = True
     for _ in range(10):
         a = sphere.reduce_mod_c(random_monomial(ctx, rng, 2))
@@ -520,96 +425,17 @@ def _connes_landi_relations():
 
 
 def _suite_hodge(r: _Runner, dim: int, rng: random.Random, moduli):
-    # plane suite on full bases
     for d in range(2, dim + 1):
         ctx = DeformationContext(d)
         v = tensorcalc.volume_element(ctx)
-        one = Element.one(ctx)
-        r.equal(f"D={d}: *1 = V", tensorcalc.hodge_plane(one), v)
-        r.equal(f"D={d}: *V = 1", tensorcalc.hodge_plane(v), one)
-        r.equal(f"D={d}: <V,V> = 1", tensorcalc.pairing_plane(v, v), one)
-        ok4 = ok5 = ok6 = ok7 = ok8 = okdef = True
-        for k in range(0, d + 1):
-            sign = -1 if (k * (d - k)) % 2 else 1
-            for s in combinations(range(1, d + 1), k):
-                a = basis_form(ctx, s)
-                sa = tensorcalc.hodge_plane(a)
-                if tensorcalc.hodge_plane(sa) != a.scale(sign):
-                    ok4 = False
-                if tensorcalc.hodge_plane(a.star()) != sa.star():
-                    ok8 = False
-                for t in combinations(range(1, d + 1), k):
-                    b = basis_form(ctx, t)
-                    sb = tensorcalc.hodge_plane(b)
-                    if a * sb != (sa * b).scale(sign):
-                        ok5 = False
-                    if tensorcalc.pairing_plane(a, b) != \
-                            tensorcalc.pairing_plane(sa, sb):
-                        ok6 = False
-                    if a * sb != tensorcalc.pairing_plane(a, b) * v:
-                        okdef = False
-                for t in combinations(range(1, d + 1), d - k):
-                    g = basis_form(ctx, t)
-                    if tensorcalc.pairing_plane(sa, g) != \
-                            tensorcalc.pairing_plane(a * g, v):
-                        ok7 = False
-        r.case(f"D={d}: ** = graded sign on all basis forms", ok4)
-        r.case(f"D={d}: a^*b = sign *a^b", ok5)
-        r.case(f"D={d}: <a,b> = <*a,*b>", ok6)
-        r.case(f"D={d}: <*a,g> = <a^g,V>", ok7)
-        r.case(f"D={d}: *(a*) = (*a)*", ok8)
-        r.case(f"D={d}: defining relation a^*b = <a,b>V", okdef)
-    # sphere suite
+        r.check(identities.hodge_plane_units(ctx))
+        r.equal(f"D={d}: <V,V> = 1", tensorcalc.pairing_plane(v, v),
+                Element.one(ctx))
+        r.check(identities.hodge_plane_basis(ctx))
     n_deg = dim - 1
     ctx = DeformationContext(dim)
-    vol_form = sphere.volume_form(ctx)
-    one = Element.one(ctx)
-    dc = _central(ctx).d()
-    r.case(f"N={n_deg}: *1 = volume", sphere.sphere_equal(
-        sphere.hodge_sphere(one), vol_form))
-    r.case(f"N={n_deg}: *volume = 1", sphere.sphere_equal(
-        sphere.hodge_sphere(vol_form), one))
-    ok1p = ok4 = ok5 = ok6 = ok7 = ok8 = okdef = True
-    for k in range(0, n_deg + 1):
-        sign = -1 if (k * (n_deg - k)) % 2 else 1
-        for s in combinations(range(1, dim + 1), k):
-            th = basis_form(ctx, s)
-            sth = sphere.hodge_sphere(th)
-            alt = tensorcalc.hodge_plane(th * dc).scale(
-                Fraction((-1) ** (n_deg - k), 2))
-            if not sphere.sphere_equal(sth, alt):
-                ok1p = False
-            if not sphere.sphere_equal(
-                    sphere.hodge_sphere(sth), th.scale(sign)):
-                ok4 = False
-            if not sphere.sphere_equal(
-                    sphere.hodge_sphere(th.star()), sth.star()):
-                ok8 = False
-            for t in combinations(range(1, dim + 1), k):
-                et = basis_form(ctx, t)
-                set_ = sphere.hodge_sphere(et)
-                if not sphere.sphere_equal(th * set_, (sth * et).scale(sign)):
-                    ok5 = False
-                if not sphere.sphere_equal(
-                        sphere.pairing_sphere(th, et),
-                        sphere.pairing_sphere(sth, set_)):
-                    ok6 = False
-                if not sphere.sphere_equal(
-                        th * set_, sphere.pairing_sphere(th, et) * vol_form):
-                    okdef = False
-            for t in combinations(range(1, dim + 1), n_deg - k):
-                nu = basis_form(ctx, t)
-                if not sphere.sphere_equal(
-                        sphere.pairing_sphere(sth, nu),
-                        sphere.pairing_sphere(th * nu, vol_form)):
-                    ok7 = False
-    r.case(f"N={n_deg}: explicit star = star through the normal", ok1p)
-    r.case(f"N={n_deg}: ** = graded sign", ok4)
-    r.case(f"N={n_deg}: t^*e = sign *t^e", ok5)
-    r.case(f"N={n_deg}: <t,e> = <*t,*e>", ok6)
-    r.case(f"N={n_deg}: <*t,n> = <t^n,volume>", ok7)
-    r.case(f"N={n_deg}: *(t*) = (*t)*", ok8)
-    r.case(f"N={n_deg}: defining relation", okdef)
+    r.check(identities.hodge_sphere_units(ctx))
+    r.check(identities.hodge_sphere_basis(ctx))
     ok2 = True
     for _ in range(4):
         k = rng.randint(0, n_deg)
@@ -625,23 +451,10 @@ def _suite_hodge(r: _Runner, dim: int, rng: random.Random, moduli):
 def _suite_chern(r: _Runner, dim: int, rng: random.Random, moduli, n=2):
     n_values = (1, 2) if n is None or n <= 2 else tuple(range(1, n + 1))
     for m in n_values:
-        rep = chern.gamma_rep(m)
-        r.case(f"n={m}: Clifford relations hold", rep.relations_hold())
-    rep1 = chern.gamma_rep(1)
-    ctx3 = rep1.ctx
-    ok = all(chern.clifford_trace(rep1, idx)
-             == tensorcalc.epsilon_qinv(ctx3, idx).scale(2)
-             for idx in product((1, 2, 3), repeat=3))
-    r.case("n=1: trace formula exhaustive", ok)
-    rep2 = chern.gamma_rep(2)
-    ctx5 = rep2.ctx
-    ok = True
-    for _ in range(100):
-        idx = tuple(rng.randint(1, 5) for _ in range(5))
-        if chern.clifford_trace(rep2, idx) != \
-                tensorcalc.epsilon_qinv(ctx5, idx).scale(4):
-            ok = False
-    r.case("n=2: trace formula random", ok)
+        r.check(identities.clifford_relations(chern.gamma_rep(m)))
+    r.check(identities.clifford_traces(chern.gamma_rep(1)))
+    r.check(identities.clifford_traces(chern.gamma_rep(2), [
+        tuple(rng.randint(1, 5) for _ in range(5)) for _ in range(100)]))
     for m in (1, 2):
         repm, e = chern.instanton_projector(m)
         r.case(f"n={m}: projector idempotent", chern.is_projector(e))
@@ -709,8 +522,9 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli):
     r.case("torus unitaries realise the phases", ok)
     prng = random.Random(seed + 1)
     pt = oracle.sphere_sample(ctx, prng)
+    cc = sphere.central_quadric(ctx)
     r.case("c evaluates to the identity on sphere samples",
-           model.form_sup(_central(ctx) - Element.one(ctx), pt) <= 1e-12)
+           model.form_sup(cc - Element.one(ctx), pt) <= 1e-12)
     ok_h = True
     zero = np.zeros(model.size)
     for _ in range(20):
@@ -734,7 +548,6 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli):
     r.case("check(x1) = false",
            not oracle.check_element(Element.x(ctx, 1), seed=seed, points=8,
                                     moduli=moduli))
-    cc = _central(ctx)
     memb = (cc - Element.one(ctx)) * random_element(ctx, prng, 2, 2, 2) \
         + cc.d() * random_element(ctx, prng, 2, 1, 2)
     r.case("perturbed representative has zero sphere class",

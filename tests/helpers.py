@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import permutations
 
 from twistcalc import DeformationContext, Element
-from twistcalc.suites import basis_form, random_element, random_monomial
+from twistcalc.identities import basis_form
+from twistcalc.suites import random_element, random_index_pair, random_monomial
 
 __all__ = [
-    "basis_form", "random_element", "random_monomial",
+    "basis_form", "random_element", "random_index_pair", "random_monomial",
     "classical_sphere_moment", "classical_gram_pairing", "central",
 ]
 

@@ -1,9 +1,10 @@
 """Acceptance criteria.
 
-One test per criterion; each prints a single PASS/FAIL line.  Exact criteria
-use exact equality (zero tolerance); the numeric concordance criterion
-re-exports every identity checked by criteria 3-9 to the torus/classical
-model and requires max entry magnitude below 1e-9.
+One test per criterion; each prints a single PASS/FAIL line.  Criteria 3-9
+check the identity families of ``twistcalc.identities`` at their own
+dimensions and seeds, exactly (zero tolerance); the numeric concordance
+criterion re-exports every one of those identities, as lhs - rhs, to the
+torus/classical model and requires max entry magnitude below 1e-9.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -13,21 +14,18 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 
 from helpers import (basis_form, classical_gram_pairing,
-                     classical_sphere_moment, random_element, random_monomial)
+                     classical_sphere_moment, random_element,
+                     random_index_pair, random_monomial)
 from twistcalc import DeformationContext, Element
+from twistcalc import identities as ids
 from twistcalc.chern import (charge, charge_from_curvature, charge_integral,
-                             clifford_trace, gamma_rep)
+                             gamma_rep)
 from twistcalc.haar import haar_plane
 from twistcalc.oracle import BatchChecker
-from twistcalc.sphere import (central_quadric, hodge_sphere,
-                              in_quotient_ideal, integrate_form,
-                              pairing_sphere, volume_form)
-from twistcalc.tensorcalc import (antisym_w, antisym_w_bruteforce,
-                                  apply_lambda, epsilon_q, epsilon_qinv,
-                                  hodge_plane, pairing_plane, volume_element)
+from twistcalc.tensorcalc import hodge_plane, pairing_plane, volume_element
 
 TOL = 1e-9
 
@@ -38,290 +36,58 @@ def _finish(num: int, name: str, failures):
     assert not failures, f"criterion {num} failures: {failures[:10]}"
 
 
-class Registry:
-    """Identity store shared between the exact criteria and criterion 10."""
-
-    def __init__(self):
-        self.entries = []  # (criterion, label, kind, ctx, payload)
-        self.failures = {}  # criterion -> [label]
-
-    def scalar(self, crit, label, ctx, diff, ok=None):
-        self.entries.append((crit, label, "scalar", ctx, diff))
-        if not (diff.is_zero() if ok is None else ok):
-            self.failures.setdefault(crit, []).append(label)
-
-    def element(self, crit, label, diff):
-        self.entries.append((crit, label, "element", diff.ctx, diff))
-        if not diff.is_zero():
-            self.failures.setdefault(crit, []).append(label)
-
-    def sphere(self, crit, label, diff):
-        self.entries.append((crit, label, "sphere", diff.ctx, diff))
-        if not in_quotient_ideal(diff):
-            self.failures.setdefault(crit, []).append(label)
-
-    def fails(self, crit):
-        return self.failures.get(crit, [])
-
-
-def _all_monomials(ctx, max_deg):
-    for total in range(max_deg + 1):
-        for combo in combinations_with_replacement(range(ctx.dim), total):
-            e = [0] * ctx.dim
-            for j in combo:
-                e[j] += 1
-            yield Element(ctx, {(tuple(e), ()): ctx.scalar_one()})
-
-
-def _build_c3(reg: Registry):
-    for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        rel = central_quadric(ctx) - Element.one(ctx)
-        for m in _all_monomials(ctx, 6):
-            diff = haar_plane(ctx, rel * m)
-            reg.scalar("c3", f"D={d} h((c-1)m) {sorted(m.terms)[0][0]}",
-                       ctx, diff)
-
-
-def _build_c4(reg: Registry):
-    rng = random.Random(40)
-    for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        for j in range(100):
-            f, g = random_monomial(ctx, rng, 3), random_monomial(ctx, rng, 3)
-            reg.scalar("c4", f"D={d} trace #{j}", ctx,
-                       haar_plane(ctx, f * g) - haar_plane(ctx, g * f))
-            h = random_monomial(ctx, rng, 4)
-            reg.scalar("c4", f"D={d} reality #{j}", ctx,
-                       haar_plane(ctx, h).conj() - haar_plane(ctx, h.star()))
-
-
-def _build_c5(reg: Registry):
-    for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        for i in range(1, d + 1):
-            exps = [0] * d
-            exps[i - 1] += 1
-            exps[ctx.primed(i) - 1] += 1
-            f = Element(ctx, {(tuple(exps), ()): ctx.scalar_one()})
-            classical = classical_sphere_moment(d, exps)
-            ok = (haar_plane(ctx, f) == ctx.scalar(Fraction(1, d))
-                  and classical == Fraction(1, d))
-            reg.scalar("c5", f"D={d} h(x{i} x{i}') = 1/{d}", ctx,
-                       haar_plane(ctx, f) - ctx.scalar(Fraction(1, d)), ok=ok)
-            if i != ctx.primed(i):
-                sq = [0] * d
-                sq[i - 1] = 2
-                g = Element(ctx, {(tuple(sq), ()): ctx.scalar_one()})
-                ok = (haar_plane(ctx, g).is_zero()
-                      and classical_sphere_moment(d, sq) == 0)
-                reg.scalar("c5", f"D={d} h((x{i})^2) = 0", ctx,
-                           haar_plane(ctx, g), ok=ok)
-
-
-def _build_c6(reg: Registry):
-    rng = random.Random(60)
-    for n in (2, 3, 4):
-        ctx = DeformationContext(n + 1)
-        for j in range(50):
-            th = random_element(ctx, rng, 4, n - 1, 3)
-            reg.scalar("c6", f"N={n} Stokes #{j}", ctx,
-                       integrate_form(th.d()))
-
-
-def _build_c7(reg: Registry):
-    # plane suite on full bases
-    for d in (2, 3, 4, 5):
-        ctx = DeformationContext(d)
-        v = volume_element(ctx)
-        one = Element.one(ctx)
-        reg.element("c7", f"D={d} *1 - V", hodge_plane(one) - v)
-        reg.element("c7", f"D={d} *V - 1", hodge_plane(v) - one)
-        for k in range(0, d + 1):
-            sign = -1 if (k * (d - k)) % 2 else 1
-            for s in combinations(range(1, d + 1), k):
-                a = basis_form(ctx, s)
-                sa = hodge_plane(a)
-                reg.element("c7", f"D={d} **{s}",
-                            hodge_plane(sa) - a.scale(sign))
-                reg.element("c7", f"D={d} *conj {s}",
-                            hodge_plane(a.star()) - sa.star())
-                for t in combinations(range(1, d + 1), k):
-                    b = basis_form(ctx, t)
-                    sb = hodge_plane(b)
-                    reg.element("c7", f"D={d} exchange {s}|{t}",
-                                a * sb - (sa * b).scale(sign))
-                    reg.element("c7", f"D={d} isometry {s}|{t}",
-                                pairing_plane(a, b) - pairing_plane(sa, sb))
-                    reg.element("c7", f"D={d} defining {s}|{t}",
-                                a * sb - pairing_plane(a, b) * v)
-                for t in combinations(range(1, d + 1), d - k):
-                    g = basis_form(ctx, t)
-                    reg.element("c7", f"D={d} duality {s}|{t}",
-                                pairing_plane(sa, g) - pairing_plane(a * g, v))
-    # sphere suite on full bases, equalities as quotient classes
-    for n in (1, 2, 3, 4):
-        ctx = DeformationContext(n + 1)
-        vol = volume_form(ctx)
-        one = Element.one(ctx)
-        dc = central_quadric(ctx).d()
-        reg.sphere("c7", f"N={n} *1 - vol", hodge_sphere(one) - vol)
-        reg.sphere("c7", f"N={n} *vol - 1", hodge_sphere(vol) - one)
-        for k in range(0, n + 1):
-            sign = -1 if (k * (n - k)) % 2 else 1
-            for s in combinations(range(1, n + 2), k):
-                th = basis_form(ctx, s)
-                sth = hodge_sphere(th)
-                alt = hodge_plane(th * dc).scale(Fraction((-1) ** (n - k), 2))
-                reg.sphere("c7", f"N={n} normal-route {s}", sth - alt)
-                reg.sphere("c7", f"N={n} **{s}",
-                           hodge_sphere(sth) - th.scale(sign))
-                reg.sphere("c7", f"N={n} *conj {s}",
-                           hodge_sphere(th.star()) - sth.star())
-                for t in combinations(range(1, n + 2), k):
-                    et = basis_form(ctx, t)
-                    set_ = hodge_sphere(et)
-                    reg.sphere("c7", f"N={n} exchange {s}|{t}",
-                               th * set_ - (sth * et).scale(sign))
-                    reg.sphere("c7", f"N={n} isometry {s}|{t}",
-                               pairing_sphere(th, et)
-                               - pairing_sphere(sth, set_))
-                    reg.sphere("c7", f"N={n} defining {s}|{t}",
-                               th * set_ - pairing_sphere(th, et) * vol)
-                for t in combinations(range(1, n + 2), n - k):
-                    nu = basis_form(ctx, t)
-                    reg.sphere("c7", f"N={n} duality {s}|{t}",
-                               pairing_sphere(sth, nu)
-                               - pairing_sphere(th * nu, vol))
-
-
-def _build_c8(reg: Registry):
-    rng = random.Random(80)
-    # braid relation and involutivity for D <= 6
-    from twistcalc.qphase import PhaseMonomial
-    for d in range(2, 7):
-        ctx = DeformationContext(d)
-        for t in product(range(1, d + 1), repeat=2):
-            u, r1 = apply_lambda(ctx, t, 0)
-            w, r2 = apply_lambda(ctx, u, 0)
-            acc = [0] * ctx.nparams
-            for rr in (r1, r2):
-                if rr is not None:
-                    acc[rr[0]] += rr[1]
-            phase = ctx.phase_scalar(PhaseMonomial(tuple(acc)))
-            reg.scalar("c8", f"D={d} braid^2 {t}", ctx,
-                       phase - ctx.scalar_one(), ok=(w == t and not any(acc)))
-        for t in product(range(1, d + 1), repeat=3):
-            ua, pa = _word(ctx, t, (0, 1, 0))
-            ub, pb = _word(ctx, t, (1, 0, 1))
-            diff = ctx.phase_scalar(pa) - ctx.phase_scalar(pb)
-            reg.scalar("c8", f"D={d} braid eq {t}", ctx, diff,
-                       ok=(ua == ub and pa == pb))
-    # contraction identities, exhaustive D <= 4
-    for d in (2, 3, 4):
-        ctx = DeformationContext(d)
-        full = range(1, d + 1)
-        for k in range(0, d + 1):
-            fact = math.factorial(d - k)
-            for up in product(full, repeat=k):
-                for lo in product(full, repeat=k):
-                    s = ctx.scalar_zero()
-                    for l in product(full, repeat=d - k):
-                        s = s + epsilon_q(ctx, up + l) * \
-                            epsilon_qinv(ctx, lo + l)
-                    reg.scalar("c8", f"D={d} contraction {up}|{lo}", ctx,
-                               s - antisym_w(ctx, up, lo).scale(fact))
-    # random tuples for D = 5, plus the cyclic variant
-    ctx = DeformationContext(5)
-    full = range(1, 6)
-    for j in range(30):
-        k = rng.randint(1, 4)
-        up = tuple(rng.randint(1, 5) for _ in range(k))
-        lo = tuple(rng.randint(1, 5) for _ in range(k))
-        s = ctx.scalar_zero()
-        cyc = ctx.scalar_zero()
-        for l in product(full, repeat=5 - k):
-            s = s + epsilon_q(ctx, up + l) * epsilon_qinv(ctx, lo + l)
-            cyc = cyc + epsilon_q(ctx, l + up) * epsilon_qinv(ctx, l + lo)
-        w = antisym_w(ctx, up, lo).scale(math.factorial(5 - k))
-        reg.scalar("c8", f"D=5 contraction #{j}", ctx, s - w)
-        reg.scalar("c8", f"D=5 cyclic contraction #{j}", ctx, cyc - w)
-    # partial traces
-    for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        for k in (2, 3):
-            for j in range(10):
-                up = tuple(rng.randint(1, d) for _ in range(k - 1))
-                lo = tuple(rng.randint(1, d) for _ in range(k - 1))
-                tr_last = ctx.scalar_zero()
-                tr_first = ctx.scalar_zero()
-                for m in range(1, d + 1):
-                    tr_last = tr_last + antisym_w(ctx, up + (m,), lo + (m,))
-                    tr_first = tr_first + antisym_w(ctx, (m,) + up, (m,) + lo)
-                want = antisym_w(ctx, up, lo).scale(d - k + 1)
-                reg.scalar("c8", f"D={d} k={k} trace-last #{j}", ctx,
-                           tr_last - want)
-                reg.scalar("c8", f"D={d} k={k} trace-first #{j}", ctx,
-                           tr_first - want)
-    # recursion versus brute-force permutation sum
-    ctx = DeformationContext(5)
-    for k in (1, 2, 3, 4):
-        for j in range(10 if k < 4 else 4):
-            up = tuple(rng.randint(1, 5) for _ in range(k))
-            lo = tuple(rng.randint(1, 5) for _ in range(k))
-            reg.scalar("c8", f"W rec vs sum k={k} #{j}", ctx,
-                       antisym_w(ctx, up, lo)
-                       - antisym_w_bruteforce(ctx, up, lo))
-
-
-def _word(ctx, t, word):
-    acc = [0] * ctx.nparams
-    for pos in word:
-        t, red = apply_lambda(ctx, t, pos)
-        if red is not None:
-            acc[red[0]] += red[1]
-    from twistcalc.qphase import PhaseMonomial
-    return t, PhaseMonomial(tuple(acc))
-
-
-def _build_c9(reg: Registry):
-    rng = random.Random(90)
-    for n in (1, 2, 3):
-        rep = gamma_rep(n)
-        ctx = rep.ctx
-        size = 2 ** n
-        for i in range(1, 2 * n + 2):
-            for j in range(1, 2 * n + 2):
-                defect = rep.relation_defect(i, j)
-                for a in range(size):
-                    for b in range(size):
-                        reg.scalar("c9",
-                                   f"n={n} relation ({i},{j})[{a}{b}]",
-                                   ctx, defect.rows[a][b])
-    rep1 = gamma_rep(1)
-    for idx in product((1, 2, 3), repeat=3):
-        reg.scalar("c9", f"n=1 trace {idx}", rep1.ctx,
-                   clifford_trace(rep1, idx)
-                   - epsilon_qinv(rep1.ctx, idx).scale(2))
-    rep2 = gamma_rep(2)
-    for j in range(500):
-        idx = tuple(rng.randint(1, 5) for _ in range(5))
-        reg.scalar("c9", f"n=2 trace #{j}", rep2.ctx,
-                   clifford_trace(rep2, idx)
-                   - epsilon_qinv(rep2.ctx, idx).scale(4))
-
-
 @lru_cache(maxsize=1)
-def _registry() -> Registry:
-    reg = Registry()
-    _build_c3(reg)
-    _build_c4(reg)
-    _build_c5(reg)
-    _build_c6(reg)
-    _build_c7(reg)
-    _build_c8(reg)
-    _build_c9(reg)
-    return reg
+def _catalogue() -> dict:
+    """Criterion -> its identities: catalogue families at the criterion's
+    dimensions, on random inputs drawn from the criterion's own seed."""
+    ctx = {d: DeformationContext(d) for d in range(2, 7)}
+    cat = {f"c{c}": [] for c in range(3, 10)}
+    rng4 = random.Random(40)
+    for d in (3, 4, 5):
+        cat["c3"] += ids.haar_well_defined(ctx[d], 6)
+        draws = [(random_monomial(ctx[d], rng4, 3),
+                  random_monomial(ctx[d], rng4, 3),
+                  random_monomial(ctx[d], rng4, 4)) for _ in range(100)]
+        cat["c4"] += ids.haar_trace(ctx[d], [(f, g) for f, g, _ in draws])
+        cat["c4"] += ids.haar_reality(ctx[d], [h for _, _, h in draws])
+        cat["c5"] += ids.haar_moments(ctx[d])
+        cat["c5"] += ids.haar_square_moments(ctx[d])
+    rng6 = random.Random(60)
+    for n in (2, 3, 4):
+        cat["c6"] += ids.stokes(ctx[n + 1], [
+            random_element(ctx[n + 1], rng6, 4, n - 1, 3) for _ in range(50)])
+    for d in (2, 3, 4, 5):
+        cat["c7"] += ids.hodge_plane_units(ctx[d])
+        cat["c7"] += ids.hodge_plane_basis(ctx[d])
+    for n in (1, 2, 3, 4):
+        cat["c7"] += ids.hodge_sphere_units(ctx[n + 1])
+        cat["c7"] += ids.hodge_sphere_basis(ctx[n + 1])
+    for d in range(2, 7):
+        cat["c8"] += ids.braid_squares(ctx[d])
+        cat["c8"] += ids.braid_equation(ctx[d])
+    for d in (2, 3, 4):
+        cat["c8"] += ids.epsilon_contraction(ctx[d])
+    rng8 = random.Random(80)
+    cat["c8"] += ids.epsilon_contraction_draws(ctx[5], [
+        random_index_pair(rng8, 5, rng8.randint(1, 4)) for _ in range(30)])
+    for d in (3, 4, 5):
+        cat["c8"] += ids.w_partial_traces(ctx[d], [
+            random_index_pair(rng8, d, k - 1) for k in (2, 3)
+            for _ in range(10)])
+    cat["c8"] += ids.w_recursion(ctx[5], [
+        random_index_pair(rng8, 5, k) for k in (1, 2, 3, 4)
+        for _ in range(10 if k < 4 else 4)])
+    for n in (1, 2, 3):
+        cat["c9"] += ids.clifford_relations(gamma_rep(n))
+    cat["c9"] += ids.clifford_traces(gamma_rep(1))
+    rng9 = random.Random(90)
+    cat["c9"] += ids.clifford_traces(gamma_rep(2), [
+        tuple(rng9.randint(1, 5) for _ in range(5)) for _ in range(500)])
+    return cat
+
+
+def _fails(crit: str) -> list:
+    return [i.label for i in _catalogue()[crit] if not ids.holds(i)]
 
 
 # ------------------------------------------------------------- criteria --
@@ -354,43 +120,56 @@ def test_c02_intermediate_charge_integral():
 
 
 def test_c03_haar_well_definedness():
-    _finish(3, "h((c-1)f) = 0, deg <= 6, D in {3,4,5}", _registry().fails("c3"))
+    _finish(3, "h((c-1)f) = 0, deg <= 6, D in {3,4,5}", _fails("c3"))
 
 
 def test_c04_haar_trace_and_reality():
     _finish(4, "h(fg)=h(gf), conj h(f)=h(f*), 100 pairs per dimension",
-            _registry().fails("c4"))
+            _fails("c4"))
 
 
 def test_c05_classical_moments():
-    _finish(5, "h(x^i x^i*) = 1/D = classical moment", _registry().fails("c5"))
+    # the exact moments are catalogue identities; the classical moments they
+    # must equal come from the independent sphere integral in helpers
+    failures = _fails("c5")
+    for d in (3, 4, 5):
+        for i in range(1, d + 1):
+            pair, square = [0] * d, [0] * d
+            pair[i - 1] += 1
+            pair[d - i] += 1
+            square[i - 1] = 2
+            if classical_sphere_moment(d, pair) != Fraction(1, d):
+                failures.append(f"classical D={d} h(x{i} x{i}')")
+            if i != d + 1 - i and classical_sphere_moment(d, square) != 0:
+                failures.append(f"classical D={d} h((x{i})^2)")
+    _finish(5, "h(x^i x^i*) = 1/D = classical moment", failures)
 
 
 def test_c06_stokes():
     _finish(6, "integral d(theta) = 0, 50 random forms per N in {2,3,4}",
-            _registry().fails("c6"))
+            _fails("c6"))
 
 
 def test_c07_hodge_suites():
     _finish(7, "Hodge identities on full bases (plane D<=5, sphere N<=4)",
-            _registry().fails("c7"))
+            _fails("c7"))
 
 
 def test_c08_antisymmetrizer_identities():
     _finish(8, "contraction, partial traces, recursion vs sum, braid",
-            _registry().fails("c8"))
+            _fails("c8"))
 
 
 def test_c09_clifford_suite():
-    _finish(9, "Clifford relations (n<=3) and trace formula", _registry().fails("c9"))
+    _finish(9, "Clifford relations (n<=3) and trace formula", _fails("c9"))
 
 
 def test_c10_oracle_concordance():
-    reg = _registry()
     failures = []
     by_ctx: dict = {}
-    for crit, label, kind, ctx, payload in reg.entries:
-        by_ctx.setdefault(ctx, []).append((crit, label, kind, payload))
+    for crit, identities in _catalogue().items():
+        for i in identities:
+            by_ctx.setdefault(i.ctx, []).append((crit, i))
     checked = 0
     for ctx, items in by_ctx.items():
         moduli = None
@@ -399,16 +178,13 @@ def test_c10_oracle_concordance():
             # keep the kron slots small
             moduli = (5, 7, 11, 13, 17, 19)[:ctx.nparams]
         bc = BatchChecker(ctx, seed=42, points=20, moduli=moduli)
-        for crit, label, kind, payload in items:
-            if kind == "scalar":
-                sup = bc.scalar_sup(payload)
-            elif kind == "element":
-                sup = bc.element_sup(payload)
-            else:
-                sup = bc.sphere_sup(payload)
+        sup_of = {"scalar": bc.scalar_sup, "element": bc.element_sup,
+                  "sphere": bc.sphere_sup}
+        for crit, i in items:
+            sup = sup_of[i.kind](i.lhs - i.rhs)
             checked += 1
             if sup >= TOL:
-                failures.append(f"{crit}/{label}: sup={sup:.2e}")
+                failures.append(f"{crit}/{i.label}: sup={sup:.2e}")
     _finish(10, f"oracle concordance over {checked} exported identities",
             failures)
 
@@ -440,23 +216,18 @@ def test_c11_commutative_limit():
             want = ctx.scalar(classical_sphere_moment(d, exps))
             if got != want:
                 failures.append(f"classical moment D={d} {exps}")
-        for i in range(1, d + 1):
-            exps = [0] * d
-            exps[i - 1] += 1
-            exps[ctx.primed(i) - 1] += 1
-            f = Element(ctx, {(tuple(exps), ()): ctx.scalar_one()})
-            if haar_plane(ctx, f) != ctx.scalar(Fraction(1, d)):
-                failures.append(f"classical moment D={d} pair {i}")
-    # classical Hodge: pairing equals the Gram determinant, and the suite
+        failures += [f"classical {i.label}" for i in ids.haar_moments(ctx)
+                     if not ids.holds(i)]
+    # classical Hodge: the plane Hodge families, and the pairing equals the
+    # Gram determinant
     for d in (2, 3, 4):
         ctx = DeformationContext(d, commutative=True)
+        failures += [f"classical {i.label}" for i in ids.hodge_plane_basis(ctx)
+                     if not ids.holds(i)]
         v = volume_element(ctx)
         for k in range(0, d + 1):
-            sign = -1 if (k * (d - k)) % 2 else 1
             for u in combinations(range(1, d + 1), k):
                 a = basis_form(ctx, u)
-                if hodge_plane(hodge_plane(a)) != a.scale(sign):
-                    failures.append(f"classical ** D={d} {u}")
                 for t in combinations(range(1, d + 1), k):
                     b = basis_form(ctx, t)
                     want = Element.from_scalar(

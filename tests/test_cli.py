@@ -2,10 +2,11 @@
 
 import json
 import pstats
+from collections import Counter
 
 import pytest
 
-from twistcalc import cli
+from twistcalc import cli, suites
 from twistcalc.cli import main
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
@@ -142,10 +143,39 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # wrong form degree is a usage error
 
 
-def test_run_all_suites_clean():
-    report = run_suite("all", dim=5, seed=42)
+def _recorded_run(name: str, dim: int):
+    """run_suite(name, dim, seed=42) and the label of every case it ran."""
+    labels = []
+    case = suites._Runner.case
+
+    def record(self, expression, *args, **kwargs):
+        labels.append(expression)
+        return case(self, expression, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites._Runner, "case", record)
+        return run_suite(name, dim=dim, seed=42), labels
+
+
+@pytest.fixture(scope="module")
+def all_run():
+    return _recorded_run("all", 5)
+
+
+def test_run_all_suites_clean(all_run):
+    report, _ = all_run
     assert report.failures == []
-    assert report.cases > 500
+    assert {nm: cases for nm, (cases, _) in report.suites.items()} == {
+        "qphase": 490, "ncalg": 105, "tensor": 123, "haar": 39, "sphere": 17,
+        "hodge": 46, "chern": 18, "oracle": 8}
+
+
+def test_case_labels_unique(all_run):
+    # a failure record names its case, so no two cases may share a label
+    for report, labels in (all_run, _recorded_run("haar", 3),
+                           _recorded_run("haar", 4)):
+        repeated = sorted(nm for nm, n in Counter(labels).items() if n > 1)
+        assert len(labels) == report.cases and not repeated, repeated[:10]
 
 
 def test_reports_deterministic_for_fixed_seed():
