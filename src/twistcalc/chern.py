@@ -195,16 +195,6 @@ class GammaRep:
                         for b in range(n)] for a in range(n)])
         return lhs - diag
 
-    def relations_hold(self) -> bool:
-        dim = self.ctx.dim
-        zero = self.ctx.scalar_zero()
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                defect = self.relation_defect(i, j)
-                if any(s != zero for row in defect.rows for s in row):
-                    return False
-        return True
-
 
 def gamma_rep(n: int) -> GammaRep:
     return GammaRep(n)

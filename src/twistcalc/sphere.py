@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from itertools import combinations, combinations_with_replacement
 
 from .haar import haar_plane
-from .ncalg import Element, Monomial, _add_into, _finish, _mono_mul, _mul_into
+from .ncalg import Element, Monomial, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar
-from .tensorcalc import dx_sort, epsilon_q, epsilon_qinv
+from .tensorcalc import epsilon_q, epsilon_qinv
 
 __all__ = [
     "central_quadric", "reduce_mod_c", "omega_form", "volume_form",
@@ -118,18 +117,17 @@ def reduce_mod_c(f: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def omega_form(ctx: DeformationContext, k: int) -> Element:
-    """The N-form dual to dx^k: omega_k ^ dx^l = delta^l_k V_D."""
+    """The N-form dual to dx^k: omega_k ^ dx^l = delta^l_k V_D.
+
+    omega_k = i^{D//2}/N! sum_s eps_qinv(s k) dx^{s_1}...dx^{s_N} over the
+    orders s of the other indices.  Reordering dx^s to ascending order undoes
+    the phase that s contributes to eps_qinv, so every order gives the
+    ascending one's term (see ``tensorcalc._hodge_basis``).
+    """
     ctx.check_index(k)
-    dim = ctx.dim
-    n_deg = dim - 1
-    rest = [a for a in range(1, dim + 1) if a != k]
-    acc: dict = {}
-    for s in permutations(rest):
-        eps = epsilon_qinv(ctx, s + (k,))
-        shift, sign, dxs = dx_sort(ctx, s)
-        _add_into(acc, {((0,) * dim, dxs): eps.shifted(shift, sign)})
-    norm = ctx.i_power(dim // 2).scale(Fraction(1, factorial(n_deg)))
-    return _finish(ctx, acc) * norm
+    rest = tuple(a for a in range(1, ctx.dim + 1) if a != k)
+    coeff = epsilon_qinv(ctx, rest + (k,)) * ctx.i_power(ctx.dim // 2)
+    return Element(ctx, {((0,) * ctx.dim, rest): coeff})
 
 
 @lru_cache(maxsize=None)
@@ -217,29 +215,6 @@ def _in_scalar_span(target: dict, gens: list[dict]) -> bool:
         for j in row:
             col_rows.setdefault(j, set()).add(ri)
     used = [False] * nrows
-
-    def combine(ri, pivot_row, pivot_rhs, col):
-        """Clear column col from row ri using a pivot row normalised to 1."""
-        row = rows[ri]
-        factor = row.pop(col)
-        col_rows[col].discard(ri)
-        for j, v in pivot_row.items():
-            if j == col:
-                continue
-            u = row.get(j)
-            w = (u - factor * v) if u is not None else -(factor * v)
-            if w:
-                if u is None:
-                    col_rows.setdefault(j, set()).add(ri)
-                row[j] = w
-            elif u is not None:
-                del row[j]
-                col_rows[j].discard(ri)
-        if pivot_rhs is not None:
-            r = rhs[ri]
-            w = (r - factor * pivot_rhs) if r is not None else -(factor * pivot_rhs)
-            rhs[ri] = w if w else None
-
     for col in sorted(col_rows):
         cands = [ri for ri in col_rows.get(col, ()) if not used[ri]]
         if not cands:
@@ -248,58 +223,44 @@ def _in_scalar_span(target: dict, gens: list[dict]) -> bool:
         cands.sort(key=lambda ri: (not rows[ri][col].is_single_term(),
                                    len(rows[ri])))
         pi = cands[0]
-        pval = rows[pi][col]
-        if pval.is_single_term():
-            inv = pval.inverse()
-            rows[pi] = {j: inv * v for j, v in rows[pi].items()}
-            if rhs[pi] is not None:
-                rhs[pi] = inv * rhs[pi]
-            pval_one = True
-        else:
-            pval_one = False
         used[pi] = True
-        if not pval_one:
-            # cross-multiplied update keeps everything in the ring
-            prow, prhs = rows[pi], rhs[pi]
-            for ri in list(col_rows.get(col, ())):
-                if used[ri] or ri == pi:
-                    continue
-                row = rows[ri]
-                a = row.pop(col)
-                col_rows[col].discard(ri)
-                newrow: dict[int, ExactScalar] = {}
+        prow, prhs = rows[pi], rhs[pi]
+        pval = prow[col]
+        unit = pval.is_single_term()
+        if unit:
+            inv = pval.inverse()
+            prow = rows[pi] = {j: inv * v for j, v in prow.items()}
+            if prhs is not None:
+                prhs = rhs[pi] = inv * prhs
+        for ri in list(col_rows[col]):
+            if used[ri]:
+                continue
+            row = rows[ri]
+            factor = row.pop(col)
+            col_rows[col].discard(ri)
+            if not unit:
+                # cross-multiply instead of dividing: the row stays in the ring
                 for j, v in row.items():
-                    newrow[j] = pval * v
-                for j, v in prow.items():
-                    if j == col:
-                        continue
-                    u = newrow.get(j)
-                    w = (u - a * v) if u is not None else -(a * v)
-                    if w:
-                        newrow[j] = w
-                    elif u is not None:
-                        del newrow[j]
-                for j in row:
-                    col_rows[j].discard(ri)
-                for j in newrow:
-                    col_rows.setdefault(j, set()).add(ri)
-                rows[ri] = newrow
-                r = rhs[ri]
-                left = pval * r if r is not None else None
-                right = a * prhs if prhs is not None else None
-                if left is None and right is None:
-                    rhs[ri] = None
-                elif right is None:
-                    rhs[ri] = left if left else None
-                else:
-                    w = (left - right) if left is not None else -right
-                    rhs[ri] = w if w else None
-        else:
-            prow, prhs = rows[pi], rhs[pi]
-            for ri in list(col_rows.get(col, ())):
-                if used[ri] or ri == pi:
+                    row[j] = pval * v
+                if rhs[ri] is not None:
+                    rhs[ri] = pval * rhs[ri]
+            # row -= factor * prow, which clears column col
+            for j, v in prow.items():
+                if j == col:
                     continue
-                combine(ri, prow, prhs, col)
+                u = row.get(j)
+                w = (u - factor * v) if u is not None else -(factor * v)
+                if w:
+                    if u is None:
+                        col_rows.setdefault(j, set()).add(ri)
+                    row[j] = w
+                elif u is not None:
+                    del row[j]
+                    col_rows[j].discard(ri)
+            if prhs is not None:
+                r = rhs[ri]
+                w = (r - factor * prhs) if r is not None else -(factor * prhs)
+                rhs[ri] = w if w else None
     for ri in range(nrows):
         if not used[ri] and not rows[ri] and rhs[ri] is not None:
             return False
@@ -377,23 +338,24 @@ def pairing_sphere(alpha: Element, beta: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def _hodge_sphere_basis(ctx: DeformationContext, dxs: tuple) -> Element:
-    """Sphere star of a basis wedge monomial (representative)."""
+    """Sphere star of a basis wedge monomial (representative).
+
+    For each a outside ``dxs`` the star sums eps_q(dxs a l) times the
+    primed, reversed dx word of l over the (N-k)! orders l of the remaining
+    indices, times x^{a'}, and divides by (N-k)!; as on the plane every
+    order gives the ascending one's term, whose primed, reversed word is
+    ascending (see ``tensorcalc._hodge_basis``).
+    """
     dim = ctx.dim
-    n_deg = dim - 1
-    k = len(dxs)
+    m = dim - 1 - len(dxs)
     rest = [a for a in range(1, dim + 1) if a not in dxs]
+    norm = ctx.i_power(-(dim // 2)).scale(-1 if (m // 2 + m) % 2 else 1)
     acc: dict = {}
     for a in rest:
-        tail = [l for l in rest if l != a]
-        xa = Element.x(ctx, ctx.primed(a)).terms
-        for l in permutations(tail):
-            eps = epsilon_q(ctx, dxs + (a,) + l)
-            target = tuple(ctx.primed(t) for t in reversed(l))
-            shift, sign, sorted_dxs = dx_sort(ctx, target)
-            coeff = eps.shifted(shift, sign)
-            _mul_into(acc, ctx, {((0,) * dim, sorted_dxs): coeff}, xa)
-    sign = -1 if ((n_deg - k) // 2 + (n_deg - k)) % 2 else 1
-    norm = ctx.i_power(-(dim // 2)).scale(Fraction(sign, factorial(n_deg - k)))
+        tail = tuple(l for l in rest if l != a)
+        dx_tail = ((0,) * dim, tuple(ctx.primed(t) for t in reversed(tail)))
+        _mul_into(acc, ctx, {dx_tail: epsilon_q(ctx, dxs + (a,) + tail)},
+                  Element.x(ctx, ctx.primed(a)).terms)
     return _finish(ctx, acc) * norm
 
 

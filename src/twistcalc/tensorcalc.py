@@ -9,12 +9,10 @@ the Hodge star on the plane contracts it with the anti-diagonal metric.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 
-from .ncalg import Element, _add_into, _finish, _mul_into
+from .ncalg import Element, _finish, _mul_into
 from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
@@ -224,26 +222,18 @@ def volume_element(ctx: DeformationContext) -> Element:
 
 # -- pairing and Hodge star on the plane --------------------------------------
 
-def _pairing_basis(ctx, u: tuple, v: tuple) -> ExactScalar:
-    """<dx^{u_1}..dx^{u_k}, dx^{v_1}..dx^{v_k}> on basis wedge monomials.
-
-    ``u`` and ``v`` are dx sets of elements, so their indices are valid."""
-    k = len(u)
-    if k == 0:
-        return ctx.scalar_one()
-    lower = tuple(ctx.dim + 1 - a for a in reversed(u))
-    w = _w_on_basis(ctx, k, lower).get(v)
-    if w is None:
-        return ctx.scalar_zero()
-    return w.scale(-1) if (k // 2) % 2 else w
+def _half_sign(m: int) -> int:
+    return -1 if ((m // 2) % 2) else 1
 
 
 def pairing_plane(alpha: Element, beta: Element) -> Element:
     """Metric pairing of two equal-degree forms, valued in functions.
 
     The first slot's coefficients come out on the left, the second slot's on
-    the right; on basis forms the value is the (sign-weighted) antisymmetrizer
-    entry with primed, reversed lower indices.
+    the right.  On basis forms <dx^u, dx^v> = (-1)^{k//2} W^{v}_{u'} with u'
+    the primed, reversed u.  W keeps its index multiset, so only v = sorted(u')
+    pairs nonzero; u is ascending, so u' is already sorted and W^{u'}_{u'} = 1.
+    Hence dx^u pairs with dx^{u'} alone, to (-1)^{k//2}.
     """
     ctx = alpha.ctx
     if ctx != beta.ctx:
@@ -254,8 +244,9 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
     if k != beta.form_degree():
         raise ValueError("pairing needs equal form degrees")
     table = ctx._pair_table
-    # both slots' functions grouped by dx set: one basis pairing per pair
-    # of groups
+    sign = _half_sign(k)
+    # both slots' functions grouped by dx set: each left group pairs with
+    # the one right group of its primed dx set
     lefts: dict[tuple, dict] = {}
     for (e1, u), c1 in alpha.terms.items():
         lefts.setdefault(u, {})[(e1, ())] = c1
@@ -269,19 +260,13 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
                     red = table[(a, b)]
                     if red is not None:
                         shift[red[0]] -= red[1] * f
-        rights.setdefault(v, {})[(e2, ())] = c2.shifted(tuple(shift))
+        rights.setdefault(v, {})[(e2, ())] = c2.shifted(tuple(shift), sign)
     acc: dict = {}
     for u, left in lefts.items():
-        for v, right in rights.items():
-            w = _pairing_basis(ctx, u, v)
-            if w:
-                _mul_into(acc, ctx, left,
-                          {key: c2 * w for key, c2 in right.items()})
+        right = rights.get(tuple(ctx.primed(a) for a in reversed(u)))
+        if right is not None:
+            _mul_into(acc, ctx, left, right)
     return _finish(ctx, acc)
-
-
-def _half_sign(m: int) -> int:
-    return -1 if ((m // 2) % 2) else 1
 
 
 def hodge_plane(alpha: Element) -> Element:
@@ -291,34 +276,31 @@ def hodge_plane(alpha: Element) -> Element:
     function coefficients pass through unchanged on the left.
     """
     ctx = alpha.ctx
-    k = alpha.form_degree()
+    k = alpha.form_degree()  # raises on mixed-degree input
     dim = ctx.dim
-    # C_{D,k} = (-i)^{D//2} (-1)^{(D-k)//2} / (D-k)!
-    const = ctx.i_power(-(dim // 2)).scale(
-        Fraction(_half_sign(dim - k), factorial(dim - k)))
-    acc: dict = {}
-    cache: dict[tuple, Element] = {}
+    # C_{D,k} = (-i)^{D//2} (-1)^{(D-k)//2}; the 1/(D-k)! of the contraction
+    # cancels against the (D-k)! equal terms of _hodge_basis
+    const = ctx.i_power(-(dim // 2)).scale(_half_sign(dim - k))
+    terms = {}
     for (e, u), c in alpha.terms.items():
-        star_u = cache.get(u)
-        if star_u is None:
-            star_u = _hodge_basis(ctx, u) * const
-            cache[u] = star_u
-        _mul_into(acc, ctx, {(e, ()): c}, star_u.terms)
-    return _finish(ctx, acc)
+        # x^e dx^{dxs} is already in normal order; distinct u give distinct dxs
+        dxs, phase = _hodge_basis(ctx, u)
+        terms[(e, dxs)] = c * (phase * const)
+    return Element(ctx, terms)
 
 
-def _hodge_basis(ctx, u: tuple) -> Element:
-    """Unnormalised star of a basis wedge monomial dx^{u}."""
-    rest = [a for a in range(1, ctx.dim + 1) if a not in u]
-    acc: dict = {}
-    for l_tuple in permutations(rest):
-        eps = epsilon_q(ctx, u + l_tuple)
-        if not eps:
-            continue
-        target = tuple(ctx.primed(a) for a in reversed(l_tuple))
-        r = dx_sort(ctx, target)
-        if r is None:
-            continue
-        shift, sign, dxs = r
-        _add_into(acc, {((0,) * ctx.dim, dxs): eps.shifted(shift, sign)})
-    return _finish(ctx, acc)
+def _hodge_basis(ctx, u: tuple):
+    """Unnormalised star of dx^{u}, as its dx set and its one phase.
+
+    The star sums eps_q(u l) dx^{l'_m}...dx^{l'_1} over the m! orders l of
+    the complement of u (m = D - k) and divides by m!.  Every order gives
+    the same term: swapping the neighbours a, b of l multiplies eps_q(u l)
+    by -q_{ab} and the primed, reversed dx word by -q_{b'a'} = -q_{ba}, and
+    q_{ab} q_{ba} = 1.  So the inversions cancel, the sum is m! times the
+    ascending order's term, and the m! goes.  The same cancellation is why
+    contracting two epsilons over m slots gives m! W.  For ascending l the
+    primed, reversed word is ascending too, so it needs no reordering.
+    """
+    rest = tuple(a for a in range(1, ctx.dim + 1) if a not in u)
+    return (tuple(ctx.primed(a) for a in reversed(rest)),
+            epsilon_q(ctx, u + rest))

@@ -4,8 +4,11 @@ The product path the engine used before its fused kernel: ``mono_mul``
 normal-orders two monomials without a cache, ``element_mul`` multiplies the
 two coefficients of every term pair as ``ExactScalar``s and adds each result
 into the output, and the pairing, the plane Hodge star and the matrix
-product sum their pieces with ``out = out + x``.  The tests compare the
-engine against these functions.
+product sum their pieces with ``out = out + x``.  The pairing reads the
+antisymmetrizer W for every pair of basis forms, and the plane and sphere
+Hodge stars and the volume forms sum the q-epsilon tensor over every order
+of the complementary indices, dividing by the number of orders afterwards.
+The tests compare the engine against these functions.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ from itertools import permutations
 from math import factorial
 
 from twistcalc.ncalg import Element
-from twistcalc.tensorcalc import antisym_w, dx_sort, epsilon_q
+from twistcalc.tensorcalc import antisym_w, dx_sort, epsilon_q, epsilon_qinv
 
 
 def mono_mul(ctx, m1, m2):
@@ -138,6 +141,47 @@ def hodge_plane(alpha: Element) -> Element:
     for (e, u), c in alpha.terms.items():
         star_u = _hodge_basis(ctx, u).scale(const)
         out = out + element_mul(Element(ctx, {(e, ()): c}), star_u)
+    return out
+
+
+def omega_form(ctx, k: int) -> Element:
+    """omega_k = i^{D//2}/N! sum_s eps_qinv(s k) dx^{s_1}...dx^{s_N}."""
+    rest = [a for a in range(1, ctx.dim + 1) if a != k]
+    out = Element.zero(ctx)
+    for s in permutations(rest):
+        shift, sign, dxs = dx_sort(ctx, s)
+        eps = epsilon_qinv(ctx, s + (k,))
+        out = out + Element(ctx, {((0,) * ctx.dim, dxs): eps.shifted(shift, sign)})
+    n_deg = ctx.dim - 1
+    return out.scale(ctx.i_power(ctx.dim // 2).scale(Fraction(1, factorial(n_deg))))
+
+
+def _hodge_sphere_basis(ctx, dxs: tuple) -> Element:
+    dim = ctx.dim
+    n_deg = dim - 1
+    k = len(dxs)
+    rest = [a for a in range(1, dim + 1) if a not in dxs]
+    out = Element.zero(ctx)
+    for a in rest:
+        tail = [l for l in rest if l != a]
+        xa = Element.x(ctx, ctx.primed(a))
+        for l in permutations(tail):
+            eps = epsilon_q(ctx, dxs + (a,) + l)
+            target = tuple(ctx.primed(t) for t in reversed(l))
+            shift, sign, sorted_dxs = dx_sort(ctx, target)
+            piece = Element(ctx, {((0,) * dim, sorted_dxs): eps.shifted(shift, sign)})
+            out = out + element_mul(piece, xa)
+    sign = -1 if ((n_deg - k) // 2 + (n_deg - k)) % 2 else 1
+    return out.scale(ctx.i_power(-(dim // 2)).scale(
+        Fraction(sign, factorial(n_deg - k))))
+
+
+def hodge_sphere(el: Element) -> Element:
+    ctx = el.ctx
+    out = Element.zero(ctx)
+    for (exps, dxs), coeff in el.terms.items():
+        out = out + element_mul(Element(ctx, {(exps, ()): coeff}),
+                                _hodge_sphere_basis(ctx, dxs))
     return out
 
 

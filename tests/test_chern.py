@@ -28,11 +28,6 @@ def test_gamma_matrices_low_dimension():
         gamma_rep(0)
 
 
-def test_clifford_relations_hold():
-    for n in (1, 2, 3):
-        assert gamma_rep(n).relations_hold()
-
-
 def test_gamma_squares():
     for n in (1, 2):
         rep = gamma_rep(n)

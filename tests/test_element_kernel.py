@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 import element_reference as ref
 from twistcalc import DeformationContext, Element, ExactScalar, chern, ncalg
 from twistcalc.chern import Matrix
+from twistcalc.identities import basis_form
 from twistcalc.qphase import _c_reduce
+from twistcalc.sphere import hodge_sphere, omega_form
 from twistcalc.tensorcalc import epsilon_q, epsilon_qinv, hodge_plane, pairing_plane
 
 
@@ -116,6 +119,26 @@ def test_pairing_and_plane_hodge_match_reference(d, data):
         star = hodge_plane(alpha)
         assert star == ref.hodge_plane(alpha)
         _assert_canonical(star)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_closed_forms_match_permutation_sums_on_every_basis_form(d):
+    """Each plane and sphere star of a basis form, each volume form omega_k
+    and each pairing of two basis forms equals the reference that sums over
+    every order of the complementary indices or reads W for the pair."""
+    ctx = DeformationContext(d)
+    for k in range(1, d + 1):
+        assert omega_form(ctx, k) == ref.omega_form(ctx, k), k
+    for k in range(d + 1):
+        forms = [basis_form(ctx, s) for s in combinations(range(1, d + 1), k)]
+        for f in forms:
+            star = hodge_plane(f)
+            assert star == ref.hodge_plane(f), f
+            _assert_canonical(star)
+            if k < d:
+                assert hodge_sphere(f) == ref.hodge_sphere(f), f
+            for g in forms:
+                assert pairing_plane(f, g) == ref.pairing_plane(f, g), (f, g)
 
 
 def test_matrix_product_and_trace_match_reference():

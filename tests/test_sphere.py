@@ -6,7 +6,7 @@ import pytest
 
 from helpers import central, random_element, random_monomial
 from twistcalc import DeformationContext, Element
-from twistcalc.sphere import (SphereForm, central_quadric,
+from twistcalc.sphere import (SphereForm, _in_scalar_span, central_quadric,
                               in_quotient_ideal, integrate_form, omega_form,
                               reduce_mod_c, sphere_equal, top_decompose,
                               volume_form)
@@ -251,6 +251,32 @@ def test_membership_solver_against_numeric_rank():
                 assert max(residuals) < 1e-8, (trial, k, residuals)
             else:
                 assert min(residuals) > 1e-6, (trial, k, residuals)
+
+
+def test_scalar_span_with_non_unit_pivots():
+    """Every entry has two phase terms, so no pivot is a unit and each
+    elimination step cross-multiplies: a combination of the generators is
+    in their span, and adding a fourth basis vector takes it out."""
+    ctx = DeformationContext(4)
+    one, q = ctx.scalar_one(), ctx.q_power(1, 2)
+    a, b, c = one + q, one - q, one.scale(2) + q
+    gens = [{"m1": a, "m2": b, "m3": a * b, "m4": c},
+            {"m1": b, "m2": c, "m3": b * c, "m4": a},
+            {"m1": c, "m2": a, "m3": b, "m4": b * b}]
+    coeffs = [q, one - q, q * q + one]
+    target = {}
+    for t, g in zip(coeffs, gens):
+        for m, v in g.items():
+            w = target.get(m, ctx.scalar_zero()) + t * v
+            if w:
+                target[m] = w
+            else:
+                target.pop(m, None)
+    assert _in_scalar_span(target, gens)
+    assert _in_scalar_span(target, gens + [{"m4": a}])
+    assert not _in_scalar_span({**target, "m3": target["m3"] + b}, gens[:2])
+    assert not _in_scalar_span({"m4": a}, gens[:2])
+    assert not _in_scalar_span(target, gens[:2])
 
 
 def test_quotient_ideal_closed_under_d_and_star():
