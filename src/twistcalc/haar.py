@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ncalg import Element
+from .ncalg import Element, _add_into, _finish, _mono_mul
 from .qphase import DeformationContext, ExactScalar
 
 __all__ = ["partial_derivative", "laplacian", "lambda_coefficient", "haar_plane"]
@@ -30,7 +30,7 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
     ctx.check_index(s)
     if f.ctx != ctx:
         raise ValueError("element belongs to a different context")
-    table = ctx._pair_table
+    unit_s = (0,) * (s - 1) + (1,) + (0,) * (ctx.dim - s)
     out: dict = {}
     for (exps, dxs), coeff in f.terms.items():
         if dxs:
@@ -38,23 +38,12 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
         es = exps[s - 1]
         if not es:
             continue
-        acc = [0] * ctx.nparams
-        for a in range(1, s):
-            ea = exps[a - 1]
-            if ea:
-                red = table[(a, s)]
-                if red is not None:
-                    acc[red[0]] += red[1] * ea
-        new = list(exps)
-        new[s - 1] -= 1
-        key = (tuple(new), ())
-        v = coeff.shifted(tuple(acc)).scale(es)
-        u = out.get(key)
-        w = v if u is None else u + v
-        if w:
-            out[key] = w
-        elif u is not None:
-            del out[key]
+        # d_s passes x^{<s} with q_{as} each: undo the phase of x^s x^{<s}
+        low = exps[:s - 1] + (0,) * (ctx.dim - s + 1)
+        shift = _mono_mul(ctx, (unit_s, ()), (low, ()))[0]
+        # lowering x^s is injective on monomials: no two terms share a key
+        key = (exps[:s - 1] + (es - 1,) + exps[s:], ())
+        out[key] = coeff.shifted(tuple(-x for x in shift)).scale(es)
     res = Element.__new__(Element)
     res.ctx, res.terms = ctx, out
     return res
@@ -63,11 +52,11 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
 def laplacian(f: Element) -> Element:
     """Metric Laplacian: the sum over a of d_a d_{a'}."""
     ctx = f.ctx
-    out = Element.zero(ctx)
+    acc: dict = {}
     for a in range(1, ctx.dim + 1):
-        out = out + partial_derivative(ctx, a,
-                                       partial_derivative(ctx, ctx.primed(a), f))
-    return out
+        _add_into(acc, partial_derivative(
+            ctx, a, partial_derivative(ctx, ctx.primed(a), f)).terms)
+    return _finish(ctx, acc)
 
 
 def lambda_coefficient(dim: int, n: int) -> Fraction:

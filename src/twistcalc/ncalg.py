@@ -10,6 +10,11 @@ The canonical word has all x factors first in ascending index order, then the
 dx factors as a strictly ascending set.  A monomial is the pair (x exponents,
 dx index set); an element is a sparse scalar combination of monomials.
 
+``_mono_mul`` is the only function that computes exchange phases.  The
+exterior derivative, the star, the twisted derivatives, the plane pairing
+and the q-epsilon tensor each read theirs from one ``_mono_mul`` call (or,
+for epsilon, one per factor) instead of counting them over the pair table.
+
 Every product of elements runs one kernel.  ``_mul_into`` normal-orders each
 pair of monomials through ``_mono_mul``, whose results sit in an LRU cache of
 ``MONO_CACHE_SIZE`` entries (a fixed bound, whatever the input size: the
@@ -271,72 +276,34 @@ class Element:
     def d(self) -> "Element":
         """Exterior derivative, graded Leibniz with d(x^a) = dx^a."""
         ctx = self.ctx
-        table = ctx._pair_table
-        out: dict[Monomial, ExactScalar] = {}
+        zero = (0,) * ctx.dim
+        acc: dict = {}
         for (exps, dxs), coeff in self.terms.items():
-            for b in range(1, ctx.dim + 1):
-                eb = exps[b - 1]
+            for b, eb in enumerate(exps, start=1):
                 if not eb or b in dxs:
                     continue
-                acc = [0] * ctx.nparams
-                # dx^b exits the x block rightward: past x^a for a > b
-                for a in range(b + 1, ctx.dim + 1):
-                    ea = exps[a - 1]
-                    if ea:
-                        red = table[(b, a)]
-                        if red is not None:
-                            acc[red[0]] += red[1] * ea
-                # then into the dx set: past dx^s for s < b, sign each time
-                sign = 1
-                for s in dxs:
-                    if s < b:
-                        sign = -sign
-                        red = table[(b, s)]
-                        if red is not None:
-                            acc[red[0]] += red[1]
-                    else:
-                        break
-                new_exps = list(exps)
-                new_exps[b - 1] -= 1
-                key = (tuple(new_exps), tuple(sorted(dxs + (b,))))
-                v = coeff.shifted(tuple(acc), sign).scale(eb)
-                u = out.get(key)
-                w = v if u is None else u + v
-                if w:
-                    out[key] = w
-                elif u is not None:
-                    del out[key]
-        res = Element.__new__(Element)
-        res.ctx, res.terms = ctx, out
-        return res
+                # dx^b exits the x block past x^{>b}, then merges into dx^S
+                shift, sign, (_, new_dxs) = _mono_mul(
+                    ctx, (zero, (b,)), (zero[:b] + exps[b:], dxs))
+                new_exps = exps[:b - 1] + (eb - 1,) + exps[b:]
+                _add_into(acc, {(new_exps, new_dxs):
+                                coeff.shifted(shift, sign).scale(eb)})
+        return _finish(ctx, acc)
 
     def star(self) -> "Element":
         """Conjugation: antilinear, x^a -> x^a', dx^a -> dx^a', and on
         products star(uv) = (-1)^{|u||v|} star(v) star(u)."""
         ctx = self.ctx
-        table = ctx._pair_table
+        zero = (0,) * ctx.dim
         out: dict[Monomial, ExactScalar] = {}
         for (exps, dxs), coeff in self.terms.items():
             k = len(dxs)
-            pexps = tuple(exps[ctx.dim - a] for a in range(1, ctx.dim + 1))
-            pdxs = tuple(sorted(ctx.dim + 1 - s for s in dxs))
-            acc = [0] * ctx.nparams
-            # primed x block commutes left through the primed dx block
-            for a in pdxs:
-                for b, f in enumerate(pexps, start=1):
-                    if f:
-                        red = table[(a, b)]
-                        if red is not None:
-                            acc[red[0]] += red[1] * f
+            # normal-order dx^{S'} x^{e'}; priming maps distinct monomials
+            # to distinct keys, so each term is written once
+            pdxs = tuple(ctx.primed(s) for s in reversed(dxs))
+            shift, _, key = _mono_mul(ctx, (zero, pdxs), (exps[::-1], ()))
             sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            v = coeff.conj().shifted(tuple(acc), sign)
-            key = (pexps, pdxs)
-            u = out.get(key)
-            w = v if u is None else u + v
-            if w:
-                out[key] = w
-            elif u is not None:
-                del out[key]
+            out[key] = coeff.conj().shifted(shift, sign)
         res = Element.__new__(Element)
         res.ctx, res.terms = ctx, out
         return res

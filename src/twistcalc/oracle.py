@@ -56,6 +56,12 @@ def _moduli_text(moduli) -> str:
     return ", ".join(str(m) for m in moduli)
 
 
+def _check_count(name: str, n: int) -> None:
+    """Raise ValueError unless n >= 1: no samples cannot show anything zero."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 class Word(NamedTuple):
     """Generalized permutation matrix U with U e_j = phase[j] e_{perm[j]}."""
 
@@ -110,6 +116,11 @@ class TorusRep:
         nparams = ctx.nparams
         if moduli is None:
             moduli = _PRIMES[:nparams]
+        for m in moduli:
+            if m < 3:
+                # a root of unity of order 1 or 2 has q = 1/q
+                raise ValueError(f"modulus {m} cannot tell q from 1/q:"
+                                 f" every modulus must be at least 3")
         moduli = list(moduli)[:nparams]
         if len(moduli) < nparams:
             raise ValueError(f"need {nparams} moduli, got {len(moduli)}")
@@ -310,6 +321,7 @@ def check_element(el: Element, seed: int = 42, points: int = 20,
 
 def element_sup(el: Element, seed: int = 42, points: int = 20,
                 moduli=None) -> float:
+    _check_count("points", points)
     ctx = el.ctx
     rng = random.Random(seed ^ 0x5EED)
     worst = 0.0
@@ -327,6 +339,7 @@ def check_sphere_class(el: Element, seed: int = 42, points: int = 20,
 
 def sphere_class_sup(el: Element, seed: int = 42, points: int = 20,
                      moduli=None) -> float:
+    _check_count("points", points)
     ctx = el.ctx
     rng = random.Random(seed ^ 0xC1A55)
     worst = 0.0
@@ -352,6 +365,7 @@ def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
 def check_scalar(s: ExactScalar, ctx: DeformationContext, seed: int = 42,
                  draws: int = 20, tol: float = DEFAULT_TOL) -> bool:
     """Numeric vanishing of an exact scalar at random root-of-unity phases."""
+    _check_count("draws", draws)
     rng = random.Random(seed ^ 0x5CA1A)
     if not ctx.nparams:
         return abs(s.eval_at_roots(())) < tol
@@ -369,6 +383,7 @@ class BatchChecker:
 
     def __init__(self, ctx: DeformationContext, seed: int = 42,
                  points: int = 20, moduli=None):
+        _check_count("points", points)
         self.ctx = ctx
         self.points = points
         self.models = _models(ctx, seed, moduli)

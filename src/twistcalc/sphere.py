@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .haar import haar_plane
-from .ncalg import Element, Monomial, _finish, _mono_mul, _mul_into
+from .ncalg import Element, Monomial, _add_into, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar
 from .tensorcalc import epsilon_q, epsilon_qinv
 
@@ -86,7 +86,7 @@ def reduce_mod_c(f: Element) -> Element:
     last = ctx.dim - 1
     pair_key = (tuple(1 if j in (0, last) else 0 for j in range(ctx.dim)), ())
     pending = f
-    done: dict[Monomial, ExactScalar] = {}
+    done: dict = {}
     while pending.terms:
         acc: dict = {}
         for (exps, dxs), coeff in pending.terms.items():
@@ -101,16 +101,9 @@ def reduce_mod_c(f: Element) -> Element:
                 piece = {key: coeff.shifted(tuple(-s for s in shift))}
                 _mul_into(acc, ctx, piece, repl.terms)
             else:
-                u = done.get((exps, dxs))
-                w = coeff if u is None else u + coeff
-                if w:
-                    done[(exps, dxs)] = w
-                elif u is not None:
-                    del done[(exps, dxs)]
+                _add_into(done, {(exps, dxs): coeff})
         pending = _finish(ctx, acc)
-    res = Element.__new__(Element)
-    res.ctx, res.terms = ctx, done
-    return res
+    return _finish(ctx, done)
 
 
 # -- volume data ----------------------------------------------------------------

@@ -608,6 +608,8 @@ def run_suite(name: str, dim: int = 5, n: int | None = None, seed: int = 42,
     """Run one named suite (or 'all'); deterministic for a given seed."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if n is not None and n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     report = SuiteReport(suite=name, seed=seed)
     runner = _Runner(report)
     started = time.perf_counter()

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from operator import add
 
-from .ncalg import Element, _finish, _mul_into
+from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
     "lambda_entry", "apply_lambda", "epsilon_q", "epsilon_qinv",
     "antisym_w", "antisym_w_bruteforce", "pairing_plane", "hodge_plane",
-    "volume_element", "dx_sort",
+    "volume_element",
 ]
 
 
@@ -138,32 +139,6 @@ def antisym_w_bruteforce(ctx, upper, lower) -> ExactScalar:
 
 # -- epsilon tensors ---------------------------------------------------------
 
-def dx_sort(ctx: DeformationContext, seq):
-    """Sort a dx index tuple to ascending order, tracking sign and phases.
-
-    Returns ``(shift, sign, sorted_tuple)`` or ``None`` if an index repeats.
-    Each adjacent swap of (u, v) with u > v contributes -q_{uv}.
-    """
-    seq = list(seq)
-    n = len(seq)
-    if len(set(seq)) != n:
-        return None
-    acc = [0] * ctx.nparams
-    sign = 1
-    table = ctx._pair_table
-    for i in range(1, n):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            u, v = seq[j - 1], seq[j]
-            sign = -sign
-            red = table[(u, v)]
-            if red is not None:
-                acc[red[0]] += red[1]
-            seq[j - 1], seq[j] = v, u
-            j -= 1
-    return tuple(acc), sign, tuple(seq)
-
-
 def _check_indices(ctx: DeformationContext, indices: tuple) -> None:
     """Raise IndexError unless every index lies in 1..D."""
     if min(indices) < 1 or max(indices) > ctx.dim:
@@ -205,7 +180,12 @@ def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
 # entries per context; callers share the results, which are never mutated.
 @lru_cache(maxsize=None)
 def _epsilon_perm(ctx: DeformationContext, indices: tuple) -> ExactScalar:
-    shift, sign, _ = dx_sort(ctx, indices)
+    # multiply dx^{i_1} ... dx^{i_D} out left to right through the kernel
+    zero = (0,) * ctx.dim
+    shift, sign, word = ctx._zero_exps, 1, (zero, indices[:1])
+    for a in indices[1:]:
+        step, step_sign, word = _mono_mul(ctx, word, (zero, (a,)))
+        shift, sign = tuple(map(add, shift, step)), sign * step_sign
     return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
 
 
@@ -243,8 +223,8 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
     k = alpha.form_degree()
     if k != beta.form_degree():
         raise ValueError("pairing needs equal form degrees")
-    table = ctx._pair_table
     sign = _half_sign(k)
+    zero = (0,) * ctx.dim
     # both slots' functions grouped by dx set: each left group pairs with
     # the one right group of its primed dx set
     lefts: dict[tuple, dict] = {}
@@ -252,15 +232,11 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
         lefts.setdefault(u, {})[(e1, ())] = c1
     rights: dict[tuple, dict] = {}
     for (e2, v), c2 in beta.terms.items():
-        # the second slot's function leaves rightward through its dx's
-        shift = [0] * ctx.nparams
-        for a in v:
-            for b, f in enumerate(e2, start=1):
-                if f:
-                    red = table[(a, b)]
-                    if red is not None:
-                        shift[red[0]] -= red[1] * f
-        rights.setdefault(v, {})[(e2, ())] = c2.shifted(tuple(shift), sign)
+        # the second slot's function leaves rightward through its dx's:
+        # undo the phase of dx^v x^{e2}
+        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
+        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
+            tuple(-x for x in shift), sign)
     acc: dict = {}
     for u, left in lefts.items():
         right = rights.get(tuple(ctx.primed(a) for a in reversed(u)))

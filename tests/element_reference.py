@@ -8,6 +8,9 @@ product sum their pieces with ``out = out + x``.  The pairing reads the
 antisymmetrizer W for every pair of basis forms, and the plane and sphere
 Hodge stars and the volume forms sum the q-epsilon tensor over every order
 of the complementary indices, dividing by the number of orders afterwards.
+``d``, ``star``, ``partial_derivative`` and ``dx_sort`` count their exchange
+phases with their own loops over the pair table, as the engine did before
+every phase came from its normal-ordering kernel.
 The tests compare the engine against these functions.
 """
 
@@ -16,7 +19,7 @@ from itertools import permutations
 from math import factorial
 
 from twistcalc.ncalg import Element
-from twistcalc.tensorcalc import antisym_w, dx_sort, epsilon_q, epsilon_qinv
+from twistcalc.tensorcalc import antisym_w, epsilon_q, epsilon_qinv
 
 
 def mono_mul(ctx, m1, m2):
@@ -54,6 +57,129 @@ def mono_mul(ctx, m1, m2):
         dxs = s1 or s2
     exps = tuple(x + y for x, y in zip(e1, e2))
     return tuple(acc), sign, (exps, dxs)
+
+
+def dx_sort(ctx, seq):
+    """Sort a dx index tuple to ascending order, tracking sign and phases.
+
+    Returns ``(shift, sign, sorted_tuple)`` or ``None`` if an index repeats.
+    Each adjacent swap of (u, v) with u > v contributes -q_{uv}.
+    """
+    seq = list(seq)
+    n = len(seq)
+    if len(set(seq)) != n:
+        return None
+    acc = [0] * ctx.nparams
+    sign = 1
+    table = ctx._pair_table
+    for i in range(1, n):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            u, v = seq[j - 1], seq[j]
+            sign = -sign
+            red = table[(u, v)]
+            if red is not None:
+                acc[red[0]] += red[1]
+            seq[j - 1], seq[j] = v, u
+            j -= 1
+    return tuple(acc), sign, tuple(seq)
+
+
+def d(el: Element) -> Element:
+    """Exterior derivative: dx^b leaves the x block past x^a for a > b, then
+    enters the dx set past dx^s for s < b, picking up -q_{bs} each."""
+    ctx = el.ctx
+    table = ctx._pair_table
+    out = {}
+    for (exps, dxs), coeff in el.terms.items():
+        for b in range(1, ctx.dim + 1):
+            eb = exps[b - 1]
+            if not eb or b in dxs:
+                continue
+            acc = [0] * ctx.nparams
+            for a in range(b + 1, ctx.dim + 1):
+                ea = exps[a - 1]
+                if ea:
+                    red = table[(b, a)]
+                    if red is not None:
+                        acc[red[0]] += red[1] * ea
+            sign = 1
+            for s in dxs:
+                if s < b:
+                    sign = -sign
+                    red = table[(b, s)]
+                    if red is not None:
+                        acc[red[0]] += red[1]
+                else:
+                    break
+            new_exps = list(exps)
+            new_exps[b - 1] -= 1
+            key = (tuple(new_exps), tuple(sorted(dxs + (b,))))
+            v = coeff.shifted(tuple(acc), sign).scale(eb)
+            u = out.get(key)
+            w = v if u is None else u + v
+            if w:
+                out[key] = w
+            elif u is not None:
+                del out[key]
+    return Element(ctx, out)
+
+
+def star(el: Element) -> Element:
+    """Conjugation: the primed x block commutes left through the primed dx
+    block, and k dx's reverse with sign (-1)^{k(k-1)/2}."""
+    ctx = el.ctx
+    table = ctx._pair_table
+    out = {}
+    for (exps, dxs), coeff in el.terms.items():
+        k = len(dxs)
+        pexps = tuple(exps[ctx.dim - a] for a in range(1, ctx.dim + 1))
+        pdxs = tuple(sorted(ctx.dim + 1 - s for s in dxs))
+        acc = [0] * ctx.nparams
+        for a in pdxs:
+            for b, f in enumerate(pexps, start=1):
+                if f:
+                    red = table[(a, b)]
+                    if red is not None:
+                        acc[red[0]] += red[1] * f
+        sign = -1 if (k * (k - 1) // 2) % 2 else 1
+        v = coeff.conj().shifted(tuple(acc), sign)
+        key = (pexps, pdxs)
+        u = out.get(key)
+        w = v if u is None else u + v
+        if w:
+            out[key] = w
+        elif u is not None:
+            del out[key]
+    return Element(ctx, out)
+
+
+def partial_derivative(ctx, s: int, f: Element) -> Element:
+    """Twisted derivative along x^s: q_{as} for each x^a with a < s."""
+    table = ctx._pair_table
+    out = {}
+    for (exps, dxs), coeff in f.terms.items():
+        es = exps[s - 1]
+        if not es:
+            continue
+        acc = [0] * ctx.nparams
+        for a in range(1, s):
+            ea = exps[a - 1]
+            if ea:
+                red = table[(a, s)]
+                if red is not None:
+                    acc[red[0]] += red[1] * ea
+        new = list(exps)
+        new[s - 1] -= 1
+        key = (tuple(new), ())
+        v = coeff.shifted(tuple(acc)).scale(es)
+        u = out.get(key)
+        w = v if u is None else u + v
+        if w:
+            out[key] = w
+        elif u is not None:
+            del out[key]
+    return Element(ctx, out)
 
 
 def element_mul(a: Element, b: Element) -> Element:

@@ -143,6 +143,33 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # wrong form degree is a usage error
 
 
+def test_sample_counts_moduli_and_n_are_checked(capsys):
+    """No samples, a modulus that cannot tell q from 1/q and a chern order
+    below 1 exit 2 instead of answering."""
+    x = "q(1,2)*x1 - q(1,2)^-1*x1"
+    for argv, msg in (
+            (("oracle", "--expr", "x1", "--points", "0", "--json"),
+             "points must be at least 1, got 0"),
+            (("oracle", "--expr", "x1", "--points", "-1"),
+             "points must be at least 1, got -1"),
+            (("oracle", "--expr", x, "--moduli", "2,2,2", "--json"),
+             "modulus 2 cannot tell q from 1/q"),
+            (("oracle", "--expr", "x1", "--moduli", "1,1,1"),
+             "modulus 1 cannot tell q from 1/q")):
+        code, out, err = run_cli(capsys, *argv[:1], "--dim", "5", *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert msg in err, argv
+    code, out, _ = run_cli(capsys, "oracle", "--dim", "5", "--expr", x,
+                           "--moduli", "3", "--json")
+    assert code == 0 and json.loads(out)["zero"] is False
+    for n in ("0", "-3"):
+        code, _, err = run_cli(capsys, "suite", "run", "chern", "--n", n)
+        assert code == 2
+        assert f"n must be a positive integer, got {n}" in err
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            run_suite("chern", n=int(n))
+
+
 def _recorded_run(name: str, dim: int):
     """run_suite(name, dim, seed=42) and the label of every case it ran."""
     labels = []

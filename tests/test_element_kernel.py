@@ -1,8 +1,10 @@
 """The fused Element product kernel against the term-by-term reference."""
 
+import ast
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import element_reference as ref
 from twistcalc import DeformationContext, Element, ExactScalar, chern, ncalg
 from twistcalc.chern import Matrix
+from twistcalc.haar import partial_derivative
 from twistcalc.identities import basis_form
 from twistcalc.qphase import _c_reduce
 from twistcalc.sphere import hodge_sphere, omega_form
@@ -119,6 +122,69 @@ def test_pairing_and_plane_hodge_match_reference(d, data):
         star = hodge_plane(alpha)
         assert star == ref.hodge_plane(alpha)
         _assert_canonical(star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_d_star_and_partials_match_hand_written_loops(d, data):
+    """d, star and the twisted derivatives take their phases from the
+    normal-ordering kernel; the reference counts them over the pair table."""
+    ctx = DeformationContext(d)
+    a = data.draw(_element(ctx))
+    for got, want in ((a.d(), ref.d(a)), (a.star(), ref.star(a))):
+        assert got == want
+        _assert_canonical(got)
+    f = data.draw(_element(ctx, form_deg=0))
+    s = data.draw(st.integers(1, d))
+    got = partial_derivative(ctx, s, f)
+    assert got == ref.partial_derivative(ctx, s, f)
+    _assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_pairing_and_epsilon_match_hand_written_loops(d, data):
+    """The pairing's right-slot shift and eps_q, eps_q^-1 against the
+    reference pairing and ``dx_sort``."""
+    ctx = DeformationContext(d)
+    k = data.draw(st.integers(0, min(3, d)))
+    alpha = data.draw(_element(ctx, 3, k))
+    beta = data.draw(_element(ctx, 3, k))
+    assert pairing_plane(alpha, beta) == ref.pairing_plane(alpha, beta)
+    perm = tuple(data.draw(st.permutations(range(1, d + 1))))
+    shift, sign, _ = ref.dx_sort(ctx, perm)
+    assert epsilon_q(ctx, perm) == ctx.scalar(sign).shifted(shift)
+    assert epsilon_qinv(ctx, perm) == ctx.scalar(sign).shifted(
+        tuple(-x for x in shift))
+
+
+def test_only_the_kernel_reads_the_pair_table():
+    """Exchange phases are computed in one place: apart from qphase.py,
+    which builds the pair table, only ncalg._mono_mul reads it."""
+    readers = set()
+    for path in sorted(Path(ncalg.__file__).parent.glob("*.py")):
+        module = path.stem
+        text = path.read_text()
+        if module == "qphase":
+            continue
+        if module != "ncalg":
+            assert "_pair_table" not in text, module
+            continue
+        scope = []
+
+        def visit(node):
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if named:
+                scope.append(node.name)
+            if isinstance(node, ast.Attribute) and node.attr == "_pair_table":
+                readers.add(".".join(scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+            if named:
+                scope.pop()
+
+        visit(ast.parse(text))
+    assert readers == {"_mono_mul"}
 
 
 @pytest.mark.parametrize("d", range(2, 8))

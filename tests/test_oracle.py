@@ -124,6 +124,30 @@ def test_scalar_checks():
     assert check_scalar(prod - c6.scalar_one(), c6)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_no_samples_is_an_error_not_a_zero(count):
+    ctx = DeformationContext(5)
+    x1, vol = Element.x(ctx, 1), volume_form(ctx)
+    msg = f"must be at least 1, got {count}"
+    with pytest.raises(ValueError, match="points " + msg):
+        check_element(x1, points=count)
+    with pytest.raises(ValueError, match="points " + msg):
+        check_sphere_class(vol, points=count)
+    with pytest.raises(ValueError, match="points " + msg):
+        BatchChecker(ctx, points=count)
+    with pytest.raises(ValueError, match="draws " + msg):
+        check_scalar(ctx.scalar_one(), ctx, draws=count)
+
+
+@pytest.mark.parametrize("moduli, bad", [((2, 2, 2), 2), ((1, 1, 1), 1),
+                                         ((5, 0), 0), ((7, 2, 11), 2)])
+def test_moduli_below_three_are_rejected(moduli, bad):
+    # order 1 or 2 roots make q = 1/q, so q - 1/q would read as zero
+    with pytest.raises(ValueError, match=f"modulus {bad} cannot tell q"):
+        TorusRep(DeformationContext(6), moduli=moduli)
+    TorusRep(DeformationContext(5), moduli=(3,))
+
+
 def test_distinct_prime_moduli_between_models():
     ctx = DeformationContext(5)
     m1, m2 = _models(ctx, seed=42)

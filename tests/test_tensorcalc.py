@@ -7,11 +7,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from element_reference import dx_sort
 from helpers import basis_form, classical_gram_pairing, random_element
 from twistcalc import DeformationContext, Element, tensorcalc
-from twistcalc.tensorcalc import (antisym_w, antisym_w_bruteforce, dx_sort,
-                                  epsilon_q, epsilon_qinv, hodge_plane,
-                                  lambda_entry, pairing_plane, volume_element)
+from twistcalc.tensorcalc import (antisym_w, antisym_w_bruteforce, epsilon_q,
+                                  epsilon_qinv, hodge_plane, lambda_entry,
+                                  pairing_plane, volume_element)
 
 
 def test_lambda_entries():
