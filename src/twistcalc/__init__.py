@@ -3,8 +3,9 @@
 The coordinate exchange phases q_{ab} stay symbolic (Laurent monomials over
 Q(i, sqrt2)); every identity the engine verifies — differential calculus,
 Haar functional, integration cycle, Hodge stars, Clifford machinery, the
-instanton charge — is checked with exact arithmetic, and independently
-cross-checked by a numeric classical-manifold x torus-representation model.
+instanton charge — is checked with exact arithmetic, and up to D = 7
+independently cross-checked by a numeric classical-manifold x
+torus-representation model.
 """
 
 from .chern import (GammaRep, Matrix, character_tau, charge,

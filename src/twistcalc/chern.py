@@ -8,6 +8,25 @@ the instanton projector.  Its top character pairing
     (1/n!) tau(Tr e x ... x e) = (normalisation) * integral Tr[e (de)^{2n}]
 
 is computed fully symbolically and equals 1.
+
+``charge_integral`` never multiplies dense matrices.  Write 2 de as the sum
+of the blocks Gamma_a = gamma^a (x) dx^{a'} and group them as
+P_a = Gamma_a + Gamma_{a'} (a <= n) and Gamma_{n+1}.  These n+1 blocks
+commute pairwise, P_a^3 = 0 and Gamma_{n+1}^2 = 0, so the multinomial
+expansion of (de)^{2n} keeps two shapes:
+
+    (de)^{2n} = 2^{-2n} (2n)!/2^n [ prod_a P_a^2
+                                    + 2 sum_j P_j Gamma_{n+1} prod_{a != j} P_a^2 ].
+
+Each P_a^2 and Gamma_{n+1} is diagonal, so the trace against e takes O(n)
+entrywise products of length 2^n, and reads only the diagonal of e and its
+entries where some P_j is nonzero.  Before answering, the lemma behind the
+expansion is checked exactly on the sparse gamma blocks: Gamma_a^2 = 0,
+Gamma_a Gamma_b = Gamma_b Gamma_a for b not in {a, a'} (that is,
+gamma^a gamma^b = -q_{ba} gamma^b gamma^a), gamma^a gamma^{a'},
+gamma^{a'} gamma^a and gamma^{n+1} diagonal, and P_a^3 = 0; a failure
+raises instead of answering.  ``charge_from_curvature`` keeps the dense
+product of matrices as the independent second computation.
 """
 
 from __future__ import annotations
@@ -126,6 +145,13 @@ def _element_ctx(*matrices) -> DeformationContext | None:
     return ctx
 
 
+# Largest half-dimension n that GammaRep builds.  Its 2n+1 matrices are
+# dense 2^n x 2^n lists, so each step in n costs about four times the time
+# and memory: charge(8) peaks near 115 MB and charge(9) near 400 MB, and
+# n = 10 would ask for about 1.6 GB.
+MAX_HALF_DIM = 9
+
+
 def _kron(a: Matrix, b: Matrix, mul) -> Matrix:
     na, nb = a.size, b.size
     out = [[None] * (na * nb) for _ in range(na * nb)]
@@ -154,6 +180,10 @@ class GammaRep:
     def __init__(self, n: int, ctx: DeformationContext | None = None):
         if n < 1:
             raise ValueError("the half-dimension must be at least 1")
+        if n > MAX_HALF_DIM:
+            raise ValueError(
+                f"half-dimension n = {n} exceeds the limit {MAX_HALF_DIM}: "
+                f"the Clifford matrices are dense 2^n x 2^n")
         self.n = n
         self.ctx = ctx if ctx is not None else DeformationContext(2 * n + 1)
         if self.ctx.dim != 2 * n + 1:
@@ -277,14 +307,129 @@ def character_tau(funcs) -> ExactScalar:
     return integrate_form(om) * norm
 
 
+def _gamma_blocks(rep: GammaRep) -> dict:
+    """The blocks Gamma_a = gamma^a (x) dx^{a'} of 2 de, as sparse matrices
+    {row: {col: terms}} holding only the nonzero entries."""
+    ctx = rep.ctx
+    zero = (0,) * ctx.dim
+    blocks = {}
+    for a in range(1, ctx.dim + 1):
+        key = (zero, (ctx.primed(a),))
+        rows = {}
+        for r, row in enumerate(rep.gamma(a).rows):
+            entries = {c: {key: s} for c, s in enumerate(row) if s}
+            if entries:
+                rows[r] = entries
+        blocks[a] = rows
+    return blocks
+
+
+def _sparse_mul(ctx: DeformationContext, m1: dict, m2: dict) -> dict:
+    """Product of two sparse matrices of forms (see ``_gamma_blocks``)."""
+    out = {}
+    for r, row in m1.items():
+        accs: dict = {}
+        for k, t1 in row.items():
+            for c, t2 in m2.get(k, {}).items():
+                _mul_into(accs.setdefault(c, {}), ctx, t1, t2)
+        entries = {}
+        for c, acc in accs.items():
+            terms = _finish(ctx, acc).terms
+            if terms:
+                entries[c] = terms
+        if entries:
+            out[r] = entries
+    return out
+
+
+def _sparse_add(ctx: DeformationContext, m1: dict, m2: dict) -> dict:
+    accs: dict = {}
+    for m in (m1, m2):
+        for r, row in m.items():
+            for c, terms in row.items():
+                _add_into(accs.setdefault((r, c), {}), terms)
+    out: dict = {}
+    for (r, c), acc in accs.items():
+        terms = _finish(ctx, acc).terms
+        if terms:
+            out.setdefault(r, {})[c] = terms
+    return out
+
+
+def _diagonal(m: dict, size: int, what: str) -> list:
+    """The diagonal of a sparse matrix as a list of terms; raise unless every
+    other entry is zero."""
+    if any(c != r for r, row in m.items() for c in row):
+        raise ValueError(f"block lemma fails: {what} is not diagonal")
+    return [m.get(r, {}).get(r, {}) for r in range(size)]
+
+
+def _diag_mul(ctx: DeformationContext, u: list, v: list) -> list:
+    out = []
+    for t1, t2 in zip(u, v):
+        acc: dict = {}
+        _mul_into(acc, ctx, t1, t2)
+        out.append(_finish(ctx, acc).terms)
+    return out
+
+
+def _expansion_trace(rep: GammaRep, e: Matrix) -> Element:
+    """Tr[e (de)^{2n}] through the commuting-block expansion (module
+    docstring), after checking the lemma behind it on the gamma blocks."""
+    ctx, n = rep.ctx, rep.n
+    size = 2 ** n
+    gam = _gamma_blocks(rep)
+    for a in range(1, ctx.dim + 1):
+        if _sparse_mul(ctx, gam[a], gam[a]):
+            raise ValueError(f"block lemma fails: Gamma_{a}^2 != 0")
+        for b in range(a + 1, ctx.dim + 1):
+            if b != ctx.primed(a) and (_sparse_mul(ctx, gam[a], gam[b])
+                                       != _sparse_mul(ctx, gam[b], gam[a])):
+                raise ValueError(
+                    f"block lemma fails: Gamma_{a}, Gamma_{b} do not commute")
+    blocks, squares = [], []
+    for a in range(1, n + 1):
+        ap = ctx.primed(a)
+        _diagonal(_sparse_mul(ctx, gam[a], gam[ap]), size,
+                  f"gamma^{a} gamma^{ap}")
+        _diagonal(_sparse_mul(ctx, gam[ap], gam[a]), size,
+                  f"gamma^{ap} gamma^{a}")
+        p = _sparse_add(ctx, gam[a], gam[ap])
+        p2 = _sparse_mul(ctx, p, p)
+        if _sparse_mul(ctx, p2, p):
+            raise ValueError(f"block lemma fails: P_{a}^3 != 0")
+        blocks.append(p)
+        squares.append(_diagonal(p2, size, f"P_{a}^2"))
+    # for the block P_j: before = Gamma_{n+1} P_1^2 ... P_{j-1}^2 and
+    # after[j-1] = P_{j+1}^2 ... P_n^2
+    after = [[{((0,) * ctx.dim, ()): ctx.scalar_one()}] * size]
+    for sq in reversed(squares[1:]):
+        after.append(_diag_mul(ctx, sq, after[-1]))
+    after.reverse()
+    before = _diagonal(gam[n + 1], size, f"gamma^{n + 1}")
+    rows = e.rows
+    top: dict = {}    # Tr[e prod_a P_a^2]
+    for r, t in enumerate(_diag_mul(ctx, squares[0], after[0])):
+        _mul_into(top, ctx, rows[r][r].terms, t)
+    mixed: dict = {}  # sum_j Tr[e P_j Gamma_{n+1} prod_{a != j} P_a^2]
+    for p, sq, tail in zip(blocks, squares, after):
+        diag = _diag_mul(ctx, before, tail)
+        for c, row in p.items():
+            for r, t in row.items():
+                entry: dict = {}  # (P_j diag)[c][r]
+                _mul_into(entry, ctx, t, diag[r])
+                _mul_into(mixed, ctx, rows[r][c].terms,
+                          _finish(ctx, entry).terms)
+        before = _diag_mul(ctx, before, sq)
+    total = _finish(ctx, top) + _finish(ctx, mixed).scale(2)
+    return total.scale(Fraction(factorial(2 * n), 2 ** (3 * n)))
+
+
 def charge_integral(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
-    """The symbolic integral of Tr[e (de)^{2n}]."""
+    """The symbolic integral of Tr[e (de)^{2n}], through the commuting-block
+    expansion of (de)^{2n} (see the module docstring)."""
     rep, e = instanton_projector(n, ctx)
-    de = e.map(lambda f: f.d())
-    m = de * de
-    for _ in range(n - 1):
-        m = m * de * de
-    return integrate_form((e * m).trace())
+    return integrate_form(_expansion_trace(rep, e))
 
 
 def charge(n: int, ctx: DeformationContext | None = None) -> ExactScalar:

@@ -89,12 +89,16 @@ def _i_on_basis(ctx: DeformationContext, k: int, t: tuple):
 
 def antisym_w(ctx: DeformationContext, upper, lower) -> ExactScalar:
     """Entry W^{upper}_{lower} of the quantum antisymmetrizer (recursion)."""
-    upper, lower = tuple(upper), tuple(lower)
+    if type(upper) is not tuple:
+        upper = tuple(upper)
+    if type(lower) is not tuple:
+        lower = tuple(lower)
     if len(upper) != len(lower):
         raise ValueError("antisymmetrizer entry needs equal index counts")
     if not upper:
         return ctx.scalar_one()
-    _check_indices(ctx, upper + lower)
+    if not ctx._indices.issuperset(upper + lower):
+        _check_indices(ctx, upper + lower)  # raises: an index lies outside 1..D
     got = _w_on_basis(ctx, len(lower), lower).get(upper)
     return got if got is not None else ctx.scalar_zero()
 

@@ -7,10 +7,11 @@ from itertools import product
 
 import pytest
 
+from chern_reference import dense_charge_integral, dense_trace
 from helpers import random_monomial
-from twistcalc import DeformationContext, Element
-from twistcalc.chern import (Matrix, character_tau, charge,
-                             charge_from_curvature, charge_integral,
+from twistcalc import DeformationContext, Element, chern
+from twistcalc.chern import (MAX_HALF_DIM, GammaRep, Matrix, character_tau,
+                             charge, charge_from_curvature, charge_integral,
                              clifford_trace, curvature, gamma_rep,
                              instanton_projector, is_projector)
 from twistcalc.sphere import integrate_form, reduce_mod_c, sphere_equal
@@ -211,17 +212,71 @@ def test_character_arity_guard():
 
 
 def test_charge_integral_values():
-    for n in (1, 2):
+    for n in range(1, 7):
         ctx = DeformationContext(2 * n + 1)
         want = ctx.i_power(n).scale(
             Fraction(math.factorial(2 * n), 2 ** (n + 1)))
-        assert charge_integral(n) == want
+        assert charge_integral(n) == want, n
 
 
 def test_charge_is_one():
-    for n in (1, 2):
+    for n in range(1, 7):
         ctx = DeformationContext(2 * n + 1)
-        assert charge(n) == ctx.scalar_one()
+        assert charge(n) == ctx.scalar_one(), n
+
+
+@pytest.mark.parametrize("commutative", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_block_expansion_matches_dense_products(n, commutative):
+    # n = 3 and 4 carry three and six symbolic phases
+    ctx = DeformationContext(2 * n + 1, commutative=commutative)
+    rep, e = instanton_projector(n, ctx)
+    assert chern._expansion_trace(rep, e) == dense_trace(n, ctx)
+    assert charge_integral(n, ctx) == dense_charge_integral(n, ctx)
+
+
+class _OnePhaseFlipped(GammaRep):
+    """gamma^2 with q -> 1/q in its first entry that carries a phase."""
+
+    def __init__(self, n, ctx=None):
+        super().__init__(n, ctx)
+        g = self.matrices[2]
+        r, c = next((r, c) for r, row in enumerate(g.rows)
+                    for c, s in enumerate(row) if s and any(map(any, s.terms)))
+        g.rows[r][c] = g.rows[r][c].invert_phases()
+        self.matrices[self.ctx.primed(2)] = g.dagger()
+
+
+def test_broken_block_lemma_raises(monkeypatch):
+    monkeypatch.setattr(chern, "GammaRep", _OnePhaseFlipped)
+    with pytest.raises(ValueError, match="block lemma fails"):
+        charge_integral(2)
+
+
+def test_charge_integral_makes_no_dense_product(monkeypatch):
+    products = []
+    mul = Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix):
+            products.append(self.size)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    for n in (1, 2, 3, 4):
+        charge_integral(n)
+    assert products == []
+    dense_trace(2)  # the counter does see the reference's products
+    assert products
+
+
+def test_half_dimension_is_bounded():
+    for n in (MAX_HALF_DIM + 1, 40):
+        with pytest.raises(ValueError,
+                           match=f"n = {n} exceeds the limit {MAX_HALF_DIM}"):
+            GammaRep(n)
+    with pytest.raises(ValueError, match="n = 40 exceeds the limit"):
+        charge(40)
 
 
 def test_charge_is_one_with_three_parameters():

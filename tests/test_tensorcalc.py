@@ -85,6 +85,19 @@ def test_antisymmetrizer_examples():
             assert antisym_w(ctx, full, j) == epsilon_qinv(ctx, j)
 
 
+def test_antisymmetrizer_argument_checks():
+    # lists and tuples give the same entry and the same errors
+    ctx = DeformationContext(4)
+    for kind in (tuple, list):
+        assert antisym_w(ctx, kind((1, 2)), kind((2, 1))) == \
+            -ctx.q_power(1, 2)
+        with pytest.raises(ValueError):
+            antisym_w(ctx, kind((1, 2)), kind((1,)))
+        for up, lo in (((0, 2), (2, 1)), ((1, 2), (2, 5)), ((1,), (-1,))):
+            with pytest.raises(IndexError):
+                antisym_w(ctx, kind(up), kind(lo))
+
+
 def test_antisymmetrizer_recursion_equals_bruteforce():
     rng = random.Random(4)
     ctx = DeformationContext(5)
