@@ -10,7 +10,7 @@ torus-representation model.
 
 from .chern import (GammaRep, Matrix, character_tau, charge,
                     charge_from_curvature, charge_integral, clifford_trace,
-                    curvature, gamma_rep, instanton_projector)
+                    curvature, instanton_projector)
 from .exprio import ExprSyntaxError, format_element, format_scalar, parse_expr
 from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
 from .ncalg import Element, normal_order
@@ -34,7 +34,7 @@ __all__ = [
     "SphereForm", "central_quadric", "reduce_mod_c", "omega_form",
     "volume_form", "top_decompose", "integrate_form", "sphere_equal",
     "in_quotient_ideal", "pairing_sphere", "hodge_sphere",
-    "GammaRep", "Matrix", "gamma_rep", "clifford_trace",
+    "GammaRep", "Matrix", "clifford_trace",
     "instanton_projector", "curvature", "character_tau", "charge",
     "charge_integral", "charge_from_curvature",
     "TorusRep", "check_element", "check_sphere_class", "check_scalar",

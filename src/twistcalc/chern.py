@@ -9,7 +9,12 @@ the instanton projector.  Its top character pairing
 
 is computed fully symbolically and equals 1.
 
-``charge_integral`` never multiplies dense matrices.  Write 2 de as the sum
+Every matrix is a sparse ``Matrix``: it stores only its nonzero entries.
+Each gamma^i is written down entry by entry from its closed form (see
+``GammaRep``), with 2^{n-1} entries (2^n for the chirality gamma^{n+1}), and
+e stores (n+1) 2^n entries, so memory grows like n 2^n.
+
+``charge_integral`` multiplies no dense matrices.  Write 2 de as the sum
 of the blocks Gamma_a = gamma^a (x) dx^{a'} and group them as
 P_a = Gamma_a + Gamma_{a'} (a <= n) and Gamma_{n+1}.  These n+1 blocks
 commute pairwise, P_a^3 = 0 and Gamma_{n+1}^2 = 0, so the multinomial
@@ -25,13 +30,14 @@ expansion is checked exactly on the sparse gamma blocks: Gamma_a^2 = 0,
 Gamma_a Gamma_b = Gamma_b Gamma_a for b not in {a, a'} (that is,
 gamma^a gamma^b = -q_{ba} gamma^b gamma^a), gamma^a gamma^{a'},
 gamma^{a'} gamma^a and gamma^{n+1} diagonal, and P_a^3 = 0; a failure
-raises instead of answering.  ``charge_from_curvature`` keeps the dense
-product of matrices as the independent second computation.
+raises instead of answering.  ``charge_from_curvature`` keeps the product
+of the full matrices e, de and F as the independent second computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .ncalg import Element, _add_into, _finish, _mul_into
@@ -39,128 +45,120 @@ from .qphase import DeformationContext, ExactScalar
 from .sphere import integrate_form, reduce_mod_c
 
 __all__ = [
-    "Matrix", "GammaRep", "gamma_rep", "clifford_trace",
+    "Matrix", "GammaRep", "clifford_trace",
     "instanton_projector", "curvature", "character_tau",
     "charge_integral", "charge",
 ]
 
 
 class Matrix:
-    """Dense square matrix over any ring with +, -, * (scalars or forms)."""
+    """Sparse square matrix over any ring with +, -, * (scalars or forms).
 
-    __slots__ = ("rows",)
+    ``rows`` maps a row to {column: entry} and holds only the nonzero
+    entries; every other entry is ``zero``, the zero of the ring.
+    """
 
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
+    __slots__ = ("size", "zero", "rows")
 
-    @property
-    def size(self):
-        return len(self.rows)
+    def __init__(self, size: int, zero, rows=None):
+        self.size, self.zero = size, zero
+        self.rows = {}
+        for r, row in (rows or {}).items():
+            kept = {c: x for c, x in row.items() if x}
+            if kept:
+                self.rows[r] = kept
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+    def __getitem__(self, rc):
+        r, c = rc
+        return self.rows.get(r, {}).get(c, self.zero)
+
+    def __bool__(self):
+        return bool(self.rows)
 
     def __add__(self, other):
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        rows = {r: dict(row) for r, row in self.rows.items()}
+        for r, row in other.rows.items():
+            out = rows.setdefault(r, {})
+            for c, x in row.items():
+                out[c] = out[c] + x if c in out else x
+        return Matrix(self.size, self.zero, rows)
 
     def __sub__(self, other):
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return self + other.map(lambda x: -x)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            n = self.size
-            ctx = _element_ctx(self, other)
-            if ctx is not None:
-                # each entry is one sum of products: one accumulator for it
-                out = []
-                for ra in self.rows:
-                    row = []
-                    for j in range(n):
-                        acc: dict = {}
-                        for x, rb in zip(ra, other.rows):
-                            _mul_into(acc, ctx, x.terms, rb[j].terms)
-                        row.append(_finish(ctx, acc))
-                    out.append(row)
-                return Matrix(out)
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.rows[i][0] * other.rows[0][j]
-                    for l in range(1, n):
-                        acc = acc + self.rows[i][l] * other.rows[l][j]
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
-        return Matrix([[a * other for a in r] for r in self.rows])
-
-    def scale(self, s):
-        return Matrix([[a.scale(s) for a in r] for r in self.rows])
+        ctx = _element_ctx(self, other)
+        rows = {}
+        for r, row in self.rows.items():
+            accs: dict = {}
+            for k, x in row.items():
+                for c, y in other.rows.get(k, {}).items():
+                    if ctx is not None:
+                        # each entry is one sum of products: one accumulator
+                        _mul_into(accs.setdefault(c, {}), ctx, x.terms,
+                                  y.terms)
+                    else:
+                        accs[c] = accs[c] + x * y if c in accs else x * y
+            rows[r] = (accs if ctx is None else
+                       {c: _finish(ctx, acc) for c, acc in accs.items()})
+        return Matrix(self.size, self.zero, rows)
 
     def map(self, fn):
-        return Matrix([[fn(a) for a in r] for r in self.rows])
+        """Apply ``fn`` to every stored entry.  ``fn`` must send zero to zero
+        (d, star, reduce_mod_c and scaling do); fn(zero) is the new zero."""
+        return Matrix(self.size, fn(self.zero),
+                      {r: {c: fn(x) for c, x in row.items()}
+                       for r, row in self.rows.items()})
 
     def trace(self):
+        diag = [row[r] for r, row in self.rows.items() if r in row]
         ctx = _element_ctx(self)
         if ctx is not None:
             acc: dict = {}
-            for i, row in enumerate(self.rows):
-                _add_into(acc, row[i].terms)
+            for x in diag:
+                _add_into(acc, x.terms)
             return _finish(ctx, acc)
-        acc = self.rows[0][0]
-        for i in range(1, self.size):
-            acc = acc + self.rows[i][i]
+        acc = self.zero
+        for x in diag:
+            acc = acc + x
         return acc
 
     def dagger(self):
         """Conjugate transpose (entries must provide .conj())."""
-        n = self.size
-        return Matrix([[self.rows[j][i].conj() for j in range(n)]
-                       for i in range(n)])
+        rows: dict = {}
+        for r, row in self.rows.items():
+            for c, x in row.items():
+                rows.setdefault(c, {})[r] = x.conj()
+        return Matrix(self.size, self.zero, rows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and self.size == other.size
+                and self.rows == other.rows)
 
     def __repr__(self):
-        return f"Matrix({self.rows!r})"
+        return f"Matrix({self.size}, {self.rows!r})"
 
 
 def _element_ctx(*matrices) -> DeformationContext | None:
     """The common context when every entry is an ``Element``, else None."""
     ctx = None
     for m in matrices:
-        for row in m.rows:
-            for x in row:
-                if type(x) is not Element:
-                    return None
-                if ctx is None:
-                    ctx = x.ctx
-                elif x.ctx is not ctx and x.ctx != ctx:
-                    raise ValueError("elements live over different contexts")
+        for x in chain((m.zero,), *(row.values() for row in m.rows.values())):
+            if type(x) is not Element:
+                return None
+            if ctx is None:
+                ctx = x.ctx
+            elif x.ctx is not ctx and x.ctx != ctx:
+                raise ValueError("elements live over different contexts")
     return ctx
 
 
-# Largest half-dimension n that GammaRep builds.  Its 2n+1 matrices are
-# dense 2^n x 2^n lists, so each step in n costs about four times the time
-# and memory: charge(8) peaks near 115 MB and charge(9) near 400 MB, and
-# n = 10 would ask for about 1.6 GB.
-MAX_HALF_DIM = 9
-
-
-def _kron(a: Matrix, b: Matrix, mul) -> Matrix:
-    na, nb = a.size, b.size
-    out = [[None] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = mul(a.rows[i][j], b.rows[k][l])
-    return Matrix(out)
+# Largest half-dimension n that GammaRep builds.  The matrices store O(n 2^n)
+# entries, but checking the block lemma takes O(n^2) sparse products, so each
+# step in n costs about 2.5 times the time and 2 times the memory: on a 2-vCPU
+# guest (Python 3.11) `twistcalc charge --n 12` takes about 23 s and 306 MB,
+# and n = 13 about 62 s and 664 MB.
+MAX_HALF_DIM = 12
 
 
 class GammaRep:
@@ -172,7 +170,11 @@ class GammaRep:
                          x lower_shift x 1 x ... x 1,
 
     gamma^{i'} is the conjugate transpose of gamma^i and gamma^{n+1} is the
-    diagonal chirality matrix.
+    diagonal chirality matrix.  Each is written down entry by entry: number
+    the basis of (C^2)^{x n} in binary, bit j (weight 2^{n-j}) for the j-th
+    factor.  gamma^i sends each column with bit i clear to the row with bit
+    i set, with entry sqrt2 * prod_{j<i} (-q_{ij} if bit j is clear, else
+    1), and gamma^{n+1} = diag((-1)^{number of set bits}).
     """
 
     __slots__ = ("n", "ctx", "matrices")
@@ -183,30 +185,28 @@ class GammaRep:
         if n > MAX_HALF_DIM:
             raise ValueError(
                 f"half-dimension n = {n} exceeds the limit {MAX_HALF_DIM}: "
-                f"the Clifford matrices are dense 2^n x 2^n")
+                f"beyond it the instanton charge takes over a minute")
         self.n = n
         self.ctx = ctx if ctx is not None else DeformationContext(2 * n + 1)
         if self.ctx.dim != 2 * n + 1:
             raise ValueError("context dimension must be 2n+1")
         self.matrices = {}
+        size = 2 ** n
         zero, one = self.ctx.scalar_zero(), self.ctx.scalar_one()
-        lower = Matrix([[zero, zero], [one, zero]])
-        ident = Matrix([[one, zero], [zero, one]])
-        chir = Matrix([[one, zero], [zero, -one]])
-        mul = lambda a, b: a * b
         for i in range(1, n + 1):
-            factors = [Matrix([[-self.ctx.q_power(i, j), zero], [zero, one]])
-                       for j in range(1, i)]
-            factors.append(lower)
-            factors.extend([ident] * (n - i))
-            m = factors[0]
-            for f in factors[1:]:
-                m = _kron(m, f, mul)
-            self.matrices[i] = m * self.ctx.sqrt2()
-        chi = chir
-        for _ in range(n - 1):
-            chi = _kron(chi, chir, mul)
-        self.matrices[n + 1] = chi
+            # the entry for each value of the bits 1..i-1, bit 1 highest
+            entries = [self.ctx.sqrt2()]
+            for j in range(1, i):
+                mq = -self.ctx.q_power(i, j)
+                entries = [s for e in entries for s in (e * mq, e)]
+            low = n - i  # bit i has weight 2^low
+            bit = 1 << low
+            self.matrices[i] = Matrix(size, zero, {
+                col | bit: {col: entries[col >> (low + 1)]}
+                for col in range(size) if not col & bit})
+        self.matrices[n + 1] = Matrix(size, zero, {
+            r: {r: -one if bin(r).count("1") % 2 else one}
+            for r in range(size)})
         for i in range(1, n + 1):
             self.matrices[self.ctx.primed(i)] = self.matrices[i].dagger()
 
@@ -220,14 +220,8 @@ class GammaRep:
         gi, gj = self.matrices[i], self.matrices[j]
         lhs = gi * gj + (gj * gi).map(lambda s: s * ctx.q_power(j, i))
         gij = ctx.scalar(2 * ctx.metric(i, j))
-        n = lhs.size
-        diag = Matrix([[gij if a == b else ctx.scalar_zero()
-                        for b in range(n)] for a in range(n)])
-        return lhs - diag
-
-
-def gamma_rep(n: int) -> GammaRep:
-    return GammaRep(n)
+        return lhs - Matrix(lhs.size, lhs.zero,
+                            {a: {a: gij} for a in range(lhs.size)})
 
 
 def clifford_trace(rep: GammaRep, indices) -> ExactScalar:
@@ -247,25 +241,24 @@ def clifford_trace(rep: GammaRep, indices) -> ExactScalar:
 def instanton_projector(n: int, ctx: DeformationContext | None = None):
     """The hermitian idempotent e = (1 + gamma^i x^{i'})/2 over the sphere.
 
-    Returns ``(rep, e)`` with e a matrix of degree-0 ambient elements.
+    Returns ``(rep, e)`` with e a matrix of degree-0 ambient elements: 1/2
+    on the diagonal plus x^{i'}/2 times each nonzero gamma^i entry, so e
+    stores (n+1) 2^n entries.
     """
     rep = GammaRep(n, ctx)
     ctx = rep.ctx
-    dim = ctx.dim
     size = 2 ** n
-    entries = [[Element.zero(ctx) for _ in range(size)] for _ in range(size)]
-    for i in range(1, dim + 1):
-        xi = Element.x(ctx, ctx.primed(i))
-        g = rep.gamma(i)
-        for a in range(size):
-            for b in range(size):
-                s = g.rows[a][b]
-                if s:
-                    entries[a][b] = entries[a][b] + xi.scale(s)
-    for a in range(size):
-        entries[a][a] = entries[a][a] + Element.one(ctx)
-    e = Matrix(entries).scale(Fraction(1, 2))
-    return rep, e
+    half = Fraction(1, 2)
+    h = Element.one(ctx).scale(half)
+    rows = {r: {r: h} for r in range(size)}
+    for i in range(1, ctx.dim + 1):
+        xi = Element.x(ctx, ctx.primed(i)).scale(half)
+        for r, row in rep.gamma(i).rows.items():
+            out = rows[r]
+            for c, s in row.items():
+                t = xi.scale(s)
+                out[c] = out[c] + t if c in out else t
+    return rep, Matrix(size, Element.zero(ctx), rows)
 
 
 def projector_defect(e: Matrix) -> Matrix:
@@ -274,8 +267,7 @@ def projector_defect(e: Matrix) -> Matrix:
 
 
 def is_projector(e: Matrix) -> bool:
-    defect = projector_defect(e)
-    return all(x.is_zero() for row in defect.rows for x in row)
+    return not projector_defect(e)
 
 
 def curvature(e: Matrix) -> Matrix:
@@ -307,61 +299,12 @@ def character_tau(funcs) -> ExactScalar:
     return integrate_form(om) * norm
 
 
-def _gamma_blocks(rep: GammaRep) -> dict:
-    """The blocks Gamma_a = gamma^a (x) dx^{a'} of 2 de, as sparse matrices
-    {row: {col: terms}} holding only the nonzero entries."""
-    ctx = rep.ctx
-    zero = (0,) * ctx.dim
-    blocks = {}
-    for a in range(1, ctx.dim + 1):
-        key = (zero, (ctx.primed(a),))
-        rows = {}
-        for r, row in enumerate(rep.gamma(a).rows):
-            entries = {c: {key: s} for c, s in enumerate(row) if s}
-            if entries:
-                rows[r] = entries
-        blocks[a] = rows
-    return blocks
-
-
-def _sparse_mul(ctx: DeformationContext, m1: dict, m2: dict) -> dict:
-    """Product of two sparse matrices of forms (see ``_gamma_blocks``)."""
-    out = {}
-    for r, row in m1.items():
-        accs: dict = {}
-        for k, t1 in row.items():
-            for c, t2 in m2.get(k, {}).items():
-                _mul_into(accs.setdefault(c, {}), ctx, t1, t2)
-        entries = {}
-        for c, acc in accs.items():
-            terms = _finish(ctx, acc).terms
-            if terms:
-                entries[c] = terms
-        if entries:
-            out[r] = entries
-    return out
-
-
-def _sparse_add(ctx: DeformationContext, m1: dict, m2: dict) -> dict:
-    accs: dict = {}
-    for m in (m1, m2):
-        for r, row in m.items():
-            for c, terms in row.items():
-                _add_into(accs.setdefault((r, c), {}), terms)
-    out: dict = {}
-    for (r, c), acc in accs.items():
-        terms = _finish(ctx, acc).terms
-        if terms:
-            out.setdefault(r, {})[c] = terms
-    return out
-
-
-def _diagonal(m: dict, size: int, what: str) -> list:
-    """The diagonal of a sparse matrix as a list of terms; raise unless every
-    other entry is zero."""
-    if any(c != r for r, row in m.items() for c in row):
+def _diagonal(m: Matrix, what: str) -> list:
+    """The diagonal of m as a list of terms; raise unless every other entry
+    is zero."""
+    if any(c != r for r, row in m.rows.items() for c in row):
         raise ValueError(f"block lemma fails: {what} is not diagonal")
-    return [m.get(r, {}).get(r, {}) for r in range(size)]
+    return [m[r, r].terms for r in range(m.size)]
 
 
 def _diag_mul(ctx: DeformationContext, u: list, v: list) -> list:
@@ -378,47 +321,45 @@ def _expansion_trace(rep: GammaRep, e: Matrix) -> Element:
     docstring), after checking the lemma behind it on the gamma blocks."""
     ctx, n = rep.ctx, rep.n
     size = 2 ** n
-    gam = _gamma_blocks(rep)
+    # the blocks Gamma_a = gamma^a (x) dx^{a'} of 2 de
+    gam = {a: rep.gamma(a).map(Element.dx(ctx, ctx.primed(a)).scale)
+           for a in range(1, ctx.dim + 1)}
     for a in range(1, ctx.dim + 1):
-        if _sparse_mul(ctx, gam[a], gam[a]):
+        if gam[a] * gam[a]:
             raise ValueError(f"block lemma fails: Gamma_{a}^2 != 0")
         for b in range(a + 1, ctx.dim + 1):
-            if b != ctx.primed(a) and (_sparse_mul(ctx, gam[a], gam[b])
-                                       != _sparse_mul(ctx, gam[b], gam[a])):
+            if b != ctx.primed(a) and gam[a] * gam[b] != gam[b] * gam[a]:
                 raise ValueError(
                     f"block lemma fails: Gamma_{a}, Gamma_{b} do not commute")
     blocks, squares = [], []
     for a in range(1, n + 1):
         ap = ctx.primed(a)
-        _diagonal(_sparse_mul(ctx, gam[a], gam[ap]), size,
-                  f"gamma^{a} gamma^{ap}")
-        _diagonal(_sparse_mul(ctx, gam[ap], gam[a]), size,
-                  f"gamma^{ap} gamma^{a}")
-        p = _sparse_add(ctx, gam[a], gam[ap])
-        p2 = _sparse_mul(ctx, p, p)
-        if _sparse_mul(ctx, p2, p):
+        _diagonal(gam[a] * gam[ap], f"gamma^{a} gamma^{ap}")
+        _diagonal(gam[ap] * gam[a], f"gamma^{ap} gamma^{a}")
+        p = gam[a] + gam[ap]
+        p2 = p * p
+        if p2 * p:
             raise ValueError(f"block lemma fails: P_{a}^3 != 0")
         blocks.append(p)
-        squares.append(_diagonal(p2, size, f"P_{a}^2"))
+        squares.append(_diagonal(p2, f"P_{a}^2"))
     # for the block P_j: before = Gamma_{n+1} P_1^2 ... P_{j-1}^2 and
     # after[j-1] = P_{j+1}^2 ... P_n^2
     after = [[{((0,) * ctx.dim, ()): ctx.scalar_one()}] * size]
     for sq in reversed(squares[1:]):
         after.append(_diag_mul(ctx, sq, after[-1]))
     after.reverse()
-    before = _diagonal(gam[n + 1], size, f"gamma^{n + 1}")
-    rows = e.rows
+    before = _diagonal(gam[n + 1], f"gamma^{n + 1}")
     top: dict = {}    # Tr[e prod_a P_a^2]
     for r, t in enumerate(_diag_mul(ctx, squares[0], after[0])):
-        _mul_into(top, ctx, rows[r][r].terms, t)
+        _mul_into(top, ctx, e[r, r].terms, t)
     mixed: dict = {}  # sum_j Tr[e P_j Gamma_{n+1} prod_{a != j} P_a^2]
     for p, sq, tail in zip(blocks, squares, after):
         diag = _diag_mul(ctx, before, tail)
-        for c, row in p.items():
-            for r, t in row.items():
+        for c, row in p.rows.items():
+            for r, x in row.items():
                 entry: dict = {}  # (P_j diag)[c][r]
-                _mul_into(entry, ctx, t, diag[r])
-                _mul_into(mixed, ctx, rows[r][c].terms,
+                _mul_into(entry, ctx, x.terms, diag[r])
+                _mul_into(mixed, ctx, e[r, c].terms,
                           _finish(ctx, entry).terms)
         before = _diag_mul(ctx, before, sq)
     total = _finish(ctx, top) + _finish(ctx, mixed).scale(2)

@@ -451,20 +451,20 @@ def _suite_hodge(r: _Runner, dim: int, rng: random.Random, moduli):
 def _suite_chern(r: _Runner, dim: int, rng: random.Random, moduli, n=2):
     n_values = (1, 2) if n is None or n <= 2 else tuple(range(1, n + 1))
     for m in n_values:
-        r.check(identities.clifford_relations(chern.gamma_rep(m)))
-    r.check(identities.clifford_traces(chern.gamma_rep(1)))
-    r.check(identities.clifford_traces(chern.gamma_rep(2), [
+        r.check(identities.clifford_relations(chern.GammaRep(m)))
+    r.check(identities.clifford_traces(chern.GammaRep(1)))
+    r.check(identities.clifford_traces(chern.GammaRep(2), [
         tuple(rng.randint(1, 5) for _ in range(5)) for _ in range(100)]))
     for m in (1, 2):
         repm, e = chern.instanton_projector(m)
         r.case(f"n={m}: projector idempotent", chern.is_projector(e))
         size = 2 ** m
-        herm = all(e.rows[a][b].star() == e.rows[b][a]
+        herm = all(e[a, b].star() == e[b, a]
                    for a in range(size) for b in range(size))
         r.case(f"n={m}: projector hermitian", herm)
     rep, e = chern.instanton_projector(1)
     F = chern.curvature(e)
-    anti = all(sphere.sphere_equal(F.rows[a][b].star(), -F.rows[b][a])
+    anti = all(sphere.sphere_equal(F[a, b].star(), -F[b, a])
                for a in range(2) for b in range(2))
     r.case("n=1: curvature antihermitian", anti)
     for m in n_values:

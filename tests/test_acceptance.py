@@ -21,8 +21,8 @@ from helpers import (basis_form, classical_gram_pairing,
                      random_index_pair, random_monomial)
 from twistcalc import DeformationContext, Element
 from twistcalc import identities as ids
-from twistcalc.chern import (charge, charge_from_curvature, charge_integral,
-                             gamma_rep)
+from twistcalc.chern import (GammaRep, charge, charge_from_curvature,
+                             charge_integral)
 from twistcalc.haar import haar_plane
 from twistcalc.oracle import BatchChecker
 from twistcalc.tensorcalc import hodge_plane, pairing_plane, volume_element
@@ -78,10 +78,10 @@ def _catalogue() -> dict:
         random_index_pair(rng8, 5, k) for k in (1, 2, 3, 4)
         for _ in range(10 if k < 4 else 4)])
     for n in (1, 2, 3):
-        cat["c9"] += ids.clifford_relations(gamma_rep(n))
-    cat["c9"] += ids.clifford_traces(gamma_rep(1))
+        cat["c9"] += ids.clifford_relations(GammaRep(n))
+    cat["c9"] += ids.clifford_traces(GammaRep(1))
     rng9 = random.Random(90)
-    cat["c9"] += ids.clifford_traces(gamma_rep(2), [
+    cat["c9"] += ids.clifford_traces(GammaRep(2), [
         tuple(rng9.randint(1, 5) for _ in range(5)) for _ in range(500)])
     return cat
 

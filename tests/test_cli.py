@@ -26,10 +26,10 @@ def test_charge_command(capsys):
     payload = json.loads(out)
     assert payload["exact"] == "1"
     assert payload["is_one"] is True
-    # an order past the dense Clifford matrices' limit is refused up front
+    # an order past the half-dimension limit is refused up front
     code, out, err = run_cli(capsys, "charge", "--n", "40")
     assert (code, out) == (2, "")
-    assert "n = 40 exceeds the limit 9" in err
+    assert "n = 40 exceeds the limit 12" in err
 
 
 def test_haar_command(capsys):

@@ -215,15 +215,22 @@ def test_matrix_product_and_trace_match_reference():
                 for _ in range(size)]
         cols = [[_random_element(ctx, rng) for _ in range(size)]
                 for _ in range(size)]
-        got = Matrix(rows) * Matrix(cols)
-        assert got.rows == ref.matrix_mul(rows, cols)
+        got = _matrix(ctx, rows) * _matrix(ctx, cols)
+        assert [[got[a, b] for b in range(size)] for a in range(size)] == \
+            ref.matrix_mul(rows, cols)
         want = rows[0][0]
         for i in range(1, size):
             want = want + rows[i][i]
-        assert Matrix(rows).trace() == want
-        for row in got.rows:
-            for el in row:
+        assert _matrix(ctx, rows).trace() == want
+        for row in got.rows.values():
+            for el in row.values():
                 _assert_canonical(el)
+
+
+def _matrix(ctx, rows):
+    """The Matrix with the given rows (lists of Elements)."""
+    return Matrix(len(rows), Element.zero(ctx),
+                  {r: dict(enumerate(row)) for r, row in enumerate(rows)})
 
 
 def _random_element(ctx, rng):
@@ -262,7 +269,8 @@ def test_products_over_equal_contexts_built_apart():
     with pytest.raises(ValueError):
         a + mixed
     with pytest.raises(ValueError):
-        Matrix([[a]]) * Matrix([[mixed]])
+        Matrix(1, Element.zero(c1), {0: {0: a}}) * \
+            Matrix(1, Element.zero(mixed.ctx), {0: {0: mixed}})
     with pytest.raises(ValueError):
         Element.x(DeformationContext(5, commutative=True), 1) * a
 
