@@ -16,7 +16,7 @@ from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
 from .ncalg import Element, normal_order
 from .oracle import TorusRep, check_element, check_scalar, check_sphere_class
 from .qphase import DeformationContext, ExactScalar, PhaseMonomial
-from .sphere import (SphereForm, central_quadric, hodge_sphere,
+from .sphere import (central_quadric, hodge_sphere,
                      in_quotient_ideal, integrate_form, omega_form,
                      pairing_sphere, reduce_mod_c, sphere_equal,
                      top_decompose, volume_form)
@@ -31,7 +31,7 @@ __all__ = [
     "lambda_entry", "epsilon_q", "epsilon_qinv", "antisym_w",
     "antisym_w_bruteforce", "pairing_plane", "hodge_plane", "volume_element",
     "partial_derivative", "laplacian", "lambda_coefficient", "haar_plane",
-    "SphereForm", "central_quadric", "reduce_mod_c", "omega_form",
+    "central_quadric", "reduce_mod_c", "omega_form",
     "volume_form", "top_decompose", "integrate_form", "sphere_equal",
     "in_quotient_ideal", "pairing_sphere", "hodge_sphere",
     "GammaRep", "Matrix", "clifford_trace",

@@ -1,16 +1,32 @@
 """The twisted sphere as a quotient: functions mod (c-1), forms mod J.
 
 c = sum_a x^a x^{a'} is central; the sphere's differential algebra is the
-ambient one modulo J = (c-1)*Omega + {omega : omega ^ dc = 0}.  Equality of
-sphere forms is decided degree by degree:
+ambient one modulo J = (c-1)*Omega + dc ^ Omega.  One rule decides sphere
+classes in every form degree:
 
-* degree 0: confluent rewrite eliminating x^1 x^D (complete: J meets the
-  functions exactly in (c-1) times functions),
-* top degree N: omega ^ dc/2 = f_omega * V, and [omega] = 0 iff f_omega
-  reduces to 0 mod (c-1) (complete, both directions),
-* intermediate degrees: an exact sparse linear solve for
-  delta = (c-1)*alpha + dc ^ beta over the scalar ring, split into blocks by
-  the companion-pair multidegree invariants that c-1 and dc both preserve.
+    omega lies in J  <=>  omega ^ dc lies in (c-1)*Omega.
+
+(=>) dc ^ dc = 0, dc graded-commutes with every form and c-1 is central,
+so ((c-1) alpha + dc ^ beta) ^ dc = (c-1) (alpha ^ dc).  (<=) Classically, the Euler contraction i_E
+(E = sum_a x^a d_a) is a degree -1 antiderivation with i_E dc = 2c, so
+
+    2c omega = i_E(dc ^ omega) + dc ^ i_E omega.
+
+If dc ^ omega = (c-1) gamma, then omega = (c-1)(i_E gamma / 2 - omega) +
+dc ^ (i_E omega / 2), which lies in J (this is the Koszul complex of the
+x^a, exact on the sphere because they generate the unit ideal there).  The
+twist does not change this: the theta-product is a 2-cocycle twist on torus
+weights, and c, dc and E have weight zero, so left multiplication by each
+is the classical map up to the diagonal phase rescaling of the monomial
+basis, and J of the twisted algebra is the image of the classical J under
+that rescaling.
+
+(c-1)*Omega is the sum over dx sets S of (c-1)*A*dx^S, so ``reduce_mod_c``
+decides the right-hand side by a confluent rewrite of x^1 x^D, dx monomial
+by dx monomial.  ``in_quotient_ideal`` takes the residue of omega itself at
+degree 0 (J meets the functions in (c-1)*A), of f_omega with
+omega ^ dc/2 = f_omega * V at the sphere's top degree N, and of omega ^ dc
+in every other degree; at the ambient top degree D the product is zero.
 
 The integral of a top form is the Haar value of f_omega; the sphere Hodge
 star and pairing push the plane ones through the normal direction dc/2.
@@ -20,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 
 from .haar import haar_plane
 from .ncalg import Element, Monomial, _add_into, _finish, _mono_mul, _mul_into
@@ -30,7 +45,7 @@ from .tensorcalc import epsilon_q, epsilon_qinv
 __all__ = [
     "central_quadric", "reduce_mod_c", "omega_form", "volume_form",
     "top_decompose", "integrate_form", "in_quotient_ideal", "sphere_equal",
-    "pairing_sphere", "hodge_sphere", "SphereForm",
+    "pairing_sphere", "hodge_sphere",
 ]
 
 
@@ -45,12 +60,6 @@ def central_quadric(ctx: DeformationContext) -> Element:
     for a in range(1, ctx.dim + 1):
         out = out + Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))
     return out
-
-
-@lru_cache(maxsize=None)
-def _quadric_minus_one(ctx: DeformationContext) -> Element:
-    """c - 1, the degree-0 generator of J (cached, shared)."""
-    return central_quadric(ctx) - Element.one(ctx)
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +87,15 @@ def _companion_replacement(ctx: DeformationContext) -> Element:
 
 
 def reduce_mod_c(f: Element) -> Element:
-    """Normal form of a degree-0 element modulo the ideal (c-1)."""
+    """Normal form of a form of any degree modulo (c-1)*Omega.
+
+    A term whose x part holds both x^1 and x^D is, up to a phase, a monomial
+    times x^1 x^D, and x^1 x^D is replaced by its value mod (c-1), until no
+    term holds both.  x^1 x^D and its replacement have torus weight zero, so
+    they commute with dx^S: f -> f dx^S carries (c-1)*A onto (c-1)*A*dx^S
+    and the confluent rewrite of functions onto this one.
+    """
     ctx = f.ctx
-    if any(dxs for (_, dxs) in f.terms):
-        raise ValueError("reduce_mod_c acts on functions only")
     repl = _companion_replacement(ctx)
     last = ctx.dim - 1
     pair_key = (tuple(1 if j in (0, last) else 0 for j in range(ctx.dim)), ())
@@ -97,7 +111,8 @@ def reduce_mod_c(f: Element) -> Element:
                 key = (tuple(stripped), dxs)
                 # stripped * (x^1 x^D) = phase * monomial: undo that phase
                 shift, sign, prod_key = _mono_mul(ctx, key, pair_key)
-                assert prod_key == (exps, dxs) and sign == 1
+                if prod_key != (exps, dxs) or sign != 1:
+                    raise AssertionError("x^1 x^D does not split off the term")
                 piece = {key: coeff.shifted(tuple(-s for s in shift))}
                 _mul_into(acc, ctx, piece, repl.terms)
             else:
@@ -158,157 +173,23 @@ def integrate_form(om: Element) -> ExactScalar:
 
 # -- the quotient ideal ------------------------------------------------------------
 
-def _signature(ctx: DeformationContext, key: Monomial):
-    """Block invariant preserved by multiplication with c-1 and dc."""
-    exps, dxs = key
-    n = list(exps)
-    for a in dxs:
-        n[a - 1] += 1
-    half = ctx.dim // 2
-    sig = tuple(n[a - 1] - n[ctx.dim - a] for a in range(1, half + 1))
-    if ctx.dim % 2:
-        sig = sig + (n[half] % 2,)
-    return sig
-
-
-def _monomials(ctx, max_xdeg: int, form_deg: int):
-    for total in range(max_xdeg + 1):
-        for combo in combinations_with_replacement(range(ctx.dim), total):
-            exps = [0] * ctx.dim
-            for j in combo:
-                exps[j] += 1
-            for dxs in combinations(range(1, ctx.dim + 1), form_deg):
-                yield (tuple(exps), dxs)
-
-
-def _in_scalar_span(target: dict, gens: list[dict]) -> bool:
-    """Exact solvability of sum_j t_j gen_j = target over the scalar field.
-
-    Fraction-free row elimination; rows are only ever scaled by exact unit
-    inverses (single-term scalars) or cross-multiplied by nonzero scalars, so
-    solvability over the fraction field of the phase ring is decided exactly.
-    """
-    monos: dict[Monomial, int] = {}
-    for g in gens:
-        for m in g:
-            monos.setdefault(m, len(monos))
-    for m in target:
-        if m not in monos:
-            return False  # target sticks out of the span's support
-    nrows = len(monos)
-    rows: list[dict[int, ExactScalar] | None] = [dict() for _ in range(nrows)]
-    rhs: list[ExactScalar | None] = [None] * nrows
-    for j, g in enumerate(gens):
-        for m, cf in g.items():
-            rows[monos[m]][j] = cf
-    for m, cf in target.items():
-        rhs[monos[m]] = cf
-    col_rows: dict[int, set[int]] = {}
-    for ri, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(ri)
-    used = [False] * nrows
-    for col in sorted(col_rows):
-        cands = [ri for ri in col_rows.get(col, ()) if not used[ri]]
-        if not cands:
-            continue
-        # prefer unit pivots with sparse rows: no growth, exact normalisation
-        cands.sort(key=lambda ri: (not rows[ri][col].is_single_term(),
-                                   len(rows[ri])))
-        pi = cands[0]
-        used[pi] = True
-        prow, prhs = rows[pi], rhs[pi]
-        pval = prow[col]
-        unit = pval.is_single_term()
-        if unit:
-            inv = pval.inverse()
-            prow = rows[pi] = {j: inv * v for j, v in prow.items()}
-            if prhs is not None:
-                prhs = rhs[pi] = inv * prhs
-        for ri in list(col_rows[col]):
-            if used[ri]:
-                continue
-            row = rows[ri]
-            factor = row.pop(col)
-            col_rows[col].discard(ri)
-            if not unit:
-                # cross-multiply instead of dividing: the row stays in the ring
-                for j, v in row.items():
-                    row[j] = pval * v
-                if rhs[ri] is not None:
-                    rhs[ri] = pval * rhs[ri]
-            # row -= factor * prow, which clears column col
-            for j, v in prow.items():
-                if j == col:
-                    continue
-                u = row.get(j)
-                w = (u - factor * v) if u is not None else -(factor * v)
-                if w:
-                    if u is None:
-                        col_rows.setdefault(j, set()).add(ri)
-                    row[j] = w
-                elif u is not None:
-                    del row[j]
-                    col_rows[j].discard(ri)
-            if prhs is not None:
-                r = rhs[ri]
-                w = (r - factor * prhs) if r is not None else -(factor * prhs)
-                rhs[ri] = w if w else None
-    for ri in range(nrows):
-        if not used[ri] and not rows[ri] and rhs[ri] is not None:
-            return False
-    return True
-
-
 def in_quotient_ideal(el: Element) -> bool:
-    """Exact membership of an ambient form in J (sphere class zero)."""
+    """Exact membership of an ambient form in J (sphere class zero).
+
+    Each homogeneous part is in J iff its residue mod (c-1) is zero: of the
+    part itself at degree 0, of f_omega at degree N and of omega ^ dc in
+    every other degree (see the module docstring).
+    """
     ctx = el.ctx
-    if el.is_zero():
-        return True
-    n_deg = ctx.dim - 1
     for k in sorted(el.form_degrees()):
         part = el.homogeneous_part(k)
         if k == 0:
-            if reduce_mod_c(part):
-                return False
-        elif k == n_deg:
-            if reduce_mod_c(top_decompose(part)):
-                return False
-        elif k == ctx.dim:
-            continue  # top ambient degree dies on the sphere
-        elif not _middle_degree_membership(part, k):
-            return False
-    return True
-
-
-def _middle_degree_membership(part: Element, k: int) -> bool:
-    ctx = part.ctx
-    dmax = part.x_degree()
-    cm1 = _quadric_minus_one(ctx)
-    dc = _quadric_d(ctx)
-    targets: dict[tuple, dict] = {}
-    for key, cf in part.terms.items():
-        targets.setdefault(_signature(ctx, key), {})[key] = cf
-    # Each term of c and of dc raises n_a and n_{a'} together (x^a x^{a'},
-    # dx^a x^{a'}, x^a dx^{a'}), so (c-1)*m and dc*m keep every entry
-    # n_a - n_{a'} of _signature(m) and the parity of the middle index: a
-    # generator lies in the block of its monomial m, and monomials of other
-    # blocks are skipped before multiplying.
-    for sig, tgt in targets.items():
-        gens = []
-        for key in _monomials(ctx, dmax, k):
-            if _signature(ctx, key) != sig:
-                continue
-            g = cm1 * Element.monomial(ctx, key)
-            if g:
-                gens.append(g.terms)
-        for key in _monomials(ctx, dmax + 1, k - 1):
-            if _signature(ctx, key) != sig:
-                continue
-            g = dc * Element.monomial(ctx, key)
-            if g:
-                gens.append(g.terms)
-        if not _in_scalar_span(tgt, gens):
+            residue = reduce_mod_c(part)
+        elif k == ctx.dim - 1:
+            residue = reduce_mod_c(top_decompose(part))
+        else:
+            residue = reduce_mod_c(part * _quadric_d(ctx))
+        if residue:
             return False
     return True
 
@@ -365,90 +246,3 @@ def hodge_sphere(el: Element) -> Element:
         _mul_into(acc, ctx, {(exps, ()): coeff},
                   _hodge_sphere_basis(ctx, dxs).terms)
     return _finish(ctx, acc)
-
-
-class SphereForm:
-    """A form on the twisted sphere: ambient representative + J-coset equality."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: Element):
-        if rep.terms and max(len(s) for (_, s) in rep.terms) > rep.ctx.dim - 1:
-            raise ValueError("sphere forms have degree at most D-1")
-        self.rep = rep
-
-    @property
-    def ctx(self) -> DeformationContext:
-        return self.rep.ctx
-
-    @property
-    def sphere_dim(self) -> int:
-        return self.rep.ctx.dim - 1
-
-    def degree(self) -> int:
-        return self.rep.form_degree()
-
-    def __add__(self, other):
-        return SphereForm(self.rep + _rep_of(other, self.ctx))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return SphereForm(self.rep - _rep_of(other, self.ctx))
-
-    def __rsub__(self, other):
-        return SphereForm(_rep_of(other, self.ctx) - self.rep)
-
-    def __neg__(self):
-        return SphereForm(-self.rep)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return SphereForm(self.rep.scale(other))
-        return SphereForm(self.rep * _rep_of(other, self.ctx))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return SphereForm(self.rep.scale(other))
-        return NotImplemented
-
-    def scale(self, s):
-        return SphereForm(self.rep.scale(s))
-
-    def d(self) -> "SphereForm":
-        return SphereForm(self.rep.d())
-
-    def star(self) -> "SphereForm":
-        return SphereForm(self.rep.star())
-
-    def hodge(self) -> "SphereForm":
-        return SphereForm(hodge_sphere(self.rep))
-
-    def integrate(self) -> ExactScalar:
-        return integrate_form(self.rep)
-
-    def is_zero_class(self) -> bool:
-        return in_quotient_ideal(self.rep)
-
-    def __eq__(self, other):
-        if isinstance(other, SphereForm):
-            return sphere_equal(self.rep, other.rep)
-        if isinstance(other, Element):
-            return sphere_equal(self.rep, other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __str__(self):
-        return f"[{self.rep}]"
-
-    def __repr__(self):
-        return f"<SphereForm N={self.sphere_dim}: {self}>"
-
-
-def _rep_of(other, ctx) -> Element:
-    if isinstance(other, SphereForm):
-        return other.rep
-    if isinstance(other, Element):
-        return other
-    raise TypeError(f"cannot combine SphereForm with {type(other).__name__}")
