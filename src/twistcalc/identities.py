@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import factorial
 from typing import NamedTuple
 
@@ -29,9 +30,9 @@ from .ncalg import Element
 from .qphase import DeformationContext, PhaseMonomial
 from .sphere import (central_quadric, hodge_sphere, integrate_form,
                      pairing_sphere, sphere_equal, volume_form)
-from .tensorcalc import (antisym_w, antisym_w_bruteforce, apply_lambda,
-                         epsilon_q, epsilon_qinv, hodge_plane, pairing_plane,
-                         volume_element)
+from .tensorcalc import (antisym_w, antisym_w_bruteforce, antisym_w_column,
+                         apply_lambda, epsilon_q, epsilon_qinv, hodge_plane,
+                         pairing_plane, volume_element)
 
 
 class Identity(NamedTuple):
@@ -271,9 +272,16 @@ def braid_equation(ctx):
 
 def _contraction(ctx, up: tuple, lo: tuple, cyclic: bool = False):
     """sum_l eps_q(up l) eps_qinv(lo l) over the D - k trailing slots, or
-    eps_q(l up) eps_qinv(l lo) over the leading ones when cyclic."""
+    eps_q(l up) eps_qinv(l lo) over the leading ones when cyclic.
+
+    Both epsilons vanish on every tuple with a repeated index, so the sum is
+    zero at once when up or lo repeats one, and otherwise runs over the
+    (D - k)! orders l of the complement of up alone.
+    """
     s = ctx.scalar_zero()
-    for l in product(range(1, ctx.dim + 1), repeat=ctx.dim - len(up)):
+    if len(set(up)) < len(up) or len(set(lo)) < len(lo):
+        return s
+    for l in permutations([a for a in range(1, ctx.dim + 1) if a not in up]):
         u, v = (l + up, l + lo) if cyclic else (up + l, lo + l)
         s = s + epsilon_q(ctx, u) * epsilon_qinv(ctx, v)
     return s
@@ -285,16 +293,21 @@ def epsilon_contraction(ctx):
     d = ctx.dim
     full = range(1, d + 1)
     group = f"D={d}: epsilon contraction = (D-k)! W, exhaustive"
+    zero = ctx.scalar_zero()
     for k in range(d + 1):
         fact = factorial(d - k)
         # each tuple's text is formatted once, not once per pair: at D = 4
         # formatting 70k labels would cost a third of the sums
         tuples = [(t, f"{t}") for t in product(full, repeat=k)]
+        # (D-k)! W, read one column per lower tuple
+        cols = {lo: {up: w.scale(fact)
+                     for up, w in antisym_w_column(ctx, lo).items()}
+                for lo, _ in tuples}
         for up, up_text in tuples:
             for lo, lo_text in tuples:
                 yield Identity(group, f"D={d} contraction {up_text}|{lo_text}",
                                "scalar", ctx, _contraction(ctx, up, lo),
-                               antisym_w(ctx, up, lo).scale(fact))
+                               cols[lo].get(up, zero))
 
 
 def epsilon_contraction_draws(ctx, draws):

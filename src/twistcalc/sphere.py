@@ -30,6 +30,16 @@ in every other degree; at the ambient top degree D the product is zero.
 
 The integral of a top form is the Haar value of f_omega; the sphere Hodge
 star and pairing push the plane ones through the normal direction dc/2.
+
+The pairing <alpha, beta> = (1/4)<alpha ^ dc, beta ^ dc> is bilinear over
+functions: <sum_u f_u dx^u, sum_v dx^v g_v> = sum_{u,v} f_u S(u,v) g_v with
+S(u,v) = <dx^u, dx^v>.  This is exact because dc is central in the x's (c is
+central and d a derivation), dc graded-commutes with every dx, and the plane
+pairing is left-linear in its first slot and right-linear in its second.
+dc = 2 sum_a x^{a'} dx^a, and the plane pairs dx^w only with dx^{w'}, so
+S(u,v) is nonzero only when u and v' differ in at most one index: for
+u = v' it is one sum over a outside u of x^{a'} x^a terms, and otherwise a
+single term.
 """
 
 from __future__ import annotations
@@ -204,10 +214,81 @@ def sphere_equal(a: Element, b: Element) -> bool:
 # -- sphere pairing and Hodge star ---------------------------------------------------
 
 def pairing_sphere(alpha: Element, beta: Element) -> Element:
-    """Representative of <[alpha],[beta]> = (1/4)[<alpha^dc, beta^dc>]."""
-    from .tensorcalc import pairing_plane
-    dc = _quadric_d(alpha.ctx)
-    return pairing_plane(alpha * dc, beta * dc).scale(Fraction(1, 4))
+    """Representative of <[alpha],[beta]> = (1/4)[<alpha^dc, beta^dc>].
+
+    Bilinear over functions: <sum_u f_u dx^u, sum_v dx^v g_v> is
+    sum_{u,v} f_u S(u,v) g_v, with S(u,v) = <dx^u, dx^v> on the sphere read
+    from ``_pairing_sphere_basis`` and g_v beta's coefficient moved right
+    through dx^v, as in ``pairing_plane``.
+    """
+    ctx = alpha.ctx
+    if ctx != beta.ctx:
+        raise ValueError("pairing of elements over different contexts")
+    if alpha.is_zero() or beta.is_zero():
+        return Element.zero(ctx)
+    if alpha.form_degree() != beta.form_degree():
+        raise ValueError("pairing needs equal form degrees")
+    zero = (0,) * ctx.dim
+    lefts: dict[tuple, dict] = {}
+    for (e1, u), c1 in alpha.terms.items():
+        lefts.setdefault(u, {})[(e1, ())] = c1
+    rights: dict[tuple, dict] = {}
+    for (e2, v), c2 in beta.terms.items():
+        # undo the phase of dx^v x^{e2}
+        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
+        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
+            tuple(-x for x in shift))
+    # sum_u f_u S(u,v) per v, then times g_v
+    mids: dict[tuple, dict] = {}
+    for u, left in lefts.items():
+        for v, s_uv in _pairing_sphere_basis(ctx, u).items():
+            if v in rights:
+                _mul_into(mids.setdefault(v, {}), ctx, left, s_uv)
+    acc: dict = {}
+    for v, mid in mids.items():
+        _mul_into(acc, ctx, _finish(ctx, mid).terms, rights[v])
+    return _finish(ctx, acc)
+
+
+@lru_cache(maxsize=None)
+def _pairing_sphere_basis(ctx: DeformationContext, u: tuple) -> dict:
+    """{v: terms of S(u,v)} for every v with S(u,v) = <dx^u, dx^v> nonzero.
+
+    dc = 2 sum_a x^{a'} dx^a, so dx^u ^ dc/2 is the sum over a outside u of
+    phi_a x^{a'} dx^{u+a}.  The plane pairing matches dx^{u+a} only with
+    dx^{(u+a)'}, and dx^v ^ dc/2 holds dx^{(u+a)'} once for each b in
+    (u+a)' with v = (u+a)' - b.  Each pair (a, b) gives one term
+    +-phases x^{a'} x^{b'}: v = u' for b = a' (one sum over a outside u),
+    and otherwise v differs from u' in one index.  Cached per context and
+    basis word; callers share the results.
+    """
+    dim = ctx.dim
+    zero = (0,) * dim
+    one = ctx.scalar_one()
+    sign = -1 if ((len(u) + 1) // 2) % 2 else 1  # the plane's (-1)^{(k+1)//2}
+    acc: dict[tuple, dict] = {}
+    for a in range(1, dim + 1):
+        if a in u:
+            continue
+        xa = tuple(int(j == dim - a) for j in range(dim))  # x^{a'}
+        shift, s, (_, big) = _mono_mul(ctx, (zero, u), (xa, (a,)))
+        left = {(xa, ()): one.shifted(shift, s * sign)}
+        partner = tuple(ctx.primed(w) for w in reversed(big))
+        for b in partner:
+            xb = tuple(int(j == dim - b) for j in range(dim))  # x^{b'}
+            v = tuple(w for w in partner if w != b)
+            shift, s, _ = _mono_mul(ctx, (zero, v), (xb, (b,)))
+            # the right slot's x^{b'} leaves rightward through dx^{(u+a)'}
+            back = _mono_mul(ctx, (zero, partner), (xb, ()))[0]
+            right = {(xb, ()): one.shifted(
+                tuple(p - q for p, q in zip(shift, back)), s)}
+            _mul_into(acc.setdefault(v, {}), ctx, left, right)
+    out = {}
+    for v, slot in acc.items():
+        terms = _finish(ctx, slot).terms
+        if terms:
+            out[v] = terms
+    return out
 
 
 @lru_cache(maxsize=None)

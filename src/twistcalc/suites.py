@@ -125,6 +125,20 @@ def random_index_pair(rng, d: int, k: int) -> tuple:
             tuple(rng.randint(1, d) for _ in range(k)))
 
 
+def distinct_index_pairs(rng, d: int, low: int, high: int, count: int) -> list:
+    """``count`` random index pairs over 1..d, each of a random rank in
+    low..high, upper then lower.  A pair drawn before is drawn again, unless
+    every one of the sum_k d^(2k) pairs has been drawn already."""
+    space = sum(d ** (2 * k) for k in range(low, high + 1))
+    out, seen = [], set()
+    while len(out) < count:
+        pair = random_index_pair(rng, d, rng.randint(low, high))
+        if pair not in seen or len(seen) == space:
+            seen.add(pair)
+            out.append(pair)
+    return out
+
+
 # ---------------------------------------------------------------- suites --
 
 def _suite_qphase(r: _Runner, dim: int, rng: random.Random, moduli):
@@ -243,8 +257,8 @@ def _suite_tensor(r: _Runner, dim: int, rng: random.Random, moduli):
         for _ in range(count)]))
     for d in (3, 4):
         r.check(identities.epsilon_contraction(DeformationContext(d)))
-    r.check(identities.epsilon_contraction_draws(DeformationContext(5), [
-        random_index_pair(rng, 5, rng.randint(1, 4)) for _ in range(25)]))
+    r.check(identities.epsilon_contraction_draws(
+        DeformationContext(5), distinct_index_pairs(rng, 5, 1, 4, 25)))
     for d in (3, 4, 5):
         r.check(identities.w_partial_traces(DeformationContext(d), [
             random_index_pair(rng, d, k - 1) for k in (2, 3)
@@ -277,8 +291,7 @@ def _suite_tensor(r: _Runner, dim: int, rng: random.Random, moduli):
     # mixed tensor/wedge pairing identity
     ctx = DeformationContext(min(dim, 5))
     d = ctx.dim
-    for j in range(15):
-        a_idx, i_idx = random_index_pair(rng, d, rng.randint(1, 3))
+    for j, (a_idx, i_idx) in enumerate(distinct_index_pairs(rng, d, 1, 3, 15)):
         lhs = tensorcalc.antisym_w(
             ctx, tuple(reversed(i_idx)),
             tuple(ctx.primed(a) for a in reversed(a_idx)))

@@ -18,8 +18,8 @@ from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
     "lambda_entry", "apply_lambda", "epsilon_q", "epsilon_qinv",
-    "antisym_w", "antisym_w_bruteforce", "pairing_plane", "hodge_plane",
-    "volume_element",
+    "antisym_w", "antisym_w_column", "antisym_w_bruteforce", "pairing_plane",
+    "hodge_plane", "volume_element",
 ]
 
 
@@ -95,12 +95,20 @@ def antisym_w(ctx: DeformationContext, upper, lower) -> ExactScalar:
         lower = tuple(lower)
     if len(upper) != len(lower):
         raise ValueError("antisymmetrizer entry needs equal index counts")
-    if not upper:
-        return ctx.scalar_one()
-    if not ctx._indices.issuperset(upper + lower):
-        _check_indices(ctx, upper + lower)  # raises: an index lies outside 1..D
-    got = _w_on_basis(ctx, len(lower), lower).get(upper)
+    if not ctx._indices.issuperset(upper):
+        _check_indices(ctx, upper)  # raises: an index lies outside 1..D
+    got = antisym_w_column(ctx, lower).get(upper)
     return got if got is not None else ctx.scalar_zero()
+
+
+def antisym_w_column(ctx: DeformationContext, lower: tuple) -> dict:
+    """The nonzero entries {upper: W^{upper}_{lower}} of one column of W
+    (cached: callers share the result and must not mutate it)."""
+    if not lower:
+        return {(): ctx.scalar_one()}
+    if not ctx._indices.issuperset(lower):
+        _check_indices(ctx, lower)  # raises: an index lies outside 1..D
+    return _w_on_basis(ctx, len(lower), lower)
 
 
 def _reduced_word(perm: tuple) -> list[int]:

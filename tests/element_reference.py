@@ -8,6 +8,8 @@ product sum their pieces with ``out = out + x``.  The pairing reads the
 antisymmetrizer W for every pair of basis forms, and the plane and sphere
 Hodge stars and the volume forms sum the q-epsilon tensor over every order
 of the complementary indices, dividing by the number of orders afterwards.
+The sphere pairing forms alpha ^ dc and beta ^ dc and pairs them on the
+plane.
 ``d``, ``star``, ``partial_derivative`` and ``dx_sort`` count their exchange
 phases with their own loops over the pair table, as the engine did before
 every phase came from its normal-ordering kernel.
@@ -15,6 +17,7 @@ The tests compare the engine against these functions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -309,6 +312,22 @@ def hodge_sphere(el: Element) -> Element:
         out = out + element_mul(Element(ctx, {(exps, ()): coeff}),
                                 _hodge_sphere_basis(ctx, dxs))
     return out
+
+
+@lru_cache(maxsize=None)
+def quadric_d(ctx) -> Element:
+    """dc for c = sum_a x^a x^{a'}."""
+    c = Element.zero(ctx)
+    for a in range(1, ctx.dim + 1):
+        c = c + element_mul(Element.x(ctx, a), Element.x(ctx, ctx.primed(a)))
+    return d(c)
+
+
+def pairing_sphere(alpha: Element, beta: Element) -> Element:
+    """(1/4) <alpha ^ dc, beta ^ dc>, both products formed on every call."""
+    dc = quadric_d(alpha.ctx)
+    return pairing_plane(element_mul(alpha, dc),
+                         element_mul(beta, dc)).scale(Fraction(1, 4))
 
 
 def matrix_mul(a, b):

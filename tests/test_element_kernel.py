@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import element_reference as ref
+from helpers import random_element
 from twistcalc import DeformationContext, Element, ExactScalar, chern, ncalg
 from twistcalc.chern import Matrix
 from twistcalc.haar import partial_derivative
 from twistcalc.identities import basis_form
 from twistcalc.qphase import _c_reduce
-from twistcalc.sphere import hodge_sphere, omega_form
+from twistcalc.sphere import hodge_sphere, omega_form, pairing_sphere
 from twistcalc.tensorcalc import epsilon_q, epsilon_qinv, hodge_plane, pairing_plane
 
 
@@ -205,6 +206,29 @@ def test_closed_forms_match_permutation_sums_on_every_basis_form(d):
                 assert hodge_sphere(f) == ref.hodge_sphere(f), f
             for g in forms:
                 assert pairing_plane(f, g) == ref.pairing_plane(f, g), (f, g)
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("d", range(3, 8))
+def test_sphere_pairing_matches_product_formula(d, commutative):
+    """The sphere pairing, read from its closed-form basis table, equals
+    (1/4) <alpha ^ dc, beta ^ dc> formed by products: on every pair of
+    equal-degree basis forms, and on random forms with x coefficients in
+    both slots."""
+    ctx = DeformationContext(d, commutative=commutative)
+    for k in range(d + 1):
+        forms = [basis_form(ctx, s) for s in combinations(range(1, d + 1), k)]
+        for f in forms:
+            for g in forms:
+                assert pairing_sphere(f, g) == ref.pairing_sphere(f, g), (f, g)
+    rng = random.Random(d)
+    for _ in range(20):
+        k = rng.randint(0, d - 1)
+        alpha = random_element(ctx, rng, 2, k, 3)
+        beta = random_element(ctx, rng, 2, k, 3)
+        got = pairing_sphere(alpha, beta)
+        assert got == ref.pairing_sphere(alpha, beta), (alpha, beta)
+        _assert_canonical(got)
 
 
 def test_matrix_product_and_trace_match_reference():

@@ -1,9 +1,14 @@
 """The identity catalogue: the decision per kind, and one suite case per
 family instance."""
 
+import random
+from itertools import product
+
 from twistcalc import DeformationContext, Element, central_quadric
-from twistcalc.identities import Identity, holds
-from twistcalc.suites import SuiteReport, _Runner
+from twistcalc.identities import Identity, _contraction, holds
+from twistcalc.suites import (SuiteReport, _Runner, distinct_index_pairs,
+                              random_index_pair)
+from twistcalc.tensorcalc import epsilon_q, epsilon_qinv
 
 
 def test_holds_decides_by_kind():
@@ -27,3 +32,45 @@ def test_one_case_per_family_instance():
     assert report.cases == 2
     assert report.failures == [
         {"expression": "first", "expected": str(zero), "got": str(one)}]
+
+
+def _full_contraction(ctx, up, lo, cyclic):
+    """The contraction summed over every l in {1..D}^(D-k)."""
+    s = ctx.scalar_zero()
+    for l in product(range(1, ctx.dim + 1), repeat=ctx.dim - len(up)):
+        u, v = (l + up, l + lo) if cyclic else (up + l, lo + l)
+        s = s + epsilon_q(ctx, u) * epsilon_qinv(ctx, v)
+    return s
+
+
+def test_contraction_sums_over_complement_orders_only():
+    # every pair of index tuples at D = 3, random pairs at D = 4 and 5
+    ctx = DeformationContext(3)
+    for k in range(4):
+        tuples = list(product(range(1, 4), repeat=k))
+        for up, lo in product(tuples, repeat=2):
+            for cyclic in (False, True):
+                assert _contraction(ctx, up, lo, cyclic) == \
+                    _full_contraction(ctx, up, lo, cyclic), (up, lo, cyclic)
+    rng = random.Random(12)
+    for d in (4, 5):
+        ctx = DeformationContext(d)
+        repeats = set()
+        for _ in range(30):
+            up, lo = random_index_pair(rng, d, rng.randint(0, d))
+            repeats.add(len(set(up)) < len(up) or len(set(lo)) < len(lo))
+            for cyclic in (False, True):
+                assert _contraction(ctx, up, lo, cyclic) == \
+                    _full_contraction(ctx, up, lo, cyclic), (up, lo, cyclic)
+        assert repeats == {True, False}
+
+
+def test_distinct_index_pairs():
+    # no pair repeats while unseen pairs remain; a space smaller than the
+    # count is used up, then drawn from again
+    pairs = distinct_index_pairs(random.Random(3), 5, 1, 4, 25)
+    assert len(pairs) == len(set(pairs)) == 25
+    assert all(1 <= len(up) == len(lo) <= 4 for up, lo in pairs)
+    small = distinct_index_pairs(random.Random(3), 1, 1, 3, 15)
+    assert len(small) == 15 and set(small) == {
+        ((1,) * k, (1,) * k) for k in (1, 2, 3)}

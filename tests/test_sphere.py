@@ -221,44 +221,39 @@ def test_membership_solver_against_numeric_rank():
     one = Element.one(ctx)
 
     def numeric_residual(el, theta):
+        # generators keep the signature block of their monomial (see
+        # test_ideal_generators_stay_in_their_signature_block), so the
+        # system splits into blocks; a block holding no monomial of el has a
+        # zero right-hand side and residual, and only el's blocks are solved
         k = el.form_degree()
         dmax = el.x_degree()
-        from itertools import combinations as comb
-        from itertools import combinations_with_replacement as cwr
-        gens = []
-        for total in range(dmax + 1):
-            for combo in cwr(range(5), total):
-                exps = [0] * 5
-                for j in combo:
-                    exps[j] += 1
-                for dxs in comb(range(1, 6), k):
-                    g = (cc - one) * Element(
-                        ctx, {(tuple(exps), dxs): ctx.scalar_one()})
+        blocks = {_signature(ctx, m): [] for m in el.terms}
+        for gen, keys in ((cc - one, _monomials(ctx, dmax, k)),
+                          (dc, _monomials(ctx, dmax + 1, k - 1))):
+            for key in keys:
+                gens = blocks.get(_signature(ctx, key))
+                if gens is not None:
+                    g = gen * Element.monomial(ctx, key)
                     if g:
                         gens.append(g)
-        for total in range(dmax + 2):
-            for combo in cwr(range(5), total):
-                exps = [0] * 5
-                for j in combo:
-                    exps[j] += 1
-                for dxs in comb(range(1, 6), k - 1):
-                    g = dc * Element(
-                        ctx, {(tuple(exps), dxs): ctx.scalar_one()})
-                    if g:
-                        gens.append(g)
-        monos = {}
-        for g in gens + [el]:
-            for m in g.terms:
-                monos.setdefault(m, len(monos))
-        a = np.zeros((len(monos), len(gens)), dtype=complex)
-        b = np.zeros(len(monos), dtype=complex)
-        for j, g in enumerate(gens):
-            for m, cf in g.terms.items():
-                a[monos[m], j] = cf.eval(theta)
-        for m, cf in el.terms.items():
-            b[monos[m]] = cf.eval(theta)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return float(np.linalg.norm(a @ sol - b))
+        squares = 0.0
+        for sig, gens in blocks.items():
+            target = {m: cf for m, cf in el.terms.items()
+                      if _signature(ctx, m) == sig}
+            monos = {}
+            for g in gens + [Element(ctx, target)]:
+                for m in g.terms:
+                    monos.setdefault(m, len(monos))
+            a = np.zeros((len(monos), len(gens)), dtype=complex)
+            b = np.zeros(len(monos), dtype=complex)
+            for j, g in enumerate(gens):
+                for m, cf in g.terms.items():
+                    a[monos[m], j] = cf.eval(theta)
+            for m, cf in target.items():
+                b[monos[m]] = cf.eval(theta)
+            sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+            squares += float(np.linalg.norm(a @ sol - b)) ** 2
+        return squares ** 0.5
 
     for trial in range(4):
         k = rng.randint(1, 2)

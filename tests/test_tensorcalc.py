@@ -85,6 +85,20 @@ def test_antisymmetrizer_examples():
             assert antisym_w(ctx, full, j) == epsilon_qinv(ctx, j)
 
 
+def test_antisymmetrizer_columns_hold_every_entry():
+    ctx = DeformationContext(3)
+    zero = ctx.scalar_zero()
+    for k in range(4):
+        tuples = list(product(range(1, 4), repeat=k))
+        for lo in tuples:
+            col = tensorcalc.antisym_w_column(ctx, lo)
+            assert all(col.values())
+            for up in tuples:
+                assert col.get(up, zero) == antisym_w(ctx, up, lo)
+    with pytest.raises(IndexError):
+        tensorcalc.antisym_w_column(ctx, (1, 4))
+
+
 def test_antisymmetrizer_argument_checks():
     # lists and tuples give the same entry and the same errors
     ctx = DeformationContext(4)
