@@ -171,18 +171,23 @@ def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol):
                 for t, b, sb in basis[n - k if complement else k]:
                     yield sign, f"{s}|{t}", a, sa, b, sb
 
+    # a^*b and <a,b> of each pair, formed once for the exchange and the
+    # isometry and read again by the defining relation
+    wedges, inner = [], []
     for sign, s, a, sa in singles():
         yield eq(0, f"**{s}", star(sa), a.scale(sign))
     for sign, st, a, sa, b, sb in pairs():
-        yield eq(1, f"exchange {st}", a * sb, (sa * b).scale(sign))
+        wedges.append(a * sb)
+        yield eq(1, f"exchange {st}", wedges[-1], (sa * b).scale(sign))
     for _, st, a, sa, b, sb in pairs():
-        yield eq(2, f"isometry {st}", pairing(a, b), pairing(sa, sb))
+        inner.append(pairing(a, b))
+        yield eq(2, f"isometry {st}", inner[-1], pairing(sa, sb))
     for _, st, a, sa, b, sb in pairs(complement=True):
         yield eq(3, f"duality {st}", pairing(sa, b), pairing(a * b, vol))
     for _, s, a, sa in singles():
         yield eq(4, f"*conj {s}", star(a.star()), sa.star())
-    for _, st, a, sa, b, sb in pairs():
-        yield eq(5, f"defining {st}", a * sb, pairing(a, b) * vol)
+    for (_, st, *_), wedge, ab in zip(pairs(), wedges, inner):
+        yield eq(5, f"defining {st}", wedge, ab * vol)
 
 
 def hodge_plane_units(ctx):
@@ -287,6 +292,22 @@ def _contraction(ctx, up: tuple, lo: tuple, cyclic: bool = False):
     return s
 
 
+def _contraction_row(ctx, up: tuple) -> dict:
+    """{lo: _contraction(ctx, up, lo)} over the lo that order the index set
+    of up, which are the only lo whose sum can be nonzero: any other
+    repeat-free lo holds an index of the complement, which every complement
+    order l repeats.  Empty when up repeats an index."""
+    if len(set(up)) < len(up):
+        return {}
+    los = list(permutations(up))
+    row = dict.fromkeys(los, ctx.scalar_zero())
+    for l in permutations([a for a in range(1, ctx.dim + 1) if a not in up]):
+        e = epsilon_q(ctx, up + l)
+        for lo in los:
+            row[lo] = row[lo] + e * epsilon_qinv(ctx, lo + l)
+    return row
+
+
 def epsilon_contraction(ctx):
     """eps . eps contracted over D - k slots = (D-k)! W, for every pair of
     index tuples of every rank k."""
@@ -299,15 +320,18 @@ def epsilon_contraction(ctx):
         # each tuple's text is formatted once, not once per pair: at D = 4
         # formatting 70k labels would cost a third of the sums
         tuples = [(t, f"{t}") for t in product(full, repeat=k)]
-        # (D-k)! W, read one column per lower tuple
-        cols = {lo: {up: w.scale(fact)
-                     for up, w in antisym_w_column(ctx, lo).items()}
-                for lo, _ in tuples}
+        # (D-k)! W, read one column per lower tuple and transposed into rows
+        w_rows: dict = {}
+        for lo, _ in tuples:
+            for up, w in antisym_w_column(ctx, lo).items():
+                w_rows.setdefault(up, {})[lo] = w.scale(fact)
         for up, up_text in tuples:
+            row = _contraction_row(ctx, up)
+            w_row = w_rows.get(up, {})
             for lo, lo_text in tuples:
                 yield Identity(group, f"D={d} contraction {up_text}|{lo_text}",
-                               "scalar", ctx, _contraction(ctx, up, lo),
-                               cols[lo].get(up, zero))
+                               "scalar", ctx, row.get(lo, zero),
+                               w_row.get(lo, zero))
 
 
 def epsilon_contraction_draws(ctx, draws):

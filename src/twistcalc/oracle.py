@@ -11,21 +11,26 @@ phase[j] e_{perm[j]}, and is stored as a ``Word`` of two arrays of length
 side = prod(moduli).  Its perm is a translation of prod Z_m, so two words
 with different perm[0] never share a matrix entry: the largest entry of
 sum_t z_t U_t is the largest |sum_t z_t phase_t| over the classes of equal
-perm[0].  Evaluating an element thus costs O(terms * side) time and O(side)
-memory per word.  A model of more than MAX_SIZE entries per word is refused
-before anything is allocated, and dense side x side matrices are built only
-on request (``eval_element``, ``monomial_matrix``, ``TorusRep.dense``), for
-sides up to MAX_DENSE_SIDE.
+perm[0].  ``TorusRep.form_sup`` evaluates a form over all sample points of a
+model at once: each term's coefficient and word are found once, its
+classical value is one vector over the points, and the entries are summed
+in numpy passes over blocks of at most 2^14 / side points (at least one).
+Over P points that costs O(terms * P * side) time, in numpy calls per block
+and dx set rather than per point and term, and O(side) memory per word plus
+O(max(2^14, side)) per dx set of a block.  A model of more than MAX_SIZE
+entries per word is refused before anything is allocated, and dense side x
+side matrices are built only on request (``eval_element``,
+``monomial_matrix``, ``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
 
 Sphere-class identities are checked by pulling the evaluated form back to the
 tangent space of the quadric c = 1 at each sample point, which kills exactly
-the ideal J.
+the ideal J: one batched product per block with the minors of the tangent
+bases, each a stacked determinant over all the points (``Tangents``).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import random
 from itertools import combinations
@@ -37,7 +42,7 @@ from .ncalg import Element
 from .qphase import DeformationContext, ExactScalar
 
 __all__ = [
-    "TorusRep", "Word", "sphere_sample", "plane_sample",
+    "TorusRep", "Tangents", "Word", "sphere_sample", "plane_sample",
     "check_element", "check_sphere_class", "check_scalar",
     "BatchChecker", "DEFAULT_TOL", "MAX_SIZE", "MAX_DENSE_SIDE",
 ]
@@ -50,6 +55,9 @@ _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 MAX_SIZE = 1 << 21
 # Largest side of a dense view: one matrix then takes 2048^2 * 16 B (64 MB).
 MAX_DENSE_SIDE = 2048
+# Most entries per dx set of one block of form values (points x side, 256 KB):
+# a model of side above it takes one point at a time.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _moduli_text(moduli) -> str:
@@ -220,37 +228,93 @@ class TorusRep:
             mat[w.perm, cols] += z * w.phase
         return out
 
-    def form_sup(self, el: Element, point: np.ndarray, minors=None) -> float:
-        """Largest |matrix entry| of the form el evaluated at a point.
+    def form_sup(self, el: Element, points, tangents: Tangents | None = None
+                 ) -> float:
+        """Largest |matrix entry| of the form el over a stack of points.
 
-        Without ``minors`` each dx component counts on its own (a plane
-        identity).  With it, the form is pulled back to the tangent space
-        of the sphere: ``minors(dxs)`` gives the minors of the tangent basis
-        on the columns dxs, one per subset of len(dxs) tangent vectors, and
-        the components of each degree below D are summed against them.
+        Without ``tangents`` each dx component counts on its own (a plane
+        identity).  With the ``Tangents`` of the same points, the form is
+        pulled back to the tangent space of the sphere: the components of
+        each degree below D are summed against the minors of the tangent
+        basis, one sum per subset of tangent vectors.
+
+        Each term's coefficient and word are looked up once, and its
+        classical monomial value is one vector over the points.  The points
+        are then taken in blocks of at most _BLOCK_ENTRIES // side (at least
+        one), and each class of equal perm[0] and dx set (plane) or degree
+        (sphere) is one (block, dx sets, side) array, pulled back by one
+        batched product with the minors.
         """
+        if el.ctx != self.ctx:
+            raise ValueError("element and model contexts differ")
+        points = np.asarray(points)
         classes: dict = {}
-        for key, z in self.term_values(el, point):
+        exps, coeffs = [], []
+        for key, coeff in el.terms.items():
             dxs = key[1]
-            if minors is not None and len(dxs) == self.ctx.dim:
+            if tangents is not None and len(dxs) == self.ctx.dim:
                 continue  # a top form vanishes on the D-1 tangent vectors
             w = self.word(key)
-            group = (dxs if minors is None else len(dxs), int(w.perm[0]))
+            group = (dxs if tangents is None else len(dxs), int(w.perm[0]))
             comps = classes.setdefault(group, {})
-            if dxs in comps:
-                comps[dxs] += z * w.phase
-            else:
-                comps[dxs] = z * w.phase
-        worst = 0.0
+            comps.setdefault(dxs, []).append((len(exps), w.phase))
+            exps.append(key[0])
+            coeffs.append(self.eval_scalar(coeff))
+        if not exps:
+            return 0.0
+        # (point, term) -> coefficient times classical monomial value
+        vals = np.empty((len(points), len(exps)), dtype=complex)
+        vals[:] = coeffs
+        exps = np.array(exps)
+        for a in range(self.ctx.dim):
+            if exps[:, a].any():
+                vals *= points[:, a, None] ** exps[:, a]
+        # per class: its dx sets in order, and per set the term columns and
+        # the (terms, side) stack of their phases
+        plan = []
         for comps in classes.values():
-            if minors is None:
-                (vals,) = comps.values()
-            else:
-                sets = sorted(comps)
-                vals = (np.array([minors(dxs) for dxs in sets]).T
-                        @ np.array([comps[dxs] for dxs in sets]))
-            worst = max(worst, float(np.abs(vals).max()))
+            sets = sorted(comps)
+            plan.append((sets, [(np.array([t for t, _ in comps[s]]),
+                                 np.array([ph for _, ph in comps[s]]))
+                                for s in sets]))
+        step = max(1, _BLOCK_ENTRIES // self.size)
+        worst = 0.0
+        for start in range(0, len(points), step):
+            block = vals[start:start + step]
+            for sets, parts in plan:
+                data = np.stack([block[:, cols] @ phases
+                                 for cols, phases in parts], axis=1)
+                if tangents is not None:
+                    minors = np.stack([tangents.minors(s)[start:start + step]
+                                       for s in sets], axis=2)
+                    data = minors @ data
+                worst = max(worst, float(np.abs(data).max()))
         return worst
+
+
+class Tangents:
+    """Tangent bases of the quadric c = 1 at a stack of sphere points.
+
+    ``basis[p]`` holds the D - 1 tangent vectors at point p as rows.
+    ``minors(dxs)`` is the (points, subsets) array of the minors of each
+    basis on the columns dxs, one per subset of len(dxs) tangent vectors:
+    one stacked determinant per dx set, cached.
+    """
+
+    def __init__(self, ctx: DeformationContext, points):
+        self.basis = np.array([_tangent_basis(ctx, p) for p in points])
+        self._minors: dict = {}
+
+    def minors(self, dxs: tuple) -> np.ndarray:
+        got = self._minors.get(dxs)
+        if got is None:
+            combos = list(combinations(range(self.basis.shape[1]), len(dxs)))
+            rows = np.array(combos, dtype=np.intp).reshape(len(combos),
+                                                           len(dxs))
+            cols = np.array(dxs, dtype=np.intp) - 1
+            got = np.linalg.det(self.basis[:, rows][..., cols])
+            self._minors[dxs] = got
+        return got
 
 
 def _point_from_real(ctx: DeformationContext, y: np.ndarray) -> np.ndarray:
@@ -288,20 +352,6 @@ def _tangent_basis(ctx: DeformationContext, point: np.ndarray) -> np.ndarray:
     return vh[1:].conj()
 
 
-def _tangent_minors(tangent: np.ndarray):
-    """dxs -> minors of the tangent basis on the columns dxs, one per subset
-    of len(dxs) tangent vectors: the ``minors`` of ``TorusRep.form_sup``."""
-    nt = tangent.shape[0]
-
-    @functools.cache
-    def minors(dxs):
-        combos = list(combinations(range(nt), len(dxs)))
-        rows = np.array(combos, dtype=np.intp).reshape(len(combos), len(dxs))
-        cols = np.array(dxs, dtype=np.intp) - 1
-        return np.linalg.det(tangent[rows][:, :, cols])
-    return minors
-
-
 def _models(ctx, seed: int, moduli=None):
     rng = random.Random(seed)
     first = TorusRep(ctx, moduli=moduli, rng=rng)
@@ -326,8 +376,8 @@ def element_sup(el: Element, seed: int = 42, points: int = 20,
     rng = random.Random(seed ^ 0x5EED)
     worst = 0.0
     for model in _models(ctx, seed, moduli):
-        for _ in range(points):
-            worst = max(worst, model.form_sup(el, plane_sample(ctx, rng)))
+        pts = [plane_sample(ctx, rng) for _ in range(points)]
+        worst = max(worst, model.form_sup(el, pts))
     return worst
 
 
@@ -344,10 +394,8 @@ def sphere_class_sup(el: Element, seed: int = 42, points: int = 20,
     rng = random.Random(seed ^ 0xC1A55)
     worst = 0.0
     for model in _models(ctx, seed, moduli):
-        for _ in range(points):
-            pt = sphere_sample(ctx, rng)
-            minors = _tangent_minors(_tangent_basis(ctx, pt))
-            worst = max(worst, model.form_sup(el, pt, minors))
+        pts = [sphere_sample(ctx, rng) for _ in range(points)]
+        worst = max(worst, model.form_sup(el, pts, Tangents(ctx, pts)))
     return worst
 
 
@@ -388,10 +436,11 @@ class BatchChecker:
         self.points = points
         self.models = _models(ctx, seed, moduli)
         rng = random.Random(seed ^ 0xBA7C4)
-        self.plane_points = [plane_sample(ctx, rng) for _ in range(points)]
-        self.sphere_points = [sphere_sample(ctx, rng) for _ in range(points)]
-        self.tangents = [_tangent_basis(ctx, p) for p in self.sphere_points]
-        self._minors = [_tangent_minors(t) for t in self.tangents]
+        self.plane_points = np.array([plane_sample(ctx, rng)
+                                      for _ in range(points)])
+        self.sphere_points = np.array([sphere_sample(ctx, rng)
+                                       for _ in range(points)])
+        self.tangents = Tangents(ctx, self.sphere_points)
         self.root_draws = [_root_draw(rng, ctx.nparams, j)
                            for j in range(points)]
 
@@ -401,10 +450,9 @@ class BatchChecker:
         return max(abs(s.eval_at_roots(r)) for r in self.root_draws)
 
     def element_sup(self, el: Element) -> float:
-        return max((model.form_sup(el, pt) for model in self.models
-                    for pt in self.plane_points), default=0.0)
+        return max(model.form_sup(el, self.plane_points)
+                   for model in self.models)
 
     def sphere_sup(self, el: Element) -> float:
-        return max((model.form_sup(el, pt, minors) for model in self.models
-                    for pt, minors in zip(self.sphere_points, self._minors)),
-                   default=0.0)
+        return max(model.form_sup(el, self.sphere_points, self.tangents)
+                   for model in self.models)

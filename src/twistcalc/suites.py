@@ -537,7 +537,7 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli):
     pt = oracle.sphere_sample(ctx, prng)
     cc = sphere.central_quadric(ctx)
     r.case("c evaluates to the identity on sphere samples",
-           model.form_sup(cc - Element.one(ctx), pt) <= 1e-12)
+           model.form_sup(cc - Element.one(ctx), [pt]) <= 1e-12)
     ok_h = True
     zero = np.zeros(model.size)
     for _ in range(20):

@@ -174,7 +174,7 @@ def batch_sups(bc, el) -> tuple:
         dense = dense_rep(model)
         for pt in bc.plane_points:
             plane = max(plane, plane_sup(dense.eval_element(el, pt)))
-        for pt, tangent in zip(bc.sphere_points, bc.tangents):
+        for pt, tangent in zip(bc.sphere_points, bc.tangents.basis):
             sphere = max(sphere, pullback_sup(dense.eval_element(el, pt),
                                               tangent))
     return plane, sphere

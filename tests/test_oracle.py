@@ -10,11 +10,12 @@ import dense_oracle
 from dense_oracle import DenseRep
 from helpers import central, random_element
 from twistcalc import DeformationContext, Element
-from twistcalc.oracle import (BatchChecker, TorusRep, _models, check_element,
-                              check_scalar, check_sphere_class,
-                              element_sup, plane_sample, sphere_class_sup,
-                              sphere_sample)
+from twistcalc.oracle import (_BLOCK_ENTRIES, BatchChecker, Tangents,
+                              TorusRep, _models, check_element, check_scalar,
+                              check_sphere_class, element_sup, plane_sample,
+                              sphere_class_sup, sphere_sample)
 from twistcalc.sphere import volume_form
+from twistcalc.tensorcalc import volume_element
 
 
 def test_unitary_exchange_relations():
@@ -242,6 +243,39 @@ def test_sups_match_dense_reference(d, moduli, degrees):
                      dense_oracle.batch_sups(bc, el))
         for got, want in pairs:
             assert abs(got - want) <= 1e-12 * max(want, 1.0), (el, got, want)
+
+
+def test_block_sups_match_single_point_sups():
+    """One call over 20 points gives the largest of the 20 one-point sups,
+    in plane and sphere modes.  At D = 6 the first model (side 4199) takes
+    the points in blocks of 3 and the second (side 20677) one at a time."""
+    ctx = DeformationContext(6)
+    models = _models(ctx, 42)
+    assert [max(1, _BLOCK_ENTRIES // m.size) for m in models] == [3, 1]
+    rng = random.Random(40)
+    cc = central(ctx)
+    memb = (cc - Element.one(ctx)) * random_element(ctx, rng, 1, 2, 2) \
+        + cc.d() * random_element(ctx, rng, 1, 1, 1)
+    forms = [memb, memb + Element.dx(ctx, 1) * Element.dx(ctx, 2),
+             random_element(ctx, rng, 2, 1, 3)
+             + random_element(ctx, rng, 1, 3, 2)]
+    plane = [plane_sample(ctx, rng) for _ in range(20)]
+    sphere = [sphere_sample(ctx, rng) for _ in range(20)]
+    tangents = Tangents(ctx, sphere)
+    for model in models:
+        for el in forms:
+            pairs = [(model.form_sup(el, plane),
+                      max(model.form_sup(el, [p]) for p in plane)),
+                     (model.form_sup(el, sphere, tangents),
+                      max(model.form_sup(el, [p], Tangents(ctx, [p]))
+                          for p in sphere))]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * max(want, 1.0), (got, want)
+    # a form of top degree only vanishes on the D - 1 tangent vectors
+    top = (Element.x(ctx, 1) + Element.one(ctx)) * volume_element(ctx)
+    for model in models:
+        assert model.form_sup(top, plane) > 0.1
+        assert model.form_sup(top, sphere, tangents) == 0.0
 
 
 # -- reach and size guards ----------------------------------------------------
