@@ -253,10 +253,15 @@ def instanton_projector(n: int, ctx: DeformationContext | None = None):
     rows = {r: {r: h} for r in range(size)}
     for i in range(1, ctx.dim + 1):
         xi = Element.x(ctx, ctx.primed(i)).scale(half)
+        # gamma^i has few distinct entry values: entries with equal values
+        # share one element (no Matrix operation mutates an entry in place)
+        scaled: dict = {}
         for r, row in rep.gamma(i).rows.items():
             out = rows[r]
             for c, s in row.items():
-                t = xi.scale(s)
+                t = scaled.get(s)
+                if t is None:
+                    t = scaled[s] = xi.scale(s)
                 out[c] = out[c] + t if c in out else t
     return rep, Matrix(size, Element.zero(ctx), rows)
 

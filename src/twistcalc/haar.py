@@ -5,22 +5,54 @@ The derivatives obey the deformed Leibniz rule
     d_s(x^a f) = delta^a_s f + q_{as} x^a d_s f,
 
 the Laplacian is the metric contraction of two of them, and the invariant
-normalised integral of a degree-2n monomial on the sphere is lambda_n times
-its n-th Laplacian power, with
+normalised integral h is defined on a degree-2n monomial of the sphere as
+lambda_n times its n-th Laplacian power, with
 
     lambda_n = 1 / (2^n n! (D,2)_n),   (x,a)_n = x (x+a) ... (x+(n-1)a),
 
 where D is the dimension of the ambient plane.  Odd monomials integrate to
 zero.  The same recursion 1/lambda ratio 2(n+1)(D+2n) is what kills (c-1),
 making the functional well defined on the sphere.
+
+``haar_plane`` does not run that recursion: h(x^e) is the classical sphere
+moment m(e) of the exponent vector, and no phase enters.
+
+Why no phase: the theta-product is a cocycle twist of the classical one
+(Connes-Landi; Rieffel).  Give x^a its torus weight w_a, with w_a' = -w_a and
+weight 0 for the middle coordinate of odd D.  An ordered word in the x^a is
+then the classical monomial times sigma(w_i, w_j) over the ordered pairs
+i < j of its letters, sigma an antisymmetric bicharacter, and the twisted
+integral is the classical one on that identification.  The integral of a
+word of nonzero weight vanishes, so only e_a = e_a' for every pair counts.
+For such e the canonical order 1 ... D/2, mid, (D/2)' ... 1' is a mirror
+image.  Letter pairs with the middle coordinate or with equal weights carry
+sigma = 1, as do (a, a'), and the rest cancel in pairs of equal multiplicity
+e_a e_b:
+
+- (a, b) against (b', a') for a < b, as sigma(w_b', w_a') = sigma(w_b, w_a)
+  = sigma(w_a, w_b)^-1;
+- (a, b') against (b, a'), as sigma(w_a, -w_b) sigma(w_b, -w_a) = 1.
+
+The classical moment comes from a Gaussian vector y in R^D, whose homogeneous
+degree-2n polynomials average (D,2)_n times their sphere mean.  With
+v_a = (y_a + i y_a~)/sqrt2, |v_a|^2 is exponential, so E|v_a|^{2k} = k!,
+E v_a^k conj(v_a)^l = 0 for k != l, and E y_mid^g = (g-1)!! for even g.
+Hence
+
+    m(e) = prod_{a <= D/2} e_a! * (g-1)!! / (D,2)_n,   n = |e|/2,
+
+where g is the middle exponent (g = 0 for even D), and m(e) = 0 unless
+e_a = e_a' for every a <= D/2 and g is even.  The tests check it against
+the Laplacian recursion on every monomial of low degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .ncalg import Element, _add_into, _finish, _mono_mul
-from .qphase import DeformationContext, ExactScalar
+from .qphase import DeformationContext, ExactScalar, _c_add, _c_reduce
 
 __all__ = ["partial_derivative", "laplacian", "lambda_coefficient", "haar_plane"]
 
@@ -60,7 +92,10 @@ def laplacian(f: Element) -> Element:
 
 
 def lambda_coefficient(dim: int, n: int) -> Fraction:
-    """lambda_n for the ambient dimension; lambda_0 = 1."""
+    """lambda_n for the ambient dimension; lambda_0 = 1.
+
+    The weight of the defining recursion h = lambda_n Laplacian^n on
+    degree 2n; ``haar_plane`` evaluates the closed form instead."""
     if n < 0:
         raise ValueError("negative order")
     denom = 1
@@ -71,28 +106,43 @@ def lambda_coefficient(dim: int, n: int) -> Fraction:
     return Fraction(1, denom * shifted)
 
 
-def haar_plane(ctx: DeformationContext, f: Element) -> ExactScalar:
-    """Invariant integral of a degree-0 element, via Laplacian powers.
+def _moment(dim: int, exps: tuple[int, ...]) -> tuple[int, int]:
+    """The classical sphere moment m(exps) as (numerator, denominator)."""
+    half = dim // 2
+    num = 1
+    for a in range(half):
+        ea = exps[a]
+        if ea != exps[dim - 1 - a]:
+            return 0, 1
+        num *= factorial(ea)
+    n = sum(exps[:half])
+    if dim % 2:
+        g = exps[half]
+        if g % 2:
+            return 0, 1
+        # (g - 1)!! = g! / (2^(g/2) (g/2)!)
+        num *= factorial(g) // (factorial(g // 2) << (g // 2))
+        n += g // 2
+    den = 1
+    for j in range(n):
+        den *= dim + 2 * j
+    return num, den
 
-    Linear; a monomial of odd total degree gives 0, one of degree 2n gives
-    lambda_n * Laplacian^n(monomial).
-    """
+
+def haar_plane(ctx: DeformationContext, f: Element) -> ExactScalar:
+    """Invariant integral of a degree-0 element: sum of c_e m(e) over the
+    terms c_e x^e of f (closed form, see the module docstring)."""
     if f.ctx != ctx:
         raise ValueError("element belongs to a different context")
-    if any(dxs for (_, dxs) in f.terms):
-        raise ValueError("the Haar functional is defined on functions only")
-    # group by total degree so each Laplacian power is applied once
-    by_degree: dict[int, Element] = {}
-    for key, coeff in f.terms.items():
-        deg = sum(key[0])
-        part = by_degree.setdefault(deg, Element.zero(ctx))
-        part.terms[key] = coeff
-    total = ctx.scalar_zero()
-    for deg, part in by_degree.items():
-        if deg % 2:
+    acc: dict = {}
+    for (exps, dxs), coeff in f.terms.items():
+        if dxs:
+            raise ValueError("the Haar functional is defined on functions only")
+        p, q = _moment(ctx.dim, exps)
+        if not p:
             continue
-        n = deg // 2
-        for _ in range(n):
-            part = laplacian(part)
-        total = total + part.scalar_part().scale(lambda_coefficient(ctx.dim, n))
-    return total
+        for k, v in coeff.terms.items():
+            w = _c_reduce(v[0] * p, v[1] * p, v[2] * p, v[3] * p, v[4] * q)
+            u = acc.get(k)
+            acc[k] = w if u is None else _c_add(u, w)
+    return ExactScalar(acc)

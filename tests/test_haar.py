@@ -7,7 +7,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from helpers import central, classical_sphere_moment, random_monomial
+from haar_reference import haar_by_laplacian
+from helpers import (central, classical_sphere_moment, random_element,
+                     random_monomial)
 from twistcalc import DeformationContext, Element
 from twistcalc.haar import (haar_plane, lambda_coefficient, laplacian,
                             partial_derivative)
@@ -41,7 +43,6 @@ def test_derivative_exchange_relation():
 def test_partials_reassemble_the_exterior_derivative():
     # d f = sum_c dx^c partial_c(f) on functions
     rng = random.Random(8)
-    from helpers import random_element
     for d in (2, 3, 5):
         ctx = DeformationContext(d)
         for _ in range(20):
@@ -90,24 +91,51 @@ def test_haar_basic_values():
         haar_plane(ctx, Element.dx(ctx, 1))
 
 
+def _monomials(d, max_deg):
+    """Every exponent vector in d variables of total degree <= max_deg."""
+    for total in range(max_deg + 1):
+        for combo in combinations_with_replacement(range(d), total):
+            e = [0] * d
+            for j in combo:
+                e[j] += 1
+            yield tuple(e)
+
+
 def test_haar_matches_classical_moments():
-    # h(x^3 x^3) on the 4-sphere equals the classical moment 1/5, and the
-    # pattern holds for all companion pairs and dimensions
-    for d in (3, 4, 5):
+    # every balanced monomial (e_a = e_a', even middle exponent) integrates
+    # to its classical sphere moment; x^i x^i and its like integrate to 0
+    for d in range(2, 10):
         ctx = DeformationContext(d)
-        for i in range(1, d + 1):
-            exps = [0] * d
-            exps[i - 1] += 1
-            exps[ctx.primed(i) - 1] += 1
-            f = Element(ctx, {(tuple(exps), ()): ctx.scalar_one()})
+        half = d // 2
+        for e in _monomials(d, 10):
+            if any(e[a] != e[d - 1 - a] for a in range(half)) or \
+                    (d % 2 and e[half] % 2):
+                continue
+            f = Element(ctx, {(e, ()): ctx.scalar_one()})
             assert haar_plane(ctx, f) == \
-                ctx.scalar(classical_sphere_moment(d, exps))
+                ctx.scalar(classical_sphere_moment(d, e)), (d, e)
+        for i in range(1, d + 1):
             if i != ctx.primed(i):
                 sq = [0] * d
                 sq[i - 1] = 2
                 g = Element(ctx, {(tuple(sq), ()): ctx.scalar_one()})
                 assert haar_plane(ctx, g).is_zero()
                 assert classical_sphere_moment(d, sq) == 0
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("d,max_deg",
+                         [(2, 8), (3, 8), (4, 8), (5, 8), (6, 6), (7, 6)])
+def test_closed_form_matches_laplacian_recursion(d, max_deg, commutative):
+    # every monomial of low degree, then random sums with phased coefficients
+    ctx = DeformationContext(d, commutative=commutative)
+    for e in _monomials(d, max_deg):
+        f = Element(ctx, {(e, ()): ctx.scalar_one()})
+        assert haar_plane(ctx, f) == haar_by_laplacian(ctx, f), e
+    rng = random.Random(100 * d + commutative)
+    for _ in range(50):
+        f = random_element(ctx, rng, max_deg, 0, 5)
+        assert haar_plane(ctx, f) == haar_by_laplacian(ctx, f)
 
 
 def test_haar_equals_classical_on_ordered_balanced_monomials():
@@ -133,13 +161,9 @@ def test_haar_well_defined_small_sweep():
     for d in (3, 4):
         ctx = DeformationContext(d)
         rel = central(ctx) - Element.one(ctx)
-        for total in range(0, 5):
-            for combo in combinations_with_replacement(range(d), total):
-                e = [0] * d
-                for j in combo:
-                    e[j] += 1
-                m = Element(ctx, {(tuple(e), ()): ctx.scalar_one()})
-                assert haar_plane(ctx, rel * m).is_zero()
+        for e in _monomials(d, 4):
+            m = Element(ctx, {(e, ()): ctx.scalar_one()})
+            assert haar_plane(ctx, rel * m).is_zero()
 
 
 def test_haar_trace_property():
@@ -153,7 +177,6 @@ def test_haar_trace_property():
 
 def test_haar_reality_and_positivity():
     rng = random.Random(4)
-    from helpers import random_element
     for d in (3, 4, 5):
         ctx = DeformationContext(d)
         for _ in range(30):
