@@ -310,28 +310,33 @@ def _contraction_row(ctx, up: tuple) -> dict:
 
 def epsilon_contraction(ctx):
     """eps . eps contracted over D - k slots = (D-k)! W, for every pair of
-    index tuples of every rank k."""
+    index tuples of every rank k.
+
+    Only the pairs where a side can be nonzero are yielded: for each upper
+    tuple up, the lo that key its contraction row or its row of (D-k)! W.
+    Every other pair is zero on both sides.  The contraction vanishes when up
+    or lo repeats an index, or when lo does not order the index set of up
+    (``_contraction_row``); W keeps its index multiset, and its row holds
+    every nonzero entry read from the columns.  So a nonzero W entry off the
+    contraction's support is still yielded, and fails against a zero sum.
+    """
     d = ctx.dim
-    full = range(1, d + 1)
     group = f"D={d}: epsilon contraction = (D-k)! W, exhaustive"
     zero = ctx.scalar_zero()
     for k in range(d + 1):
         fact = factorial(d - k)
-        # each tuple's text is formatted once, not once per pair: at D = 4
-        # formatting 70k labels would cost a third of the sums
-        tuples = [(t, f"{t}") for t in product(full, repeat=k)]
+        tuples = list(product(range(1, d + 1), repeat=k))
         # (D-k)! W, read one column per lower tuple and transposed into rows
         w_rows: dict = {}
-        for lo, _ in tuples:
+        for lo in tuples:
             for up, w in antisym_w_column(ctx, lo).items():
                 w_rows.setdefault(up, {})[lo] = w.scale(fact)
-        for up, up_text in tuples:
+        for up in tuples:
             row = _contraction_row(ctx, up)
             w_row = w_rows.get(up, {})
-            for lo, lo_text in tuples:
-                yield Identity(group, f"D={d} contraction {up_text}|{lo_text}",
-                               "scalar", ctx, row.get(lo, zero),
-                               w_row.get(lo, zero))
+            for lo in sorted(row.keys() | w_row.keys()):
+                yield Identity(group, f"D={d} contraction {up}|{lo}", "scalar",
+                               ctx, row.get(lo, zero), w_row.get(lo, zero))
 
 
 def epsilon_contraction_draws(ctx, draws):

@@ -123,6 +123,10 @@ def test_suite_run_all_reports_each_suite(capsys, monkeypatch):
     assert list(per) == [s for s in SUITE_NAMES if s != "all"]
     assert all(set(entry) == {"cases", "wall_time_s"} for entry in per.values())
     assert sum(entry["cases"] for entry in per.values()) == payload["cases"] == 846
+    # the per-suite counts the benchmark gate holds each pass to
+    assert {name: entry["cases"] for name, entry in per.items()} == {
+        "qphase": 490, "ncalg": 105, "tensor": 123, "haar": 39, "sphere": 17,
+        "hodge": 46, "chern": 18, "oracle": 8}
     # the text form lists the same breakdown; without wall times only the
     # case counts remain
     report = SuiteReport(suite="all", cases=3, seed=1, wall_time_s=0.5,

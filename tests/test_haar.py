@@ -138,24 +138,6 @@ def test_closed_form_matches_laplacian_recursion(d, max_deg, commutative):
         assert haar_plane(ctx, f) == haar_by_laplacian(ctx, f)
 
 
-def test_haar_equals_classical_on_ordered_balanced_monomials():
-    # x^{e...} x^{a}x^{a'}... with ascending symmetric structure: the value
-    # is phase-free and equals the classical surface integral
-    rng = random.Random(2)
-    for d in (3, 4, 5):
-        ctx = DeformationContext(d)
-        for _ in range(40):
-            exps = [0] * d
-            for _ in range(rng.randint(1, 3)):
-                a = rng.randint(1, d)
-                exps[a - 1] += 1
-                exps[ctx.primed(a) - 1] += 1
-            f = Element(ctx, {(tuple(exps), ()): ctx.scalar_one()})
-            got = haar_plane(ctx, f)
-            want = ctx.scalar(classical_sphere_moment(d, exps))
-            assert got == want, (d, exps)
-
-
 def test_haar_well_defined_small_sweep():
     # full degree-6 sweep is in the acceptance suite
     for d in (3, 4):

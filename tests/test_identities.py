@@ -4,11 +4,14 @@ family instance."""
 import random
 from itertools import product
 
+from contraction_reference import epsilon_contraction_every_pair
 from twistcalc import DeformationContext, Element, central_quadric
-from twistcalc.identities import Identity, _contraction, holds
+from twistcalc.identities import (Identity, _contraction, epsilon_contraction,
+                                  holds)
 from twistcalc.suites import (SuiteReport, _Runner, distinct_index_pairs,
                               random_index_pair)
-from twistcalc.tensorcalc import epsilon_q, epsilon_qinv
+from twistcalc.tensorcalc import (antisym_w_bruteforce, epsilon_q,
+                                  epsilon_qinv)
 
 
 def test_holds_decides_by_kind():
@@ -63,6 +66,43 @@ def test_contraction_sums_over_complement_orders_only():
                 assert _contraction(ctx, up, lo, cyclic) == \
                     _full_contraction(ctx, up, lo, cyclic), (up, lo, cyclic)
         assert repeats == {True, False}
+
+
+def test_contraction_family_keeps_every_nonzero_pair():
+    # the family against the every-pair reference: the same records wherever
+    # a side is nonzero, and it drops only pairs comparing the shared zero
+    for d in (2, 3, 4):
+        ctx = DeformationContext(d)
+        kept, dropped = [], []
+        for i in epsilon_contraction_every_pair(ctx):
+            (kept if i.lhs or i.rhs else dropped).append(i)
+        family = list(epsilon_contraction(ctx))
+        assert [i.label for i in family] == [i.label for i in kept]
+        assert family == kept
+        assert all(i.lhs is i.rhs and not i.lhs for i in dropped)
+
+
+def test_contraction_family_omits_only_zero_pairs():
+    # each pair the family omits is zero by the sum over all of {1..D}^(D-k)
+    # and by W's permutation sum: every omitted pair at D = 2, 3; at D = 4
+    # every repeat-free one and a sample of those with a repeated index
+    rng = random.Random(15)
+    for d in (2, 3, 4):
+        ctx = DeformationContext(d)
+        labels = {i.label for i in epsilon_contraction(ctx)}
+        free, repeats = [], []
+        for k in range(d + 1):
+            for up, lo in product(product(range(1, d + 1), repeat=k),
+                                  repeat=2):
+                if f"D={d} contraction {up}|{lo}" not in labels:
+                    (free if len(set(up)) == len(set(lo)) == k
+                     else repeats).append((up, lo))
+        if d == 4:
+            assert len(free) == 564
+            repeats = rng.sample(repeats, 200)
+        for up, lo in free + repeats:
+            assert not _full_contraction(ctx, up, lo, False), (up, lo)
+            assert not antisym_w_bruteforce(ctx, up, lo), (up, lo)
 
 
 def test_distinct_index_pairs():
