@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dim", type=int, default=5)
     run.add_argument("--n", type=int, default=None)
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--moduli", type=_moduli_arg, default=None)
+    run.add_argument("--moduli", type=_moduli_arg, default=None,
+                     help="oracle suite: modulus of each of the two models")
     run.add_argument("--json", action="store_true")
     run.add_argument("--profile", metavar="FILE", default=None,
                      help="write cProfile stats of the run to FILE")
@@ -68,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="numeric model evaluation")
     orc.add_argument("--dim", type=int, required=True)
     orc.add_argument("--expr", type=str, required=True)
-    orc.add_argument("--moduli", type=_moduli_arg, default=None)
+    orc.add_argument("--moduli", type=_moduli_arg, default=None,
+                     help="modulus of each of the two models, e.g. 13,17"
+                          " (one value serves both; each at least 3); a"
+                          " model of modulus m has side m^ceil(h/2), h = D//2")
     orc.add_argument("--seed", type=int, default=42)
     orc.add_argument("--points", type=int, default=20)
     orc.add_argument("--sphere-class", action="store_true",

@@ -1,26 +1,50 @@
 """Independent numeric model: classical sphere data x torus representations.
 
 Phases become roots of unity, coordinates become classical values times
-clock/shift unitaries, differentials become classical covectors times the
-same unitaries.  Every symbolic identity of the engine is Laurent-polynomial
-in the phases, so vanishing at enough distinct roots and sample points is an
+unitaries, differentials become classical covectors times the same
+unitaries.  Every symbolic identity of the engine is Laurent-polynomial in
+the phases, so vanishing at enough distinct roots and sample points is an
 independent (probabilistic, but sharply bounded) certificate.
 
-Every clock/shift word is a generalized permutation matrix, U e_j =
-phase[j] e_{perm[j]}, and is stored as a ``Word`` of two arrays of length
-side = prod(moduli).  Its perm is a translation of prod Z_m, so two words
-with different perm[0] never share a matrix entry: the largest entry of
-sum_t z_t U_t is the largest |sum_t z_t phase_t| over the classes of equal
-perm[0].  ``TorusRep.form_sup`` evaluates a form over all sample points of a
-model at once: each term's coefficient and word are found once, its
-classical value is one vector over the points, and the entries are summed
-in numpy passes over blocks of at most 2^14 / side points (at least one).
-Over P points that costs O(terms * P * side) time, in numpy calls per block
-and dx set rather than per point and term, and O(side) memory per word plus
-O(max(2^14, side)) per dx set of a block.  A model of more than MAX_SIZE
-entries per word is refused before anything is allocated, and dense side x
-side matrices are built only on request (``eval_element``,
-``monomial_matrix``, ``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
+The unitaries are Weyl words (generalised clock and shift matrices; J.
+Schwinger, "Unitary operator bases", PNAS 46, 1960).  A model of modulus m
+works on (Z_m)^s with s = ceil(h/2), h = D//2, so its side is m^s: 13 and
+17 at D = 4, 5 and 169 and 289 at D = 6..9 for the default models (side 1
+below D = 4, where no phase is left).  Each coordinate a <= h gets a vector
+v_a of Z_m^(2s), U^a is the Weyl word W(v_a), U^(a') is its adjoint and the
+middle coordinate of odd D acts as the identity, so U^a U^(a') = 1 and c
+evaluates to sum_a z_a z_(a').  Weyl words satisfy
+W(v) W(w) = zeta^omega(v, w) W(w) W(v) with zeta = e^(2 pi i/m) and omega
+the standard symplectic form, so parameter (a, b) takes the root
+zeta^omega(v_a, v_b).  The vectors are drawn at random, and redrawn while
+any 2 omega(v_a, v_b) = 0 (mod m), so that no q equals 1/q.
+
+What a pass certifies: an identity that holds evaluates to zero in every
+model.  One that fails is a nonzero Laurent polynomial in the phases and the
+coordinates, and a model sees it at one root of unity of order m per
+parameter, all drawn independently, and at the sample points.  It can read
+zero there only if that point is a root of the polynomial, or if the words
+of distinct monomials coincide (powers of U^a repeat with period m), which
+exponents of size m or more can cause.  Two models over distinct primes
+(13 and 17 by default) and 20 points make such a false zero unlikely for the
+small exponents of the tested identities; no pass certifies an identity at
+generic q.
+
+Every Weyl word is a generalized permutation matrix, U e_j = phase[j]
+e_{perm[j]}, and is stored as a ``Word`` of two arrays of length side.  Its
+perm is a translation of (Z_m)^s, so two words with different perm[0] never
+share a matrix entry: the largest entry of sum_t z_t U_t is the largest
+|sum_t z_t phase_t| over the classes of equal perm[0].  ``TorusRep.form_sup``
+evaluates a form over all sample points of a model at once: each term's
+coefficient and word are found once, its classical value is one vector over
+the points, and the entries are summed in numpy passes over blocks of at
+most 2^14 / side points (at least one).  Over P points that costs
+O(terms * P * side) time, in numpy calls per block and dx set rather than
+per point and term, and O(side) memory per word plus O(max(2^14, side)) per
+dx set of a block.  A model of more than MAX_SIZE entries per word is
+refused before anything is allocated, and dense side x side matrices are
+built only on request (``eval_element``, ``monomial_matrix``,
+``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
 
 Sphere-class identities are checked by pulling the evaluated form back to the
 tangent space of the quadric c = 1 at each sample point, which kills exactly
@@ -49,6 +73,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# The default moduli of the two models are the first two; check_scalar's
+# phase draws run over all of them.
 _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 # Largest side a model may have: one word then takes 2^21 * 24 bytes (48 MB).
@@ -58,16 +84,32 @@ MAX_DENSE_SIDE = 2048
 # Most entries per dx set of one block of form values (points x side, 256 KB):
 # a model of side above it takes one point at a time.
 _BLOCK_ENTRIES = 1 << 14
-
-
-def _moduli_text(moduli) -> str:
-    return ", ".join(str(m) for m in moduli)
+# The Weyl vector draw tries at most this many candidates per coordinate, and
+# starts afresh at most _DRAW_STARTS times before giving up on a modulus.
+_DRAW_TRIES = 256
+_DRAW_STARTS = 20
 
 
 def _check_count(name: str, n: int) -> None:
     """Raise ValueError unless n >= 1: no samples cannot show anything zero."""
     if n < 1:
         raise ValueError(f"{name} must be at least 1, got {n}")
+
+
+def _model_moduli(moduli) -> tuple[int, int]:
+    """Moduli of the two models: moduli[0], then moduli[1], or moduli[0]
+    again when only one is given.  Every modulus given must be at least 3."""
+    if moduli is None:
+        return _PRIMES[0], _PRIMES[1]
+    moduli = tuple(moduli)
+    if not moduli:
+        raise ValueError("need at least one modulus, got none")
+    for m in moduli:
+        if m < 3:
+            # a root of unity of order 1 or 2 has q = 1/q
+            raise ValueError(f"modulus {m} cannot tell q from 1/q:"
+                             f" every modulus must be at least 3")
+    return moduli[0], moduli[1] if len(moduli) > 1 else moduli[0]
 
 
 class Word(NamedTuple):
@@ -93,78 +135,91 @@ class Word(NamedTuple):
                 and np.allclose(self.phase, scale * other.phase, atol=1e-12))
 
 
-def _slot_word(m: int, zeta: complex, role: str) -> tuple:
-    """(perm, phase) of one m x m clock/shift slot."""
-    j = np.arange(m)
-    if role == "clock":
-        return j, np.array([zeta ** i for i in range(m)])
-    if role == "clock*":
-        return j, np.array([zeta ** i for i in range(m)]).conj()
-    ones = np.ones(m, dtype=complex)
-    if role == "shift":
-        return (j + 1) % m, ones
-    if role == "shift*":
-        return (j - 1) % m, ones
-    return j, ones
+def _omega(v, w, s: int) -> int:
+    """omega(v, w) = p.r' - r.p' of v = (p, r) and w = (p', r') in Z^(2s)."""
+    return sum(v[k] * w[s + k] - v[s + k] * w[k] for k in range(s))
+
+
+def _weyl_vectors(h: int, s: int, m: int, rng: random.Random) -> list:
+    """h vectors of Z_m^(2s) with 2 omega(v_a, v_b) != 0 (mod m) for a != b.
+
+    Coordinate by coordinate, the first of _DRAW_TRIES random candidates that
+    pairs validly with the vectors drawn so far is kept; a coordinate with no
+    valid candidate starts the draw afresh, at most _DRAW_STARTS times."""
+    for _ in range(_DRAW_STARTS):
+        vecs = []
+        for _ in range(h):
+            for _ in range(_DRAW_TRIES):
+                v = [rng.randrange(m) for _ in range(2 * s)]
+                if all(2 * _omega(w, v, s) % m for w in vecs):
+                    vecs.append(v)
+                    break
+            else:
+                break
+        else:
+            return vecs
+    raise ValueError(
+        f"modulus {m} is too small for {h} coordinates: no Weyl vectors with"
+        f" q != 1/q in {_DRAW_STARTS} draws; use a larger modulus")
 
 
 class TorusRep:
     """Finite-dimensional unitaries U^a with U^a U^b = q_{ab}(roots) U^b U^a.
 
-    One clock/shift slot per independent parameter (r, s): generator r acts
-    as the clock, s as the shift, their primed partners as the inverses, and
-    every other generator as the identity in that slot.  ``unitaries[a]`` is
-    U^a as a ``Word`` on the Kronecker product of the slots (first slot
-    outermost); ``_mono_cache`` holds the word of each monomial evaluated.
+    A model of one modulus m (``moduli[0]``, 13 by default) on (Z_m)^s with
+    s = ceil(h/2), h = D//2, or s = 0 when there is no parameter: side m^s.
+    ``vectors[a-1]`` is the exponent vector v_a = (p, r) of Z_m^(2s) of
+    coordinate a <= h, and U^a = W(v_a) is the Kronecker product over the s
+    slots (first slot outermost) of clock^(p_k) shift^(r_k).  Primed
+    partners act as the adjoints and the middle coordinate of odd D as the
+    identity.  Parameter (a, b) takes the root zeta^omega(v_a, v_b), zeta =
+    e^(2 pi i/m).  ``root_exps`` gives the vectors; by default they are
+    drawn from rng, and redrawn while 2 omega(v_a, v_b) = 0 (mod m) for any
+    parameter, so that no q equals 1/q.  ``unitaries[a]`` is U^a as a
+    ``Word``; ``_mono_cache`` holds the word of each monomial evaluated.
     """
 
     def __init__(self, ctx: DeformationContext, moduli=None, root_exps=None,
                  rng: random.Random | None = None):
         self.ctx = ctx
-        nparams = ctx.nparams
-        if moduli is None:
-            moduli = _PRIMES[:nparams]
-        for m in moduli:
-            if m < 3:
-                # a root of unity of order 1 or 2 has q = 1/q
-                raise ValueError(f"modulus {m} cannot tell q from 1/q:"
-                                 f" every modulus must be at least 3")
-        moduli = list(moduli)[:nparams]
-        if len(moduli) < nparams:
-            raise ValueError(f"need {nparams} moduli, got {len(moduli)}")
-        self.size = math.prod(moduli)
+        m = self.modulus = _model_moduli(moduli)[0]
+        h = ctx.dim // 2
+        s = (h + 1) // 2 if ctx.nparams else 0
+        self.size = m ** s
         if self.size > MAX_SIZE:
             raise ValueError(
-                f"torus model of side {self.size} (moduli"
-                f" {_moduli_text(moduli)}) is over the cap of side {MAX_SIZE}")
-        if rng is None:
-            rng = random.Random(0)
+                f"torus model of side {self.size} (modulus {m}, {s} slots)"
+                f" is over the cap of side {MAX_SIZE}")
         if root_exps is None:
-            root_exps = [rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
-                         for m in moduli]
-        self.moduli = moduli
-        self.root_exps = list(root_exps)
-        self.roots = [cmath.exp(2j * cmath.pi * k / m)
-                      for k, m in zip(self.root_exps, moduli)]
+            root_exps = _weyl_vectors(h, s, m, rng or random.Random(0))
+        if len(root_exps) != h or any(len(v) != 2 * s for v in root_exps):
+            raise ValueError(f"need {h} Weyl vectors of {2 * s} entries")
+        vecs = self.vectors = [tuple(x % m for x in v) for v in root_exps]
+        exps = [_omega(vecs[a - 1], vecs[b - 1], s) % m
+                for a, b in ctx.params]
+        if any(2 * k % m == 0 for k in exps):
+            raise ValueError(f"Weyl vectors give q = 1/q modulo {m}")
+        zeta_powers = np.exp(2j * np.pi * np.arange(m) / m)
+        self.roots = [complex(zeta_powers[k]) for k in exps]
         self._identity = Word(np.arange(self.size),
                               np.ones(self.size, dtype=complex))
-        self._build_generators()
+        self._build_generators(s, zeta_powers)
         self._mono_cache: dict = {}
 
-    def _build_generators(self):
-        ctx = self.ctx
-        self.unitaries: dict[int, Word] = {}
-        for a in range(1, ctx.dim + 1):
-            perm = np.zeros(1, dtype=np.intp)
-            phase = np.ones(1, dtype=complex)
-            for p_idx, (r, s) in enumerate(ctx.params):
-                m = self.moduli[p_idx]
-                role = {r: "clock", s: "shift", ctx.primed(r): "clock*",
-                        ctx.primed(s): "shift*"}.get(a, "identity")
-                p_perm, p_phase = _slot_word(m, self.roots[p_idx], role)
-                perm = (perm[:, None] * m + p_perm).ravel()
-                phase = (phase[:, None] * p_phase).ravel()
-            self.unitaries[a] = Word(perm, phase)
+    def _build_generators(self, s: int, zeta_powers: np.ndarray):
+        ctx, m = self.ctx, self.modulus
+        # the slot digits of every basis index, first slot outermost
+        digits = np.indices((m,) * s).reshape(s, self.size)
+        place = m ** np.arange(s - 1, -1, -1)
+        self.unitaries: dict[int, Word] = {
+            a: self._identity for a in range(1, ctx.dim + 1)}
+        for a, v in enumerate(self.vectors, start=1):
+            p, r = np.array(v, dtype=np.intp).reshape(2, s)
+            # clock^p shift^r e_j = zeta^(p.(j+r)) e_(j+r), slot by slot
+            moved = (digits + r[:, None]) % m
+            word = Word(place @ moved, zeta_powers[(p @ moved) % m])
+            self.unitaries[a] = word
+            self.unitaries[ctx.primed(a)] = word.adjoint()
 
     def eval_scalar(self, s: ExactScalar) -> complex:
         return s.eval_at_roots(self.roots)
@@ -187,10 +242,9 @@ class TorusRep:
         """Refuse a dense side x side view that would not fit in memory."""
         if self.size > MAX_DENSE_SIDE:
             raise ValueError(
-                f"dense torus matrix of side {self.size} (moduli"
-                f" {_moduli_text(self.moduli)}) needs"
-                f" {16 * self.size ** 2 / 2 ** 20:.0f} MB; dense views stop"
-                f" at side {MAX_DENSE_SIDE}")
+                f"dense torus matrix of side {self.size} (modulus"
+                f" {self.modulus}) needs {16 * self.size ** 2 / 2 ** 20:.0f}"
+                f" MB; dense views stop at side {MAX_DENSE_SIDE}")
 
     def dense(self, word: Word) -> np.ndarray:
         """The side x side matrix of a word."""
@@ -353,14 +407,9 @@ def _tangent_basis(ctx: DeformationContext, point: np.ndarray) -> np.ndarray:
 
 
 def _models(ctx, seed: int, moduli=None):
+    """The two models of a seed, over the moduli of ``_model_moduli``."""
     rng = random.Random(seed)
-    first = TorusRep(ctx, moduli=moduli, rng=rng)
-    if moduli is None and ctx.nparams:
-        second_moduli = _PRIMES[ctx.nparams:2 * ctx.nparams]
-        second = TorusRep(ctx, moduli=second_moduli, rng=rng)
-    else:
-        second = TorusRep(ctx, moduli=moduli, rng=rng)
-    return [first, second]
+    return [TorusRep(ctx, moduli=(m,), rng=rng) for m in _model_moduli(moduli)]
 
 
 def check_element(el: Element, seed: int = 42, points: int = 20,

@@ -1,9 +1,9 @@
 """Dense reference for the torus oracle.
 
-The Kronecker construction of the clock/shift unitaries, dense monomial
-products and the tangent pullback by determinants, as the oracle computed
-them before it stored words as (perm, phase) arrays.  Each function reads
-only the parameters of a ``TorusRep`` (context, moduli, roots) and the
+The Kronecker construction of the Weyl unitaries from clock and shift
+matrices, dense monomial products and the tangent pullback by determinants,
+without the oracle's (perm, phase) words.  Each function reads only the
+parameters of a ``TorusRep`` (context, modulus, Weyl vectors, roots) and the
 sample streams of the oracle, so its sups can be compared with the sparse
 ones sample by sample.
 """
@@ -17,8 +17,8 @@ from twistcalc.oracle import (_models, _tangent_basis, plane_sample,
                               sphere_sample)
 
 
-def _clock(m: int, zeta: complex) -> np.ndarray:
-    return np.diag([zeta ** j for j in range(m)])
+def _clock(m: int) -> np.ndarray:
+    return np.diag(np.exp(2j * np.pi * np.arange(m) / m))
 
 
 def _shift(m: int) -> np.ndarray:
@@ -29,38 +29,27 @@ def _shift(m: int) -> np.ndarray:
 
 
 class DenseRep:
-    """The unitaries of a TorusRep as dense Kronecker products."""
+    """The unitaries of a TorusRep as dense Kronecker products, built from
+    the model's Weyl vectors: U^a is the product over the slots of
+    clock^p shift^r, U^a' its conjugate transpose, and every other
+    coordinate the identity."""
 
     def __init__(self, model):
         model.check_dense()
         self.model = model
         self.size = model.size
-        ctx = model.ctx
-        slots_per_gen = [[] for _ in range(ctx.dim + 1)]
-        for p_idx, (r, s) in enumerate(ctx.params):
-            m = model.moduli[p_idx]
-            c = _clock(m, model.roots[p_idx])
-            sh = _shift(m)
-            ident = np.eye(m, dtype=complex)
-            rp, sp = ctx.primed(r), ctx.primed(s)
-            for a in range(1, ctx.dim + 1):
-                if a == r:
-                    mat = c
-                elif a == s:
-                    mat = sh
-                elif a == rp:
-                    mat = c.conj().T
-                elif a == sp:
-                    mat = sh.conj().T
-                else:
-                    mat = ident
-                slots_per_gen[a].append(mat)
-        self.unitaries = {}
-        for a in range(1, ctx.dim + 1):
+        ctx, m = model.ctx, model.modulus
+        clock, shift = _clock(m), _shift(m)
+        power = np.linalg.matrix_power
+        self.unitaries = {a: np.eye(self.size, dtype=complex)
+                          for a in range(1, ctx.dim + 1)}
+        for a, v in enumerate(model.vectors, start=1):
+            s = len(v) // 2
             u = np.eye(1, dtype=complex)
-            for mat in slots_per_gen[a]:
-                u = np.kron(u, mat)
+            for p, r in zip(v[:s], v[s:]):
+                u = np.kron(u, power(clock, p) @ power(shift, r))
             self.unitaries[a] = u
+            self.unitaries[ctx.primed(a)] = u.conj().T
         self._mono_cache = {}
 
     def monomial_matrix(self, key) -> np.ndarray:
@@ -100,7 +89,7 @@ def dense_rep(model) -> DenseRep:
     """DenseRep of a model, shared by the models with the same parameters
     until a model of other parameters comes (the two models of one seed
     stay), so the dense words of one test are built once."""
-    key = (model.ctx.dim, tuple(model.moduli), tuple(model.root_exps))
+    key = (model.ctx.dim, model.modulus, tuple(model.vectors))
     if key not in _DENSE:
         if len(_DENSE) >= 2:
             _DENSE.clear()

@@ -2,6 +2,7 @@
 
 import json
 import pstats
+import time
 from collections import Counter
 
 import pytest
@@ -79,13 +80,30 @@ def test_oracle_command_size_reach_and_guard(capsys):
                            "--expr", "x1*x2 - q(1,2)^1*x2*x1", "--json")
     assert code == 0
     assert json.loads(out)["zero"] is True
-    code, _, err = run_cli(capsys, "oracle", "--dim", "8", "--expr", "x1")
+    # modulus 1451 at D = 7: side 1451^2 is over the 2^21 cap
+    code, _, err = run_cli(capsys, "oracle", "--dim", "7", "--moduli", "1451",
+                           "--expr", "x1")
     assert code == 2
-    assert "side 86822723" in err
+    assert "side 2105401" in err
+
+
+def test_oracle_small_modulus_fails_fast(capsys):
+    """A modulus too small for the dimension gives a model at once or exit
+    2 with a message, never a long vector search."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--dim", "17", "--moduli", "3",
+                             "--expr", "x1*x2 - q(1,2)^1*x2*x1", "--json")
+    assert code == 0, err
+    assert json.loads(out)["zero"] is True
+    code, out, err = run_cli(capsys, "oracle", "--dim", "41", "--moduli", "3",
+                             "--expr", "x1", "--json")
+    assert (code, out) == (2, "")
+    assert "modulus 3 is too small for 20 coordinates" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_oracle_suite_reaches_default_moduli_at_d6(capsys):
-    # side 13*17*19 = 4199: above the dense-view cap, so no dense matrix
+    # the default models of D = 6 (sides 169 and 289)
     code, out, err = run_cli(capsys, "suite", "run", "oracle", "--dim", "6",
                              "--json")
     assert code == 0, err

@@ -19,24 +19,40 @@ from twistcalc.tensorcalc import volume_element
 
 
 def test_unitary_exchange_relations():
+    """U^a U^b = q_ab U^b U^a for every a, b, U^a' is the adjoint of U^a and
+    U^a U^a' = 1, and every parameter's 2 omega is nonzero mod m (q != 1/q),
+    in both models of a seed, on sides m^s, s = ceil(h/2)."""
     for d, moduli in ((2, None), (3, None), (4, None), (5, None),
-                      (6, (5, 7, 11))):
+                      (6, (5, 7, 11)), (6, None), (7, None), (9, None)):
         ctx = DeformationContext(d)
-        model = TorusRep(ctx, moduli=moduli, rng=random.Random(1))
-        for a in range(1, d + 1):
-            ua = model.unitaries[a]
-            up = model.unitaries[ctx.primed(a)]
-            assert up.matches(ua.adjoint())
-            assert (ua @ up).matches(model.word(((0,) * d, ())))
-            for b in range(1, d + 1):
-                ub = model.unitaries[b]
-                z = model.eval_scalar(ctx.q_power(a, b))
-                assert (ua @ ub).matches(ub @ ua, scale=z)
+        for model in _models(ctx, d, moduli):
+            m, s = model.modulus, (d // 2 + 1) // 2 if ctx.nparams else 0
+            assert model.size == m ** s
+            one = model.word(((0,) * d, ()))
+            for a in range(1, d + 1):
+                ua = model.unitaries[a]
+                up = model.unitaries[ctx.primed(a)]
+                assert up.matches(ua.adjoint())
+                assert (ua @ up).matches(one)
+                for b in range(1, d + 1):
+                    ub = model.unitaries[b]
+                    z = model.eval_scalar(ctx.q_power(a, b))
+                    assert (ua @ ub).matches(ub @ ua, scale=z), (d, a, b)
+            for r, t in ctx.params:
+                v, w = model.vectors[r - 1], model.vectors[t - 1]
+                omega = sum(v[k] * w[s + k] - v[s + k] * w[k]
+                            for k in range(s))
+                assert 2 * omega % m != 0
 
 
 def test_moduli_arity_guard():
-    with pytest.raises(ValueError):
-        TorusRep(DeformationContext(6), moduli=(5,))
+    with pytest.raises(ValueError, match="need at least one modulus"):
+        TorusRep(DeformationContext(6), moduli=())
+    with pytest.raises(ValueError, match="need 3 Weyl vectors of 4 entries"):
+        TorusRep(DeformationContext(6), root_exps=[(1, 0, 0, 1)] * 2)
+    # v_1 = v_2 gives omega = 0, so q = 1 = 1/q
+    with pytest.raises(ValueError, match="q = 1/q modulo 13"):
+        TorusRep(DeformationContext(6), root_exps=[(1, 0, 0, 1)] * 3)
 
 
 def test_sample_points_structure():
@@ -152,8 +168,9 @@ def test_moduli_below_three_are_rejected(moduli, bad):
 def test_distinct_prime_moduli_between_models():
     ctx = DeformationContext(5)
     m1, m2 = _models(ctx, seed=42)
-    assert m1.moduli != m2.moduli
-    assert all(m >= 13 for m in m1.moduli + m2.moduli)
+    assert (m1.modulus, m2.modulus) == (13, 17)
+    assert [m.modulus for m in _models(ctx, 42, (5, 7, 11))] == [5, 7]
+    assert [m.modulus for m in _models(ctx, 42, (5,))] == [5, 5]
 
 
 def test_seeded_reproducibility():
@@ -193,13 +210,13 @@ def _random_key(ctx, rng, top):
 def test_sparse_words_match_dense_products():
     rng = random.Random(12)
     for d, moduli, top in ((3, None, 2), (4, None, 2), (5, None, 2),
-                           (6, (5, 7, 11), 1)):
+                           (6, (5, 7, 11), 1), (7, None, 1), (9, None, 1)):
         ctx = DeformationContext(d)
         model = TorusRep(ctx, moduli=moduli, rng=random.Random(d))
         ref = DenseRep(model)
         for a in range(1, d + 1):
-            assert np.array_equal(model.dense(model.unitaries[a]),
-                                  ref.unitaries[a])
+            assert np.allclose(model.dense(model.unitaries[a]),
+                               ref.unitaries[a], rtol=0, atol=1e-12)
         for _ in range(5):
             key = _random_key(ctx, rng, top)
             assert np.allclose(model.monomial_matrix(key),
@@ -223,8 +240,7 @@ def _sup_cases(ctx, rng, degrees):
 
 @pytest.mark.parametrize("d, moduli, degrees", [
     (4, None, range(4)), (5, None, range(5)),
-    # dense words of side 385 cost 2.3 MB each: three degrees keep this small
-    (6, (5, 7, 11), (1, 2, 5))])
+    (6, (5, 7, 11), (1, 2, 5)), (7, None, (0, 2)), (9, None, (1,))])
 def test_sups_match_dense_reference(d, moduli, degrees):
     """Relative to max(sup, 1): a J-member's sup is rounding noise."""
     ctx = DeformationContext(d)
@@ -247,10 +263,11 @@ def test_sups_match_dense_reference(d, moduli, degrees):
 
 def test_block_sups_match_single_point_sups():
     """One call over 20 points gives the largest of the 20 one-point sups,
-    in plane and sphere modes.  At D = 6 the first model (side 4199) takes
-    the points in blocks of 3 and the second (side 20677) one at a time."""
+    in plane and sphere modes.  At D = 6 the model of modulus 67 (side
+    4489) takes the points in blocks of 3, and the model of modulus 131
+    (side 17161 > 2^14) one at a time."""
     ctx = DeformationContext(6)
-    models = _models(ctx, 42)
+    models = _models(ctx, 42, (67, 131))
     assert [max(1, _BLOCK_ENTRIES // m.size) for m in models] == [3, 1]
     rng = random.Random(40)
     cc = central(ctx)
@@ -280,10 +297,10 @@ def test_block_sups_match_single_point_sups():
 
 # -- reach and size guards ----------------------------------------------------
 
-@pytest.mark.parametrize("d", [6, 7])
+@pytest.mark.parametrize("d", [6, 7, 9])
 def test_default_moduli_reach_without_dense_matrices(d):
     ctx = DeformationContext(d)
-    assert [m.size for m in _models(ctx, 42)] == [4199, 20677]
+    assert [m.size for m in _models(ctx, 42)] == [169, 289]
     rng = random.Random(30 + d)
     x1, x2 = Element.x(ctx, 1), Element.x(ctx, 2)
     cc = central(ctx)
@@ -299,20 +316,32 @@ def test_default_moduli_reach_without_dense_matrices(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one dense matrix of side 4199 alone takes 282 MB
+    # words of side 289 take 7 kB each; the bound leaves no room for a
+    # runaway intermediate
     assert peak < 64 * 2 ** 20
 
 
 def test_model_size_guard():
-    msg = r"side 86822723 \(moduli 13, 17, 19, 23, 29, 31\)"
+    # modulus 1451 at D = 7: two slots, side 1451^2 > 2^21
+    msg = r"side 2105401 \(modulus 1451, 2 slots\)"
     with pytest.raises(ValueError, match=msg):
-        TorusRep(DeformationContext(8))
-    model = TorusRep(DeformationContext(6))
+        TorusRep(DeformationContext(7), moduli=(1451,))
+    # modulus 47 at D = 6: side 47^2 = 2209 > MAX_DENSE_SIDE
+    model = TorusRep(DeformationContext(6), moduli=(47,))
     key = ((1,) + (0,) * 5, ())
-    with pytest.raises(ValueError, match=r"side 4199 \(moduli 13, 17, 19\)"):
+    with pytest.raises(ValueError, match=r"side 2209 \(modulus 47\)"):
         model.monomial_matrix(key)
-    with pytest.raises(ValueError, match="side 4199"):
+    with pytest.raises(ValueError, match="side 2209"):
         model.eval_element(Element.x(model.ctx, 1), plane_sample(
             model.ctx, random.Random(0)))
-    with pytest.raises(ValueError, match="side 4199"):
+    with pytest.raises(ValueError, match="side 2209"):
         DenseRep(model)
+
+
+def test_small_modulus_fails_fast_or_succeeds():
+    """A modulus too small for the dimension ends the bounded vector draw
+    with an error, never a long search; one that suffices builds at once."""
+    model = TorusRep(DeformationContext(17), moduli=(3,))
+    assert model.size == 3 ** 4
+    with pytest.raises(ValueError, match="modulus 3 is too small for 20"):
+        TorusRep(DeformationContext(41), moduli=(3,))
