@@ -137,39 +137,60 @@ def stokes(ctx, thetas):
 
 # -- Hodge stars on full bases ------------------------------------------------
 
-def _basis(ctx, n: int, star):
-    """{k: [(dx indices, basis form, its star)]} for k <= n; each star is
-    computed once."""
+_PLANE_NAMES = ("** = graded sign on all basis forms", "a^*b = sign *a^b",
+                "<a,b> = <*a,*b>", "<*a,g> = <a^g,V>", "*(a*) = (*a)*",
+                "defining relation a^*b = <a,b>V")
+_SPHERE_NAMES = ("** = graded sign", "t^*e = sign *t^e", "<t,e> = <*t,*e>",
+                 "<*t,n> = <t^n,volume>", "*(t*) = (*t)*", "defining relation")
+
+
+def _basis(ctx, n: int, star) -> dict:
+    """{dx indices: (basis form, its star)} for every degree k <= n, by
+    degree and then in lexicographic order; each star is computed once."""
     out = {}
     for k in range(n + 1):
-        out[k] = []
         for s in combinations(range(1, ctx.dim + 1), k):
             form = basis_form(ctx, s)
-            out[k].append((s, form, star(form)))
+            out[s] = form, star(form)
     return out
 
 
-def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol):
-    """The identities of a Hodge star on n-forms, on every basis form and
-    pair of basis forms; one family instance per identity, in the order of
-    ``names``: **, exchange, isometry, duality, reality, defining relation."""
+def _primed(ctx, s: tuple) -> tuple:
+    """u' of a dx word u: the primed indices, reversed (again ascending)."""
+    return tuple(ctx.primed(a) for a in reversed(s))
+
+
+def _complement(ctx, s: tuple) -> tuple:
+    return tuple(a for a in range(1, ctx.dim + 1) if a not in s)
+
+
+def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol,
+                  partners, complements):
+    """The identities of a Hodge star on n-forms, on every basis form and on
+    the pairs of basis forms where a side can be nonzero; one family
+    instance per identity, in the order of ``names``: **, exchange,
+    isometry, duality, reality, defining relation.
+
+    The exchange, isometry and defining relation pair each word s with the
+    words ``partners(s)`` of its degree k, and duality pairs it with
+    ``complements(s)`` of degree n - k, both in lexicographic order.  Every
+    pair left out is zero on both sides; the callers prove their rules.
+    """
 
     def eq(i, label, lhs, rhs):
         return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, ctx,
                         lhs, rhs)
 
     def singles():
-        for k in range(n + 1):
-            sign = -1 if k * (n - k) % 2 else 1
-            for s, a, sa in basis[k]:
-                yield sign, f"{s}", a, sa
+        for s, (a, sa) in basis.items():
+            sign = -1 if len(s) * (n - len(s)) % 2 else 1
+            yield sign, f"{s}", a, sa
 
     def pairs(complement=False):
-        for k in range(n + 1):
-            sign = -1 if k * (n - k) % 2 else 1
-            for s, a, sa in basis[k]:
-                for t, b, sb in basis[n - k if complement else k]:
-                    yield sign, f"{s}|{t}", a, sa, b, sb
+        for s, (a, sa) in basis.items():
+            sign = -1 if len(s) * (n - len(s)) % 2 else 1
+            for t in (complements if complement else partners)(s):
+                yield (sign, f"{s}|{t}", a, sa) + basis[t]
 
     # a^*b and <a,b> of each pair, formed once for the exchange and the
     # isometry and read again by the defining relation
@@ -200,14 +221,26 @@ def hodge_plane_units(ctx):
 
 
 def hodge_plane_basis(ctx):
-    """The plane Hodge identities on full bases."""
+    """The plane Hodge identities on full bases.
+
+    A pair of basis forms is taken only where a side can be nonzero: u = v'
+    for the exchange, isometry and defining relation on dx^u, dx^v, and
+    t = the complement of u for duality on dx^u, dx^t.  *dx^v is a multiple
+    of dx^{(complement of v)'} (``tensorcalc._hodge_basis``), and the prime
+    is a bijection of {1..D}, so for u, v of one degree:
+    - dx^u ^ *dx^v needs u to miss (complement of v)', so u lies in v' and,
+      of its size, is v'; (*dx^u) ^ dx^v needs v = u' alike;
+    - <dx^u, dx^v> pairs dx^u with dx^{u'} alone (``pairing_plane``), and
+      <*dx^u, *dx^v> needs (complement of v)' = complement of u, which is
+      v = u' again;
+    - <*dx^u, dx^t> needs t = ((complement of u)')' = complement of u, and
+      dx^u ^ dx^t needs t to miss u, which of degree D - k is the same.
+    """
     d = ctx.dim
     yield from _hodge_family(
         ctx, d, _basis(ctx, d, hodge_plane), "element", f"D={d}",
-        ("** = graded sign on all basis forms", "a^*b = sign *a^b",
-         "<a,b> = <*a,*b>", "<*a,g> = <a^g,V>", "*(a*) = (*a)*",
-         "defining relation a^*b = <a,b>V"),
-        hodge_plane, pairing_plane, volume_element(ctx))
+        _PLANE_NAMES, hodge_plane, pairing_plane, volume_element(ctx),
+        lambda s: (_primed(ctx, s),), lambda s: (_complement(ctx, s),))
 
 
 def hodge_sphere_units(ctx):
@@ -219,24 +252,57 @@ def hodge_sphere_units(ctx):
                    hodge_sphere(vol), one)
 
 
+def _sphere_partners(ctx, u: tuple) -> list:
+    """The words v of u's degree with |u' - v| <= 1: u' and each word one
+    index away from it, in lexicographic order."""
+    up = _primed(ctx, u)
+    out = {up}
+    for a in up:
+        for b in _complement(ctx, up):
+            out.add(tuple(sorted(set(up) - {a} | {b})))
+    return sorted(out)
+
+
 def hodge_sphere_basis(ctx):
     """The sphere Hodge identities on full bases, as sphere classes, led by
     the explicit star against the star through the normal,
-    (-1)^(N-k)/2 *(theta ^ dc)."""
+    (-1)^(N-k)/2 *(theta ^ dc).
+
+    A pair of basis forms is taken only where a side can be nonzero, as an
+    ambient element: |u' - v| <= 1 for the exchange, isometry and defining
+    relation on dx^u, dx^v, and u, t disjoint for duality on dx^u, dx^t.
+    *dx^v has one term per a outside v, a multiple of x^{a'} times
+    dx^{(complement of v+a)'} (``sphere._hodge_sphere_basis``), and the
+    terms of distinct a have distinct x parts.  For u, v of one degree, so
+    that |u - v'| = |v - u'| = |u' - v|:
+    - dx^u ^ *dx^v: the term of a needs u to lie in v' + a', so
+      |u - v'| <= 1; (*dx^u) ^ dx^v needs v in u' + a', the same rule;
+    - <dx^u, dx^v> is nonzero only for |v - u'| <= 1
+      (``_pairing_sphere_basis``), which rules the isometry's left side and
+      the defining relation's right side;
+    - <dx^u ^ dx^t, volume> is zero unless u and t are disjoint.
+    The two sides left, <*dx^u, *dx^v> and <*dx^u, dx^t>, vanish by
+    cancellation between terms.  Classically, with n = dc/2 the metric dual
+    of the position vector X, *theta = +-*(theta ^ n), <a, b> =
+    <a ^ n, b ^ n> on the plane, and i_X(g ^ n) = (i_X g) ^ n +- c g.  The
+    plane's duality kills every term holding n ^ n, so <*theta, *eta> =
+    c <theta, eta> and <*theta, nu> = +-c <theta ^ nu ^ n, V> as
+    polynomials: zero where <theta, eta> is, and where theta ^ nu is.  The
+    twist keeps each zero: it rescales the monomial basis by phases, and
+    c, dc and the metric have weight zero (see the ``sphere`` docstring).
+    """
     n = ctx.dim - 1
     dc = central_quadric(ctx).d()
     basis = _basis(ctx, n, hodge_sphere)
-    for k in range(n + 1):
-        for s, th, sth in basis[k]:
-            yield Identity(f"N={n}: explicit star = star through the normal",
-                           f"N={n} normal-route {s}", "sphere", ctx, sth,
-                           hodge_plane(th * dc).scale(
-                               Fraction((-1) ** (n - k), 2)))
+    for s, (th, sth) in basis.items():
+        yield Identity(f"N={n}: explicit star = star through the normal",
+                       f"N={n} normal-route {s}", "sphere", ctx, sth,
+                       hodge_plane(th * dc).scale(
+                           Fraction((-1) ** (n - len(s)), 2)))
     yield from _hodge_family(
-        ctx, n, basis, "sphere", f"N={n}",
-        ("** = graded sign", "t^*e = sign *t^e", "<t,e> = <*t,*e>",
-         "<*t,n> = <t^n,volume>", "*(t*) = (*t)*", "defining relation"),
-        hodge_sphere, pairing_sphere, volume_form(ctx))
+        ctx, n, basis, "sphere", f"N={n}", _SPHERE_NAMES, hodge_sphere,
+        pairing_sphere, volume_form(ctx), lambda s: _sphere_partners(ctx, s),
+        lambda s: combinations(_complement(ctx, s), n - len(s)))
 
 
 # -- braid matrix and q-antisymmetrizer ---------------------------------------

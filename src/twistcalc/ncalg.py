@@ -41,8 +41,8 @@ __all__ = ["Element", "Monomial", "normal_order"]
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Bound of the normal-ordering cache.  In one pass of the benchmark's exact
-# workload (seed 1) 2048 entries answer 70.7% of its 40,298 monomial products
-# for about 0.4 MB of peak memory; 16,384 entries answer 75.5%, and when the
+# workload (seed 1) 2048 entries answer 65.7% of its 27,547 monomial products
+# for about 0.4 MB of peak memory; 16,384 entries answer 70.5%, and when the
 # bound was chosen they were no faster and cost 5 MB.
 MONO_CACHE_SIZE = 2048
 

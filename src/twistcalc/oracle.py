@@ -41,10 +41,10 @@ the points, and the entries are summed in numpy passes over blocks of at
 most 2^14 / side points (at least one).  Over P points that costs
 O(terms * P * side) time, in numpy calls per block and dx set rather than
 per point and term, and O(side) memory per word plus O(max(2^14, side)) per
-dx set of a block.  A model of more than MAX_SIZE entries per word is
-refused before anything is allocated, and dense side x side matrices are
-built only on request (``eval_element``, ``monomial_matrix``,
-``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
+dx set of a block.  A model whose 2h + 1 generator words would hold more
+than MAX_SIZE entries together is refused before anything is allocated, and
+dense side x side matrices are built only on request (``eval_element``,
+``monomial_matrix``, ``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
 
 Sphere-class identities are checked by pulling the evaluated form back to the
 tangent space of the quadric c = 1 at each sample point, which kills exactly
@@ -77,7 +77,8 @@ DEFAULT_TOL = 1e-9
 # phase draws run over all of them.
 _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
-# Largest side a model may have: one word then takes 2^21 * 24 bytes (48 MB).
+# Most entries a model's generator words may hold together, side * (2h + 1)
+# for the identity, each U^a and its adjoint: 2^21 * 24 bytes (48 MB).
 MAX_SIZE = 1 << 21
 # Largest side of a dense view: one matrix then takes 2048^2 * 16 B (64 MB).
 MAX_DENSE_SIDE = 2048
@@ -163,6 +164,13 @@ def _weyl_vectors(h: int, s: int, m: int, rng: random.Random) -> list:
         f" q != 1/q in {_DRAW_STARTS} draws; use a larger modulus")
 
 
+def _oversized(side: int, m: int, s: int, words: int) -> ValueError:
+    return ValueError(
+        f"torus model of side {side} (modulus {m}, {s} slots) needs {words}"
+        f" words of that side, {words * side} entries, over the cap of"
+        f" {MAX_SIZE} entries ({MAX_SIZE * 24 >> 20} MB)")
+
+
 class TorusRep:
     """Finite-dimensional unitaries U^a with U^a U^b = q_{ab}(roots) U^b U^a.
 
@@ -186,14 +194,19 @@ class TorusRep:
         h = ctx.dim // 2
         s = (h + 1) // 2 if ctx.nparams else 0
         self.size = m ** s
+        # the words stored: the identity, each U^a and its adjoint.  A side
+        # over the cap is refused before the Weyl vector draw, whose cost
+        # grows with h; the words together after it, so that a modulus too
+        # small for h is named as such
+        words = 2 * h + 1
         if self.size > MAX_SIZE:
-            raise ValueError(
-                f"torus model of side {self.size} (modulus {m}, {s} slots)"
-                f" is over the cap of side {MAX_SIZE}")
+            raise _oversized(self.size, m, s, words)
         if root_exps is None:
             root_exps = _weyl_vectors(h, s, m, rng or random.Random(0))
         if len(root_exps) != h or any(len(v) != 2 * s for v in root_exps):
             raise ValueError(f"need {h} Weyl vectors of {2 * s} entries")
+        if self.size * words > MAX_SIZE:
+            raise _oversized(self.size, m, s, words)
         vecs = self.vectors = [tuple(x % m for x in v) for v in root_exps]
         exps = [_omega(vecs[a - 1], vecs[b - 1], s) % m
                 for a, b in ctx.params]

@@ -157,16 +157,37 @@ def volume_form(ctx: DeformationContext) -> Element:
     return _finish(ctx, acc)
 
 
+@lru_cache(maxsize=None)
+def _quadric_d_slices(ctx: DeformationContext) -> dict:
+    """{j: the terms of dc holding dx^j} (cached, shared)."""
+    out: dict[int, dict] = {}
+    for (exps, dxs), coeff in _quadric_d(ctx).terms.items():
+        out.setdefault(dxs[0], {})[(exps, dxs)] = coeff
+    return out
+
+
 def top_decompose(om: Element) -> Element:
-    """The unique function with om ^ dc/2 = f * V_D (om of degree D-1)."""
+    """The unique function with om ^ dc/2 = f * V_D (om of degree D-1).
+
+    A term x^e dx^{[D] - j} of om meets a repeated dx in every term of dc but
+    2 x^{j'} dx^j, so each group of terms missing one index j is multiplied
+    by that slice of dc alone.
+    """
     ctx = om.ctx
     if om.terms and om.form_degree() != ctx.dim - 1:
         raise ValueError("top decomposition needs a form of degree D-1")
-    top = om * _quadric_d(ctx)
     full = tuple(range(1, ctx.dim + 1))
+    index_sum = sum(full)
+    groups: dict[int, dict] = {}
+    for key, coeff in om.terms.items():
+        groups.setdefault(index_sum - sum(key[1]), {})[key] = coeff
+    slices = _quadric_d_slices(ctx)
+    acc: dict = {}
+    for j, group in groups.items():
+        _mul_into(acc, ctx, group, slices[j])
     out: dict[Monomial, ExactScalar] = {}
     norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
-    for (exps, dxs), coeff in top.terms.items():
+    for (exps, dxs), coeff in _finish(ctx, acc).terms.items():
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
         out[(exps, ())] = coeff * norm

@@ -1,4 +1,5 @@
-"""Reference decision of sphere-class membership by an exact linear solve.
+"""References for the sphere quotient: membership by an exact linear solve,
+and the top decomposition by the full product with dc.
 
 ``twistcalc.sphere.in_quotient_ideal`` decides omega in
 J = (c-1)*Omega + dc ^ Omega by one rewrite of omega ^ dc mod (c-1).  This
@@ -7,13 +8,34 @@ module keeps the earlier, independent procedure: build the generators
 span, exactly and fraction-free, split into blocks by the companion-pair
 multidegree invariants that c-1 and dc both preserve.  Tests compare the
 two.
+
+``top_decompose_full_product`` forms om ^ dc with every term of dc, as
+``twistcalc.sphere.top_decompose`` did before it multiplied each term of om
+by the one term of dc that can survive.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from twistcalc.ncalg import Element, Monomial
 from twistcalc.qphase import DeformationContext, ExactScalar
 from twistcalc.sphere import central_quadric
+
+
+def top_decompose_full_product(om: Element) -> Element:
+    """The function f with om ^ dc/2 = f * V_D, read off om * dc."""
+    ctx = om.ctx
+    if om.terms and om.form_degree() != ctx.dim - 1:
+        raise ValueError("top decomposition needs a form of degree D-1")
+    top = om * central_quadric(ctx).d()
+    full = tuple(range(1, ctx.dim + 1))
+    norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
+    out = {}
+    for (exps, dxs), coeff in top.terms.items():
+        if dxs != full:
+            raise AssertionError("top product is not proportional to the volume")
+        out[(exps, ())] = coeff * norm
+    return Element(ctx, out)
 
 
 def _signature(ctx: DeformationContext, key: Monomial):

@@ -87,6 +87,14 @@ def test_oracle_command_size_reach_and_guard(capsys):
     assert "side 2105401" in err
 
 
+def test_oracle_command_word_cap(capsys):
+    # modulus 7 at D = 25: a side of 7^6 under the cap, but 25 words over it
+    code, out, err = run_cli(capsys, "oracle", "--dim", "25", "--moduli", "7",
+                             "--expr", "x1", "--json")
+    assert (code, out) == (2, "")
+    assert "side 117649 (modulus 7, 6 slots) needs 25 words" in err
+
+
 def test_oracle_small_modulus_fails_fast(capsys):
     """A modulus too small for the dimension gives a model at once or exit
     2 with a message, never a long vector search."""

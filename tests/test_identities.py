@@ -2,11 +2,14 @@
 family instance."""
 
 import random
+from functools import lru_cache
 from itertools import product
 
 from contraction_reference import epsilon_contraction_every_pair
+from hodge_reference import hodge_plane_every_pair, hodge_sphere_every_pair
 from twistcalc import DeformationContext, Element, central_quadric
 from twistcalc.identities import (Identity, _contraction, epsilon_contraction,
+                                  hodge_plane_basis, hodge_sphere_basis,
                                   holds)
 from twistcalc.suites import (SuiteReport, _Runner, distinct_index_pairs,
                               random_index_pair)
@@ -103,6 +106,44 @@ def test_contraction_family_omits_only_zero_pairs():
         for up, lo in free + repeats:
             assert not _full_contraction(ctx, up, lo, False), (up, lo)
             assert not antisym_w_bruteforce(ctx, up, lo), (up, lo)
+
+
+@lru_cache(maxsize=1)
+def _hodge_cases() -> list:
+    """(context, family records, every-pair reference records): the plane
+    at D = 2..6, its commutative limit at D = 2..4 and the sphere at
+    N = 1..5."""
+    cases = [(hodge_plane_basis, hodge_plane_every_pair, DeformationContext(d))
+             for d in range(2, 7)]
+    cases += [(hodge_plane_basis, hodge_plane_every_pair,
+               DeformationContext(d, commutative=True)) for d in (2, 3, 4)]
+    cases += [(hodge_sphere_basis, hodge_sphere_every_pair,
+               DeformationContext(n + 1)) for n in range(1, 6)]
+    return [(ctx, list(family(ctx)), list(reference(ctx)))
+            for family, reference, ctx in cases]
+
+
+def test_hodge_families_keep_the_reference_records():
+    # wherever the family yields a record it is the reference's, in the
+    # reference's order
+    for ctx, got, reference in _hodge_cases():
+        labels = {i.label for i in got}
+        assert len(labels) == len(got)
+        assert got == [i for i in reference if i.label in labels], ctx
+
+
+def test_hodge_families_omit_only_zero_records():
+    # every pair the family leaves out, recomputed by the reference, is zero
+    # on both sides as an element; at D = 5 that is 880 plane records and
+    # 310 sphere records
+    omitted_at_5 = []
+    for ctx, got, reference in _hodge_cases():
+        labels = {i.label for i in got}
+        omitted = [i for i in reference if i.label not in labels]
+        assert all(not i.lhs and not i.rhs for i in omitted), ctx
+        if ctx.dim == 5 and not ctx.commutative:
+            omitted_at_5.append(len(omitted))
+    assert omitted_at_5 == [880, 310]
 
 
 def test_distinct_index_pairs():

@@ -10,10 +10,10 @@ import dense_oracle
 from dense_oracle import DenseRep
 from helpers import central, random_element
 from twistcalc import DeformationContext, Element
-from twistcalc.oracle import (_BLOCK_ENTRIES, BatchChecker, Tangents,
-                              TorusRep, _models, check_element, check_scalar,
-                              check_sphere_class, element_sup, plane_sample,
-                              sphere_class_sup, sphere_sample)
+from twistcalc.oracle import (_BLOCK_ENTRIES, MAX_SIZE, BatchChecker,
+                              Tangents, TorusRep, _models, check_element,
+                              check_scalar, check_sphere_class, element_sup,
+                              plane_sample, sphere_class_sup, sphere_sample)
 from twistcalc.sphere import volume_form
 from twistcalc.tensorcalc import volume_element
 
@@ -336,6 +336,27 @@ def test_model_size_guard():
             model.ctx, random.Random(0)))
     with pytest.raises(ValueError, match="side 2209"):
         DenseRep(model)
+
+
+def test_model_word_cap():
+    # D = 25, modulus 7: a side of 7^6 = 117,649 is under 2^21, but the 25
+    # generator words hold 2,941,225 entries; refused before any is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"side 117649 \(modulus 7, 6 "
+                           r"slots\) needs 25 words .* 2941225 entries"):
+            TorusRep(DeformationContext(25), moduli=(7,))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # modulus 487 at D = 9: 9 words of side 237,169 are over 2^21 entries
+    assert 9 * 487 ** 2 > MAX_SIZE
+    with pytest.raises(ValueError, match="side 237169"):
+        TorusRep(DeformationContext(9), moduli=(487,))
+    # the default models up to D = 9
+    for d in range(2, 10):
+        for m in (13, 17):
+            assert TorusRep(DeformationContext(d), moduli=(m,)).size <= 289
 
 
 def test_small_modulus_fails_fast_or_succeeds():

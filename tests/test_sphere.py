@@ -6,7 +6,8 @@ import pytest
 
 from helpers import central, random_element, random_monomial
 from sphere_reference import (_in_scalar_span, _middle_degree_membership,
-                              _monomials, _signature)
+                              _monomials, _signature,
+                              top_decompose_full_product)
 from twistcalc import DeformationContext, Element
 from twistcalc.sphere import (central_quadric, in_quotient_ideal,
                               integrate_form, omega_form, reduce_mod_c,
@@ -85,6 +86,32 @@ def test_top_decompose_examples():
     assert om * dc == (f * volume_element(ctx)).scale(2)
     with pytest.raises(ValueError):
         top_decompose(Element.dx(ctx, 1))
+
+
+def test_top_decompose_matches_full_product():
+    # random (D-1)-forms with several terms per missing index, and forms
+    # dc ^ beta whose products cancel between the groups, against om * dc
+    rng = random.Random(17)
+    for d in range(2, 8):
+        ctx = DeformationContext(d)
+        dc = central_quadric(ctx).d()
+        multi = False
+        for _ in range(6):
+            om = Element.zero(ctx)
+            for _ in range(rng.randint(1, 3)):
+                om = om + random_element(ctx, rng, 2, d - 1, rng.randint(1, 4))
+            missing = [sum(range(1, d + 1)) - sum(dxs) for _, dxs in om.terms]
+            multi |= len(missing) > len(set(missing))
+            beta = random_element(ctx, rng, 1, d - 2, 2) + Element.monomial(
+                ctx, ((1,) + (0,) * (d - 1), tuple(range(2, d))))
+            exact = dc * beta
+            assert exact and top_decompose(exact).is_zero()
+            for form in (om, om - om, om + exact):
+                assert top_decompose(form) == \
+                    top_decompose_full_product(form), (d, form)
+        assert multi, d
+        with pytest.raises(ValueError):
+            top_decompose(Element.one(ctx))
 
 
 def test_stokes():
