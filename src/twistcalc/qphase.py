@@ -43,6 +43,9 @@ _RT2 = 2.0 ** 0.5
 _C_ONE = (1, 0, 0, 0, 1)
 _C_MINUS_ONE = (-1, 0, 0, 0, 1)
 
+# {(dim, commutative): pair table}, filled by DeformationContext
+_PAIR_TABLES: dict[tuple[int, bool], dict] = {}
+
 
 def _c_reduce(a, b, c, d, n):
     """Canonical tuple of (a + b i + c sqrt2 + d i sqrt2)/n, given n > 0."""
@@ -128,8 +131,9 @@ class DeformationContext:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
         self.commutative = bool(commutative)
+        key = (dim, self.commutative)
         # every lru_cache keyed by a context hashes it: compute that once
-        self._hash = hash((dim, self.commutative))
+        self._hash = hash(key)
         self._indices = frozenset(range(1, dim + 1))
         half = dim // 2
         if self.commutative:
@@ -140,10 +144,14 @@ class DeformationContext:
         self.param_index = {p: i for i, p in enumerate(self.params)}
         self.nparams = len(self.params)
         self._zero_exps = (0,) * self.nparams
-        self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {}
-        for a in range(1, dim + 1):
-            for b in range(1, dim + 1):
-                self._pair_table[(a, b)] = self._reduce_pair_orbit(a, b)
+        # the table depends on (dim, commutative) alone: reduce it once and
+        # share it between equal contexts (read only)
+        table = _PAIR_TABLES.get(key)
+        if table is None:
+            table = _PAIR_TABLES[key] = {
+                (a, b): self._reduce_pair_orbit(a, b)
+                for a in range(1, dim + 1) for b in range(1, dim + 1)}
+        self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = table
 
     # -- basic structure ---------------------------------------------------
 
@@ -338,7 +346,19 @@ class ExactScalar:
         return res
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            u = out.get(k)
+            w = _c_neg(v) if u is None else _c_add(u, _c_neg(v))
+            if w[0] or w[1] or w[2] or w[3]:
+                out[k] = w
+            else:
+                del out[k]
+        res = ExactScalar.__new__(ExactScalar)
+        res.terms = out
+        return res
 
     def __mul__(self, other):
         if type(other) is not ExactScalar:

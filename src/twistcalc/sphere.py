@@ -23,10 +23,13 @@ that rescaling.
 
 (c-1)*Omega is the sum over dx sets S of (c-1)*A*dx^S, so ``reduce_mod_c``
 decides the right-hand side by a confluent rewrite of x^1 x^D, dx monomial
-by dx monomial.  ``in_quotient_ideal`` takes the residue of omega itself at
-degree 0 (J meets the functions in (c-1)*A), of f_omega with
-omega ^ dc/2 = f_omega * V at the sphere's top degree N, and of omega ^ dc
-in every other degree; at the ambient top degree D the product is zero.
+by dx monomial.  J is graded by form degree, so ``in_quotient_ideal``
+decides each homogeneous part alone (a form of one degree is read in place)
+and takes the residue of the part itself at degree 0 (J meets the functions
+in (c-1)*A), of f_omega with omega ^ dc/2 = f_omega * V at the sphere's top
+degree N (each term x^e dx^{[D]-j} times the one term 2 x^{j'} dx^j of dc),
+and of omega ^ dc in every other degree; at the ambient top degree D the
+product is zero.
 
 The integral of a top form is the Haar value of f_omega; the sphere Hodge
 star and pairing push the plane ones through the normal direction dc/2.
@@ -46,10 +49,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .haar import haar_plane
-from .ncalg import Element, Monomial, _add_into, _finish, _mono_mul, _mul_into
-from .qphase import DeformationContext, ExactScalar
+from .ncalg import Element, _finish, _mono_mul, _mul_into
+from .qphase import DeformationContext, ExactScalar, _c_add, _c_mul, _c_neg
 from .tensorcalc import epsilon_q, epsilon_qinv
 
 __all__ = [
@@ -103,31 +107,49 @@ def reduce_mod_c(f: Element) -> Element:
     times x^1 x^D, and x^1 x^D is replaced by its value mod (c-1), until no
     term holds both.  x^1 x^D and its replacement have torus weight zero, so
     they commute with dx^S: f -> f dx^S carries (c-1)*A onto (c-1)*A*dx^S
-    and the confluent rewrite of functions onto this one.
+    and the confluent rewrite of functions onto this one.  Each round strips
+    x^1 x^D from every such term (distinct terms give distinct stripped
+    monomials) and multiplies them by the replacement in one product; the
+    other terms go straight into the result.
     """
     ctx = f.ctx
-    repl = _companion_replacement(ctx)
+    repl = _companion_replacement(ctx).terms
     last = ctx.dim - 1
-    pair_key = (tuple(1 if j in (0, last) else 0 for j in range(ctx.dim)), ())
-    pending = f
+    if not any(exps[0] and exps[last] for exps, _ in f.terms):
+        return f  # already in normal form
+    pair_key = ((1,) + (0,) * (last - 1) + (1,), ())
+    zero = ctx._zero_exps
+    # {monomial: {phase exponents: coefficient tuple}}, as in ``_mul_into``;
+    # a coefficient that cancelled to zero is dropped by the last ``_finish``
+    pending = [(key, coeff.terms) for key, coeff in f.terms.items()]
     done: dict = {}
-    while pending.terms:
-        acc: dict = {}
-        for (exps, dxs), coeff in pending.terms.items():
+    while pending:
+        pieces: dict = {}
+        for key, phases in pending:
+            exps = key[0]
             if exps[0] and exps[last]:
                 stripped = list(exps)
                 stripped[0] -= 1
                 stripped[last] -= 1
-                key = (tuple(stripped), dxs)
-                # stripped * (x^1 x^D) = phase * monomial: undo that phase
-                shift, sign, prod_key = _mono_mul(ctx, key, pair_key)
-                if prod_key != (exps, dxs) or sign != 1:
+                rest = (tuple(stripped), key[1])
+                # rest * (x^1 x^D) = phase * monomial: undo that phase
+                shift, sign, prod_key = _mono_mul(ctx, rest, pair_key)
+                if prod_key != key or sign != 1:
                     raise AssertionError("x^1 x^D does not split off the term")
-                piece = {key: coeff.shifted(tuple(-s for s in shift))}
-                _mul_into(acc, ctx, piece, repl.terms)
-            else:
-                _add_into(done, {(exps, dxs): coeff})
-        pending = _finish(ctx, acc)
+                piece = pieces[rest] = ExactScalar.__new__(ExactScalar)
+                piece.terms = phases if shift == zero else {
+                    tuple(map(sub, k, shift)): v for k, v in phases.items()}
+                continue
+            slot = done.get(key)
+            if slot is None:
+                done[key] = dict(phases)
+                continue
+            for k, v in phases.items():
+                u = slot.get(k)
+                slot[k] = v if u is None else _c_add(u, v)
+        acc: dict = {}
+        _mul_into(acc, ctx, pieces, repl)
+        pending = acc.items()
     return _finish(ctx, done)
 
 
@@ -158,11 +180,19 @@ def volume_form(ctx: DeformationContext) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _quadric_d_slices(ctx: DeformationContext) -> dict:
-    """{j: the terms of dc holding dx^j} (cached, shared)."""
-    out: dict[int, dict] = {}
+def _top_slices(ctx: DeformationContext) -> dict:
+    """{j: (key, value)}: the one term x^{j'} dx^j of dc holding dx^j, and
+    its coefficient times the normalisation i^{-D//2}/2 of f_omega, as a
+    coefficient tuple (cached, shared)."""
+    norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
+    out: dict[int, tuple] = {}
     for (exps, dxs), coeff in _quadric_d(ctx).terms.items():
-        out.setdefault(dxs[0], {})[(exps, dxs)] = coeff
+        if dxs[0] in out:
+            raise AssertionError("dc holds two terms with one differential")
+        (phase, value), = (coeff * norm).terms.items()
+        if any(phase):
+            raise AssertionError("a term of dc carries a phase")
+        out[dxs[0]] = ((exps, dxs), value)
     return out
 
 
@@ -170,30 +200,33 @@ def top_decompose(om: Element) -> Element:
     """The unique function with om ^ dc/2 = f * V_D (om of degree D-1).
 
     A term x^e dx^{[D] - j} of om meets a repeated dx in every term of dc but
-    2 x^{j'} dx^j, so each group of terms missing one index j is multiplied
-    by that slice of dc alone.
+    2 x^{j'} dx^j, so each term is multiplied by that one term alone.
     """
     ctx = om.ctx
     if om.terms and om.form_degree() != ctx.dim - 1:
         raise ValueError("top decomposition needs a form of degree D-1")
     full = tuple(range(1, ctx.dim + 1))
     index_sum = sum(full)
-    groups: dict[int, dict] = {}
-    for key, coeff in om.terms.items():
-        groups.setdefault(index_sum - sum(key[1]), {})[key] = coeff
-    slices = _quadric_d_slices(ctx)
+    slices = _top_slices(ctx)
+    zero = ctx._zero_exps
     acc: dict = {}
-    for j, group in groups.items():
-        _mul_into(acc, ctx, group, slices[j])
-    out: dict[Monomial, ExactScalar] = {}
-    norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
-    for (exps, dxs), coeff in _finish(ctx, acc).terms.items():
+    for mono, coeff in om.terms.items():
+        key, value = slices[index_sum - sum(mono[1])]
+        shift, sign, (exps, dxs) = _mono_mul(ctx, mono, key)
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
-        out[(exps, ())] = coeff * norm
-    res = Element.__new__(Element)
-    res.ctx, res.terms = ctx, out
-    return res
+        if sign < 0:
+            value = _c_neg(value)
+        slot = acc.get(exps)
+        if slot is None:
+            slot = acc[exps] = {}
+        for k, v in coeff.terms.items():
+            if shift != zero:
+                k = tuple(map(add, k, shift))
+            v = _c_mul(v, value)
+            u = slot.get(k)
+            slot[k] = v if u is None else _c_add(u, v)
+    return _finish(ctx, {(exps, ()): slot for exps, slot in acc.items()})
 
 
 def integrate_form(om: Element) -> ExactScalar:
@@ -212,8 +245,9 @@ def in_quotient_ideal(el: Element) -> bool:
     every other degree (see the module docstring).
     """
     ctx = el.ctx
-    for k in sorted(el.form_degrees()):
-        part = el.homogeneous_part(k)
+    degrees = el.form_degrees()
+    for k in sorted(degrees):
+        part = el if len(degrees) == 1 else el.homogeneous_part(k)
         if k == 0:
             residue = reduce_mod_c(part)
         elif k == ctx.dim - 1:

@@ -12,14 +12,20 @@ two.
 ``top_decompose_full_product`` forms om ^ dc with every term of dc, as
 ``twistcalc.sphere.top_decompose`` did before it multiplied each term of om
 by the one term of dc that can survive.
+
+``reduce_mod_c_by_term`` and ``in_quotient_ideal_by_parts`` keep the earlier
+decision path: one product with the replacement of x^1 x^D per rewritten
+term, and a copied homogeneous part per form degree, with f_omega read off
+the full product with dc.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from twistcalc.ncalg import Element, Monomial
+from twistcalc.ncalg import (Element, Monomial, _add_into, _finish,
+                             _mono_mul, _mul_into)
 from twistcalc.qphase import DeformationContext, ExactScalar
-from twistcalc.sphere import central_quadric
+from twistcalc.sphere import _companion_replacement, central_quadric
 
 
 def top_decompose_full_product(om: Element) -> Element:
@@ -36,6 +42,52 @@ def top_decompose_full_product(om: Element) -> Element:
             raise AssertionError("top product is not proportional to the volume")
         out[(exps, ())] = coeff * norm
     return Element(ctx, out)
+
+
+def reduce_mod_c_by_term(f: Element) -> Element:
+    """Normal form of f modulo (c-1)*Omega, rewriting x^1 x^D round by
+    round with one product per rewritten term."""
+    ctx = f.ctx
+    repl = _companion_replacement(ctx)
+    last = ctx.dim - 1
+    pair_key = (tuple(1 if j in (0, last) else 0 for j in range(ctx.dim)), ())
+    pending = f
+    done: dict = {}
+    while pending.terms:
+        acc: dict = {}
+        for (exps, dxs), coeff in pending.terms.items():
+            if exps[0] and exps[last]:
+                stripped = list(exps)
+                stripped[0] -= 1
+                stripped[last] -= 1
+                key = (tuple(stripped), dxs)
+                shift, sign, prod_key = _mono_mul(ctx, key, pair_key)
+                if prod_key != (exps, dxs) or sign != 1:
+                    raise AssertionError("x^1 x^D does not split off the term")
+                piece = {key: coeff.shifted(tuple(-s for s in shift))}
+                _mul_into(acc, ctx, piece, repl.terms)
+            else:
+                _add_into(done, {(exps, dxs): coeff})
+        pending = _finish(ctx, acc)
+    return _finish(ctx, done)
+
+
+def in_quotient_ideal_by_parts(el: Element) -> bool:
+    """Membership in J: the residue of each copied homogeneous part (degree
+    0), of its f_omega (degree N) or of its product with dc."""
+    ctx = el.ctx
+    dc = central_quadric(ctx).d()
+    for k in sorted(el.form_degrees()):
+        part = el.homogeneous_part(k)
+        if k == 0:
+            residue = reduce_mod_c_by_term(part)
+        elif k == ctx.dim - 1:
+            residue = reduce_mod_c_by_term(top_decompose_full_product(part))
+        else:
+            residue = reduce_mod_c_by_term(part * dc)
+        if residue:
+            return False
+    return True
 
 
 def _signature(ctx: DeformationContext, key: Monomial):
@@ -145,7 +197,8 @@ def _middle_degree_membership(part: Element, k: int) -> bool:
 
     Every generator (c-1)*m and dc*m whose monomial m has x-degree at most
     that of ``part`` (one more for dc) is built, and ``part`` is tested
-    against their span block by block.
+    against their span block by block.  At k = 0 only the (c-1)*m
+    generators exist.
     """
     ctx = part.ctx
     dmax = part.x_degree()
@@ -167,7 +220,7 @@ def _middle_degree_membership(part: Element, k: int) -> bool:
             g = cm1 * Element.monomial(ctx, key)
             if g:
                 gens.append(g.terms)
-        for key in _monomials(ctx, dmax + 1, k - 1):
+        for key in _monomials(ctx, dmax + 1, k - 1) if k else ():
             if _signature(ctx, key) != sig:
                 continue
             g = dc * Element.monomial(ctx, key)

@@ -162,6 +162,25 @@ def test_commutative_context_has_no_phases():
     assert ctx.q_power(1, 2) == ctx.scalar_one()
 
 
+def test_equal_contexts_share_one_pair_table():
+    # the pair table is reduced once per (dim, commutative); contexts built
+    # apart stay distinct objects with value equality
+    for dim in (1, 2, 5, 8):
+        a, b = DeformationContext(dim), DeformationContext(dim)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a._pair_table is b._pair_table
+        assert a._pair_table == {
+            (x, y): a._reduce_pair_orbit(x, y)
+            for x in range(1, dim + 1) for y in range(1, dim + 1)}
+        flat = DeformationContext(dim, commutative=True)
+        assert flat != a and flat._pair_table is not a._pair_table
+        assert flat._pair_table is \
+            DeformationContext(dim, commutative=True)._pair_table
+    for dim in (0, -3):
+        with pytest.raises(ValueError):
+            DeformationContext(dim)
+
+
 # -- coefficient ring against the Fraction 4-tuple reference ------------------
 
 _fracs = st.one_of(st.just(Fraction(0)),

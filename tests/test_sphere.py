@@ -7,6 +7,8 @@ import pytest
 from helpers import central, random_element, random_monomial
 from sphere_reference import (_in_scalar_span, _middle_degree_membership,
                               _monomials, _signature,
+                              in_quotient_ideal_by_parts,
+                              reduce_mod_c_by_term,
                               top_decompose_full_product)
 from twistcalc import DeformationContext, Element
 from twistcalc.sphere import (central_quadric, in_quotient_ideal,
@@ -51,6 +53,66 @@ def test_reduce_mod_c_idempotent_and_sound():
                 # normal form never contains the eliminated companion product
                 for (exps, _) in r.terms:
                     assert not (exps[0] and exps[d - 1])
+
+
+def _contexts(dims):
+    for dim in dims:
+        yield DeformationContext(dim)
+        yield DeformationContext(dim, commutative=True)
+
+
+def test_reduce_mod_c_matches_round_by_round_reference():
+    # forms of every degree 0..D and of mixed degree, x-degree up to 4, and
+    # a term holding (x^1 x^D)^2 in each, which takes two rewrite rounds
+    rng = random.Random(21)
+    for ctx in _contexts(range(2, 8)):
+        d = ctx.dim
+        square = (2,) + (0,) * (d - 2) + (2,)
+        for k in range(d + 1):
+            for _ in range(3):
+                f = random_element(ctx, rng, 4, k, 4) + Element.monomial(
+                    ctx, (square, tuple(range(1, k + 1))))
+                mixed = f + random_element(ctx, rng, 4, rng.randint(0, d), 3)
+                for form in (f, mixed, f - f):
+                    got = reduce_mod_c(form)
+                    assert got == reduce_mod_c_by_term(form), (ctx, k, form)
+                    assert reduce_mod_c(got) == got
+
+
+def test_membership_matches_by_parts_reference():
+    # the decision against the earlier one that copies each homogeneous part
+    # and reads f_omega off the full product with dc: members, spoiled
+    # members, random and mixed-degree forms, and sphere_equal on pairs whose
+    # shared terms cancel in a - b
+    rng = random.Random(22)
+    for ctx in _contexts(range(2, 8)):
+        d = ctx.dim
+        cm1 = central_quadric(ctx) - Element.one(ctx)
+        dc = central_quadric(ctx).d()
+        verdicts = set()
+        members = []
+        for k in range(d + 1):
+            member = cm1 * random_element(ctx, rng, 2, k, 2)
+            if k:
+                member = member + dc * random_element(ctx, rng, 2, k - 1, 2)
+            members.append(member)
+            spoiled = member + random_element(ctx, rng, 0, k, 2)
+            for el in (member, spoiled, random_element(ctx, rng, 4, k, 3)):
+                got = in_quotient_ideal(el)
+                assert got is in_quotient_ideal_by_parts(el), (ctx, k, el)
+                verdicts.add(got)
+        for _ in range(6):
+            shared = random_element(ctx, rng, 3, rng.randint(0, d), 3)
+            a = shared + rng.choice(members) + random_element(
+                ctx, rng, 2, rng.randint(0, d), 2)
+            b = shared + rng.choice(members)
+            assert a - b == a + (-b)
+            for el in (a, a - shared, a - b):
+                got = in_quotient_ideal(el)
+                assert got is in_quotient_ideal_by_parts(el), (ctx, el)
+            assert sphere_equal(a, b) is in_quotient_ideal_by_parts(a + (-b))
+            assert sphere_equal(a, a) and sphere_equal(b + members[0], b)
+        assert verdicts == {True, False}, ctx
 
 
 def test_omega_duality():
@@ -190,11 +252,11 @@ def test_middle_degree_rejects_perturbed_members():
 
 
 def test_membership_matches_reference_solver():
-    # the omega ^ dc rewrite against the linear solve over the generators,
-    # in every middle degree and in the ambient top degree D (where every
-    # form is in J); members, members spoiled by a constant form, random
-    # forms
+    # the decision against the linear solve over the generators, in every
+    # sphere degree 0..N and in the ambient top degree D (where every form is
+    # in J); members, members spoiled by a constant form, random forms
     rng = random.Random(10)
+    edge_verdicts = {"0": set(), "N": set()}
     for dim in range(3, 8):
         for ctx in (DeformationContext(dim),
                     DeformationContext(dim, commutative=True)):
@@ -202,19 +264,24 @@ def test_membership_matches_reference_solver():
             dc = cc.d()
             one = Element.one(ctx)
             verdicts = set()
-            for k in range(1, dim - 1):
-                member = (cc - one) * random_element(ctx, rng, 1, k, 2) \
-                    + dc * random_element(ctx, rng, 1, k - 1, 2)
+            for k in range(dim):
+                edge = {0: "0", dim - 1: "N"}.get(k)
+                member = (cc - one) * random_element(ctx, rng, 1, k, 2)
+                if k:
+                    member = member + dc * random_element(ctx, rng, 1, k - 1, 2)
                 spoiled = member + random_element(ctx, rng, 0, k, 2)
                 for el in (member, spoiled, random_element(ctx, rng, 2, k, 3)):
                     got = in_quotient_ideal(el)
                     assert got is _middle_degree_membership(el, k), \
                         (ctx, k, str(el))
                     verdicts.add(got)
+                    if edge:
+                        edge_verdicts[edge].add(got)
             top = random_element(ctx, rng, 1, dim, 2)
             assert in_quotient_ideal(top)
             assert _middle_degree_membership(top, dim)
             assert verdicts == {True, False}, ctx
+    assert edge_verdicts == {"0": {True, False}, "N": {True, False}}
 
 
 def test_ideal_generators_stay_in_their_signature_block():
