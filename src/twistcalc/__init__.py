@@ -14,8 +14,8 @@ from .chern import (GammaRep, Matrix, character_tau, charge,
 from .exprio import ExprSyntaxError, format_element, format_scalar, parse_expr
 from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
 from .ncalg import Element, normal_order
-from .oracle import TorusRep, check_element, check_scalar, check_sphere_class
-from .qphase import DeformationContext, ExactScalar, PhaseMonomial
+from .oracle import TorusRep, check_element, check_sphere_class
+from .qphase import DeformationContext, ExactScalar
 from .sphere import (central_quadric, hodge_sphere,
                      in_quotient_ideal, integrate_form, omega_form,
                      pairing_sphere, reduce_mod_c, sphere_equal,
@@ -26,7 +26,7 @@ from .tensorcalc import (antisym_w, antisym_w_bruteforce, epsilon_q,
                          pairing_plane, volume_element)
 
 __all__ = [
-    "DeformationContext", "ExactScalar", "PhaseMonomial",
+    "DeformationContext", "ExactScalar",
     "Element", "normal_order",
     "lambda_entry", "epsilon_q", "epsilon_qinv", "antisym_w",
     "antisym_w_bruteforce", "pairing_plane", "hodge_plane", "volume_element",
@@ -37,7 +37,7 @@ __all__ = [
     "GammaRep", "Matrix", "clifford_trace",
     "instanton_projector", "curvature", "character_tau", "charge",
     "charge_integral", "charge_from_curvature",
-    "TorusRep", "check_element", "check_sphere_class", "check_scalar",
+    "TorusRep", "check_element", "check_sphere_class",
     "parse_expr", "format_element", "format_scalar", "ExprSyntaxError",
     "run_suite", "SuiteReport",
 ]

@@ -148,7 +148,7 @@ def _element_ctx(*matrices) -> DeformationContext | None:
                 return None
             if ctx is None:
                 ctx = x.ctx
-            elif x.ctx is not ctx and x.ctx != ctx:
+            elif x.ctx is not ctx:
                 raise ValueError("elements live over different contexts")
     return ctx
 
@@ -298,10 +298,15 @@ def character_tau(funcs) -> ExactScalar:
     om = funcs[0]
     for f in funcs[1:]:
         om = om * f.d()
-    half = n_deg // 2
-    norm = ctx.i_power(-half).scale(
-        Fraction(2 ** (half + 1) * factorial(half), factorial(n_deg)))
-    return integrate_form(om) * norm
+    return integrate_form(om) * _pairing_norm(ctx).scale(factorial(n_deg // 2))
+
+
+def _pairing_norm(ctx: DeformationContext) -> ExactScalar:
+    """2^{[N/2]+1} / (i^{[N/2]} N!) on the N-sphere, N = D - 1: the
+    normalisation of the Chern pairing (1/[N/2]!) tau."""
+    half = (ctx.dim - 1) // 2
+    return ctx.i_power(-half).scale(
+        Fraction(2 ** (half + 1), factorial(ctx.dim - 1)))
 
 
 def _diagonal(m: Matrix, what: str) -> list:
@@ -386,9 +391,7 @@ def charge(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
     """
     if ctx is None:
         ctx = DeformationContext(2 * n + 1)
-    val = charge_integral(n, ctx)
-    norm = ctx.i_power(-n).scale(Fraction(2 ** (n + 1), factorial(2 * n)))
-    return val * norm
+    return charge_integral(n, ctx) * _pairing_norm(ctx)
 
 
 def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
@@ -399,9 +402,4 @@ def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> Exac
     m = f
     for _ in range(n - 1):
         m = m * f
-    val = integrate_form(m.trace())
-    half = n  # the sphere dimension is 2n
-    norm = ctx.i_power(-half).scale(
-        Fraction(2 ** (half + 1) * factorial(half),
-                 factorial(2 * n) * factorial(n)))
-    return val * norm
+    return integrate_form(m.trace()) * _pairing_norm(ctx)

@@ -228,12 +228,9 @@ def _cmd_integrate(args) -> int:
 def _cmd_oracle(args) -> int:
     ctx = DeformationContext(args.dim)
     el = _parse_element(ctx, args.expr)
-    if args.sphere_class:
-        sup = oracle.sphere_class_sup(el, seed=args.seed, points=args.points,
-                                      moduli=args.moduli)
-    else:
-        sup = oracle.element_sup(el, seed=args.seed, points=args.points,
-                                 moduli=args.moduli)
+    checker = oracle.BatchChecker(ctx, args.seed, args.points, args.moduli)
+    sup = (checker.sphere_sup(el) if args.sphere_class
+           else checker.element_sup(el))
     is_zero = sup < oracle.DEFAULT_TOL
     payload = {"max_abs": sup, "zero": is_zero, "seed": args.seed,
                "points": args.points,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .chern import clifford_trace
 from .haar import haar_plane
 from .ncalg import Element
-from .qphase import DeformationContext, PhaseMonomial
+from .qphase import DeformationContext, ExactScalar, _C_ONE
 from .sphere import (central_quadric, hodge_sphere, integrate_form,
                      pairing_sphere, sphere_equal, volume_form)
 from .tensorcalc import (antisym_w, antisym_w_bruteforce, antisym_w_column,
@@ -315,7 +315,7 @@ def _braid_word(ctx, t: tuple, word):
         t, red = apply_lambda(ctx, t, pos)
         if red is not None:
             acc[red[0]] += red[1]
-    return t, ctx.phase_scalar(PhaseMonomial(tuple(acc)))
+    return t, ExactScalar({tuple(acc): _C_ONE})
 
 
 def braid_squares(ctx):

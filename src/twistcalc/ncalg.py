@@ -210,7 +210,7 @@ class Element:
     # -- ring structure --------------------------------------------------------
 
     def _check_ctx(self, other: "Element"):
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
+        if other.ctx is not self.ctx:
             raise ValueError("elements live over different contexts")
 
     def __add__(self, other: "Element") -> "Element":

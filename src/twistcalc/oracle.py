@@ -50,6 +50,14 @@ Sphere-class identities are checked by pulling the evaluated form back to the
 tangent space of the quadric c = 1 at each sample point, which kills exactly
 the ideal J: one batched product per block with the minors of the tangent
 bases, each a stacked determinant over all the points (``Tangents``).
+
+``BatchChecker`` is the one sampling path, with one sup per mode: scalars
+(``scalar_sup``), plane elements (``element_sup``) and sphere classes
+(``sphere_sup``).  A seed fixes the two models, drawn from
+random.Random(seed), and one sample stream, random.Random(seed ^ 0xBA7C4),
+which draws the plane points, then the sphere points, then the phase draws
+of the scalar checks.  ``check_element`` and ``check_sphere_class`` build
+one checker per call.
 """
 
 from __future__ import annotations
@@ -67,14 +75,14 @@ from .qphase import DeformationContext, ExactScalar
 
 __all__ = [
     "TorusRep", "Tangents", "Word", "sphere_sample", "plane_sample",
-    "check_element", "check_sphere_class", "check_scalar",
-    "BatchChecker", "DEFAULT_TOL", "MAX_SIZE", "MAX_DENSE_SIDE",
+    "check_element", "check_sphere_class", "BatchChecker", "DEFAULT_TOL",
+    "MAX_SIZE", "MAX_DENSE_SIDE",
 ]
 
 DEFAULT_TOL = 1e-9
 
-# The default moduli of the two models are the first two; check_scalar's
-# phase draws run over all of them.
+# The default moduli of the two models are the first two; the phase draws of
+# BatchChecker.scalar_sup run over all of them.
 _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 # Most entries a model's generator words may hold together, side * (2h + 1)
@@ -89,12 +97,6 @@ _BLOCK_ENTRIES = 1 << 14
 # starts afresh at most _DRAW_STARTS times before giving up on a modulus.
 _DRAW_TRIES = 256
 _DRAW_STARTS = 20
-
-
-def _check_count(name: str, n: int) -> None:
-    """Raise ValueError unless n >= 1: no samples cannot show anything zero."""
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 def _model_moduli(moduli) -> tuple[int, int]:
@@ -428,37 +430,13 @@ def _models(ctx, seed: int, moduli=None):
 def check_element(el: Element, seed: int = 42, points: int = 20,
                   tol: float = DEFAULT_TOL, moduli=None) -> bool:
     """Numeric vanishing of an ambient element (plane identity)."""
-    return element_sup(el, seed=seed, points=points, moduli=moduli) < tol
-
-
-def element_sup(el: Element, seed: int = 42, points: int = 20,
-                moduli=None) -> float:
-    _check_count("points", points)
-    ctx = el.ctx
-    rng = random.Random(seed ^ 0x5EED)
-    worst = 0.0
-    for model in _models(ctx, seed, moduli):
-        pts = [plane_sample(ctx, rng) for _ in range(points)]
-        worst = max(worst, model.form_sup(el, pts))
-    return worst
+    return BatchChecker(el.ctx, seed, points, moduli).element_sup(el) < tol
 
 
 def check_sphere_class(el: Element, seed: int = 42, points: int = 20,
                        tol: float = DEFAULT_TOL, moduli=None) -> bool:
     """Numeric vanishing of the sphere class of an ambient representative."""
-    return sphere_class_sup(el, seed=seed, points=points, moduli=moduli) < tol
-
-
-def sphere_class_sup(el: Element, seed: int = 42, points: int = 20,
-                     moduli=None) -> float:
-    _check_count("points", points)
-    ctx = el.ctx
-    rng = random.Random(seed ^ 0xC1A55)
-    worst = 0.0
-    for model in _models(ctx, seed, moduli):
-        pts = [sphere_sample(ctx, rng) for _ in range(points)]
-        worst = max(worst, model.form_sup(el, pts, Tangents(ctx, pts)))
-    return worst
+    return BatchChecker(el.ctx, seed, points, moduli).sphere_sup(el) < tol
 
 
 def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
@@ -472,28 +450,21 @@ def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
     return tuple(roots)
 
 
-def check_scalar(s: ExactScalar, ctx: DeformationContext, seed: int = 42,
-                 draws: int = 20, tol: float = DEFAULT_TOL) -> bool:
-    """Numeric vanishing of an exact scalar at random root-of-unity phases."""
-    _check_count("draws", draws)
-    rng = random.Random(seed ^ 0x5CA1A)
-    if not ctx.nparams:
-        return abs(s.eval_at_roots(())) < tol
-    return all(abs(s.eval_at_roots(_root_draw(rng, ctx.nparams, j))) < tol
-               for j in range(draws))
-
-
 class BatchChecker:
-    """Shared-sample evaluator for large concordance sweeps.
+    """The oracle's sampling path: shared samples for any number of checks.
 
     Holds two torus models over distinct prime moduli, a fixed batch of plane
-    and sphere sample points, and cached tangent minors, so that checking
-    thousands of identities reuses all the heavy data.
+    and sphere sample points with the cached minors of their tangent bases,
+    and ``points`` phase draws for scalars, so that checking thousands of
+    identities reuses all the heavy data.  Each sup is the largest absolute
+    value over every model and sample of its mode.
     """
 
     def __init__(self, ctx: DeformationContext, seed: int = 42,
                  points: int = 20, moduli=None):
-        _check_count("points", points)
+        if points < 1:
+            # no samples cannot show anything zero
+            raise ValueError(f"points must be at least 1, got {points}")
         self.ctx = ctx
         self.points = points
         self.models = _models(ctx, seed, moduli)

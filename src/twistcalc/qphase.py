@@ -32,7 +32,6 @@ from types import MappingProxyType
 
 __all__ = [
     "DeformationContext",
-    "PhaseMonomial",
     "ExactScalar",
 ]
 
@@ -42,9 +41,6 @@ _RT2 = 2.0 ** 0.5
 # coefficients in Q(i, sqrt2): see the module docstring for the 5-tuple form
 _C_ONE = (1, 0, 0, 0, 1)
 _C_MINUS_ONE = (-1, 0, 0, 0, 1)
-
-# {(dim, commutative): pair table}, filled by DeformationContext
-_PAIR_TABLES: dict[tuple[int, bool], dict] = {}
 
 
 def _c_reduce(a, b, c, d, n):
@@ -118,22 +114,28 @@ def _c_eval(u) -> complex:
 class DeformationContext:
     """Dimension D, the primed-index involution and the independent phases.
 
-    Two contexts with the same dimension (and commutativity flag) are
-    interchangeable.  With ``commutative=True`` every phase reduces to 1 and
+    There is one context per (dimension, commutativity flag):
+    ``DeformationContext(D)`` returns the same object on every call, so
+    contexts compare, and key caches, by identity, and the pair table is
+    reduced once.  With ``commutative=True`` every phase reduces to 1 and
     the engine computes in the classical limit.
     """
 
     __slots__ = ("dim", "params", "param_index", "nparams", "commutative",
-                 "_pair_table", "_hash", "_indices", "_zero_exps")
+                 "_pair_table", "_indices", "_zero_exps")
 
-    def __init__(self, dim: int, commutative: bool = False):
+    # {(dim, commutative): the context}
+    _instances: dict = {}
+
+    def __new__(cls, dim: int, commutative: bool = False):
+        key = (dim, bool(commutative))
+        self = cls._instances.get(key)
+        if self is not None:
+            return self
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        self.dim = dim
-        self.commutative = bool(commutative)
-        key = (dim, self.commutative)
-        # every lru_cache keyed by a context hashes it: compute that once
-        self._hash = hash(key)
+        self = super().__new__(cls)
+        self.dim, self.commutative = key
         self._indices = frozenset(range(1, dim + 1))
         half = dim // 2
         if self.commutative:
@@ -144,14 +146,11 @@ class DeformationContext:
         self.param_index = {p: i for i, p in enumerate(self.params)}
         self.nparams = len(self.params)
         self._zero_exps = (0,) * self.nparams
-        # the table depends on (dim, commutative) alone: reduce it once and
-        # share it between equal contexts (read only)
-        table = _PAIR_TABLES.get(key)
-        if table is None:
-            table = _PAIR_TABLES[key] = {
-                (a, b): self._reduce_pair_orbit(a, b)
-                for a in range(1, dim + 1) for b in range(1, dim + 1)}
-        self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = table
+        self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {
+            (a, b): self._reduce_pair_orbit(a, b)
+            for a in range(1, dim + 1) for b in range(1, dim + 1)}
+        cls._instances[key] = self
+        return self
 
     # -- basic structure ---------------------------------------------------
 
@@ -166,13 +165,9 @@ class DeformationContext:
         """g_{ab} = g^{ab} = 1 iff b is the primed partner of a."""
         return 1 if b == self.dim + 1 - a else 0
 
-    def __eq__(self, other):
-        return other is self or (isinstance(other, DeformationContext)
-                                 and other.dim == self.dim
-                                 and other.commutative == self.commutative)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # a copy or an unpickled context is the one context of its key
+        return DeformationContext, (self.dim, self.commutative)
 
     def __repr__(self):
         tag = ", commutative" if self.commutative else ""
@@ -221,18 +216,15 @@ class DeformationContext:
         self.check_index(b)
         return self._pair_table[(a, b)]
 
-    def reduce_pair(self, a: int, b: int) -> "PhaseMonomial":
-        """Canonical phase monomial representing q_{ab}."""
+    def reduce_pair(self, a: int, b: int) -> tuple[int, ...]:
+        """Exponent vector of q_{ab} over the independent phases."""
         red = self.pair_reduction(a, b)
         exps = [0] * self.nparams
         if red is not None:
             exps[red[0]] = red[1]
-        return PhaseMonomial(tuple(exps))
+        return tuple(exps)
 
     # -- scalar factories ----------------------------------------------------
-
-    def zero_exps(self) -> tuple[int, ...]:
-        return self._zero_exps
 
     def scalar_zero(self) -> "ExactScalar":
         return _ZERO
@@ -246,63 +238,28 @@ class DeformationContext:
             num, den = v.numerator, v.denominator
         if not num:
             return _ZERO
-        return ExactScalar({self.zero_exps(): (num, 0, 0, 0, den)})
+        return ExactScalar({self._zero_exps: (num, 0, 0, 0, den)})
 
     def scalar_one(self) -> "ExactScalar":
         return self.scalar(1)
 
     def i_unit(self) -> "ExactScalar":
-        return ExactScalar({self.zero_exps(): (0, 1, 0, 0, 1)})
+        return ExactScalar({self._zero_exps: (0, 1, 0, 0, 1)})
 
     def i_power(self, k: int) -> "ExactScalar":
         one_i = (1, 0), (0, 1), (-1, 0), (0, -1)
         re, im = one_i[k % 4]
-        return ExactScalar({self.zero_exps(): (re, im, 0, 0, 1)})
+        return ExactScalar({self._zero_exps: (re, im, 0, 0, 1)})
 
     def sqrt2(self) -> "ExactScalar":
-        return ExactScalar({self.zero_exps(): (0, 0, 1, 0, 1)})
+        return ExactScalar({self._zero_exps: (0, 0, 1, 0, 1)})
 
     def q_power(self, a: int, b: int, k: int = 1) -> "ExactScalar":
         """The scalar q_{ab}^k, reduced to canonical form."""
-        red = self.pair_reduction(a, b)
-        exps = [0] * self.nparams
-        if red is not None:
-            exps[red[0]] = red[1] * k
-        return ExactScalar({tuple(exps): _C_ONE})
-
-    def phase_scalar(self, mono: "PhaseMonomial") -> "ExactScalar":
-        return ExactScalar({mono.exponents: _C_ONE})
-
-
-class PhaseMonomial:
-    """Integer exponent vector over the independent deformation phases."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: tuple[int, ...]):
-        self.exponents = tuple(exponents)
-
-    def __mul__(self, other: "PhaseMonomial") -> "PhaseMonomial":
-        return PhaseMonomial(tuple(x + y for x, y in
-                                   zip(self.exponents, other.exponents)))
-
-    def conj(self) -> "PhaseMonomial":
-        return PhaseMonomial(tuple(-x for x in self.exponents))
-
-    inverse = conj  # |q| = 1: the inverse phase is the conjugate
-
-    def is_trivial(self) -> bool:
-        return not any(self.exponents)
-
-    def __eq__(self, other):
-        return (isinstance(other, PhaseMonomial)
-                and other.exponents == self.exponents)
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return f"PhaseMonomial{self.exponents!r}"
+        exps = self.reduce_pair(a, b)
+        if k != 1:
+            exps = tuple(k * e for e in exps)
+        return ExactScalar({exps: _C_ONE})
 
 
 class ExactScalar:
@@ -542,12 +499,3 @@ def _phase_factors(k):
         if e:
             out.append(f"@{j}^{e}")
     return out
-
-
-def format_scalar(s: ExactScalar, ctx: DeformationContext) -> str:
-    """Grammar-compatible text form, with @j placeholders resolved to q(a,b)."""
-    text = str(s)
-    for j in reversed(range(ctx.nparams)):
-        a, b = ctx.params[j]
-        text = text.replace(f"@{j}^", f"q({a},{b})^")
-    return text

@@ -54,7 +54,7 @@ from operator import add, sub
 from .haar import haar_plane
 from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar, _c_add, _c_mul, _c_neg
-from .tensorcalc import epsilon_q, epsilon_qinv
+from .tensorcalc import _pairing_slots, epsilon_q, epsilon_qinv
 
 __all__ = [
     "central_quadric", "reduce_mod_c", "omega_form", "volume_form",
@@ -277,22 +277,7 @@ def pairing_sphere(alpha: Element, beta: Element) -> Element:
     through dx^v, as in ``pairing_plane``.
     """
     ctx = alpha.ctx
-    if ctx != beta.ctx:
-        raise ValueError("pairing of elements over different contexts")
-    if alpha.is_zero() or beta.is_zero():
-        return Element.zero(ctx)
-    if alpha.form_degree() != beta.form_degree():
-        raise ValueError("pairing needs equal form degrees")
-    zero = (0,) * ctx.dim
-    lefts: dict[tuple, dict] = {}
-    for (e1, u), c1 in alpha.terms.items():
-        lefts.setdefault(u, {})[(e1, ())] = c1
-    rights: dict[tuple, dict] = {}
-    for (e2, v), c2 in beta.terms.items():
-        # undo the phase of dx^v x^{e2}
-        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
-        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
-            tuple(-x for x in shift))
+    _, lefts, rights = _pairing_slots(alpha, beta)
     # sum_u f_u S(u,v) per v, then times g_v
     mids: dict[tuple, dict] = {}
     for u, left in lefts.items():

@@ -228,33 +228,44 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
     Hence dx^u pairs with dx^{u'} alone, to (-1)^{k//2}.
     """
     ctx = alpha.ctx
-    if ctx != beta.ctx:
-        raise ValueError("pairing of elements over different contexts")
-    if alpha.is_zero() or beta.is_zero():
-        return Element.zero(ctx)
-    k = alpha.form_degree()
-    if k != beta.form_degree():
-        raise ValueError("pairing needs equal form degrees")
-    sign = _half_sign(k)
-    zero = (0,) * ctx.dim
-    # both slots' functions grouped by dx set: each left group pairs with
-    # the one right group of its primed dx set
-    lefts: dict[tuple, dict] = {}
-    for (e1, u), c1 in alpha.terms.items():
-        lefts.setdefault(u, {})[(e1, ())] = c1
-    rights: dict[tuple, dict] = {}
-    for (e2, v), c2 in beta.terms.items():
-        # the second slot's function leaves rightward through its dx's:
-        # undo the phase of dx^v x^{e2}
-        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
-        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
-            tuple(-x for x in shift), sign)
+    k, lefts, rights = _pairing_slots(alpha, beta)
+    # each left group pairs with the one right group of its primed dx set
     acc: dict = {}
     for u, left in lefts.items():
         right = rights.get(tuple(ctx.primed(a) for a in reversed(u)))
         if right is not None:
             _mul_into(acc, ctx, left, right)
-    return _finish(ctx, acc)
+    out = _finish(ctx, acc)
+    return out if _half_sign(k) == 1 else -out
+
+
+def _pairing_slots(alpha: Element, beta: Element):
+    """The two slots of a pairing <alpha, beta>, grouped by dx set.
+
+    Checks that the forms share a context and, unless one is zero, a form
+    degree k.  Returns (k, lefts, rights): lefts[u] holds alpha's functions
+    of dx^u, which stay on the left, and rights[v] beta's functions of dx^v
+    moved right through dx^v (the phase of dx^v x^e undone), each as
+    {(e, ()): coefficient}.  Both are empty when a form is zero.
+    """
+    ctx = alpha.ctx
+    if ctx is not beta.ctx:
+        raise ValueError("pairing of elements over different contexts")
+    if alpha.is_zero() or beta.is_zero():
+        return 0, {}, {}
+    k = alpha.form_degree()
+    if k != beta.form_degree():
+        raise ValueError("pairing needs equal form degrees")
+    zero = (0,) * ctx.dim
+    lefts: dict[tuple, dict] = {}
+    for (e1, u), c1 in alpha.terms.items():
+        lefts.setdefault(u, {})[(e1, ())] = c1
+    rights: dict[tuple, dict] = {}
+    for (e2, v), c2 in beta.terms.items():
+        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
+        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
+            tuple(-x for x in shift))
+    return k, lefts, rights
 
 
 def hodge_plane(alpha: Element) -> Element:

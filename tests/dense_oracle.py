@@ -4,17 +4,13 @@ The Kronecker construction of the Weyl unitaries from clock and shift
 matrices, dense monomial products and the tangent pullback by determinants,
 without the oracle's (perm, phase) words.  Each function reads only the
 parameters of a ``TorusRep`` (context, modulus, Weyl vectors, roots) and the
-sample streams of the oracle, so its sups can be compared with the sparse
+samples of a ``BatchChecker``, so its sups can be compared with the sparse
 ones sample by sample.
 """
 
 from itertools import combinations
-import random
 
 import numpy as np
-
-from twistcalc.oracle import (_models, _tangent_basis, plane_sample,
-                              sphere_sample)
 
 
 def _clock(m: int) -> np.ndarray:
@@ -128,31 +124,6 @@ def pullback_sup(data: dict, tangent: np.ndarray) -> float:
                     acc += det * mat
             if acc is not None:
                 worst = max(worst, float(np.abs(acc).max()))
-    return worst
-
-
-def element_sup(el, seed=42, points=20, moduli=None) -> float:
-    """The oracle's element_sup, on dense matrices."""
-    rng = random.Random(seed ^ 0x5EED)
-    worst = 0.0
-    for model in _models(el.ctx, seed, moduli):
-        dense = dense_rep(model)
-        for _ in range(points):
-            pt = plane_sample(el.ctx, rng)
-            worst = max(worst, plane_sup(dense.eval_element(el, pt)))
-    return worst
-
-
-def sphere_class_sup(el, seed=42, points=20, moduli=None) -> float:
-    """The oracle's sphere_class_sup, on dense matrices."""
-    rng = random.Random(seed ^ 0xC1A55)
-    worst = 0.0
-    for model in _models(el.ctx, seed, moduli):
-        dense = dense_rep(model)
-        for _ in range(points):
-            pt = sphere_sample(el.ctx, rng)
-            worst = max(worst, pullback_sup(dense.eval_element(el, pt),
-                                            _tangent_basis(el.ctx, pt)))
     return worst
 
 

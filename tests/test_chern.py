@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -325,15 +326,16 @@ def test_discarded_boundary_term_vanishes():
 
 
 def test_charge_equals_character_of_tensor_trace():
-    # charge via the multi-index character sum, n = 1
-    n = 1
-    rep, e = instanton_projector(n)
-    ctx = rep.ctx
-    total = ctx.scalar_zero()
-    size = 2 ** n
-    for a0 in range(size):
-        for a1 in range(size):
-            for a2 in range(size):
-                total = total + character_tau(
-                    [e[a0, a1], e[a1, a2], e[a2, a0]])
-    assert total.scale(Fraction(1, math.factorial(n))) == ctx.scalar_one()
+    # charge via the multi-index character sum, n = 1, 2 (at n = 2 the
+    # character's [N/2]! = 2 counts); tau is multilinear, so a tuple with a
+    # zero entry adds nothing
+    for n in (1, 2):
+        rep, e = instanton_projector(n)
+        ctx = rep.ctx
+        total = ctx.scalar_zero()
+        for idx in product(range(2 ** n), repeat=2 * n + 1):
+            entries = [e[a, b] for a, b in zip(idx, idx[1:] + idx[:1])]
+            if all(entries):
+                total = total + character_tau(entries)
+        assert total.scale(Fraction(1, math.factorial(n))) \
+            == ctx.scalar_one(), n

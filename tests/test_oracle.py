@@ -10,10 +10,10 @@ import dense_oracle
 from dense_oracle import DenseRep
 from helpers import central, random_element
 from twistcalc import DeformationContext, Element
-from twistcalc.oracle import (_BLOCK_ENTRIES, MAX_SIZE, BatchChecker,
-                              Tangents, TorusRep, _models, check_element,
-                              check_scalar, check_sphere_class, element_sup,
-                              plane_sample, sphere_class_sup, sphere_sample)
+from twistcalc.oracle import (_BLOCK_ENTRIES, DEFAULT_TOL, MAX_SIZE,
+                              BatchChecker, Tangents, TorusRep, _models,
+                              check_element, check_sphere_class, plane_sample,
+                              sphere_sample)
 from twistcalc.sphere import volume_form
 from twistcalc.tensorcalc import volume_element
 
@@ -126,19 +126,21 @@ def test_check_identity_basic_cases():
     memb = (cc - Element.one(ctx)) * random_element(ctx, rng, 2, 2, 2) \
         + cc.d() * random_element(ctx, rng, 2, 1, 2)
     assert check_sphere_class(memb, points=6)
+    assert not check_element(memb, points=6)  # a J-member, nonzero on the plane
     assert not check_sphere_class(volume_form(ctx), points=6)
 
 
 def test_scalar_checks():
     ctx = DeformationContext(5)
-    assert check_scalar(ctx.q_power(1, 2) * ctx.q_power(2, 1)
-                        - ctx.scalar_one(), ctx)
-    assert not check_scalar(ctx.q_power(1, 2) - ctx.scalar_one(), ctx)
+    bc = BatchChecker(ctx)
+    assert bc.scalar_sup(ctx.q_power(1, 2) * ctx.q_power(2, 1)
+                         - ctx.scalar_one()) < DEFAULT_TOL
+    assert bc.scalar_sup(ctx.q_power(1, 2) - ctx.scalar_one()) > DEFAULT_TOL
     c6 = DeformationContext(6)
     prod = c6.scalar_one()
     for i in range(1, 7):
         prod = prod * c6.q_power(i, 2)
-    assert check_scalar(prod - c6.scalar_one(), c6)
+    assert BatchChecker(c6).scalar_sup(prod - c6.scalar_one()) < DEFAULT_TOL
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -152,8 +154,6 @@ def test_no_samples_is_an_error_not_a_zero(count):
         check_sphere_class(vol, points=count)
     with pytest.raises(ValueError, match="points " + msg):
         BatchChecker(ctx, points=count)
-    with pytest.raises(ValueError, match="draws " + msg):
-        check_scalar(ctx.scalar_one(), ctx, draws=count)
 
 
 @pytest.mark.parametrize("moduli, bad", [((2, 2, 2), 2), ((1, 1, 1), 1),
@@ -176,11 +176,11 @@ def test_distinct_prime_moduli_between_models():
 def test_seeded_reproducibility():
     ctx = DeformationContext(5)
     el = Element.x(ctx, 1) * Element.dx(ctx, 2)
-    a = element_sup(el, seed=7, points=5)
-    b = element_sup(el, seed=7, points=5)
+    a = BatchChecker(ctx, seed=7, points=5).element_sup(el)
+    b = BatchChecker(ctx, seed=7, points=5).element_sup(el)
     assert a == b
-    c = sphere_class_sup(el, seed=9, points=5)
-    d = sphere_class_sup(el, seed=9, points=5)
+    c = BatchChecker(ctx, seed=9, points=5).sphere_sup(el)
+    d = BatchChecker(ctx, seed=9, points=5).sphere_sup(el)
     assert c == d
 
 
@@ -248,16 +248,8 @@ def test_sups_match_dense_reference(d, moduli, degrees):
     seed = 13
     bc = BatchChecker(ctx, seed=seed, points=3, moduli=moduli)
     for el in _sup_cases(ctx, rng, degrees):
-        pairs = [
-            (element_sup(el, seed=seed, points=2, moduli=moduli),
-             dense_oracle.element_sup(el, seed=seed, points=2, moduli=moduli)),
-            (sphere_class_sup(el, seed=seed, points=2, moduli=moduli),
-             dense_oracle.sphere_class_sup(el, seed=seed, points=2,
-                                           moduli=moduli)),
-        ]
-        pairs += zip((bc.element_sup(el), bc.sphere_sup(el)),
-                     dense_oracle.batch_sups(bc, el))
-        for got, want in pairs:
+        for got, want in zip((bc.element_sup(el), bc.sphere_sup(el)),
+                             dense_oracle.batch_sups(bc, el)):
             assert abs(got - want) <= 1e-12 * max(want, 1.0), (el, got, want)
 
 

@@ -247,8 +247,9 @@ def test_middle_degree_rejects_perturbed_members():
                 spoiler = spoiler * Element.dx(ctx, a)
             assert not in_quotient_ideal(member + spoiler), (n, k)
             # sanity: the spoiler class is numerically nonzero too
-            from twistcalc.oracle import sphere_class_sup
-            assert sphere_class_sup(member + spoiler, points=4) > 1e-6
+            from twistcalc.oracle import BatchChecker
+            bc = BatchChecker(ctx, points=4)
+            assert bc.sphere_sup(member + spoiler) > 1e-6
 
 
 def test_membership_matches_reference_solver():
