@@ -3,7 +3,7 @@
 The coordinate exchange phases q_{ab} stay symbolic (Laurent monomials over
 Q(i, sqrt2)); every identity the engine verifies — differential calculus,
 Haar functional, integration cycle, Hodge stars, Clifford machinery, the
-instanton charge — is checked with exact arithmetic, and up to D = 7
+instanton charge — is checked with exact arithmetic, and up to D = 9
 independently cross-checked by a numeric classical-manifold x
 torus-representation model.
 """

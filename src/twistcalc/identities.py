@@ -31,7 +31,7 @@ from .qphase import DeformationContext, ExactScalar, _C_ONE
 from .sphere import (central_quadric, hodge_sphere, integrate_form,
                      pairing_sphere, sphere_equal, volume_form)
 from .tensorcalc import (antisym_w, antisym_w_bruteforce, antisym_w_column,
-                         apply_lambda, epsilon_q, epsilon_qinv, hodge_plane,
+                         braid_word, epsilon_q, epsilon_qinv, hodge_plane,
                          pairing_plane, volume_element)
 
 
@@ -307,25 +307,15 @@ def hodge_sphere_basis(ctx):
 
 # -- braid matrix and q-antisymmetrizer ---------------------------------------
 
-def _braid_word(ctx, t: tuple, word):
-    """(basis tuple, phase) of the basis tensor e_t after the braid matrix
-    acts on the slots (pos, pos + 1) of each pos in ``word``, in turn."""
-    acc = [0] * ctx.nparams
-    for pos in word:
-        t, red = apply_lambda(ctx, t, pos)
-        if red is not None:
-            acc[red[0]] += red[1]
-    return t, ExactScalar({tuple(acc): _C_ONE})
-
-
 def braid_squares(ctx):
     """lambda^2 = 1: the coefficient of e_t in lambda^2 e_t is 1."""
     d = ctx.dim
     for t in product(range(1, d + 1), repeat=2):
-        u, phase = _braid_word(ctx, t, (0, 0))
+        u, exps = braid_word(ctx, t, (0, 0))
         yield Identity(f"D={d}: braid matrix squares to identity",
                        f"D={d} braid^2 {t}", "scalar", ctx,
-                       phase if u == t else ctx.scalar_zero(),
+                       ExactScalar({exps: _C_ONE}) if u == t
+                       else ctx.scalar_zero(),
                        ctx.scalar_one())
 
 
@@ -334,11 +324,12 @@ def braid_equation(ctx):
     sides have the same coefficient at the basis tensor the left one hits."""
     d = ctx.dim
     for t in product(range(1, d + 1), repeat=3):
-        ua, pa = _braid_word(ctx, t, (0, 1, 0))
-        ub, pb = _braid_word(ctx, t, (1, 0, 1))
+        ua, ea = braid_word(ctx, t, (0, 1, 0))
+        ub, eb = braid_word(ctx, t, (1, 0, 1))
         yield Identity(f"D={d}: braid equation", f"D={d} braid eq {t}",
-                       "scalar", ctx, pa,
-                       pb if ub == ua else ctx.scalar_zero())
+                       "scalar", ctx, ExactScalar({ea: _C_ONE}),
+                       ExactScalar({eb: _C_ONE}) if ub == ua
+                       else ctx.scalar_zero())
 
 
 def _contraction(ctx, up: tuple, lo: tuple, cyclic: bool = False):

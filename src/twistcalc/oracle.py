@@ -31,33 +31,33 @@ small exponents of the tested identities; no pass certifies an identity at
 generic q.
 
 Every Weyl word is a generalized permutation matrix, U e_j = phase[j]
-e_{perm[j]}, and is stored as a ``Word`` of two arrays of length side.  Its
-perm is a translation of (Z_m)^s, so two words with different perm[0] never
-share a matrix entry: the largest entry of sum_t z_t U_t is the largest
-|sum_t z_t phase_t| over the classes of equal perm[0].  ``TorusRep.form_sup``
-evaluates a form over all sample points of a model at once: each term's
-coefficient and word are found once, its classical value is one vector over
-the points, and the entries are summed in numpy passes over blocks of at
-most 2^14 / side points (at least one).  Over P points that costs
-O(terms * P * side) time, in numpy calls per block and dx set rather than
-per point and term, and O(side) memory per word plus O(max(2^14, side)) per
-dx set of a block.  A model whose 2h + 1 generator words would hold more
-than MAX_SIZE entries together is refused before anything is allocated, and
-dense side x side matrices are built only on request (``eval_element``,
-``monomial_matrix``, ``TorusRep.dense``), for sides up to MAX_DENSE_SIDE.
-
-Sphere-class identities are checked by pulling the evaluated form back to the
-tangent space of the quadric c = 1 at each sample point, which kills exactly
-the ideal J: one batched product per block with the minors of the tangent
-bases, each a stacked determinant over all the points (``Tangents``).
+e_{perm[j]}, stored as a ``Word`` of two arrays of length side.  Its perm is
+a translation of (Z_m)^s, so words with different perm[0] share no matrix
+entry: the largest entry of sum_t z_t U_t is the largest |sum_t z_t
+phase_t| over the classes of equal perm[0].  ``TorusRep.form_sup`` puts the
+terms of each group (class and dx set on the plane, class on the sphere) in
+one row of a (groups, slots) grid; per form degree and block of points and
+columns, the sums are one batched product of the grid of values (times the
+tangent minors on the sphere) with the grid of phases, and one abs().max().
+That is O(groups * slots * P * side) time over P points, O(side) memory per
+word, and at most max(2^17, groups * (slots + 1) * (subsets + 1)) complex
+entries per array of a block.  A model whose 2h + 1 generator words would
+hold more than MAX_SIZE entries together is refused before anything is
+allocated; dense side x side matrices are built only on request
+(``eval_element``, ``monomial_matrix``, ``TorusRep.dense``), up to side
+MAX_DENSE_SIDE.  Sphere classes are checked by pulling the evaluated form
+back to the tangent space of the quadric c = 1 at each sample point, which
+kills exactly the ideal J, with the minors of the tangent bases.
 
 ``BatchChecker`` is the one sampling path, with one sup per mode: scalars
 (``scalar_sup``), plane elements (``element_sup``) and sphere classes
 (``sphere_sup``).  A seed fixes the two models, drawn from
-random.Random(seed), and one sample stream, random.Random(seed ^ 0xBA7C4),
-which draws the plane points, then the sphere points, then the phase draws
-of the scalar checks.  ``check_element`` and ``check_sphere_class`` build
-one checker per call.
+random.Random(seed), and one sample stream, random.Random(seed ^ 0xBA7C4):
+the plane points, then the sphere points, each kind converted in one numpy
+pass, then the phase draws of the scalar checks.  The phase draws and the
+tangent bases are made on first use, so a plane check makes neither and no
+value depends on the order of the sups.  More points than MAX_SIZE
+tangent-basis entries allow are refused before any draw.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -86,13 +88,13 @@ DEFAULT_TOL = 1e-9
 _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 # Most entries a model's generator words may hold together, side * (2h + 1)
-# for the identity, each U^a and its adjoint: 2^21 * 24 bytes (48 MB).
+# for the identity, each U^a and its adjoint: 2^21 * 24 bytes (48 MB); and
+# most entries of a checker's tangent bases, points * (D - 1) * D (32 MB).
 MAX_SIZE = 1 << 21
 # Largest side of a dense view: one matrix then takes 2048^2 * 16 B (64 MB).
 MAX_DENSE_SIDE = 2048
-# Most entries per dx set of one block of form values (points x side, 256 KB):
-# a model of side above it takes one point at a time.
-_BLOCK_ENTRIES = 1 << 14
+# Most complex entries of one array of a form_sup block (2 MB).
+_BLOCK_ENTRIES = 1 << 17
 # The Weyl vector draw tries at most this many candidates per coordinate, and
 # starts afresh at most _DRAW_STARTS times before giving up on a modulus.
 _DRAW_TRIES = 256
@@ -218,11 +220,7 @@ class TorusRep:
         self.roots = [complex(zeta_powers[k]) for k in exps]
         self._identity = Word(np.arange(self.size),
                               np.ones(self.size, dtype=complex))
-        self._build_generators(s, zeta_powers)
         self._mono_cache: dict = {}
-
-    def _build_generators(self, s: int, zeta_powers: np.ndarray):
-        ctx, m = self.ctx, self.modulus
         # the slot digits of every basis index, first slot outermost
         digits = np.indices((m,) * s).reshape(s, self.size)
         place = m ** np.arange(s - 1, -1, -1)
@@ -244,12 +242,12 @@ class TorusRep:
         got = self._mono_cache.get(key)
         if got is None:
             exps, dxs = key
-            got = self._identity
-            for a, e in enumerate(exps, start=1):
-                for _ in range(e):
-                    got = got @ self.unitaries[a]
-            for a in dxs:
-                got = got @ self.unitaries[a]
+            one = got = self._identity
+            for a in chain(*([a] * e for a, e in enumerate(exps, start=1)),
+                           dxs):
+                # a product with the identity is bitwise the other factor
+                u = self.unitaries[a]
+                got = u if got is one else got if u is one else got @ u
             self._mono_cache[key] = got
         return got
 
@@ -276,6 +274,7 @@ class TorusRep:
         """(key, coefficient times classical monomial value) per term."""
         if el.ctx != self.ctx:
             raise ValueError("element and model contexts differ")
+        point = np.asarray(point).tolist()
         for key, coeff in el.terms.items():
             z = self.eval_scalar(coeff)
             for a, e in enumerate(key[0]):
@@ -286,92 +285,110 @@ class TorusRep:
     def eval_element(self, el: Element, point: np.ndarray) -> dict:
         """Dense form data {dx index set -> side x side matrix} at a point."""
         self.check_dense()
+        side = self.size
+        cols = self._identity.perm  # 0..side-1
         out: dict[tuple, np.ndarray] = {}
-        cols = np.arange(self.size)
         for key, z in self.term_values(el, point):
-            mat = out.get(key[1])
-            if mat is None:
-                mat = out[key[1]] = np.zeros((self.size, self.size),
-                                             dtype=complex)
+            flat = out.get(key[1])
+            if flat is None:
+                flat = out[key[1]] = np.zeros(side * side, dtype=complex)
             w = self.word(key)
-            mat[w.perm, cols] += z * w.phase
-        return out
+            # U e_j = phase[j] e_perm[j]: entry (perm[j], j)
+            flat[w.perm * side + cols] += z * w.phase
+        return {dxs: flat.reshape(side, side) for dxs, flat in out.items()}
 
     def form_sup(self, el: Element, points, tangents: Tangents | None = None
                  ) -> float:
-        """Largest |matrix entry| of the form el over a stack of points.
-
-        Without ``tangents`` each dx component counts on its own (a plane
-        identity).  With the ``Tangents`` of the same points, the form is
-        pulled back to the tangent space of the sphere: the components of
-        each degree below D are summed against the minors of the tangent
-        basis, one sum per subset of tangent vectors.
-
-        Each term's coefficient and word are looked up once, and its
-        classical monomial value is one vector over the points.  The points
-        are then taken in blocks of at most _BLOCK_ENTRIES // side (at least
-        one), and each class of equal perm[0] and dx set (plane) or degree
-        (sphere) is one (block, dx sets, side) array, pulled back by one
-        batched product with the minors.
+        """Largest |matrix entry| of the form el over a stack of points:
+        each dx component on its own (a plane identity), or, with the
+        ``Tangents`` of the points, the components of each degree below D
+        summed against the minors of each subset of tangent vectors (the
+        pullback to the sphere).  Cost and memory: see the module docstring.
         """
         if el.ctx != self.ctx:
             raise ValueError("element and model contexts differ")
         points = np.asarray(points)
-        classes: dict = {}
-        exps, coeffs = [], []
+        sphere = tangents is not None
+        # part (form degree on the sphere) -> (group, dx set, term) triples
+        parts: dict = {}
+        exps, coeffs, phases = [], [], []
         for key, coeff in el.terms.items():
             dxs = key[1]
-            if tangents is not None and len(dxs) == self.ctx.dim:
+            if sphere and len(dxs) == self.ctx.dim:
                 continue  # a top form vanishes on the D-1 tangent vectors
             w = self.word(key)
-            group = (dxs if tangents is None else len(dxs), int(w.perm[0]))
-            comps = classes.setdefault(group, {})
-            comps.setdefault(dxs, []).append((len(exps), w.phase))
+            part, group = ((len(dxs), int(w.perm[0])) if sphere
+                           else (0, (int(w.perm[0]), dxs)))
+            parts.setdefault(part, []).append((group, dxs, len(exps)))
             exps.append(key[0])
             coeffs.append(self.eval_scalar(coeff))
+            phases.append(w.phase)
         if not exps:
             return 0.0
-        # (point, term) -> coefficient times classical monomial value
-        vals = np.empty((len(points), len(exps)), dtype=complex)
-        vals[:] = coeffs
+        # (point, term) -> coefficient times classical monomial value, from
+        # the powers points[p, a] ** e, e <= top, by repeated products
         exps = np.array(exps)
-        for a in range(self.ctx.dim):
-            if exps[:, a].any():
-                vals *= points[:, a, None] ** exps[:, a]
-        # per class: its dx sets in order, and per set the term columns and
-        # the (terms, side) stack of their phases
-        plan = []
-        for comps in classes.values():
-            sets = sorted(comps)
-            plan.append((sets, [(np.array([t for t, _ in comps[s]]),
-                                 np.array([ph for _, ph in comps[s]]))
-                                for s in sets]))
-        step = max(1, _BLOCK_ENTRIES // self.size)
+        top = int(exps.max())
+        powers = np.ones(points.shape + (top + 1,), dtype=complex)
+        powers[:, :, 1:] = np.cumprod(
+            np.repeat(points[:, :, None], top, axis=2), axis=2)
+        vals = np.array(coeffs) * powers[:, np.arange(self.ctx.dim), exps
+                                         ].prod(axis=2)
+        phases = np.array(phases)
         worst = 0.0
-        for start in range(0, len(points), step):
-            block = vals[start:start + step]
-            for sets, parts in plan:
-                data = np.stack([block[:, cols] @ phases
-                                 for cols, phases in parts], axis=1)
-                if tangents is not None:
-                    minors = np.stack([tangents.minors(s)[start:start + step]
-                                       for s in sets], axis=2)
-                    data = minors @ data
-                worst = max(worst, float(np.abs(data).max()))
+        for terms in parts.values():
+            terms.sort()
+            sizes = [len(list(g)) for _, g in groupby(terms, itemgetter(0))]
+            grid = (len(sizes), max(sizes))
+            # the flat (group, slot) place of each term in the grid
+            place = [g * grid[1] + k for g, n in enumerate(sizes)
+                     for k in range(n)]
+            sets: dict = {}
+            which = [sets.setdefault(dxs, len(sets)) for _, dxs, _ in terms]
+            cols = [t for _, _, t in terms]
+            subsets = 1
+            if sphere:  # (dx sets, points, subsets)
+                minors = np.array([tangents.minors(s) for s in sets])
+                subsets = minors.shape[2]
+            # columns so that one point's sums and the phases fit a block,
+            # then points so that the sums and the weights do
+            width = min(self.size, max(1, _BLOCK_ENTRIES
+                                       // (grid[0] * (subsets + grid[1]))))
+            step = max(1, _BLOCK_ENTRIES // (grid[0] * subsets
+                                             * (width + grid[1])))
+            for j in range(0, self.size, width):
+                grid_phases = np.zeros((grid[0] * grid[1],
+                                        min(width, self.size - j)), complex)
+                grid_phases[place] = phases[cols, j:j + width]
+                for p in range(0, len(points), step):
+                    # (terms, points, subsets)
+                    weights = vals[p:p + step, cols].T[:, :, None]
+                    if sphere:
+                        weights = weights * minors[which, p:p + step]
+                    grid_weights = np.zeros((grid[0] * grid[1],)
+                                            + weights.shape[1:], complex)
+                    grid_weights[place] = weights
+                    sums = (grid_weights.reshape(grid + (-1,))
+                            .transpose(0, 2, 1)
+                            @ grid_phases.reshape(grid + (-1,)))
+                    worst = max(worst, float(np.abs(sums).max()))
         return worst
 
 
 class Tangents:
     """Tangent bases of the quadric c = 1 at a stack of sphere points.
 
-    ``basis[p]`` holds the D - 1 tangent vectors at point p as rows.
-    ``minors(dxs)`` is the (points, subsets) array of the minors of each
-    basis on the columns dxs, one per subset of len(dxs) tangent vectors:
-    one stacked determinant per dx set, cached.
+    ``basis[p]``: the D - 1 tangent vectors at point p as rows, the trailing
+    right singular vectors of the normal dc = 2 (v_1', ..., v_D'), from one
+    SVD of the stack.  ``minors(dxs)``: the (points, subsets) minors of each
+    basis on the columns dxs, one per subset of len(dxs) tangent vectors,
+    from one cached stacked determinant.
     """
 
     def __init__(self, ctx: DeformationContext, points):
-        self.basis = np.array([_tangent_basis(ctx, p) for p in points])
+        primed = [ctx.primed(b) - 1 for b in range(1, ctx.dim + 1)]
+        normals = 2.0 * np.asarray(points)[:, None, primed]
+        self.basis = np.linalg.svd(normals)[2][:, 1:].conj()
         self._minors: dict = {}
 
     def minors(self, dxs: tuple) -> np.ndarray:
@@ -386,39 +403,35 @@ class Tangents:
         return got
 
 
-def _point_from_real(ctx: DeformationContext, y: np.ndarray) -> np.ndarray:
-    """Quadric coordinates from real ones: companion pairs become conjugate
-    complex pairs so that sum_a v_a v_{a'} = |y|^2."""
-    dim = ctx.dim
-    v = np.zeros(dim, dtype=complex)
-    half = dim // 2
-    rt2 = math.sqrt(2.0)
-    for j in range(half):
-        a = j + 1
-        v[a - 1] = (y[2 * j] + 1j * y[2 * j + 1]) / rt2
-        v[ctx.primed(a) - 1] = v[a - 1].conjugate()
+def _sample(ctx: DeformationContext, rng: random.Random, count: int,
+            unit: bool) -> np.ndarray:
+    """count rows y of D gaussians from rng (|y| = 1 when unit) as quadric
+    coordinates, companion pairs conjugate: sum_a v_a v_{a'} = |y|^2."""
+    dim, half = ctx.dim, ctx.dim // 2
+    y = np.array([rng.gauss(0.0, 1.0) for _ in range(count * dim)]
+                 ).reshape(count, dim)
+    if unit:
+        # each norm is sqrt(dot(y, y)) of its own row, as for one point: a
+        # stacked sum of squares rounds differently
+        y /= np.array([math.sqrt(float(np.dot(r, r))) for r in y])[:, None]
+    v = np.zeros((count, dim), dtype=complex)
+    v[:, :half] = (y[:, 0:2 * half:2] + 1j * y[:, 1:2 * half:2]) / math.sqrt(2)
+    v[:, [ctx.primed(a) - 1 for a in range(1, half + 1)]] = v[:, :half].conj()
     if dim % 2:
-        v[half] = y[dim - 1]
+        v[:, half] = y[:, dim - 1]
     return v
 
 
-def sphere_sample(ctx: DeformationContext, rng: random.Random) -> np.ndarray:
-    y = np.array([rng.gauss(0.0, 1.0) for _ in range(ctx.dim)])
-    y /= math.sqrt(float(np.dot(y, y)))
-    return _point_from_real(ctx, y)
+def plane_sample(ctx: DeformationContext, rng: random.Random,
+                 count: int) -> np.ndarray:
+    """count plane points, one row each."""
+    return _sample(ctx, rng, count, unit=False)
 
 
-def plane_sample(ctx: DeformationContext, rng: random.Random) -> np.ndarray:
-    y = np.array([rng.gauss(0.0, 1.0) for _ in range(ctx.dim)])
-    return _point_from_real(ctx, y)
-
-
-def _tangent_basis(ctx: DeformationContext, point: np.ndarray) -> np.ndarray:
-    """Basis of the kernel of dc at the point (rows are tangent vectors)."""
-    u = np.array([2.0 * point[ctx.primed(b) - 1]
-                  for b in range(1, ctx.dim + 1)], dtype=complex)
-    _, _, vh = np.linalg.svd(u.reshape(1, -1))
-    return vh[1:].conj()
+def sphere_sample(ctx: DeformationContext, rng: random.Random,
+                  count: int) -> np.ndarray:
+    """count points of the sphere c = 1, one row each."""
+    return _sample(ctx, rng, count, unit=True)
 
 
 def _models(ctx, seed: int, moduli=None):
@@ -439,25 +452,12 @@ def check_sphere_class(el: Element, seed: int = 42, points: int = 20,
     return BatchChecker(el.ctx, seed, points, moduli).sphere_sup(el) < tol
 
 
-def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
-    """Draw j of the phases: parameter i becomes a random primitive root of
-    unity of order _PRIMES[(i + j) % len(_PRIMES)]."""
-    roots = []
-    for i in range(nparams):
-        m = _PRIMES[(i + j) % len(_PRIMES)]
-        k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
-        roots.append(cmath.exp(2j * cmath.pi * k / m))
-    return tuple(roots)
-
-
 class BatchChecker:
-    """The oracle's sampling path: shared samples for any number of checks.
-
-    Holds two torus models over distinct prime moduli, a fixed batch of plane
-    and sphere sample points with the cached minors of their tangent bases,
-    and ``points`` phase draws for scalars, so that checking thousands of
-    identities reuses all the heavy data.  Each sup is the largest absolute
-    value over every model and sample of its mode.
+    """The oracle's sampling path: two torus models over distinct prime
+    moduli, ``points`` plane and sphere points, the tangent bases of the
+    sphere points and ``points`` phase draws for scalars, shared by any
+    number of checks.  Each sup is the largest absolute value over every
+    model and sample of its mode.
     """
 
     def __init__(self, ctx: DeformationContext, seed: int = 42,
@@ -465,17 +465,33 @@ class BatchChecker:
         if points < 1:
             # no samples cannot show anything zero
             raise ValueError(f"points must be at least 1, got {points}")
+        entries = points * (ctx.dim - 1) * ctx.dim
+        if entries > MAX_SIZE:
+            raise ValueError(
+                f"{points} points at D = {ctx.dim} need {entries} tangent"
+                f" basis entries, over the cap of {MAX_SIZE} entries")
         self.ctx = ctx
         self.points = points
         self.models = _models(ctx, seed, moduli)
-        rng = random.Random(seed ^ 0xBA7C4)
-        self.plane_points = np.array([plane_sample(ctx, rng)
-                                      for _ in range(points)])
-        self.sphere_points = np.array([sphere_sample(ctx, rng)
-                                       for _ in range(points)])
-        self.tangents = Tangents(ctx, self.sphere_points)
-        self.root_draws = [_root_draw(rng, ctx.nparams, j)
-                           for j in range(points)]
+        self._stream = random.Random(seed ^ 0xBA7C4)
+        self.plane_points = plane_sample(ctx, self._stream, points)
+        self.sphere_points = sphere_sample(ctx, self._stream, points)
+
+    @cached_property
+    def tangents(self) -> Tangents:
+        """The tangent bases of the sphere points, built on first use."""
+        return Tangents(self.ctx, self.sphere_points)
+
+    @cached_property
+    def root_draws(self) -> list:
+        """The phase draws of the scalar checks, the tail of the stream: in
+        draw j, parameter i is e^(2 pi i k/m) for a random 0 < k < m, with
+        m = _PRIMES[(i + j) % len(_PRIMES)] a prime."""
+        rng, nparams = self._stream, self.ctx.nparams
+        return [tuple(cmath.exp(2j * cmath.pi * rng.choice(range(1, m)) / m)
+                      for m in (_PRIMES[(i + j) % len(_PRIMES)]
+                                for i in range(nparams)))
+                for j in range(self.points)]
 
     def scalar_sup(self, s: ExactScalar) -> float:
         if not s.terms:

@@ -535,16 +535,16 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli):
                 ok = False
     r.case("torus unitaries realise the phases", ok)
     prng = random.Random(seed + 1)
-    pt = oracle.sphere_sample(ctx, prng)
+    pt = oracle.sphere_sample(ctx, prng, 1)
     cc = sphere.central_quadric(ctx)
     r.case("c evaluates to the identity on sphere samples",
-           model.form_sup(cc - Element.one(ctx), [pt]) <= 1e-12)
+           model.form_sup(cc - Element.one(ctx), pt) <= 1e-12)
     ok_h = True
     zero = np.zeros(model.size)
     for _ in range(20):
         f = random_element(ctx, prng, 2, 1, 2)
         g = random_element(ctx, prng, 2, 1, 2)
-        p = oracle.plane_sample(ctx, prng)
+        p = oracle.plane_sample(ctx, prng, 1)[0]
         lhs = _word_sums((key[1], z, model.word(key))
                          for key, z in model.term_values(f * g, p))
         rhs = _word_sums(_product_words(model, f, g, p))

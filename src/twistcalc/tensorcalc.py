@@ -17,7 +17,7 @@ from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
 
 __all__ = [
-    "lambda_entry", "apply_lambda", "epsilon_q", "epsilon_qinv",
+    "lambda_entry", "apply_lambda", "braid_word", "epsilon_q", "epsilon_qinv",
     "antisym_w", "antisym_w_column", "antisym_w_bruteforce", "pairing_plane",
     "hodge_plane", "volume_element",
 ]
@@ -42,6 +42,18 @@ def apply_lambda(ctx, t: tuple, pos: int):
     c, d = t[pos], t[pos + 1]
     out = t[:pos] + (d, c) + t[pos + 2:]
     return out, ctx.pair_reduction(d, c)
+
+
+def braid_word(ctx, t: tuple, word) -> tuple:
+    """(basis tuple, phase exponents) of the basis tensor e_t after the
+    braid matrix acts on the slots (pos, pos + 1) of each pos in ``word``,
+    in turn: the phase is the monomial with one exponent per parameter."""
+    acc = [0] * ctx.nparams
+    for pos in word:
+        t, red = apply_lambda(ctx, t, pos)
+        if red is not None:
+            acc[red[0]] += red[1]
+    return t, tuple(acc)
 
 
 @lru_cache(maxsize=None)
@@ -70,11 +82,7 @@ def _i_on_basis(ctx: DeformationContext, k: int, t: tuple):
     if k == 1:
         return {t: ctx.scalar_one()}
     out = {t: ctx.scalar_one()}
-    swapped, red = apply_lambda(ctx, t, k - 2)
-    shift = [0] * ctx.nparams
-    if red is not None:
-        shift[red[0]] = red[1]
-    shift = tuple(shift)
+    swapped, shift = braid_word(ctx, t, (k - 2,))
     for u, c in _i_on_basis(ctx, k - 1, swapped[:-1]).items():
         v = c.shifted(shift, -1)
         key = u + (swapped[-1],)
@@ -137,15 +145,10 @@ def antisym_w_bruteforce(ctx, upper, lower) -> ExactScalar:
     total = ctx.scalar_zero()
     for perm in permutations(range(k)):
         word = _reduced_word(perm)
-        t = lower
-        acc = [0] * ctx.nparams
-        for pos in word:
-            t, red = apply_lambda(ctx, t, pos)
-            if red is not None:
-                acc[red[0]] += red[1]
+        t, exps = braid_word(ctx, lower, word)
         if t == upper:
             sign = -1 if len(word) % 2 else 1
-            total = total + ExactScalar({tuple(acc): _C_ONE}).scale(sign)
+            total = total + ExactScalar({exps: _C_ONE}).scale(sign)
     return total
 
 

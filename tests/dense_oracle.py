@@ -1,4 +1,4 @@
-"""Dense reference for the torus oracle.
+"""Dense and per-point references for the torus oracle.
 
 The Kronecker construction of the Weyl unitaries from clock and shift
 matrices, dense monomial products and the tangent pullback by determinants,
@@ -6,11 +6,21 @@ without the oracle's (perm, phase) words.  Each function reads only the
 parameters of a ``TorusRep`` (context, modulus, Weyl vectors, roots) and the
 samples of a ``BatchChecker``, so its sups can be compared with the sparse
 ones sample by sample.
+
+Below them, the oracle's samples drawn one point and one draw at a time
+(``reference_samples``) and ``TorusRep.form_sup`` summed one class of equal
+perm[0] and one dx set at a time (``form_sup``): the stacked passes of the
+oracle must give the same samples bit for bit and the same sups to rounding.
 """
 
+import cmath
+import math
+import random
 from itertools import combinations
 
 import numpy as np
+
+from twistcalc.oracle import _PRIMES
 
 
 def _clock(m: int) -> np.ndarray:
@@ -138,3 +148,98 @@ def batch_sups(bc, el) -> tuple:
             sphere = max(sphere, pullback_sup(dense.eval_element(el, pt),
                                               tangent))
     return plane, sphere
+
+
+# -- per-point samples and per-class sups -------------------------------------
+
+def _point_from_real(ctx, y: np.ndarray) -> np.ndarray:
+    """Quadric coordinates from real ones: companion pairs become conjugate
+    complex pairs so that sum_a v_a v_{a'} = |y|^2."""
+    dim = ctx.dim
+    v = np.zeros(dim, dtype=complex)
+    half = dim // 2
+    rt2 = math.sqrt(2.0)
+    for j in range(half):
+        a = j + 1
+        v[a - 1] = (y[2 * j] + 1j * y[2 * j + 1]) / rt2
+        v[ctx.primed(a) - 1] = v[a - 1].conjugate()
+    if dim % 2:
+        v[half] = y[dim - 1]
+    return v
+
+
+def sphere_sample(ctx, rng: random.Random) -> np.ndarray:
+    y = np.array([rng.gauss(0.0, 1.0) for _ in range(ctx.dim)])
+    y /= math.sqrt(float(np.dot(y, y)))
+    return _point_from_real(ctx, y)
+
+
+def plane_sample(ctx, rng: random.Random) -> np.ndarray:
+    y = np.array([rng.gauss(0.0, 1.0) for _ in range(ctx.dim)])
+    return _point_from_real(ctx, y)
+
+
+def tangent_basis(ctx, point: np.ndarray) -> np.ndarray:
+    """Basis of the kernel of dc at the point (rows are tangent vectors)."""
+    u = np.array([2.0 * point[ctx.primed(b) - 1]
+                  for b in range(1, ctx.dim + 1)], dtype=complex)
+    _, _, vh = np.linalg.svd(u.reshape(1, -1))
+    return vh[1:].conj()
+
+
+def _root_draw(rng: random.Random, nparams: int, j: int) -> tuple:
+    roots = []
+    for i in range(nparams):
+        m = _PRIMES[(i + j) % len(_PRIMES)]
+        k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
+        roots.append(cmath.exp(2j * cmath.pi * k / m))
+    return tuple(roots)
+
+
+def reference_samples(ctx, seed: int, points: int) -> dict:
+    """The samples of BatchChecker(ctx, seed, points), one at a time in
+    stream order: plane points, sphere points, then the phase draws."""
+    rng = random.Random(seed ^ 0xBA7C4)
+    plane = np.array([plane_sample(ctx, rng) for _ in range(points)])
+    sphere = np.array([sphere_sample(ctx, rng) for _ in range(points)])
+    return {"plane_points": plane, "sphere_points": sphere,
+            "basis": np.array([tangent_basis(ctx, p) for p in sphere]),
+            "root_draws": [_root_draw(rng, ctx.nparams, j)
+                           for j in range(points)]}
+
+
+def form_sup(model, el, points, tangents=None) -> float:
+    """TorusRep.form_sup with one matmul per class of equal perm[0] and dx
+    set (plane) or degree (sphere), and one pullback per class."""
+    points = np.asarray(points)
+    classes: dict = {}
+    exps, coeffs = [], []
+    for key, coeff in el.terms.items():
+        dxs = key[1]
+        if tangents is not None and len(dxs) == model.ctx.dim:
+            continue
+        w = model.word(key)
+        group = (dxs if tangents is None else len(dxs), int(w.perm[0]))
+        comps = classes.setdefault(group, {})
+        comps.setdefault(dxs, []).append((len(exps), w.phase))
+        exps.append(key[0])
+        coeffs.append(model.eval_scalar(coeff))
+    if not exps:
+        return 0.0
+    vals = np.empty((len(points), len(exps)), dtype=complex)
+    vals[:] = coeffs
+    exps = np.array(exps)
+    for a in range(model.ctx.dim):
+        if exps[:, a].any():
+            vals *= points[:, a, None] ** exps[:, a]
+    worst = 0.0
+    for comps in classes.values():
+        sets = sorted(comps)
+        data = np.stack([vals[:, [t for t, _ in comps[s]]]
+                         @ np.array([ph for _, ph in comps[s]])
+                         for s in sets], axis=1)
+        if tangents is not None:
+            minors = np.stack([tangents.minors(s) for s in sets], axis=2)
+            data = minors @ data
+        worst = max(worst, float(np.abs(data).max()))
+    return worst

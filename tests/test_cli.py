@@ -178,14 +178,17 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_sample_counts_moduli_and_n_are_checked(capsys):
-    """No samples, a modulus that cannot tell q from 1/q and a chern order
-    below 1 exit 2 instead of answering."""
+    """No samples, more samples than the tangent-basis cap, a modulus that
+    cannot tell q from 1/q and a chern order below 1 exit 2 instead of
+    answering."""
     x = "q(1,2)*x1 - q(1,2)^-1*x1"
     for argv, msg in (
             (("oracle", "--expr", "x1", "--points", "0", "--json"),
              "points must be at least 1, got 0"),
             (("oracle", "--expr", "x1", "--points", "-1"),
              "points must be at least 1, got -1"),
+            (("oracle", "--expr", "x1", "--points", "2000000", "--json"),
+             "2000000 points at D = 5 need 40000000 tangent basis entries"),
             (("oracle", "--expr", x, "--moduli", "2,2,2", "--json"),
              "modulus 2 cannot tell q from 1/q"),
             (("oracle", "--expr", "x1", "--moduli", "1,1,1"),

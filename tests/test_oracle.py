@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -59,8 +60,7 @@ def test_sample_points_structure():
     rng = random.Random(2)
     for d in (3, 4, 5):
         ctx = DeformationContext(d)
-        for _ in range(10):
-            v = sphere_sample(ctx, rng)
+        for v in sphere_sample(ctx, rng, 10):
             quad = sum(v[a - 1] * v[ctx.primed(a) - 1]
                        for a in range(1, d + 1))
             assert abs(quad - 1.0) < 1e-12
@@ -89,7 +89,7 @@ def test_evaluation_is_homomorphism():
     for _ in range(200):
         f = random_element(ctx, rng, 2, rng.randint(0, 2), 2)
         g = random_element(ctx, rng, 2, rng.randint(0, 2), 2)
-        pt = plane_sample(ctx, rng)
+        pt = plane_sample(ctx, rng, 1)[0]
         lhs = model.eval_element(f * g, pt)
         d1 = model.eval_element(f, pt)
         d2 = model.eval_element(g, pt)
@@ -111,8 +111,7 @@ def test_quadric_evaluates_to_identity_on_sphere():
     ctx = DeformationContext(4)
     model = TorusRep(ctx, rng=random.Random(5))
     rng = random.Random(6)
-    for _ in range(10):
-        pt = sphere_sample(ctx, rng)
+    for pt in sphere_sample(ctx, rng, 10):
         data = model.eval_element(central(ctx), pt)
         assert np.allclose(data[()], np.eye(model.size), atol=1e-12)
 
@@ -154,6 +153,24 @@ def test_no_samples_is_an_error_not_a_zero(count):
         check_sphere_class(vol, points=count)
     with pytest.raises(ValueError, match="points " + msg):
         BatchChecker(ctx, points=count)
+
+
+def test_points_cap_refuses_before_drawing():
+    """Stacked tangent bases of points x (D-1) x D entries over MAX_SIZE are
+    refused before any model is built or any point drawn."""
+    ctx = DeformationContext(5)
+    assert 104857 * 4 * 5 <= MAX_SIZE < 104858 * 4 * 5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="104858 points at D = 5 need"
+                           " 2097160 tangent basis entries, over the cap"):
+            BatchChecker(ctx, points=104858)
+        with pytest.raises(ValueError, match="2000000 points at D = 9"):
+            check_element(Element.x(DeformationContext(9), 1),
+                          points=2000000)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("moduli, bad", [((2, 2, 2), 2), ((1, 1, 1), 1),
@@ -253,14 +270,92 @@ def test_sups_match_dense_reference(d, moduli, degrees):
             assert abs(got - want) <= 1e-12 * max(want, 1.0), (el, got, want)
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_samples_match_per_point_reference(d):
+    """The stacked samples of a checker equal, bit for bit, the points,
+    tangent bases and phase draws made one at a time in stream order,
+    whichever order the sups first run in; a plane sup builds no tangent
+    bases."""
+    ctx = DeformationContext(d)
+    x1 = Element.x(ctx, 1)
+    orders = list(permutations(("element", "sphere", "scalar")))
+    cases = [(seed, count) for seed in (0, 7, 42) for count in (1, 3, 20)]
+    for i, (seed, count) in enumerate(cases):
+        bc = BatchChecker(ctx, seed, count)
+        for k, mode in enumerate(orders[i % len(orders)]):
+            if mode == "element":
+                bc.element_sup(x1)
+                if k == 0:
+                    assert "tangents" not in vars(bc)
+            elif mode == "sphere":
+                bc.sphere_sup(x1)
+            else:
+                bc.scalar_sup(ctx.scalar_one())
+        ref = dense_oracle.reference_samples(ctx, seed, count)
+        assert np.array_equal(bc.plane_points, ref["plane_points"])
+        assert np.array_equal(bc.sphere_points, ref["sphere_points"])
+        assert np.array_equal(bc.tangents.basis, ref["basis"])
+        assert bc.root_draws == ref["root_draws"]
+
+
+def _mixed_forms(ctx, rng):
+    """Forms of every degree at once, with x-degree up to 3: many classes
+    of words and many dx sets per class."""
+    yield sum((random_element(ctx, rng, 3, k, 4) for k in range(ctx.dim + 1)),
+              Element.zero(ctx))
+    cc = central(ctx)
+    memb = sum(((cc - Element.one(ctx)) * random_element(ctx, rng, 2, k, 2)
+                for k in range(ctx.dim)), Element.zero(ctx))
+    yield memb
+    yield memb + random_element(ctx, rng, 1, 2, 3)
+
+
+@pytest.mark.parametrize("d, moduli, count", [
+    (4, None, 6), (5, None, 20), (7, None, 6), (9, None, 3),
+    (6, (67, 131), 3)])
+def test_form_sup_matches_per_class_reference(d, moduli, count):
+    """Both modes against one product per class and dx set, relative to
+    max(sup, 1), on the default models and on the side-4489 and
+    side-17161 models whose forms take many blocks."""
+    ctx = DeformationContext(d)
+    rng = random.Random(50 + d)
+    bc = BatchChecker(ctx, seed=d, points=count, moduli=moduli)
+    for el in _mixed_forms(ctx, rng):
+        for model in bc.models:
+            for args in ((bc.plane_points,),
+                         (bc.sphere_points, bc.tangents)):
+                got = model.form_sup(el, *args)
+                want = dense_oracle.form_sup(model, el, *args)
+                assert abs(got - want) <= 1e-12 * max(want, 1.0), (
+                    d, model.size, got, want)
+
+
+@pytest.mark.parametrize("d, moduli", [(3, None), (4, None), (5, None),
+                                       (6, (5, 7, 11)), (7, None)])
+def test_eval_element_matches_dense_reference(d, moduli):
+    ctx = DeformationContext(d)
+    rng = random.Random(60 + d)
+    model = TorusRep(ctx, moduli=moduli, rng=random.Random(d))
+    ref = DenseRep(model)
+    for pt in plane_sample(ctx, rng, 4):
+        el = random_element(ctx, rng, 2, rng.randint(0, d), 3) \
+            + random_element(ctx, rng, 1, rng.randint(0, d), 2)
+        got, want = model.eval_element(el, pt), ref.eval_element(el, pt)
+        assert got.keys() == want.keys()
+        for dxs, mat in want.items():
+            assert np.allclose(got[dxs], mat, rtol=0, atol=1e-12), dxs
+
+
 def test_block_sups_match_single_point_sups():
     """One call over 20 points gives the largest of the 20 one-point sups,
-    in plane and sphere modes.  At D = 6 the model of modulus 67 (side
-    4489) takes the points in blocks of 3, and the model of modulus 131
-    (side 17161 > 2^14) one at a time."""
+    in plane and sphere modes.  At D = 6 the models of modulus 67 (side
+    4489) and 131 (side 17161) take these forms in 4 to 160 blocks of
+    points and columns of at most _BLOCK_ENTRIES entries, and a one-point
+    call at side 17161 still splits the columns."""
     ctx = DeformationContext(6)
     models = _models(ctx, 42, (67, 131))
-    assert [max(1, _BLOCK_ENTRIES // m.size) for m in models] == [3, 1]
+    assert [m.size for m in models] == [4489, 17161]
+    assert models[1].size > _BLOCK_ENTRIES // 8
     rng = random.Random(40)
     cc = central(ctx)
     memb = (cc - Element.one(ctx)) * random_element(ctx, rng, 1, 2, 2) \
@@ -268,8 +363,8 @@ def test_block_sups_match_single_point_sups():
     forms = [memb, memb + Element.dx(ctx, 1) * Element.dx(ctx, 2),
              random_element(ctx, rng, 2, 1, 3)
              + random_element(ctx, rng, 1, 3, 2)]
-    plane = [plane_sample(ctx, rng) for _ in range(20)]
-    sphere = [sphere_sample(ctx, rng) for _ in range(20)]
+    plane = plane_sample(ctx, rng, 20)
+    sphere = sphere_sample(ctx, rng, 20)
     tangents = Tangents(ctx, sphere)
     for model in models:
         for el in forms:
@@ -285,6 +380,18 @@ def test_block_sups_match_single_point_sups():
     for model in models:
         assert model.form_sup(top, plane) > 0.1
         assert model.form_sup(top, sphere, tangents) == 0.0
+    # at side 17161 a call holds the (terms, side) phases and block arrays
+    # of at most 2^17 entries; a zero-padded (terms, groups x side) matrix
+    # would take hundreds of MB
+    el = forms[2]
+    tracemalloc.start()
+    try:
+        models[1].form_sup(el, sphere, tangents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (2 * len(el.terms) * models[1].size
+                        + 4 * _BLOCK_ENTRIES)
 
 
 # -- reach and size guards ----------------------------------------------------
@@ -325,7 +432,7 @@ def test_model_size_guard():
         model.monomial_matrix(key)
     with pytest.raises(ValueError, match="side 2209"):
         model.eval_element(Element.x(model.ctx, 1), plane_sample(
-            model.ctx, random.Random(0)))
+            model.ctx, random.Random(0), 1)[0])
     with pytest.raises(ValueError, match="side 2209"):
         DenseRep(model)
 
