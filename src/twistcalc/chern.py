@@ -155,9 +155,9 @@ def _element_ctx(*matrices) -> DeformationContext | None:
 
 # Largest half-dimension n that GammaRep builds.  The matrices store O(n 2^n)
 # entries, but checking the block lemma takes O(n^2) sparse products, so each
-# step in n costs about 2.5 times the time and 2 times the memory: on a 2-vCPU
-# guest (Python 3.11) `twistcalc charge --n 12` takes about 23 s and 306 MB,
-# and n = 13 about 62 s and 664 MB.
+# step in n costs about 2 to 2.5 times the time and 2 times the memory: on a
+# 2-vCPU guest (Python 3.11) `twistcalc charge --n 11` takes about 10 s and
+# 134 MB, n = 12 20-25 s and 256 MB, and n = 13 about a minute and 660 MB.
 MAX_HALF_DIM = 12
 
 

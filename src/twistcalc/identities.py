@@ -7,29 +7,40 @@ An ``Identity`` is one equation ``lhs = rhs`` of a kind:
 - ``sphere``: two ambient representatives with the same sphere class.
 
 ``holds`` is the one decision for every kind.  A family generator takes a
-context (or a gamma representation) plus any random inputs its caller has
-already drawn, and yields identities; it draws nothing itself.  ``group``
-names the family instance and ``label`` the single identity: a suite makes one
-case of each run of identities sharing a group, and an acceptance criterion
-checks each identity, and exports ``lhs - rhs`` to the numeric oracle, under
-its label.  Both sides stay apart so that exact checks are equality tests.
+context (or a gamma representation, or a half-dimension) plus any random
+inputs its caller has already drawn, and yields identities; it draws nothing
+itself.  ``group`` names the family instance and ``label`` the single
+identity: a suite makes one case of each run of identities sharing a group,
+and an acceptance criterion checks each identity, and exports ``lhs - rhs``
+to the numeric oracle, under its label.  Both sides stay apart so that exact
+checks are equality tests.
+
+Every identity a suite checks is declared here, from the phase table to the
+character of the integration cycle: the identities of the twisted limit of
+Connes-Landi (CMP 221, 2001) and Connes-Dubois-Violette (CMP 230, 2002).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
-from math import factorial
+from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
-from .chern import clifford_trace
-from .haar import haar_plane
+from .chern import (character_tau, charge, charge_from_curvature,
+                    charge_integral, clifford_trace, curvature,
+                    instanton_projector)
+from .exprio import format_element, parse_expr
+from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
 from .ncalg import Element
 from .qphase import DeformationContext, ExactScalar, _C_ONE
 from .sphere import (central_quadric, hodge_sphere, integrate_form,
-                     pairing_sphere, sphere_equal, volume_form)
+                     omega_form, pairing_sphere, reduce_mod_c, sphere_equal,
+                     top_decompose, volume_form)
 from .tensorcalc import (antisym_w, antisym_w_bruteforce, antisym_w_column,
                          braid_word, epsilon_q, epsilon_qinv, hodge_plane,
                          pairing_plane, volume_element)
@@ -61,6 +72,121 @@ def _per_rank(draws):
     for up, lo in draws:
         seen[len(up)] += 1
         yield seen[len(up)] - 1, up, lo
+
+
+def _singles(kind: str, ctx, cases):
+    """A family instance of one identity per (group, lhs, rhs) of ``cases``,
+    labelled by its group."""
+    for group, lhs, rhs in cases:
+        yield Identity(group, group, kind, ctx, lhs, rhs)
+
+
+def _family(group: str, kind: str, ctx, sides):
+    """One family instance: an identity per (lhs, rhs) of ``sides``,
+    labelled by the group and its position."""
+    for j, (lhs, rhs) in enumerate(sides):
+        yield Identity(group, f"{group} #{j}", kind, ctx, lhs, rhs)
+
+
+# -- phases and the algebra ---------------------------------------------------
+
+def pair_table(ctx):
+    """The laws of the phase table: each column multiplies to 1,
+    q_(a,b) q_(b,a) = 1, and priming both indices keeps the phase."""
+    d, q, one = ctx.dim, ctx.q_power, ctx.scalar_one()
+    yield from _singles("scalar", ctx, (
+        (f"D={d}: prod_i q_(i,{p}) = 1",
+         reduce(mul, (q(i, p) for i in range(1, d + 1))), one)
+        for p in range(1, d + 1)))
+    for a, b in product(range(1, d + 1), repeat=2):
+        yield from _singles("scalar", ctx, (
+            (f"D={d}: q_({a},{b}) q_({b},{a}) = 1", q(a, b) * q(b, a), one),
+            (f"D={d}: q_({a},{b}) = q_({a}',{b}')", q(a, b),
+             q(ctx.primed(a), ctx.primed(b)))))
+
+
+def phase_examples(ctx, scalars):
+    """At D = 5, whose one phase is q = q_(1,2): the table at three pairs,
+    conjugation of i q, and conj(conj(s)) = s on each drawn scalar s."""
+    q, i = ctx.q_power, ctx.i_unit()
+    yield from _singles("scalar", ctx, [
+        ("D=5: q_(4,5)", q(4, 5), ExactScalar({(-1,): _C_ONE})),
+        ("D=5: q_(3,1) trivial", q(3, 1), ExactScalar({(0,): _C_ONE})),
+        ("D=5: q_(1,2) generator", q(1, 2), ExactScalar({(1,): _C_ONE})),
+        ("conj(i q) = -i q^-1", (i * q(1, 2)).conj(), (-i) * q(1, 2, -1)),
+        ("q_(1,2) q_(2,1) - 1", q(1, 2) * q(2, 1), ctx.scalar_one())]
+        + [(f"conj(conj(s)) = s #{j}", s.conj().conj(), s)
+           for j, s in enumerate(scalars)])
+
+
+def algebra_relations(ctx):
+    """The defining relation on x1, x2, dx1 ^ dx1 = 0, d on x1 and Leibniz
+    on x1 x2; at D = 5 also dx3 x1 = x1 dx3, of the middle index."""
+    x, dx = (lambda a: Element.x(ctx, a)), (lambda a: Element.dx(ctx, a))
+    cases = [
+        ("x2*x1 = q^-1 x1x2", x(2) * x(1), (x(1) * x(2)) * ctx.q_power(2, 1)),
+        ("dx1^dx1", dx(1) * dx(1), Element.zero(ctx)),
+        ("d(x1) = dx1", x(1).d(), dx(1)),
+        ("Leibniz on x1x2", (x(1) * x(2)).d(),
+         x(1).d() * x(2) + x(1) * x(2).d())]
+    if ctx.dim == 5:
+        cases.append(("dx3*x1 = x1*dx3", dx(3) * x(1), x(1) * dx(3)))
+    return _singles("element", ctx, cases)
+
+
+def confluence(ctx, words):
+    """A word's product does not depend on the association: left to right
+    equals right to left, on each drawn word of ("x" or "dx", index)."""
+    gen = {"x": Element.x, "dx": Element.dx}
+    for j, word in enumerate(words):
+        left = right = Element.one(ctx)
+        for kind, a in word:
+            left = left * gen[kind](ctx, a)
+        for kind, a in reversed(word):
+            right = gen[kind](ctx, a) * right
+        yield from _singles("element", ctx, [
+            (f"D={ctx.dim} confluence of {word} #{j}", left, right)])
+
+
+def basis_counts(ctx):
+    """The exterior algebra has dimension 2^D: the products of k distinct
+    dx, in every order, reorder onto C(D, k) basis forms."""
+    d = ctx.dim
+    for k in range(d + 1):
+        keys = {key[1] for idx in permutations(range(1, d + 1), k)
+                for key in reduce(mul, (Element.dx(ctx, a) for a in idx),
+                                  Element.one(ctx)).terms}
+        yield from _singles("scalar", ctx, [
+            (f"degree-{k} basis count C({d},{k})", ctx.scalar(len(keys)),
+             ctx.scalar(comb(d, k)))])
+
+
+def volume_form_laws(ctx):
+    """The volume element V commutes with every x^a and is real."""
+    d, v, x = ctx.dim, volume_element(ctx), Element.x
+    yield from _family(f"D={d}: volume form central", "element", ctx, (
+        (x(ctx, a) * v, v * x(ctx, a)) for a in range(1, d + 1)))
+    yield from _singles("element", ctx, [
+        (f"D={d}: volume form real", v.star(), v)])
+
+
+def form_laws(ctx, forms, printed):
+    """At D = 5: the star of x1 and of dx1 ^ dx2; on each drawn form f,
+    f** = f, (df)* = d(f*) and ddf = 0; and the printed form of the element
+    ``printed`` parses back to it."""
+    x, dx, zero = Element.x, Element.dx, Element.zero(ctx)
+    yield from _singles("element", ctx, [
+        ("star(x1) = x5", x(ctx, 1).star(), x(ctx, 5)),
+        ("star(dx1^dx2) = -dx4^dx5", (dx(ctx, 1) * dx(ctx, 2)).star(),
+         -(dx(ctx, 4) * dx(ctx, 5)))])
+    for j, f in enumerate(forms):
+        yield from _singles("element", ctx, [
+            (f"star(star(f)) = f #{j}", f.star().star(), f),
+            (f"star(d f) = d(star f) #{j}", f.d().star(), f.star().d()),
+            (f"dd f #{j}", f.d().d(), zero)])
+    yield from _singles("element", ctx, [
+        ("print/parse round trip", parse_expr(ctx, format_element(printed)),
+         printed)])
 
 
 # -- Haar functional ----------------------------------------------------------
@@ -124,6 +250,36 @@ def haar_square_moments(ctx):
                            ctx.scalar_zero())
 
 
+def haar_units(ctx):
+    """h(1) = h(c) = 1."""
+    d, one = ctx.dim, ctx.scalar_one()
+    yield from _singles("scalar", ctx, [
+        (f"D={d}: h(1) = 1", haar_plane(ctx, Element.one(ctx)), one),
+        (f"D={d}: h(c) = 1", haar_plane(ctx, central_quadric(ctx)), one)])
+
+
+def haar_values(ctx):
+    """At D = 5: h(x3 x3) = h(x1 x5) = 1/5 and lambda_1(5) = 1/10."""
+    x, fifth = Element.x, ctx.scalar(Fraction(1, 5))
+    yield from _singles("scalar", ctx, [
+        ("D=5: h(x3 x3) = 1/5", haar_plane(ctx, x(ctx, 3, 2)), fifth),
+        ("D=5: h(x1 x5) = 1/5", haar_plane(ctx, x(ctx, 1) * x(ctx, 5)), fifth),
+        ("lambda_1(5) = 1/10", ctx.scalar(lambda_coefficient(5, 1)),
+         ctx.scalar(Fraction(1, 10)))])
+
+
+def derivative_laws(ctx, draws):
+    """The Laplacian kills x1, and d_a d_b f = q_ab d_b d_a f on each drawn
+    (a, b, f)."""
+    d, da = ctx.dim, (lambda a, f: partial_derivative(ctx, a, f))
+    yield from _singles("element", ctx, [
+        (f"D={d}: Delta(x1) = 0", laplacian(Element.x(ctx, 1)),
+         Element.zero(ctx))])
+    yield from _family(f"D={d}: derivative exchange relation", "element", ctx, (
+        (da(a, da(b, f)), da(b, da(a, f)) * ctx.q_power(a, b))
+        for a, b, f in draws))
+
+
 # -- sphere integral ----------------------------------------------------------
 
 def stokes(ctx, thetas):
@@ -133,6 +289,73 @@ def stokes(ctx, thetas):
         yield Identity("Stokes: integral d(theta) = 0",
                        f"N={ctx.dim - 1} Stokes #{j}", "scalar", ctx,
                        integrate_form(th.d()), zero)
+
+
+def sphere_relations(ctx):
+    """The sphere's defining data: c reduces to 1 and (c-1) x2 to 0 (and at
+    D = 3, x2^2 + 2 x1 x3 to 1), omega_k ^ dx^l = delta_kl V, and the volume
+    form vol = sum_k x^k omega_k has vol ^ dc = 2 c V, top part c and
+    integral 1; its class is real and that of c vol."""
+    one, cc, v = Element.one(ctx), central_quadric(ctx), volume_element(ctx)
+    vol, x, c3 = volume_form(ctx), Element.x, DeformationContext(3)
+    yield from _singles("element", ctx, [
+        ("reduce(c) = 1", reduce_mod_c(cc), one),
+        ("reduce((c-1) x2)", reduce_mod_c((cc - one) * x(ctx, 2)),
+         Element.zero(ctx))])
+    yield from _singles("element", c3, [
+        ("D=3: reduce(x2^2 + 2 x1x3) = 1", reduce_mod_c(
+            x(c3, 2, 2) + (x(c3, 1) * x(c3, 3)).scale(2)), Element.one(c3))])
+    yield from _family("omega_k ^ dx^l = delta V", "element", ctx, (
+        (omega_form(ctx, k) * Element.dx(ctx, l),
+         v if l == k else Element.zero(ctx))
+        for k, l in product(range(1, ctx.dim + 1), repeat=2)))
+    yield from _singles("element", ctx, [
+        ("sum_k x^k omega_k ^ dc = 2 c V", vol * cc.d(), (cc * v).scale(2)),
+        ("top_decompose(volume) = c", top_decompose(vol), cc)])
+    yield from _singles("scalar", ctx, [
+        ("integral of the volume = 1", integrate_form(vol), ctx.scalar_one())])
+    yield from _singles("sphere", ctx, [
+        ("[c w] = [w]", cc * vol, vol), ("[volume] = [volume]", vol, vol),
+        ("volume class is real", vol.star(), vol)])
+
+
+def integral_laws(ctx, pairs, triples):
+    """The integral is a trace, integral[a w] = integral[w a] on each drawn
+    function a and top form w; and sees only the class: w and
+    w + (c-1) a + dc ^ b have one integral on each drawn (w, a, b)."""
+    cm1, dc = central_quadric(ctx) - Element.one(ctx), central_quadric(ctx).d()
+    yield from _family("integral[a w] = integral[w a]", "scalar", ctx, (
+        (integrate_form(a * w), integrate_form(w * a)) for a, w in pairs))
+    yield from _family("integral independent of the representative", "scalar",
+                       ctx, ((integrate_form(w + cm1 * a + dc * b),
+                              integrate_form(w)) for w, a, b in triples))
+
+
+def ideal_laws(ctx, beta, fs):
+    """J holds dc ^ beta, and is a differential star ideal: d m and m* lie
+    in J for m = (c-1) f, f each drawn form."""
+    cc, zero = central_quadric(ctx), Element.zero(ctx)
+    yield from _singles("sphere", ctx, [
+        ("[dc ^ beta] = 0", cc.d() * beta, zero)])
+    members = [(cc - Element.one(ctx)) * f for f in fs]
+    yield from _family("J is a differential star ideal (samples)", "sphere",
+                       ctx, ((m2, zero) for m in members
+                             for m2 in (m.d(), m.star())))
+
+
+def connes_landi_s4(ctx):
+    """At D = 5 the coordinates are those of the Connes-Landi 4-sphere:
+    x_a x_b = q^k x_b x_a with q = q_(1,2) and the exponents k below (x3 is
+    central), and 2 (x1 x5 + x2 x4) + x3^2 reduces to 1."""
+    x = lambda a: Element.x(ctx, a)
+    exps = {(1, 2): 1, (1, 4): -1, (1, 5): 0, (2, 5): 1, (4, 5): -1, (2, 4): 0}
+    exps.update({(3, a): 0 for a in range(1, 6)})
+    sides = [(x(a) * x(b), (x(b) * x(a)) * ctx.q_power(1, 2, k))
+             for (a, b), k in exps.items()]
+    sides.append((reduce_mod_c((x(1) * x(5) + x(2) * x(4)).scale(2)
+                               + Element.x(ctx, 3, 2)), Element.one(ctx)))
+    yield from _family("S^4 coordinate relations match the torus-sphere form",
+                       "element", ctx, sides)
 
 
 # -- Hodge stars on full bases ------------------------------------------------
@@ -305,6 +528,22 @@ def hodge_sphere_basis(ctx):
         lambda s: combinations(_complement(ctx, s), n - len(s)))
 
 
+def plane_volume_norm(ctx):
+    """<V, V> = 1 on the plane."""
+    v = volume_element(ctx)
+    yield from _singles("element", ctx, [
+        (f"D={ctx.dim}: <V,V> = 1", pairing_plane(v, v), Element.one(ctx))])
+
+
+def hodge_bilinearity(ctx, draws):
+    """The sphere star is bilinear over functions: *(f theta h) =
+    f (*theta) h as classes, on each drawn (dx indices of theta, f, h)."""
+    yield from _family(f"N={ctx.dim - 1}: function bilinearity of the star",
+                       "sphere", ctx, (
+        (hodge_sphere(f * basis_form(ctx, s) * h),
+         f * hodge_sphere(basis_form(ctx, s)) * h) for s, f, h in draws))
+
+
 # -- braid matrix and q-antisymmetrizer ---------------------------------------
 
 def braid_squares(ctx):
@@ -440,6 +679,38 @@ def w_recursion(ctx, draws):
                        antisym_w_bruteforce(ctx, up, lo))
 
 
+def metric_epsilon(ctx, orders):
+    """The metric/epsilon lemma.  The q-determinant of the metric is
+    eps_q(1', ..., D'), the one term of the permutation sum whose metric
+    entries are all nonzero, and equals det g = (-1)^[D/2]; on each drawn
+    order idx of 1..D, priming the indices multiplies eps_q by det g, and
+    eps_qinv(idx) = det g eps_q(idx reversed)."""
+    d = ctx.dim
+    det = -1 if (d // 2) % 2 else 1
+    yield from _singles("scalar", ctx, [
+        (f"D={d}: q-determinant of the metric",
+         epsilon_q(ctx, tuple(map(ctx.primed, range(1, d + 1)))),
+         ctx.scalar(det))])
+    yield from _family(f"D={d}: priming indices multiplies epsilon by det g",
+                       "scalar", ctx, (
+        (epsilon_q(ctx, tuple(map(ctx.primed, idx))),
+         epsilon_q(ctx, idx).scale(det)) for idx in orders))
+    yield from _family(f"D={d}: inverse-phase epsilon = reversed epsilon det g",
+                       "scalar", ctx, (
+        (epsilon_qinv(ctx, idx), epsilon_q(ctx, idx[::-1]).scale(det))
+        for idx in orders))
+
+
+def pairing_symmetry(ctx, draws):
+    """The wedge/tensor pairing is symmetric: W^{i reversed}_{a'} =
+    W^a_{i primed} on each drawn index pair (a, i), a' = ``_primed(a)``."""
+    yield from _singles("scalar", ctx, (
+        (f"wedge/tensor pairing symmetry {a}|{i} #{j}",
+         antisym_w(ctx, i[::-1], _primed(ctx, a)),
+         antisym_w(ctx, a, tuple(map(ctx.primed, i))))
+        for j, (a, i) in enumerate(draws)))
+
+
 # -- Clifford algebra ---------------------------------------------------------
 
 def clifford_relations(rep):
@@ -469,3 +740,61 @@ def clifford_traces(rep, draws=None):
     for label, idx in items:
         yield Identity(group, label, "scalar", ctx, clifford_trace(rep, idx),
                        epsilon_qinv(ctx, idx).scale(2 ** n))
+
+
+# -- instanton projector and the character of the integration cycle -----------
+
+def projector_laws(n: int):
+    """The instanton projector e of half-dimension n is idempotent over the
+    sphere and hermitian, entry by entry."""
+    rep, e = instanton_projector(n)
+    ee, entries = e * e, list(product(range(2 ** n), repeat=2))
+    yield from _family(f"n={n}: projector idempotent", "sphere", rep.ctx,
+                       ((ee[a, b], e[a, b]) for a, b in entries))
+    yield from _family(f"n={n}: projector hermitian", "element", rep.ctx,
+                       ((e[a, b].star(), e[b, a]) for a, b in entries))
+
+
+def curvature_laws(n: int):
+    """The curvature F = e de de is antihermitian over the sphere, entry by
+    entry, and the charge computed from it is 1."""
+    rep, e = instanton_projector(n)
+    f = curvature(e)
+    entries = product(range(2 ** n), repeat=2)
+    yield from _family(f"n={n}: curvature antihermitian", "sphere", rep.ctx,
+                       ((f[a, b].star(), -f[b, a]) for a, b in entries))
+    yield from _singles("scalar", rep.ctx, [
+        (f"n={n}: charge via curvature", charge_from_curvature(n),
+         rep.ctx.scalar_one())])
+
+
+def charge_laws(n: int):
+    """integral Tr[e (de)^2n] = (2n)! i^n / 2^(n+1), the charge is 1, and the
+    piece Stokes discards, integral Tr[(de)^2n], is 0."""
+    rep, e = instanton_projector(n)
+    ctx, de = rep.ctx, e.map(lambda f: f.d())
+    acc = de * de
+    for _ in range(n - 1):
+        acc = acc * de * de
+    yield from _singles("scalar", ctx, [
+        (f"n={n}: integral Tr[e(de)^{2 * n}] = (2n)! i^n / 2^(n+1)",
+         charge_integral(n),
+         ctx.i_power(n).scale(Fraction(factorial(2 * n), 2 ** (n + 1)))),
+        (f"n={n}: charge = 1", charge(n), ctx.scalar_one()),
+        (f"n={n}: integral Tr[(de)^{2 * n}]", integrate_form(acc.trace()),
+         ctx.scalar_zero())])
+
+
+def character_laws(ctx, tuples, fs):
+    """The character tau of the integration cycle on the N-sphere:
+    tau(a_0, ..., a_N) = (-1)^N tau(a_N, a_0, ..., a_{N-1}) on each drawn
+    tuple of N + 1 sphere functions, and tau(1, f, 1, ..., 1) = 0 on each
+    drawn function f, since d1 = 0."""
+    n, one = ctx.dim - 1, Element.one(ctx)
+    yield from _family(
+        f"N={n}: character invariant under the signed cyclic shift", "scalar",
+        ctx, ((character_tau(t), character_tau([t[-1]] + t[:-1]).scale(
+            (-1) ** n)) for t in tuples))
+    yield from _family("tau vanishes when a later entry is 1", "scalar", ctx, (
+        (character_tau([one, f] + [one] * (n - 1)), ctx.scalar_zero())
+        for f in fs))

@@ -234,6 +234,16 @@ class TorusRep:
             self.unitaries[a] = word
             self.unitaries[ctx.primed(a)] = word.adjoint()
 
+    def realises_phases(self) -> bool:
+        """Whether U^(a') is the adjoint of U^a and U^a U^b = q_ab U^b U^a
+        at the model's roots, for all a, b."""
+        u, dim = self.unitaries, self.ctx.dim
+        return all(
+            u[self.ctx.primed(a)].matches(u[a].adjoint())
+            and all((u[a] @ u[b]).matches(
+                u[b] @ u[a], scale=self.eval_scalar(self.ctx.q_power(a, b)))
+                for b in range(1, dim + 1)) for a in range(1, dim + 1))
+
     def eval_scalar(self, s: ExactScalar) -> complex:
         return s.eval_at_roots(self.roots)
 
@@ -281,6 +291,33 @@ class TorusRep:
                 if e:
                     z *= point[a] ** e
             yield key, z
+
+    def multiplies(self, f: Element, g: Element, point: np.ndarray) -> bool:
+        """Whether the value of f g at a point is the product of the values
+        of f and g, each a sum of scaled words per dx component.  Words of
+        equal perm[0] fill the same entries and others share none, so the
+        entry vectors summed per (dx indices, perm[0]) are the whole matrix
+        of each component."""
+        def words(el):
+            return [(key[1], z, self.word(key))
+                    for key, z in self.term_values(el, point)]
+
+        def sums(terms) -> dict:
+            out: dict = {}
+            for dxs, z, w in terms:
+                key = (dxs, int(w.perm[0]))
+                out[key] = out.get(key, 0) + z * w.phase
+            return out
+
+        right = words(g)
+        lhs = sums(words(f * g))
+        rhs = sums((tuple(sorted(s1 + s2)),
+                    (-1) ** sum(x > y for x in s1 for y in s2) * z1 * z2,
+                    w1 @ w2)
+                   for s1, z1, w1 in words(f) for s2, z2, w2 in right
+                   if not set(s1) & set(s2))
+        return all(np.allclose(lhs.get(key, 0), rhs.get(key, 0), atol=1e-8)
+                   for key in lhs.keys() | rhs.keys())
 
     def eval_element(self, el: Element, point: np.ndarray) -> dict:
         """Dense form data {dx index set -> side x side matrix} at a point."""

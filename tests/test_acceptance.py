@@ -3,8 +3,9 @@
 One test per criterion; each prints a single PASS/FAIL line.  Criteria 3-9
 check the identity families of ``twistcalc.identities`` at their own
 dimensions and seeds, exactly (zero tolerance); the numeric concordance
-criterion re-exports every one of those identities, as lhs - rhs, to the
-torus/classical model and requires max entry magnitude below 1e-9.
+criterion re-exports every one of those identities, and the families the
+suites alone check exactly, as lhs - rhs, to the torus/classical model and
+requires max entry magnitude below 1e-9.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -83,7 +84,78 @@ def _catalogue() -> dict:
     rng9 = random.Random(90)
     cat["c9"] += ids.clifford_traces(GammaRep(2), [
         tuple(rng9.randint(1, 5) for _ in range(5)) for _ in range(500)])
+    cat["c10"] = _suite_families(ctx)
     return cat
+
+
+def _suite_families(ctx) -> list:
+    """The families only the suites check exactly, for the oracle: each on
+    inputs drawn from its own seed."""
+    c3, c5 = ctx[3], ctx[5]
+    out = []
+    for d in range(2, 7):
+        out += ids.pair_table(ctx[d])
+        out += ids.volume_form_laws(ctx[d])
+    rng = random.Random(100)
+    out += ids.phase_examples(c5, [
+        (c5.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+         + c5.i_unit().scale(rng.randint(-2, 2))).shifted(
+             (rng.randint(-2, 2),)) for _ in range(20)])
+    for d in (2, 3, 4, 5):
+        out += ids.algebra_relations(ctx[d])
+        out += ids.basis_counts(ctx[d])
+        out += ids.plane_volume_norm(ctx[d])
+    rng = random.Random(101)
+    for d in (2, 3, 5):
+        out += ids.confluence(ctx[d], [
+            [("dx" if rng.random() < 0.4 else "x", rng.randint(1, d))
+             for _ in range(rng.randint(2, 8))] for _ in range(12)])
+    rng = random.Random(102)
+    out += ids.form_laws(c5, [random_element(c5, rng, 2, rng.randint(0, 3), 2)
+                              for _ in range(15)],
+                         random_element(c5, rng, 2, 1, 3))
+    out += ids.haar_values(c5)
+    out += ids.connes_landi_s4(c5)
+    rng = random.Random(103)
+    for d in (3, 4, 5):
+        out += ids.haar_units(ctx[d])
+        out += ids.derivative_laws(ctx[d], [
+            (rng.randint(1, d), rng.randint(1, d), random_monomial(ctx[d], rng,
+                                                                    4))
+            for _ in range(15)])
+    rng = random.Random(104)
+    for d in (3, 4, 5):
+        n = d - 1
+        out += ids.sphere_relations(ctx[d])
+        out += ids.integral_laws(ctx[d], [
+            (random_monomial(ctx[d], rng, 2), random_element(ctx[d], rng, 2,
+                                                              n, 2))
+            for _ in range(10)], [
+            (random_element(ctx[d], rng, 2, n, 2),
+             random_element(ctx[d], rng, 2, n, 2),
+             random_element(ctx[d], rng, 2, n - 1, 2)) for _ in range(8)])
+        out += ids.ideal_laws(ctx[d], random_element(ctx[d], rng, 2, 1, 2), [
+            random_element(ctx[d], rng, 1, rng.randint(0, n - 1), 2)
+            for _ in range(4)])
+        out += ids.hodge_bilinearity(ctx[d], [
+            (tuple(sorted(rng.sample(range(1, d + 1), rng.randint(0, n)))),
+             random_element(ctx[d], rng, 1, 0, 2),
+             random_element(ctx[d], rng, 1, 0, 2)) for _ in range(4)])
+    rng = random.Random(105)
+    for d in (2, 3, 4, 5):
+        out += ids.metric_epsilon(ctx[d], [
+            tuple(rng.sample(range(1, d + 1), d)) for _ in range(12)])
+    out += ids.pairing_symmetry(c5, [
+        random_index_pair(rng, 5, rng.randint(1, 3)) for _ in range(15)])
+    for n in (1, 2):
+        out += ids.projector_laws(n)
+        out += ids.charge_laws(n)
+    out += ids.curvature_laws(1)
+    rng = random.Random(106)
+    out += ids.character_laws(c3, [
+        [random_monomial(c3, rng, 2) for _ in range(3)] for _ in range(10)],
+        [random_monomial(c3, rng, 2) for _ in range(3)])
+    return out
 
 
 def _fails(crit: str) -> list:

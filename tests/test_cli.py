@@ -1,13 +1,15 @@
 """Command line surface: outputs, JSON schema, exit codes, determinism."""
 
+import hashlib
 import json
 import pstats
+import re
 import time
 from collections import Counter
 
 import pytest
 
-from twistcalc import cli, suites
+from twistcalc import cli, identities, suites
 from twistcalc.cli import main
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
@@ -208,17 +210,34 @@ def test_sample_counts_moduli_and_n_are_checked(capsys):
 
 
 def _recorded_run(name: str, dim: int):
-    """run_suite(name, dim, seed=42) and the label of every case it ran."""
-    labels = []
-    case = suites._Runner.case
+    """run_suite(name, dim, seed=42) and a (suite, label, from r.check)
+    record of every case it ran."""
+    records, where = [], {"suite": None, "check": False}
+    case, check = suites._Runner.case, suites._Runner.check
 
     def record(self, expression, *args, **kwargs):
-        labels.append(expression)
+        records.append((where["suite"], expression, where["check"]))
         return case(self, expression, *args, **kwargs)
+
+    def checked(self, family):
+        where["check"] = True
+        try:
+            return check(self, family)
+        finally:
+            where["check"] = False
+
+    def entered(nm, fn):
+        def run(*args):
+            where["suite"] = nm
+            return fn(*args)
+        return run
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suites._Runner, "case", record)
-        return run_suite(name, dim=dim, seed=42), labels
+        mp.setattr(suites._Runner, "check", checked)
+        for nm, fn in list(suites._SUITES.items()):
+            mp.setitem(suites._SUITES, nm, entered(nm, fn))
+        return run_suite(name, dim=dim, seed=42), records
 
 
 @pytest.fixture(scope="module")
@@ -236,10 +255,90 @@ def test_run_all_suites_clean(all_run):
 
 def test_case_labels_unique(all_run):
     # a failure record names its case, so no two cases may share a label
-    for report, labels in (all_run, _recorded_run("haar", 3),
-                           _recorded_run("haar", 4)):
+    for report, records in (all_run, _recorded_run("haar", 3),
+                            _recorded_run("haar", 4)):
+        labels = [label for _, label, _ in records]
         repeated = sorted(nm for nm, n in Counter(labels).items() if n > 1)
         assert len(labels) == report.cases and not repeated, repeated[:10]
+
+
+def _one_offs() -> list:
+    """A pattern per one-off case label the ``suites`` docstring lists, each
+    ``{placeholder}`` standing for a number."""
+    listed = suites.__doc__.split("one-offs of ``r.case``:")[1]
+    return [re.compile(re.sub(r"\\\{\w+\\\}", r"\\d+",
+                              re.escape(" ".join(nm.split()))))
+            for nm in re.findall(r"``(.+?)``", listed, re.S)]
+
+
+def test_identities_are_declared_in_the_catalogue(all_run):
+    """Every case outside the docstring's one-offs comes from a catalogue
+    family through r.check, so an identity declared inline in a suite
+    fails here; and every listed one-off is still run."""
+    _, records = all_run
+    patterns = _one_offs()
+    unchecked = [label for _, label, checked in records if not checked]
+    assert [label for label in unchecked
+            if not any(p.fullmatch(label) for p in patterns)] == []
+    assert all(any(map(p.fullmatch, unchecked)) for p in patterns)
+    assert len(unchecked) == 33
+
+
+def test_failure_record_carries_both_sides(monkeypatch):
+    """A moved identity that fails reports its two sides, not 0/nonzero:
+    here each sphere integral comes out one more than the one before."""
+    values = []
+    integrate = identities.integrate_form
+
+    def drifting(form):
+        values.append(integrate(form) + form.ctx.scalar(len(values)))
+        return values[-1]
+
+    monkeypatch.setattr(identities, "integrate_form", drifting)
+    report = run_suite("sphere", dim=5, seed=42)
+    failure = next(f for f in report.failures
+                   if f["expression"] == "integral[a w] = integral[w a]")
+    # got = integral[a w] + k and expected = integral[w a] + k + 1
+    assert (failure["got"], failure["expected"]) in {
+        (str(lhs), str(rhs)) for lhs, rhs in zip(values, values[1:])}
+
+
+# sha256 of the sorted (suite, label) lines of run_suite("all", dim, seed=42);
+# a case renamed, dropped or added changes it
+LABELS_SHA256 = {
+    5: (846,
+        "2657bbfb890f15c15da6b7a16562d7ab6a0678003f5b17f8adb79a1a615b3116"),
+    6: (854,
+        "93b72a457e29b192f64aaeb63e8baedf32e229401027d3c40c10592f2a59aba2"),
+    7: (864,
+        "f1bdcbf4e5188f7b70f6fb84e5785e90f01a1f90ff322803002a75ab75b6b108"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(LABELS_SHA256))
+def test_case_labels_golden(dim, all_run):
+    report, records = all_run if dim == 5 else _recorded_run("all", dim)
+    text = "\n".join(f"{nm}\t{label}" for nm, label in
+                     sorted((nm, label) for nm, label, _ in records))
+    assert report.failures == []
+    assert (report.cases, hashlib.sha256(text.encode()).hexdigest()) == \
+        LABELS_SHA256[dim]
+
+
+def test_suite_size_limits_refused_before_any_work(capsys, monkeypatch):
+    # the hodge suite at D = 10 and the chern suite at n = 7 take half a
+    # minute or more; no suite starts
+    monkeypatch.setattr(suites, "_SUITES", {})
+    start = time.perf_counter()
+    for argv, msg in (
+            (("hodge", "--dim", "10"), "dim = 10 exceeds the limit 9"),
+            (("chern", "--n", "7"), "n = 7 exceeds the limit 6")):
+        code, out, err = run_cli(capsys, "suite", "run", *argv)
+        assert (code, out) == (2, "")
+        assert msg in err
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        run_suite("all", dim=suites.MAX_DIM + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_reports_deterministic_for_fixed_seed():

@@ -107,6 +107,21 @@ def test_evaluation_is_homomorphism():
                                atol=1e-8), key
 
 
+def test_model_self_checks_see_a_wrong_generator():
+    """realises_phases and multiplies hold on a model and fail once U^1 is
+    replaced by U^2: then U^1 U^2 = U^2 U^1, not q_12 U^2 U^1."""
+    ctx = DeformationContext(5)
+    model = TorusRep(ctx, rng=random.Random(3))
+    x1, x2 = Element.x(ctx, 1), Element.x(ctx, 2)
+    point = plane_sample(ctx, random.Random(4), 1)[0]
+    assert model.realises_phases()
+    assert model.multiplies(x2, x1, point) and model.multiplies(x1, x2, point)
+    wrong = TorusRep(ctx, rng=random.Random(3))
+    wrong.unitaries[1] = wrong.unitaries[2]
+    assert not wrong.realises_phases()
+    assert not wrong.multiplies(x2, x1, point)
+
+
 def test_quadric_evaluates_to_identity_on_sphere():
     ctx = DeformationContext(4)
     model = TorusRep(ctx, rng=random.Random(5))
