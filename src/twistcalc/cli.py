@@ -11,6 +11,7 @@ import cProfile
 import json
 import math
 import sys
+import warnings
 
 from . import chern, oracle, sphere
 from .exprio import ExprSyntaxError, format_element, format_scalar, parse_expr
@@ -229,8 +230,11 @@ def _cmd_oracle(args) -> int:
     ctx = DeformationContext(args.dim)
     el = _parse_element(ctx, args.expr)
     checker = oracle.BatchChecker(ctx, args.seed, args.points, args.moduli)
-    sup = (checker.sphere_sup(el) if args.sphere_class
-           else checker.element_sup(el))
+    with warnings.catch_warnings():
+        # numpy's overflow warnings: an overflow shows as an inf sup
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sup = (checker.sphere_sup(el) if args.sphere_class
+               else checker.element_sup(el))
     is_zero = sup < oracle.DEFAULT_TOL
     payload = {"max_abs": sup, "zero": is_zero, "seed": args.seed,
                "points": args.points,

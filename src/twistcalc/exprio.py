@@ -6,21 +6,35 @@ Grammar (whitespace ignored):
     term    :=  factor ('*' factor)*
     factor  :=  'x'<k>['^'<n>] | 'dx'<k> | 'q('<a>','<b>')'['^'[-]<n>]
               | 'i' | 'sqrt2' | rational
-    rational := ['-']<n>['/'<m>]
+    rational := <n>['/'<m>]
 
-Factors are multiplied with the engine's normal ordering, so "x2*x1" parses
-to the canonical q-reordered element.  Printing expands every coefficient
-into grammar terms, ordered deterministically, so print -> parse -> print is
-the identity.
+A zero denominator <m> is a syntax error, as is an index outside 1..D.
+
+Parsing is one pass over the tokens.  A term is held as a Q(i, sqrt2)
+coefficient 5-tuple, a list of phase exponents and a canonical monomial key,
+never as an ``Element``: a scalar factor multiplies the coefficient, and a
+letter in canonical position (an x whose index is not below the last x, with
+no dx yet; a dx whose index is above the last dx) is appended to the key.
+Any other letter is normal-ordered into the key by ``ncalg._mono_mul``, the
+one place that computes exchange phases, so "x2*x1" parses to the canonical
+q-reordered element.  Every term is added into one {monomial: {phase:
+coefficient}} accumulator, which one ``ncalg._finish`` call turns into the
+element.  Tokens carry no positions; an error scans the text again to find
+its position.
+
+Printing expands every coefficient into grammar terms, ordered
+deterministically, so print -> parse -> print is the identity.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
-from .ncalg import Element
-from .qphase import DeformationContext
+from .ncalg import Element, _finish, _mono_mul
+from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, _c_add,
+                     _c_mul, _c_neg, _c_reduce)
 
 __all__ = ["parse_expr", "format_element", "format_scalar", "ExprSyntaxError"]
 
@@ -33,148 +47,170 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sqrt2>sqrt2)|(?P<dx>dx\d+)|(?P<x>x\d+)|(?P<q>q)"
-    r"|(?P<i>i)|(?P<num>\d+)|(?P<op>[-+*/^(),]))"
-)
+# A token is the text of one match.  Tokens start at the characters that are
+# not whitespace, and a character that starts no other token is a token of
+# its own, a bad one.
+_TOKEN_RE = re.compile(r"sqrt2|dx\d+|x\d+|q|i|\d+|[-+*/^(),]|\S")
+# the one-character tokens that are not bad, besides the digits
+_SINGLES = frozenset("qi-+*/^(),")
+
+_C_I = (0, 1, 0, 0, 1)
+_C_SQRT2 = (0, 0, 1, 0, 1)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+def _error(text: str, j: int, message: str) -> ExprSyntaxError:
+    """The error at token j, or at the end of the text past the last token.
+    Tokens carry no position; an error scans the text again to find it."""
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        if n == j:
+            return ExprSyntaxError(message, m.start())
+    return ExprSyntaxError(message, len(text))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of the text; raises at the first bad one."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = {t for t in set(tokens)
+           if len(t) == 1 and t not in _SINGLES and not t.isdecimal()}
+    if bad:
+        j = next(j for j, t in enumerate(tokens) if t in bad)
+        raise _error(text, j, f"unexpected character {tokens[j]!r}")
     return tokens
 
 
-class _Parser:
-    def __init__(self, ctx: DeformationContext, text: str):
-        self.ctx = ctx
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok[2])
-
-    def parse(self) -> Element:
-        out = Element.zero(self.ctx)
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            sign = -1
-        while True:
-            out = out + self.term().scale(sign)
-            tok = self.peek()
-            if tok is None:
-                return out
-            if tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                sign = 1 if tok[1] == "+" else -1
-            else:
-                raise ExprSyntaxError(f"expected '+' or '-', got {tok[1]!r}",
-                                      tok[2])
-
-    def term(self) -> Element:
-        out = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.next()
-                out = out * self.factor()
-            else:
-                return out
-
-    def factor(self) -> Element:
-        ctx = self.ctx
-        tok = self.next()
-        kind, val, pos = tok
-        if kind == "num":
-            num = int(val)
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok[0] != "num":
-                    raise ExprSyntaxError("expected denominator", den_tok[2])
-                return Element.from_scalar(ctx, Fraction(num, int(den_tok[1])))
-            return Element.from_scalar(ctx, num)
-        if kind == "i":
-            return Element.from_scalar(ctx, ctx.i_unit())
-        if kind == "sqrt2":
-            return Element.from_scalar(ctx, ctx.sqrt2())
-        if kind == "x":
-            idx = int(val[1:])
-            power = self._optional_power(signed=False)
-            try:
-                return Element.x(ctx, idx, power)
-            except IndexError as exc:
-                raise ExprSyntaxError(str(exc), pos) from None
-        if kind == "dx":
-            idx = int(val[2:])
-            try:
-                return Element.dx(ctx, idx)
-            except IndexError as exc:
-                raise ExprSyntaxError(str(exc), pos) from None
-        if kind == "q":
-            self.expect_op("(")
-            a_tok = self.next()
-            if a_tok[0] != "num":
-                raise ExprSyntaxError("expected phase index", a_tok[2])
-            self.expect_op(",")
-            b_tok = self.next()
-            if b_tok[0] != "num":
-                raise ExprSyntaxError("expected phase index", b_tok[2])
-            self.expect_op(")")
-            power = self._optional_power(signed=True)
-            try:
-                return Element.from_scalar(
-                    ctx, ctx.q_power(int(a_tok[1]), int(b_tok[1]), power))
-            except IndexError as exc:
-                raise ExprSyntaxError(str(exc), pos) from None
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
-
-    def _optional_power(self, signed: bool) -> int:
-        tok = self.peek()
-        if not (tok and tok[0] == "op" and tok[1] == "^"):
-            return 1
-        self.next()
-        sign = 1
-        tok = self.peek()
-        if signed and tok and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            sign = -1
-        num_tok = self.next()
-        if num_tok[0] != "num":
-            raise ExprSyntaxError("expected exponent", num_tok[2])
-        return sign * int(num_tok[1])
-
-
 def parse_expr(ctx: DeformationContext, text: str) -> Element:
-    """Parse the element grammar over the given context."""
-    return _Parser(ctx, text).parse()
+    """Parse the element grammar over the given context, in one pass over
+    the tokens (see the module docstring)."""
+    tokens = _tokenize(text)
+    ntok, dim = len(tokens), ctx.dim
+
+    def take(k):
+        if k >= ntok:
+            raise _error(text, k, "unexpected end of input")
+        return tokens[k]
+
+    def expect(k, op):
+        if take(k) != op:
+            raise _error(text, k, f"expected {op!r}")
+        return k + 1
+
+    def number(k, what):
+        tok = take(k)
+        if not tok.isdecimal():
+            raise _error(text, k, f"expected {what}")
+        return int(tok)
+
+    def power(k, signed):
+        """(next token, exponent) of the optional '^' power at token k."""
+        if k >= ntok or tokens[k] != "^":
+            return k, 1
+        k += 1
+        sign = 1
+        if signed and k < ntok and tokens[k] == "-":
+            k += 1
+            sign = -1
+        return k + 1, sign * number(k, "exponent")
+
+    def index(a, k):
+        try:
+            ctx.check_index(a)
+        except IndexError as exc:
+            raise _error(text, k, str(exc)) from None
+
+    acc: dict = {}
+    k, sign = (1, -1) if ntok and tokens[0] == "-" else (0, 1)
+    while True:
+        # one term: coefficient, phase exponents and monomial key, the key
+        # canonical after every factor
+        coeff = _C_ONE if sign > 0 else _C_MINUS_ONE
+        phase = [0] * ctx.nparams
+        exps, dxs = [0] * dim, []
+        last_x = 0  # highest x index of the key while it has no dx
+        live = True  # False once a factor has made the term zero
+        while True:
+            at, tok = k, take(k)
+            k += 1
+            c = tok[0]
+            letter = None  # the monomial of a letter out of canonical place
+            if c == "x":
+                a = int(tok[1:])
+                k, e = power(k, False)
+                index(a, at)
+                if not e:
+                    pass  # x^0 = 1
+                elif a >= last_x and not dxs:
+                    exps[a - 1] += e
+                    last_x = a
+                else:
+                    letter = [0] * dim
+                    letter[a - 1] = e
+                    letter = (tuple(letter), ())
+            elif c == "d":
+                a = int(tok[2:])
+                index(a, at)
+                if not dxs or a > dxs[-1]:
+                    dxs.append(a)
+                else:
+                    letter = ((0,) * dim, (a,))
+            elif tok.isdecimal():
+                num = int(tok)
+                if k < ntok and tokens[k] == "/":
+                    den = number(k + 1, "denominator")
+                    if not den:
+                        raise _error(text, k + 1, "zero denominator")
+                    k += 2
+                    coeff = _c_mul(coeff, _c_reduce(num, 0, 0, 0, den))
+                elif num != 1:
+                    coeff = _c_mul(coeff, (num, 0, 0, 0, 1))
+                if not num:
+                    live = False
+            elif c == "q":
+                a = number(expect(k, "("), "phase index")
+                b = number(expect(k + 2, ","), "phase index")
+                k, e = power(expect(k + 4, ")"), True)
+                try:
+                    red = ctx.pair_reduction(a, b)
+                except IndexError as exc:
+                    raise _error(text, at, str(exc)) from None
+                if red is not None:
+                    phase[red[0]] += red[1] * e
+            elif c == "i":
+                coeff = _c_mul(coeff, _C_I)
+            elif c == "s":
+                coeff = _c_mul(coeff, _C_SQRT2)
+            else:
+                raise _error(text, at, f"unexpected token {tok!r}")
+            if letter is not None and live:
+                # normal-order the key times the letter
+                got = _mono_mul(ctx, (tuple(exps), tuple(dxs)), letter)
+                if got is None:
+                    live = False
+                else:
+                    shift, s, (exps, dxs) = got
+                    exps, dxs = list(exps), list(dxs)
+                    phase = list(map(add, phase, shift))
+                    if s < 0:
+                        coeff = _c_neg(coeff)
+            if k < ntok and tokens[k] == "*":
+                k += 1
+            else:
+                break
+        if live:
+            key = (tuple(exps), tuple(dxs))
+            phase = tuple(phase)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = {phase: coeff}
+            else:
+                u = slot.get(phase)
+                slot[phase] = coeff if u is None else _c_add(u, coeff)
+        if k == ntok:
+            return _finish(ctx, acc)
+        tok = tokens[k]
+        if tok != "+" and tok != "-":
+            raise _error(text, k, f"expected '+' or '-', got {tok!r}")
+        k += 1
+        sign = 1 if tok == "+" else -1
 
 
 _UNITS = ((0, None), (1, "i"), (2, "sqrt2"), (3, "i*sqrt2"))

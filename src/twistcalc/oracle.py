@@ -43,11 +43,19 @@ That is O(groups * slots * P * side) time over P points, O(side) memory per
 word, and at most max(2^17, groups * (slots + 1) * (subsets + 1)) complex
 entries per array of a block.  A model whose 2h + 1 generator words would
 hold more than MAX_SIZE entries together is refused before anything is
-allocated; dense side x side matrices are built only on request
+allocated, and ``form_sup`` refuses a form whose table of coordinate powers,
+points x D x (top exponent + 1), would pass MAX_SIZE entries before it
+builds any word.  Dense side x side matrices are built only on request
 (``eval_element``, ``monomial_matrix``, ``TorusRep.dense``), up to side
 MAX_DENSE_SIDE.  Sphere classes are checked by pulling the evaluated form
 back to the tangent space of the quadric c = 1 at each sample point, which
 kills exactly the ideal J, with the minors of the tangent bases.
+
+The sups are absolute.  A value past the float range makes a sup inf (and
+numpy warns of the overflow), so an overflow never reads as zero.  Sphere points have |z_a| <= 1, so there high
+powers underflow instead: x1^100*dx2 reads about 1e-17 on the sphere, below
+DEFAULT_TOL, though it is not zero.  That is a known limit of the absolute
+tolerance.
 
 ``BatchChecker`` is the one sampling path, with one sup per mode: scalars
 (``scalar_sup``), plane elements (``element_sup``) and sphere classes
@@ -89,7 +97,8 @@ _PRIMES = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 # Most entries a model's generator words may hold together, side * (2h + 1)
 # for the identity, each U^a and its adjoint: 2^21 * 24 bytes (48 MB); and
-# most entries of a checker's tangent bases, points * (D - 1) * D (32 MB).
+# most entries of a checker's tangent bases, points * (D - 1) * D (32 MB),
+# and of a form_sup power table, points * D * (top exponent + 1) (32 MB).
 MAX_SIZE = 1 << 21
 # Largest side of a dense view: one matrix then takes 2048^2 * 16 B (64 MB).
 MAX_DENSE_SIDE = 2048
@@ -346,31 +355,37 @@ class TorusRep:
             raise ValueError("element and model contexts differ")
         points = np.asarray(points)
         sphere = tangents is not None
+        dim = self.ctx.dim
+        # a top form vanishes on the D-1 tangent vectors
+        kept = [(key, coeff) for key, coeff in el.terms.items()
+                if not (sphere and len(key[1]) == dim)]
+        if not kept:
+            return 0.0
+        exps = np.array([key[0] for key, _ in kept])
+        top = int(exps.max())
+        entries = len(points) * dim * (top + 1)
+        if entries > MAX_SIZE:
+            raise ValueError(
+                f"x power {top} over {len(points)} points at D = {dim} needs"
+                f" a power table of {entries} entries, over the cap of"
+                f" {MAX_SIZE} entries")
         # part (form degree on the sphere) -> (group, dx set, term) triples
         parts: dict = {}
-        exps, coeffs, phases = [], [], []
-        for key, coeff in el.terms.items():
+        coeffs, phases = [], []
+        for t, (key, coeff) in enumerate(kept):
             dxs = key[1]
-            if sphere and len(dxs) == self.ctx.dim:
-                continue  # a top form vanishes on the D-1 tangent vectors
             w = self.word(key)
             part, group = ((len(dxs), int(w.perm[0])) if sphere
                            else (0, (int(w.perm[0]), dxs)))
-            parts.setdefault(part, []).append((group, dxs, len(exps)))
-            exps.append(key[0])
+            parts.setdefault(part, []).append((group, dxs, t))
             coeffs.append(self.eval_scalar(coeff))
             phases.append(w.phase)
-        if not exps:
-            return 0.0
         # (point, term) -> coefficient times classical monomial value, from
         # the powers points[p, a] ** e, e <= top, by repeated products
-        exps = np.array(exps)
-        top = int(exps.max())
         powers = np.ones(points.shape + (top + 1,), dtype=complex)
         powers[:, :, 1:] = np.cumprod(
             np.repeat(points[:, :, None], top, axis=2), axis=2)
-        vals = np.array(coeffs) * powers[:, np.arange(self.ctx.dim), exps
-                                         ].prod(axis=2)
+        vals = np.array(coeffs) * powers[:, np.arange(dim), exps].prod(axis=2)
         phases = np.array(phases)
         worst = 0.0
         for terms in parts.values():
@@ -408,7 +423,12 @@ class TorusRep:
                     sums = (grid_weights.reshape(grid + (-1,))
                             .transpose(0, 2, 1)
                             @ grid_phases.reshape(grid + (-1,)))
-                    worst = max(worst, float(np.abs(sums).max()))
+                    block = float(np.abs(sums).max())
+                    if not math.isfinite(block):
+                        # a value past the float range, inf or nan here,
+                        # which max() would drop: never read it as zero
+                        return math.inf
+                    worst = max(worst, block)
         return worst
 
 

@@ -38,6 +38,10 @@ from .qphase import DeformationContext
 # a step costs about 2.7 times in D (`suite run hodge --dim 10`: 28 s, 110 MB)
 # and 5 times in n, for the (2n + 1)^2 4^n Clifford relations of GammaRep(n).
 MAX_DIM, MAX_N = 9, 6
+# The lowest --dim of the suites that need D >= 2, for the sphere quotient
+# and, in the oracle suite, the relation x1 x2 = q12 x2 x1; every other
+# suite runs from D = 1.
+MIN_DIM = {"sphere": 2, "hodge": 2, "oracle": 2}
 
 
 @dataclass
@@ -326,11 +330,17 @@ SUITE_NAMES = (*_SUITES, "all")
 def run_suite(name: str, dim: int = 5, n: int | None = None, seed: int = 42,
               moduli=None) -> SuiteReport:
     """Run one named suite (or 'all'); deterministic for a given seed.  Each
-    suite takes the dimension, the chern order n and the oracle moduli."""
+    suite takes the dimension, the chern order n and the oracle moduli.  A
+    dimension outside MIN_DIM..MAX_DIM, or n above MAX_N, is refused before
+    any suite runs."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if n is not None and n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    lowest = max(MIN_DIM.values()) if name == "all" else MIN_DIM.get(name, 1)
+    if dim < lowest:
+        raise ValueError(f"dim = {dim} is below the lowest dimension {lowest}"
+                         f" of suite {name!r}")
     for what, value, limit in (("dim", dim, MAX_DIM), ("n", n or 1, MAX_N)):
         if value > limit:
             raise ValueError(f"{what} = {value} exceeds the limit {limit}: "

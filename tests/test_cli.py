@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pstats
 import re
 import time
@@ -95,6 +96,24 @@ def test_oracle_command_word_cap(capsys):
                              "--expr", "x1", "--json")
     assert (code, out) == (2, "")
     assert "side 117649 (modulus 7, 6 slots) needs 25 words" in err
+
+
+def test_oracle_overflow_and_bad_input(capsys):
+    # x1^2000 overflows at the plane points: the sup is inf, not a zero,
+    # and the JSON still loads
+    code, out, _ = run_cli(capsys, "oracle", "--dim", "5", "--json",
+                           "--expr", "x1^2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["zero"] is False
+    assert payload["max_abs"] == math.inf
+    # a zero denominator and an oversized power table are usage errors
+    for expr, msg in (("1/0", "zero denominator (at position 2)"),
+                      ("x1^30000", "power table of 3000100 entries")):
+        code, out, err = run_cli(capsys, "oracle", "--dim", "5", "--expr",
+                                 expr)
+        assert (code, out) == (2, "")
+        assert msg in err
 
 
 def test_oracle_small_modulus_fails_fast(capsys):
@@ -332,12 +351,23 @@ def test_suite_size_limits_refused_before_any_work(capsys, monkeypatch):
     start = time.perf_counter()
     for argv, msg in (
             (("hodge", "--dim", "10"), "dim = 10 exceeds the limit 9"),
-            (("chern", "--n", "7"), "n = 7 exceeds the limit 6")):
+            (("chern", "--n", "7"), "n = 7 exceeds the limit 6"),
+            # the sphere suites and the oracle suite start at D = 2, the
+            # others at D = 1
+            (("oracle", "--dim", "1"),
+             "dim = 1 is below the lowest dimension 2 of suite 'oracle'"),
+            (("all", "--dim", "1"),
+             "dim = 1 is below the lowest dimension 2 of suite 'all'"),
+            (("qphase", "--dim", "0"),
+             "dim = 0 is below the lowest dimension 1 of suite 'qphase'")):
         code, out, err = run_cli(capsys, "suite", "run", *argv)
         assert (code, out) == (2, "")
         assert msg in err
     with pytest.raises(ValueError, match="exceeds the limit"):
         run_suite("all", dim=suites.MAX_DIM + 1)
+    for name in ("all", "sphere", "hodge"):
+        with pytest.raises(ValueError, match="below the lowest dimension 2"):
+            run_suite(name, dim=1)
     assert time.perf_counter() - start < 1
 
 

@@ -1,5 +1,6 @@
 """The numeric model: torus unitaries, evaluation, identity checking."""
 
+import math
 import random
 import tracemalloc
 from itertools import permutations
@@ -471,6 +472,37 @@ def test_model_word_cap():
     for d in range(2, 10):
         for m in (13, 17):
             assert TorusRep(DeformationContext(d), moduli=(m,)).size <= 289
+
+
+def test_overflow_makes_the_sup_inf():
+    # the powers of x1^2000 overflow at the plane points (|z| up to about
+    # 1.9); a block that is not finite makes the sup inf, so no NaN block
+    # is dropped and nothing reads as zero
+    ctx = DeformationContext(5)
+    checker = BatchChecker(ctx)
+    el = Element.x(ctx, 1, 2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert checker.element_sup(el) == math.inf
+        assert checker.element_sup(el + Element.dx(ctx, 2)) == math.inf
+    assert checker.element_sup(Element.x(ctx, 1, 20)) < math.inf
+
+
+def test_power_table_cap_refuses_before_any_word():
+    # points x D x (top exponent + 1) entries over MAX_SIZE are refused
+    # before any word or table is built (one power less would fit)
+    ctx = DeformationContext(5)
+    model = TorusRep(ctx)
+    points = plane_sample(ctx, random.Random(0), 20)
+    top = MAX_SIZE // (20 * 5)
+    assert 20 * 5 * top <= MAX_SIZE < 20 * 5 * (top + 1)
+    el = Element.x(ctx, 2, top) + Element.x(ctx, 1) * Element.dx(ctx, 3)
+    with pytest.raises(ValueError, match=f"x power {top} over 20 points at"
+                       f" D = 5 needs a power table of {20 * 5 * (top + 1)}"):
+        model.form_sup(el, points)
+    assert not model._mono_cache
+    # top forms are dropped on the sphere before the table is sized
+    sphere_el = Element.x(ctx, 1, top) * volume_element(ctx)
+    assert model.form_sup(sphere_el, points, Tangents(ctx, points)) == 0.0
 
 
 def test_small_modulus_fails_fast_or_succeeds():
