@@ -17,21 +17,15 @@ making the functional well defined on the sphere.
 ``haar_plane`` does not run that recursion: h(x^e) is the classical sphere
 moment m(e) of the exponent vector, and no phase enters.
 
-Why no phase: the theta-product is a cocycle twist of the classical one
-(Connes-Landi; Rieffel).  Give x^a its torus weight w_a, with w_a' = -w_a and
-weight 0 for the middle coordinate of odd D.  An ordered word in the x^a is
-then the classical monomial times sigma(w_i, w_j) over the ordered pairs
-i < j of its letters, sigma an antisymmetric bicharacter, and the twisted
-integral is the classical one on that identification.  The integral of a
-word of nonzero weight vanishes, so only e_a = e_a' for every pair counts.
-For such e the canonical order 1 ... D/2, mid, (D/2)' ... 1' is a mirror
-image.  Letter pairs with the middle coordinate or with equal weights carry
-sigma = 1, as do (a, a'), and the rest cancel in pairs of equal multiplicity
-e_a e_b:
-
-- (a, b) against (b', a') for a < b, as sigma(w_b', w_a') = sigma(w_b, w_a)
-  = sigma(w_a, w_b)^-1;
-- (a, b') against (b, a'), as sigma(w_a, -w_b) sigma(w_b, -w_a) = 1.
+Why no phase: by the cocycle lemma (``qphase`` docstring) the theta-product
+is the classical one in the rescaled basis x^e~ = q^(-Q(x^e)) x^e, and the
+twisted integral is the classical one on that identification (Connes-Landi;
+Rieffel).  The integral of a monomial of nonzero weight vanishes, so only e
+with e_a = e_a' for every a <= D/2 counts, and for such e, Q(x^e) = 0.  In
+the canonical word 1 ... D/2, mid, (D/2)' ... 1' a letter a before a letter
+b has B(w(a), w(b)) nonzero only for a <= D/2 and b on a larger axis c: it
+is +1 at q_{ac} for b = c, and -1 for b = c', and e_c = e_c' cancels the
+two.
 
 The classical moment comes from a Gaussian vector y in R^D, whose homogeneous
 degree-2n polynomials average (D,2)_n times their sphere mean.  With

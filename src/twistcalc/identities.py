@@ -511,8 +511,9 @@ def hodge_sphere_basis(ctx):
     plane's duality kills every term holding n ^ n, so <*theta, *eta> =
     c <theta, eta> and <*theta, nu> = +-c <theta ^ nu ^ n, V> as
     polynomials: zero where <theta, eta> is, and where theta ^ nu is.  The
-    twist keeps each zero: it rescales the monomial basis by phases, and
-    c, dc and the metric have weight zero (see the ``sphere`` docstring).
+    twist keeps each zero: c, dc and the metric have weight zero, so by the
+    cocycle lemma (``qphase`` docstring) they act classically up to a
+    diagonal phase rescaling of the monomial basis.
     """
     n = ctx.dim - 1
     dc = central_quadric(ctx).d()
@@ -669,8 +670,11 @@ def w_partial_traces(ctx, draws):
 
 
 def w_recursion(ctx, draws):
-    """W by its recursion equals the sum over permutations, on drawn
-    (upper, lower) pairs; one family instance per draw."""
+    """W as the quotient r(u) r(l)^-1 of reorder coefficients
+    (``tensorcalc`` docstring) equals the alternating sum over the
+    permutation operators, on drawn (upper, lower) pairs; one family
+    instance per draw.  The labels keep the name "recursion", from the
+    braid recursion that computed W before."""
     for j, up, lo in _per_rank(draws):
         rank = " (k=4)" if len(up) == 4 else ""
         yield Identity(f"W^{up}_{lo} recursion = permutation sum{rank} #{j}",

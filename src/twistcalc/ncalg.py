@@ -11,9 +11,9 @@ dx factors as a strictly ascending set.  A monomial is the pair (x exponents,
 dx index set); an element is a sparse scalar combination of monomials.
 
 ``_mono_mul`` is the only function that computes exchange phases.  The
-exterior derivative, the star, the twisted derivatives, the plane pairing
-and the q-epsilon tensor each read theirs from one ``_mono_mul`` call (or,
-for epsilon, one per factor) instead of counting them over the pair table.
+exterior derivative, the star, the twisted derivatives and the plane
+pairing each read theirs from one ``_mono_mul`` call, and the q-epsilon
+tensor and W from one per factor, instead of counting them over the table.
 
 Every product of elements runs one kernel.  ``_mul_into`` normal-orders each
 pair of monomials through ``_mono_mul``, whose results sit in an LRU cache of

@@ -383,8 +383,8 @@ class TorusRep:
         # (point, term) -> coefficient times classical monomial value, from
         # the powers points[p, a] ** e, e <= top, by repeated products
         powers = np.ones(points.shape + (top + 1,), dtype=complex)
-        powers[:, :, 1:] = np.cumprod(
-            np.repeat(points[:, :, None], top, axis=2), axis=2)
+        np.cumprod(np.broadcast_to(points[:, :, None], points.shape + (top,)),
+                   axis=2, out=powers[:, :, 1:])
         vals = np.array(coeffs) * powers[:, np.arange(dim), exps].prod(axis=2)
         phases = np.array(phases)
         worst = 0.0

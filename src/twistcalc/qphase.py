@@ -5,6 +5,33 @@ subject to q_{aa} = q_{aa'} = 1, q_{ab} = q_{a'b'} = q_{ba}^-1 = q_{ab'}^-1,
 where a' = D+1-a.  The independent phases are q_{ab} with a < b <= D//2; every
 other q_{ab} reduces to an integer power of an independent one (or to 1).
 
+The cocycle lemma.  The theta-product is a 2-cocycle twist of the classical
+one on torus weights (Rieffel; Connes-Landi; Connes-Dubois-Violette).  Give
+each index a weight in Z^h, h = D//2: w(a) = +e_a for a <= h, w(a') = -e_a
+for its partner, and 0 for the middle index of odd D; x^a and dx^a carry
+w(a).  Let B(u, v) have exponent u_i v_j at q_{ij} for i < j <= h.  Then
+
+    q_{ab} = q^(B(w(a), w(b)) - B(w(b), w(a))),
+
+whose exponent u_i v_j - u_j v_i at q_{ij} (u = w(a), v = w(b)) is nonzero
+for at most one i < j: this is how the pair table is built.  Exchanging
+neighbours s, t of a word multiplies it by q_{st} and changes
+A(word) = sum of B(w_i, w_j) over its letter pairs i < j by the same
+exponent, so a word is q^(A(word) - A(canonical word)) times its canonical
+word, with the classical Grassmann sign.  A is additive up to
+B(W(m1), W(m2)) under concatenation, W(m) the weight sum of m's letters,
+so with Q(m) = A(canonical word of m) the normal-ordered product is
+
+    m1 m2 = +-q^(B(W(m1), W(m2)) + Q(m1) + Q(m2) - Q(m1 m2)) (m1 m2).
+
+In the rescaled basis m~ = q^(-Q(m)) m this reads m1~ m2~ =
++-q^B(W(m1), W(m2)) (m1 m2)~, the classical product wherever a factor has
+weight zero.  So a monomial of weight zero graded-commutes with every
+other, and c, dc and the metric (weight zero and Q = 0 on each of their
+terms) act as in the classical algebra up to that diagonal rescaling.
+``_mono_mul`` in ``ncalg`` computes these phases; the tests check them
+against the lemma.
+
 Scalars are finite sums of terms
 
     (p + q*i + r*sqrt2 + s*i*sqrt2) * q_{a1 b1}^{k1} * q_{a2 b2}^{k2} * ...
@@ -147,7 +174,7 @@ class DeformationContext:
         self.nparams = len(self.params)
         self._zero_exps = (0,) * self.nparams
         self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {
-            (a, b): self._reduce_pair_orbit(a, b)
+            (a, b): self._pair_phase(a, b)
             for a in range(1, dim + 1) for b in range(1, dim + 1)}
         cls._instances[key] = self
         return self
@@ -175,40 +202,24 @@ class DeformationContext:
 
     # -- phase reduction ---------------------------------------------------
 
-    def _reduce_pair_orbit(self, a: int, b: int) -> tuple[int, int] | None:
-        """Reduce q_{ab} to ``(param, sign)`` or ``None`` (phase 1).
+    def _weight(self, a: int) -> tuple[int, int] | None:
+        """Torus weight of index a as (axis, sign): +e_a for a <= D//2,
+        -e_{a'} for a' = D+1-a, or None (zero) for the middle index."""
+        if 2 * a <= self.dim:
+            return a, 1
+        if 2 * a > self.dim + 1:
+            return self.dim + 1 - a, -1
+        return None
 
-        Closes the orbit of (a, b) under the rewrite moves
-        (x,y) -> (x',y') [exponent kept], (x,y) -> (y,x) [negated],
-        (x,y) -> (x,y') [negated].  A pair reaching (x,x) or (x,x'), or the
-        same pair with both signs (forcing q^2 = 1), collapses to phase 1.
-        """
-        if self.commutative:
+    def _pair_phase(self, a: int, b: int) -> tuple[int, int] | None:
+        """q_{ab} as ``(param, sign)``, or ``None`` (phase 1), by the
+        cocycle formula of the module docstring."""
+        u, v = self._weight(a), self._weight(b)
+        if self.commutative or u is None or v is None or u[0] == v[0]:
             return None
-        seen: dict[tuple[int, int], int] = {(a, b): 1}
-        stack = [((a, b), 1)]
-        hit: tuple[int, int] | None = None
-        while stack:
-            (x, y), s = stack.pop()
-            if x == y or y == self.dim + 1 - x:
-                return None
-            p = (x, y)
-            if p in self.param_index:
-                if hit is None:
-                    hit = (self.param_index[p], s)
-                elif hit != (self.param_index[p], s):
-                    return None
-            xp, yp = self.dim + 1 - x, self.dim + 1 - y
-            for np_, ns in (((xp, yp), s), ((y, x), -s), ((x, yp), -s)):
-                prev = seen.get(np_)
-                if prev is None:
-                    seen[np_] = ns
-                    stack.append((np_, ns))
-                elif prev != ns:
-                    return None  # q^2 = 1 forced
-        if hit is None:
-            raise AssertionError(f"pair ({a},{b}) did not reduce in D={self.dim}")
-        return hit
+        if u[0] < v[0]:
+            return self.param_index[(u[0], v[0])], u[1] * v[1]
+        return self.param_index[(v[0], u[0])], -u[1] * v[1]
 
     def pair_reduction(self, a: int, b: int) -> tuple[int, int] | None:
         """``(param_index, sign)`` such that q_{ab} = q_param^sign, or None."""

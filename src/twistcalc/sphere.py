@@ -15,11 +15,11 @@ so ((c-1) alpha + dc ^ beta) ^ dc = (c-1) (alpha ^ dc).  (<=) Classically, the E
 If dc ^ omega = (c-1) gamma, then omega = (c-1)(i_E gamma / 2 - omega) +
 dc ^ (i_E omega / 2), which lies in J (this is the Koszul complex of the
 x^a, exact on the sphere because they generate the unit ideal there).  The
-twist does not change this: the theta-product is a 2-cocycle twist on torus
-weights, and c, dc and E have weight zero, so left multiplication by each
-is the classical map up to the diagonal phase rescaling of the monomial
-basis, and J of the twisted algebra is the image of the classical J under
-that rescaling.
+twist does not change this: c, dc and E have weight zero, so by the
+cocycle lemma (``qphase`` docstring) left multiplication by each is the
+classical map up to the diagonal phase rescaling m -> q^(-Q(m)) m of the
+monomial basis, and J of the twisted algebra is the image of the classical
+J under that rescaling.
 
 (c-1)*Omega is the sum over dx sets S of (c-1)*A*dx^S, so ``reduce_mod_c``
 decides the right-hand side by a confluent rewrite of x^1 x^D, dx monomial
@@ -106,11 +106,12 @@ def reduce_mod_c(f: Element) -> Element:
     A term whose x part holds both x^1 and x^D is, up to a phase, a monomial
     times x^1 x^D, and x^1 x^D is replaced by its value mod (c-1), until no
     term holds both.  x^1 x^D and its replacement have torus weight zero, so
-    they commute with dx^S: f -> f dx^S carries (c-1)*A onto (c-1)*A*dx^S
-    and the confluent rewrite of functions onto this one.  Each round strips
-    x^1 x^D from every such term (distinct terms give distinct stripped
-    monomials) and multiplies them by the replacement in one product; the
-    other terms go straight into the result.
+    they commute with dx^S (the cocycle lemma of the ``qphase`` docstring):
+    f -> f dx^S carries (c-1)*A onto (c-1)*A*dx^S and the confluent rewrite
+    of functions onto this one.  Each round strips x^1 x^D from every such
+    term (distinct terms give distinct stripped monomials) and multiplies
+    them by the replacement in one product; the other terms go straight
+    into the result.
     """
     ctx = f.ctx
     repl = _companion_replacement(ctx).terms

@@ -1,10 +1,25 @@
 """q-epsilon tensors, the braid matrix, the antisymmetrizer and plane Hodge.
 
 The involutive braid matrix L^{ab}_{cd} = q_{ab} d^a_d d^b_c generates a
-representation of the symmetric group; the antisymmetrizer W built from it
-expresses wedge monomials inside tensor products.  The q-epsilon tensor is the
-coefficient of the reordering of a top wedge monomial onto dx^1...dx^D, and
-the Hodge star on the plane contracts it with the anti-diagonal metric.
+representation of the symmetric group, and the antisymmetrizer W is the
+alternating sum of its permutation operators.  W and the q-epsilon tensor
+come from one reorder coefficient: for a repeat-free index tuple t, r(t) is
+the sign and phase with dx^{t_1} ... dx^{t_k} = r(t) dx^{sorted t}.  By the
+cocycle lemma (``qphase`` docstring) a swap by L changes A (B summed over
+the letter pairs) of a basis tuple by the exponent of the phase it picks
+up, so a permutation taking the tuple l to u acts by q^(A(u) - A(l))
+whatever word realises it, r(t) is +-q^(A(t) - A(sorted t)), and
+
+    W^{u}_{l} = r(u) r(l)^-1
+
+when u reorders a repeat-free l, and 0 otherwise: W keeps the index
+multiset, and on a tuple that repeats an index the two permutations that
+differ by swapping the equal indices cancel (q_{aa} = 1), so its column is
+empty.  The q-epsilon tensor, the coefficient of the reordering of a top
+wedge monomial onto dx^1...dx^D, is r at k = D, from the same cache;
+``antisym_w_bruteforce`` sums the permutation operators as the independent
+check.  The Hodge star on the plane contracts the q-epsilon tensor with
+the anti-diagonal metric.
 """
 
 from __future__ import annotations
@@ -56,67 +71,35 @@ def braid_word(ctx, t: tuple, word) -> tuple:
     return t, tuple(acc)
 
 
-@lru_cache(maxsize=None)
-def _w_on_basis(ctx: DeformationContext, k: int, lower: tuple):
-    """W_{1..k} applied to a basis tensor: dict upper-tuple -> ExactScalar."""
-    if k == 1:
-        return {lower: ctx.scalar_one()}
-    prev = _w_on_basis(ctx, k - 1, lower[:-1])
-    out: dict[tuple, ExactScalar] = {}
-    last = lower[-1]
-    for t, c in prev.items():
-        for u, cc in _i_on_basis(ctx, k, t + (last,)).items():
-            v = c * cc
-            w = out.get(u)
-            w = v if w is None else w + v
-            if w:
-                out[u] = w
-            elif u in out:
-                del out[u]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _i_on_basis(ctx: DeformationContext, k: int, t: tuple):
-    """The recursion step I_{1..k} = I - I_{1..k-1} L_{k-1,k} on a basis tuple."""
-    if k == 1:
-        return {t: ctx.scalar_one()}
-    out = {t: ctx.scalar_one()}
-    swapped, shift = braid_word(ctx, t, (k - 2,))
-    for u, c in _i_on_basis(ctx, k - 1, swapped[:-1]).items():
-        v = c.shifted(shift, -1)
-        key = u + (swapped[-1],)
-        w = out.get(key)
-        w = v if w is None else w + v
-        if w:
-            out[key] = w
-        elif key in out:
-            del out[key]
-    return out
-
-
 def antisym_w(ctx: DeformationContext, upper, lower) -> ExactScalar:
-    """Entry W^{upper}_{lower} of the quantum antisymmetrizer (recursion)."""
+    """Entry W^{upper}_{lower} of the quantum antisymmetrizer."""
     if type(upper) is not tuple:
         upper = tuple(upper)
     if type(lower) is not tuple:
         lower = tuple(lower)
     if len(upper) != len(lower):
         raise ValueError("antisymmetrizer entry needs equal index counts")
-    if not ctx._indices.issuperset(upper):
-        _check_indices(ctx, upper)  # raises: an index lies outside 1..D
-    got = antisym_w_column(ctx, lower).get(upper)
-    return got if got is not None else ctx.scalar_zero()
+    for t in (upper, lower):
+        if not ctx._indices.issuperset(t):
+            _check_indices(ctx, t)  # raises: an index lies outside 1..D
+    seen = set(lower)
+    if len(seen) < len(lower) or seen != set(upper):
+        return ctx.scalar_zero()
+    return _reorder(ctx, upper) * _reorder_inv(ctx, lower)
 
 
 def antisym_w_column(ctx: DeformationContext, lower: tuple) -> dict:
-    """The nonzero entries {upper: W^{upper}_{lower}} of one column of W
-    (cached: callers share the result and must not mutate it)."""
+    """The nonzero entries {upper: W^{upper}_{lower}} of one column of W:
+    r(u) r(lower)^-1 at every reordering u of a repeat-free lower tuple,
+    none when it repeats an index."""
     if not lower:
         return {(): ctx.scalar_one()}
     if not ctx._indices.issuperset(lower):
         _check_indices(ctx, lower)  # raises: an index lies outside 1..D
-    return _w_on_basis(ctx, len(lower), lower)
+    if len(set(lower)) < len(lower):
+        return {}
+    inv = _reorder_inv(ctx, lower)
+    return {u: _reorder(ctx, u) * inv for u in permutations(lower)}
 
 
 def _reduced_word(perm: tuple) -> list[int]:
@@ -135,7 +118,7 @@ def _reduced_word(perm: tuple) -> list[int]:
 def antisym_w_bruteforce(ctx, upper, lower) -> ExactScalar:
     """Alternating sum over all k! permutation operators, each realised as a
     product of braid transpositions along a reduced word.  Independent check
-    of the recursion."""
+    of the reorder quotient of ``antisym_w``."""
     upper, lower = tuple(upper), tuple(lower)
     k = len(lower)
     if k != len(upper):
@@ -180,7 +163,7 @@ def epsilon_q(ctx: DeformationContext, indices) -> ExactScalar:
     perm = _perm_or_none(ctx, indices)
     if perm is None:
         return ctx.scalar_zero()
-    return _epsilon_perm(ctx, perm)
+    return _reorder(ctx, perm)
 
 
 def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
@@ -188,25 +171,28 @@ def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
     perm = _perm_or_none(ctx, indices)
     if perm is None:
         return ctx.scalar_zero()
-    return _epsilon_perm_inv(ctx, perm)
+    return _reorder_inv(ctx, perm)
 
 
-# Only repeat-free index tuples reach these caches, so each holds at most D!
-# entries per context; callers share the results, which are never mutated.
+# Only repeat-free index tuples reach these caches, so each holds at most
+# D!/(D-k)! entries of length k per context (D! for the epsilons); callers
+# share the results, which are never mutated.
 @lru_cache(maxsize=None)
-def _epsilon_perm(ctx: DeformationContext, indices: tuple) -> ExactScalar:
-    # multiply dx^{i_1} ... dx^{i_D} out left to right through the kernel
+def _reorder(ctx: DeformationContext, t: tuple) -> ExactScalar:
+    """r(t): dx^{t_1} ... dx^{t_k} = r(t) dx^{sorted t}, t repeat-free."""
+    # multiply the word out left to right through the kernel
     zero = (0,) * ctx.dim
-    shift, sign, word = ctx._zero_exps, 1, (zero, indices[:1])
-    for a in indices[1:]:
+    shift, sign, word = ctx._zero_exps, 1, (zero, t[:1])
+    for a in t[1:]:
         step, step_sign, word = _mono_mul(ctx, word, (zero, (a,)))
         shift, sign = tuple(map(add, shift, step)), sign * step_sign
     return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
 
 
 @lru_cache(maxsize=None)
-def _epsilon_perm_inv(ctx: DeformationContext, indices: tuple) -> ExactScalar:
-    return _epsilon_perm(ctx, indices).invert_phases()
+def _reorder_inv(ctx: DeformationContext, t: tuple) -> ExactScalar:
+    """r(t)^-1, which is r(t) with every phase exponent negated."""
+    return _reorder(ctx, t).invert_phases()
 
 
 def volume_element(ctx: DeformationContext) -> Element:
@@ -226,8 +212,8 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
 
     The first slot's coefficients come out on the left, the second slot's on
     the right.  On basis forms <dx^u, dx^v> = (-1)^{k//2} W^{v}_{u'} with u'
-    the primed, reversed u.  W keeps its index multiset, so only v = sorted(u')
-    pairs nonzero; u is ascending, so u' is already sorted and W^{u'}_{u'} = 1.
+    the primed, reversed u.  W^{v}_{u'} = r(v) r(u')^-1 is nonzero only when
+    v reorders u'; u is ascending, so u' is already sorted and W^{u'}_{u'} = 1.
     Hence dx^u pairs with dx^{u'} alone, to (-1)^{k//2}.
     """
     ctx = alpha.ctx

@@ -505,6 +505,24 @@ def test_power_table_cap_refuses_before_any_word():
     assert model.form_sup(sphere_el, points, Tangents(ctx, points)) == 0.0
 
 
+def test_power_table_takes_about_one_table():
+    # x1^20000 over 20 points at D = 5 fills a table of 2,000,100 complex
+    # entries, under the cap; the cumulative product is written into it in
+    # place, so the sup peaks near one table, not the three it once took
+    ctx = DeformationContext(5)
+    checker = BatchChecker(ctx, points=20)
+    el = Element.x(ctx, 1, 20000)
+    table = 16 * 20 * 5 * 20001
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert checker.element_sup(el) == math.inf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table
+
+
 def test_small_modulus_fails_fast_or_succeeds():
     """A modulus too small for the dimension ends the bounded vector draw
     with an error, never a long search; one that suffices builds at once."""

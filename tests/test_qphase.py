@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_coeffs as ref
+from phase_reference import reduce_pair_orbit
 from twistcalc import DeformationContext, qphase
 from twistcalc.exprio import format_scalar
 
@@ -173,7 +174,7 @@ def test_equal_contexts_share_one_pair_table():
         assert DeformationContext(dim=dim, commutative=False) is a
         assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
         assert a._pair_table == {
-            (x, y): a._reduce_pair_orbit(x, y)
+            (x, y): reduce_pair_orbit(a, x, y)
             for x in range(1, dim + 1) for y in range(1, dim + 1)}
         flat = DeformationContext(dim, commutative=True)
         assert flat is not a and flat != a

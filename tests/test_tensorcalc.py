@@ -35,7 +35,7 @@ def test_epsilon_examples():
 
 
 def test_epsilon_memo_matches_dx_sort_and_holds_only_permutations():
-    caches = (tensorcalc._epsilon_perm, tensorcalc._epsilon_perm_inv)
+    caches = (tensorcalc._reorder, tensorcalc._reorder_inv)
     for d in (2, 3, 4, 5):
         ctx = DeformationContext(d)
         for cache in caches:
