@@ -14,8 +14,8 @@ Each gamma^i is written down entry by entry from its closed form (see
 ``GammaRep``), with 2^{n-1} entries (2^n for the chirality gamma^{n+1}), and
 e stores (n+1) 2^n entries, so memory grows like n 2^n.
 
-``charge_integral`` multiplies no dense matrices.  Write 2 de as the sum
-of the blocks Gamma_a = gamma^a (x) dx^{a'} and group them as
+``charge_integral`` multiplies no matrices.  Write 2 de as the sum of the
+blocks Gamma_a = gamma^a (x) dx^{a'} and group them as
 P_a = Gamma_a + Gamma_{a'} (a <= n) and Gamma_{n+1}.  These n+1 blocks
 commute pairwise, P_a^3 = 0 and Gamma_{n+1}^2 = 0, so the multinomial
 expansion of (de)^{2n} keeps two shapes:
@@ -23,22 +23,41 @@ expansion of (de)^{2n} keeps two shapes:
     (de)^{2n} = 2^{-2n} (2n)!/2^n [ prod_a P_a^2
                                     + 2 sum_j P_j Gamma_{n+1} prod_{a != j} P_a^2 ].
 
-Each P_a^2 and Gamma_{n+1} is diagonal, so the trace against e takes O(n)
-entrywise products of length 2^n, and reads only the diagonal of e and its
-entries where some P_j is nonzero.  Before answering, the lemma behind the
-expansion is checked exactly on the sparse gamma blocks: Gamma_a^2 = 0,
-Gamma_a Gamma_b = Gamma_b Gamma_a for b not in {a, a'} (that is,
-gamma^a gamma^b = -q_{ba} gamma^b gamma^a), gamma^a gamma^{a'},
-gamma^{a'} gamma^a and gamma^{n+1} diagonal, and P_a^3 = 0; a failure
-raises instead of answering.  ``charge_from_curvature`` keeps the product
+Of these facts only the commutation is a condition on the gammas.  Every
+term of Gamma_a^2 or P_a^3 repeats dx^a or dx^{a'} (every term of
+Gamma_{n+1}^2 repeats dx^{n+1}), and a repeated dx is zero, so these
+products vanish for any gamma.  Scalars are central and
+dx^{b'} dx^{a'} = -q_{ba} dx^{a'} dx^{b'}, so Gamma_a and Gamma_b commute,
+for b not in {a, a'}, iff gamma^a gamma^b = -q_{ba} gamma^b gamma^a.
+
+Each gamma stores at most one entry per column, so it is read as its column
+view {column: (row, entry)}, and a product of two such matrices is again
+one, found column by column.  On these views ``_expansion_trace`` checks
+gamma^a gamma^b = -q_{ba} gamma^b gamma^a for every b not in {a, a'}, and
+that gamma^a gamma^{a'}, gamma^{a'} gamma^a and gamma^{n+1} are diagonal; a
+failure, or a column with two entries, raises instead of answering.  Then,
+as dx^{a'} dx^a = -q_{a'a} dx^a dx^{a'} with q_{a'a} = 1,
+
+    P_a^2 = delta_a (x) dx^a dx^{a'},   delta_a = gamma^{a'} gamma^a - gamma^a gamma^{a'},
+
+with delta_a diagonal, and Gamma_{n+1} = gamma^{n+1} (x) dx^{n+1}.  So the
+top term is the scalar diagonal prod_a delta_a times the fixed form
+prod_a dx^a dx^{a'}, and the half Gamma_b (b = j, j') of P_j gives gamma^b
+times the diagonal gamma^{n+1} prod_{a != j} delta_a, times the fixed form
+dx^{b'} dx^{n+1} prod_{a != j} dx^a dx^{a'}.  The trace against e sums e's
+entries against these scalars and multiplies each sum by its form once.
+The check takes O(n^2 2^n) scalar products and the expansion O(n 2^n);
+neither makes a matrix product.  ``charge_from_curvature`` keeps the product
 of the full matrices e, de and F as the independent second computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain
 from math import factorial
+from operator import mul
 
 from .ncalg import Element, _add_into, _finish, _mul_into
 from .qphase import DeformationContext, ExactScalar
@@ -113,15 +132,12 @@ class Matrix:
     def trace(self):
         diag = [row[r] for r, row in self.rows.items() if r in row]
         ctx = _element_ctx(self)
-        if ctx is not None:
-            acc: dict = {}
-            for x in diag:
-                _add_into(acc, x.terms)
-            return _finish(ctx, acc)
-        acc = self.zero
+        if ctx is None:
+            return sum(diag, self.zero)
+        acc: dict = {}
         for x in diag:
-            acc = acc + x
-        return acc
+            _add_into(acc, x.terms)
+        return _finish(ctx, acc)
 
     def dagger(self):
         """Conjugate transpose (entries must provide .conj())."""
@@ -154,11 +170,11 @@ def _element_ctx(*matrices) -> DeformationContext | None:
 
 
 # Largest half-dimension n that GammaRep builds.  The matrices store O(n 2^n)
-# entries, but checking the block lemma takes O(n^2) sparse products, so each
-# step in n costs about 2 to 2.5 times the time and 2 times the memory: on a
-# 2-vCPU guest (Python 3.11) `twistcalc charge --n 11` takes about 10 s and
-# 134 MB, n = 12 20-25 s and 256 MB, and n = 13 about a minute and 660 MB.
-MAX_HALF_DIM = 12
+# entries and checking the block lemma takes O(n^2 2^n) scalar products, so
+# each step in n costs about 2.5 times the time and 2 times the memory: on a
+# 2-vCPU guest (Python 3.11) `twistcalc charge --n 11` took 5.3 s and 102 MB,
+# n = 12 15.9 s and 186 MB, and n = 13 39.8 s and 391 MB (single runs).
+MAX_HALF_DIM = 13
 
 
 class GammaRep:
@@ -218,7 +234,8 @@ class GammaRep:
         """gamma^i gamma^j + q_{ji} gamma^j gamma^i - 2 g^{ij}; zero iff ok."""
         ctx = self.ctx
         gi, gj = self.matrices[i], self.matrices[j]
-        lhs = gi * gj + (gj * gi).map(lambda s: s * ctx.q_power(j, i))
+        qji = ctx.q_power(j, i)
+        lhs = gi * gj + (gj * gi).map(lambda s: s * qji)
         gij = ctx.scalar(2 * ctx.metric(i, j))
         return lhs - Matrix(lhs.size, lhs.zero,
                             {a: {a: gij} for a in range(lhs.size)})
@@ -232,10 +249,7 @@ def clifford_trace(rep: GammaRep, indices) -> ExactScalar:
     indices = tuple(indices)
     if len(indices) != 2 * rep.n + 1:
         raise ValueError("the trace formula needs exactly 2n+1 indices")
-    m = rep.gamma(indices[0])
-    for i in indices[1:]:
-        m = m * rep.gamma(i)
-    return m.trace()
+    return reduce(mul, map(rep.gamma, indices)).trace()
 
 
 def instanton_projector(n: int, ctx: DeformationContext | None = None):
@@ -309,70 +323,75 @@ def _pairing_norm(ctx: DeformationContext) -> ExactScalar:
         Fraction(2 ** (half + 1), factorial(ctx.dim - 1)))
 
 
-def _diagonal(m: Matrix, what: str) -> list:
-    """The diagonal of m as a list of terms; raise unless every other entry
-    is zero."""
-    if any(c != r for r, row in m.rows.items() for c in row):
-        raise ValueError(f"block lemma fails: {what} is not diagonal")
-    return [m[r, r].terms for r in range(m.size)]
+def _columns(m: Matrix, name: str) -> dict:
+    """{column: (row, entry)} of a matrix with at most one entry per column;
+    raise if a column holds two."""
+    view = {c: (r, s) for r, row in m.rows.items() for c, s in row.items()}
+    if len(view) < sum(map(len, m.rows.values())):
+        raise ValueError(f"block lemma fails: {name} has two entries in "
+                         f"one column")
+    return view
 
 
-def _diag_mul(ctx: DeformationContext, u: list, v: list) -> list:
-    out = []
-    for t1, t2 in zip(u, v):
-        acc: dict = {}
-        _mul_into(acc, ctx, t1, t2)
-        out.append(_finish(ctx, acc).terms)
-    return out
+def _compose(u: dict, v: dict, scale: ExactScalar | None = None) -> dict:
+    """The column view of u v, times scale if given, for column views u, v."""
+    uv = {c: (u[k][0], u[k][1] * s) for c, (k, s) in v.items() if k in u}
+    return uv if scale is None else {c: (r, scale * x)
+                                     for c, (r, x) in uv.items()}
 
 
 def _expansion_trace(rep: GammaRep, e: Matrix) -> Element:
     """Tr[e (de)^{2n}] through the commuting-block expansion (module
-    docstring), after checking the lemma behind it on the gamma blocks."""
+    docstring), after checking the lemma behind it on the gamma entries."""
     ctx, n = rep.ctx, rep.n
-    size = 2 ** n
-    # the blocks Gamma_a = gamma^a (x) dx^{a'} of 2 de
-    gam = {a: rep.gamma(a).map(Element.dx(ctx, ctx.primed(a)).scale)
-           for a in range(1, ctx.dim + 1)}
+    size, dx = 2 ** n, partial(Element.dx, ctx)
+    zero, one = ctx.scalar_zero(), ctx.scalar_one()
+    cols = {a: _columns(rep.matrices[a], f"gamma^{a}")
+            for a in range(1, ctx.dim + 1)}
     for a in range(1, ctx.dim + 1):
-        if gam[a] * gam[a]:
-            raise ValueError(f"block lemma fails: Gamma_{a}^2 != 0")
         for b in range(a + 1, ctx.dim + 1):
-            if b != ctx.primed(a) and gam[a] * gam[b] != gam[b] * gam[a]:
-                raise ValueError(
-                    f"block lemma fails: Gamma_{a}, Gamma_{b} do not commute")
-    blocks, squares = [], []
-    for a in range(1, n + 1):
-        ap = ctx.primed(a)
-        _diagonal(gam[a] * gam[ap], f"gamma^{a} gamma^{ap}")
-        _diagonal(gam[ap] * gam[a], f"gamma^{ap} gamma^{a}")
-        p = gam[a] + gam[ap]
-        p2 = p * p
-        if p2 * p:
-            raise ValueError(f"block lemma fails: P_{a}^3 != 0")
-        blocks.append(p)
-        squares.append(_diagonal(p2, f"P_{a}^2"))
-    # for the block P_j: before = Gamma_{n+1} P_1^2 ... P_{j-1}^2 and
-    # after[j-1] = P_{j+1}^2 ... P_n^2
-    after = [[{((0,) * ctx.dim, ()): ctx.scalar_one()}] * size]
-    for sq in reversed(squares[1:]):
-        after.append(_diag_mul(ctx, sq, after[-1]))
-    after.reverse()
-    before = _diagonal(gam[n + 1], f"gamma^{n + 1}")
-    top: dict = {}    # Tr[e prod_a P_a^2]
-    for r, t in enumerate(_diag_mul(ctx, squares[0], after[0])):
-        _mul_into(top, ctx, e[r, r].terms, t)
-    mixed: dict = {}  # sum_j Tr[e P_j Gamma_{n+1} prod_{a != j} P_a^2]
-    for p, sq, tail in zip(blocks, squares, after):
-        diag = _diag_mul(ctx, before, tail)
-        for c, row in p.rows.items():
-            for r, x in row.items():
-                entry: dict = {}  # (P_j diag)[c][r]
-                _mul_into(entry, ctx, x.terms, diag[r])
-                _mul_into(mixed, ctx, e[r, c].terms,
-                          _finish(ctx, entry).terms)
-        before = _diag_mul(ctx, before, sq)
-    total = _finish(ctx, top) + _finish(ctx, mixed).scale(2)
+            if b != ctx.primed(a) and _compose(cols[a], cols[b]) != \
+                    _compose(cols[b], cols[a], -ctx.q_power(b, a)):
+                raise ValueError(f"block lemma fails: gamma^{a} gamma^{b} "
+                                 f"!= -q({b},{a}) gamma^{b} gamma^{a}")
+
+    def diagonal(*factors):
+        """The diagonal of the product of the gamma^f, f in factors; raise
+        unless the product is diagonal."""
+        view = reduce(_compose, map(cols.get, factors))
+        if any(r != c for c, (r, _) in view.items()):
+            name = " ".join(f"gamma^{f}" for f in factors)
+            raise ValueError(f"block lemma fails: {name} is not diagonal")
+        return [view[r][1] if r in view else zero for r in range(size)]
+
+    def trace_term(view, diag, form):
+        """Tr[e M] (x) form, where M[r, c] = s diag[c] for c: (r, s) in view."""
+        acc: dict = {}
+        for c, (r, s) in view.items():
+            _add_into(acc, e[c, r].scale(s * diag[c]).terms)
+        return _finish(ctx, acc) * form
+
+    # P_a^2 = delta_a (x) pairs[a-1]
+    deltas = [[x - y for x, y in zip(diagonal(ctx.primed(a), a),
+                                     diagonal(a, ctx.primed(a)))]
+              for a in range(1, n + 1)]
+    pairs = [dx(a) * dx(ctx.primed(a)) for a in range(1, n + 1)]
+    # for the block P_j: before = gamma^{n+1} delta_1 ... delta_{j-1} and
+    # after[j-1] = delta_{j+1} ... delta_n
+    after = [[one] * size]
+    for d in reversed(deltas[1:]):
+        after.insert(0, [x * y for x, y in zip(d, after[0])])
+    before = diagonal(n + 1)
+    total = trace_term({r: (r, d) for r, d in enumerate(deltas[0])},
+                       after[0], reduce(mul, pairs))
+    for j, (d, tail) in enumerate(zip(deltas, after), 1):
+        # twice Tr[e P_j Gamma_{n+1} prod_{a != j} P_a^2], one term per
+        # half Gamma_b of P_j
+        diag = [x * y for x, y in zip(before, tail)]
+        rest = reduce(mul, pairs[:j - 1] + pairs[j:], dx(n + 1).scale(2))
+        for b in (j, ctx.primed(j)):
+            total = total + trace_term(cols[b], diag, dx(ctx.primed(b)) * rest)
+        before = [x * y for x, y in zip(before, d)]
     return total.scale(Fraction(factorial(2 * n), 2 ** (3 * n)))
 
 
@@ -398,8 +417,5 @@ def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> Exac
     """Same pairing computed as (normalisation/n!) * int Tr(F^n)."""
     rep, e = instanton_projector(n, ctx)
     ctx = rep.ctx
-    f = curvature(e)
-    m = f
-    for _ in range(n - 1):
-        m = m * f
+    m = reduce(mul, [curvature(e)] * n)
     return integrate_form(m.trace()) * _pairing_norm(ctx)

@@ -58,17 +58,13 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        def timed(entry: dict, wall: float) -> dict:
-            if include_wall_time:
-                entry["wall_time_s"] = round(wall, 3)
-            return entry
-
-        out = timed({"suite": self.suite, "cases": self.cases,
-                     "failures": self.failures, "seed": self.seed},
-                    self.wall_time_s)
+    def to_dict(self) -> dict:
+        out = {"suite": self.suite, "cases": self.cases,
+               "failures": self.failures, "seed": self.seed,
+               "wall_time_s": round(self.wall_time_s, 3)}
         if self.suites:
-            out["suites"] = {nm: timed({"cases": cases}, wall)
+            out["suites"] = {nm: {"cases": cases,
+                                  "wall_time_s": round(wall, 3)}
                              for nm, (cases, wall) in self.suites.items()}
         return out
 

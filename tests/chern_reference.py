@@ -5,12 +5,21 @@ Kronecker products of 2 x 2 factors, the construction ``chern.GammaRep``
 used before it wrote each nonzero entry down in closed form; the tests
 compare the two on every entry, zeros included, for n <= 6.
 
+``block_lemma_reference`` is the check of the block lemma that
+``chern._expansion_trace`` made before it read the scalar gamma entries:
+products of the Element-valued blocks Gamma_a = gamma^a (x) dx^{a'}.  Two of
+its checks, Gamma_a^2 = 0 and P_a^3 = 0 with P_a = Gamma_a + Gamma_{a'},
+cannot fail for any gamma: every term of either product repeats dx^a or
+dx^{a'}.  ``nilpotent_products`` returns those products so that the tests can
+show them zero on broken representations too.
+
 ``dense_trace`` is the chain of 2n products of the full 2^n x 2^n matrices
 of forms e and de that ``chern.charge_integral`` used before it took the
 commuting-block expansion of (de)^{2n}.  Its cost grows about 8x per step
 in n; the tests compare the expansion with it for n <= 4.
 """
 
+from twistcalc import Element
 from twistcalc.chern import instanton_projector
 from twistcalc.sphere import integrate_form
 
@@ -68,3 +77,49 @@ def dense_trace(n, ctx=None):
 def dense_charge_integral(n, ctx=None):
     """The integral of Tr[e (de)^{2n}] by products of full matrices."""
     return integrate_form(dense_trace(n, ctx))
+
+
+def _blocks(rep):
+    """{a: Gamma_a = gamma^a (x) dx^{a'}} as matrices of forms."""
+    ctx = rep.ctx
+    return {a: rep.gamma(a).map(Element.dx(ctx, ctx.primed(a)).scale)
+            for a in range(1, ctx.dim + 1)}
+
+
+def nilpotent_products(rep):
+    """Every Gamma_a^2 and every P_a^3 (a <= n)."""
+    ctx, gam = rep.ctx, _blocks(rep)
+    out = [gam[a] * gam[a] for a in gam]
+    for a in range(1, rep.n + 1):
+        p = gam[a] + gam[ctx.primed(a)]
+        out.append(p * p * p)
+    return out
+
+
+def block_lemma_reference(rep):
+    """Raise ValueError("block lemma fails: ...") unless Gamma_a^2 = 0, the
+    blocks Gamma_a, Gamma_b commute for b not in {a, a'}, gamma^a gamma^{a'},
+    gamma^{a'} gamma^a and gamma^{n+1} are diagonal, and P_a^3 = 0."""
+    ctx, n, gam = rep.ctx, rep.n, _blocks(rep)
+
+    def diagonal(m, what):
+        if any(c != r for r, row in m.rows.items() for c in row):
+            raise ValueError(f"block lemma fails: {what} is not diagonal")
+
+    for a in range(1, ctx.dim + 1):
+        if gam[a] * gam[a]:
+            raise ValueError(f"block lemma fails: Gamma_{a}^2 != 0")
+        for b in range(a + 1, ctx.dim + 1):
+            if b != ctx.primed(a) and gam[a] * gam[b] != gam[b] * gam[a]:
+                raise ValueError(
+                    f"block lemma fails: Gamma_{a}, Gamma_{b} do not commute")
+    for a in range(1, n + 1):
+        ap = ctx.primed(a)
+        diagonal(gam[a] * gam[ap], f"gamma^{a} gamma^{ap}")
+        diagonal(gam[ap] * gam[a], f"gamma^{ap} gamma^{a}")
+        p = gam[a] + gam[ap]
+        p2 = p * p
+        if p2 * p:
+            raise ValueError(f"block lemma fails: P_{a}^3 != 0")
+        diagonal(p2, f"P_{a}^2")
+    diagonal(gam[n + 1], f"gamma^{n + 1}")

@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from chern_reference import dense_charge_integral, dense_trace, kron_gammas
+from chern_reference import (block_lemma_reference, dense_charge_integral,
+                             dense_trace, kron_gammas, nilpotent_products)
 from helpers import random_monomial
 from twistcalc import DeformationContext, Element, chern
 from twistcalc.chern import (MAX_HALF_DIM, GammaRep, Matrix, character_tau,
@@ -268,22 +269,94 @@ def test_broken_block_lemma_raises(monkeypatch):
         charge_integral(2)
 
 
+def _move_entry(rep):
+    """gamma^2 with one entry moved to another row."""
+    g = rep.matrices[2]
+    r = next(iter(g.rows))
+    c, s = g.rows.pop(r).popitem()
+    g.rows.setdefault(r ^ 1, {})[c] = s
+
+
+def _off_diagonal_chirality(rep):
+    """gamma^{n+1} with an entry added off its diagonal."""
+    rep.matrices[rep.n + 1].rows[0][1] = rep.ctx.scalar_one()
+
+
+def _flip_primed_phase(rep):
+    """gamma^{2'} with q -> 1/q in one entry, and gamma^2 left as it is."""
+    g = rep.matrices[rep.ctx.primed(2)]
+    r, c = next((r, c) for r, row in g.rows.items()
+                for c, s in row.items() if any(map(any, s.terms)))
+    g.rows[r][c] = g.rows[r][c].invert_phases()
+
+
+def _lemma_inputs():
+    """(label, rep, broken): the representations for n <= 4 on both planes,
+    then broken ones on the twisted plane."""
+    for commutative in (False, True):
+        for n in (1, 2, 3, 4):
+            ctx = DeformationContext(2 * n + 1, commutative=commutative)
+            yield f"n={n},commutative={commutative}", GammaRep(n, ctx), False
+    for n in (2, 3, 4):
+        yield f"n={n},_OnePhaseFlipped", _OnePhaseFlipped(n), True
+        for mutate in (_move_entry, _off_diagonal_chirality,
+                       _flip_primed_phase):
+            rep = GammaRep(n)
+            mutate(rep)
+            yield f"n={n},{mutate.__name__}", rep, True
+
+
+def _lemma_fails(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError as exc:
+        assert "block lemma fails" in str(exc)
+        return True
+    return False
+
+
+def test_block_lemma_check_matches_reference():
+    # the check on the gamma entries raises exactly where the parent's
+    # check by Element-valued block products raises; the two products that
+    # check also formed, Gamma_a^2 and P_a^3, vanish on every input
+    for label, rep, broken in _lemma_inputs():
+        size = 2 ** rep.n
+        ident = Matrix(size, Element.zero(rep.ctx),
+                       {r: {r: Element.one(rep.ctx)} for r in range(size)})
+        assert _lemma_fails(block_lemma_reference, rep) == broken, label
+        assert _lemma_fails(chern._expansion_trace, rep, ident) == broken, \
+            label
+        assert not any(nilpotent_products(rep)), label
+
+
 def test_charge_integral_makes_no_dense_product(monkeypatch):
-    # (entries stored by the larger operand, 2^n) for every product
     seen = []
     mul = Matrix.__mul__
 
     def recording(self, other):
-        seen.append((max(_stored(self), _stored(other)), self.size))
+        seen.append(self.size)
         return mul(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", recording)
     for n in (1, 2, 3, 4):
         charge_integral(n)
-    assert seen and all(k <= size for k, size in seen)
-    seen.clear()
-    dense_trace(2)  # the recorder does see the reference's fuller operands
-    assert any(k > size for k, size in seen)
+    assert not seen
+    dense_trace(2)  # the recorder does see the reference's products
+    assert seen
+
+
+def test_anti_instanton_has_charge_minus_one():
+    # 1 - e is the complementary projector: its charge is -1, because the
+    # e-free piece, the integral of Tr[(de)^{2n}], vanishes by Stokes
+    for n in range(1, 7):
+        rep, e = instanton_projector(n)
+        ctx = rep.ctx
+        ident = Matrix(e.size, e.zero,
+                       {r: {r: Element.one(ctx)} for r in range(e.size)})
+        anti = integrate_form(chern._expansion_trace(rep, ident - e))
+        assert anti * chern._pairing_norm(ctx) == -ctx.scalar_one(), n
+        stokes = integrate_form(chern._expansion_trace(rep, ident))
+        assert stokes == ctx.scalar_zero(), n
 
 
 def test_half_dimension_is_bounded():

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from twistcalc import cli, identities, suites
+from twistcalc import chern, cli, identities, suites
 from twistcalc.cli import main
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _without_wall_times(payload):
+    """A report's dict with every wall_time_s key dropped."""
+    out = {k: v for k, v in payload.items() if k != "wall_time_s"}
+    if "suites" in out:
+        out["suites"] = {nm: {k: v for k, v in entry.items()
+                              if k != "wall_time_s"}
+                         for nm, entry in out["suites"].items()}
+    return out
 
 
 def test_charge_command(capsys):
@@ -33,7 +43,7 @@ def test_charge_command(capsys):
     # an order past the half-dimension limit is refused up front
     code, out, err = run_cli(capsys, "charge", "--n", "40")
     assert (code, out) == (2, "")
-    assert "n = 40 exceeds the limit 12" in err
+    assert f"n = 40 exceeds the limit {chern.MAX_HALF_DIM}" in err
 
 
 def test_haar_command(capsys):
@@ -178,7 +188,7 @@ def test_suite_run_all_reports_each_suite(capsys, monkeypatch):
     # case counts remain
     report = SuiteReport(suite="all", cases=3, seed=1, wall_time_s=0.5,
                          suites={"qphase": (2, 0.25), "ncalg": (1, 0.125)})
-    assert report.to_dict(include_wall_time=False)["suites"] == {
+    assert _without_wall_times(report.to_dict())["suites"] == {
         "qphase": {"cases": 2}, "ncalg": {"cases": 1}}
     monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: report)
     code, out, _ = run_cli(capsys, "suite", "run", "all")
@@ -372,9 +382,9 @@ def test_suite_size_limits_refused_before_any_work(capsys, monkeypatch):
 
 
 def test_reports_deterministic_for_fixed_seed():
-    a = run_suite("haar", dim=4, seed=123).to_dict(include_wall_time=False)
-    b = run_suite("haar", dim=4, seed=123).to_dict(include_wall_time=False)
+    a = _without_wall_times(run_suite("haar", dim=4, seed=123).to_dict())
+    b = _without_wall_times(run_suite("haar", dim=4, seed=123).to_dict())
     assert a == b
-    c = run_suite("oracle", dim=4, seed=7).to_dict(include_wall_time=False)
-    d = run_suite("oracle", dim=4, seed=7).to_dict(include_wall_time=False)
+    c = _without_wall_times(run_suite("oracle", dim=4, seed=7).to_dict())
+    d = _without_wall_times(run_suite("oracle", dim=4, seed=7).to_dict())
     assert c == d
