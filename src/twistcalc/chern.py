@@ -9,10 +9,15 @@ the instanton projector.  Its top character pairing
 
 is computed fully symbolically and equals 1.
 
-Every matrix is a sparse ``Matrix``: it stores only its nonzero entries.
-Each gamma^i is written down entry by entry from its closed form (see
-``GammaRep``), with 2^{n-1} entries (2^n for the chirality gamma^{n+1}), and
-e stores (n+1) 2^n entries, so memory grows like n 2^n.
+Each gamma^a is a generalized permutation matrix: it has at most one
+nonzero entry per column, so ``GammaRep`` stores it as its column view
+{column: (row, entry)}, written down from its closed form, with 2^{n-1}
+entries (2^n for the chirality gamma^{n+1}).  A product of two views is
+again one, found column by column (``_compose``); the trace formula, the
+Clifford relations and the block lemma below are all read from composed
+views.  e, de and the curvature are matrices of forms (``Matrix``, which
+stores only the nonzero entries); e stores (n+1) 2^n entries, so memory
+grows like n 2^n.
 
 ``charge_integral`` multiplies no matrices.  Write 2 de as the sum of the
 blocks Gamma_a = gamma^a (x) dx^{a'} and group them as
@@ -30,13 +35,11 @@ products vanish for any gamma.  Scalars are central and
 dx^{b'} dx^{a'} = -q_{ba} dx^{a'} dx^{b'}, so Gamma_a and Gamma_b commute,
 for b not in {a, a'}, iff gamma^a gamma^b = -q_{ba} gamma^b gamma^a.
 
-Each gamma stores at most one entry per column, so it is read as its column
-view {column: (row, entry)}, and a product of two such matrices is again
-one, found column by column.  On these views ``_expansion_trace`` checks
-gamma^a gamma^b = -q_{ba} gamma^b gamma^a for every b not in {a, a'}, and
-that gamma^a gamma^{a'}, gamma^{a'} gamma^a and gamma^{n+1} are diagonal; a
-failure, or a column with two entries, raises instead of answering.  Then,
-as dx^{a'} dx^a = -q_{a'a} dx^a dx^{a'} with q_{a'a} = 1,
+On the column views ``_expansion_trace`` checks gamma^a gamma^b =
+-q_{ba} gamma^b gamma^a for every b not in {a, a'}, and that
+gamma^a gamma^{a'}, gamma^{a'} gamma^a and gamma^{n+1} are diagonal; a
+failure raises instead of answering.  Then, as
+dx^{a'} dx^a = -q_{a'a} dx^a dx^{a'} with q_{a'a} = 1,
 
     P_a^2 = delta_a (x) dx^a dx^{a'},   delta_a = gamma^{a'} gamma^a - gamma^a gamma^{a'},
 
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain
 from math import factorial
 from operator import mul
 
@@ -71,19 +73,23 @@ __all__ = [
 
 
 class Matrix:
-    """Sparse square matrix over any ring with +, -, * (scalars or forms).
+    """Sparse square matrix of forms: ``Element`` entries over one context.
 
     ``rows`` maps a row to {column: entry} and holds only the nonzero
-    entries; every other entry is ``zero``, the zero of the ring.
+    entries; every other entry is ``zero``, the zero element.  Each entry's
+    context is checked against zero's once, here, so a product only compares
+    the two zeros' contexts.
     """
 
     __slots__ = ("size", "zero", "rows")
 
-    def __init__(self, size: int, zero, rows=None):
+    def __init__(self, size: int, zero: Element, rows=None):
         self.size, self.zero = size, zero
         self.rows = {}
         for r, row in (rows or {}).items():
             kept = {c: x for c, x in row.items() if x}
+            if any(x.ctx is not zero.ctx for x in kept.values()):
+                raise ValueError("elements live over different contexts")
             if kept:
                 self.rows[r] = kept
 
@@ -106,20 +112,17 @@ class Matrix:
         return self + other.map(lambda x: -x)
 
     def __mul__(self, other):
-        ctx = _element_ctx(self, other)
+        ctx = self.zero.ctx
+        if other.zero.ctx is not ctx:
+            raise ValueError("elements live over different contexts")
         rows = {}
         for r, row in self.rows.items():
             accs: dict = {}
             for k, x in row.items():
                 for c, y in other.rows.get(k, {}).items():
-                    if ctx is not None:
-                        # each entry is one sum of products: one accumulator
-                        _mul_into(accs.setdefault(c, {}), ctx, x.terms,
-                                  y.terms)
-                    else:
-                        accs[c] = accs[c] + x * y if c in accs else x * y
-            rows[r] = (accs if ctx is None else
-                       {c: _finish(ctx, acc) for c, acc in accs.items()})
+                    # each entry is one sum of products: one accumulator
+                    _mul_into(accs.setdefault(c, {}), ctx, x.terms, y.terms)
+            rows[r] = {c: _finish(ctx, acc) for c, acc in accs.items()}
         return Matrix(self.size, self.zero, rows)
 
     def map(self, fn):
@@ -129,23 +132,12 @@ class Matrix:
                       {r: {c: fn(x) for c, x in row.items()}
                        for r, row in self.rows.items()})
 
-    def trace(self):
-        diag = [row[r] for r, row in self.rows.items() if r in row]
-        ctx = _element_ctx(self)
-        if ctx is None:
-            return sum(diag, self.zero)
+    def trace(self) -> Element:
         acc: dict = {}
-        for x in diag:
-            _add_into(acc, x.terms)
-        return _finish(ctx, acc)
-
-    def dagger(self):
-        """Conjugate transpose (entries must provide .conj())."""
-        rows: dict = {}
         for r, row in self.rows.items():
-            for c, x in row.items():
-                rows.setdefault(c, {})[r] = x.conj()
-        return Matrix(self.size, self.zero, rows)
+            if r in row:
+                _add_into(acc, row[r].terms)
+        return _finish(self.zero.ctx, acc)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.size == other.size
@@ -155,25 +147,12 @@ class Matrix:
         return f"Matrix({self.size}, {self.rows!r})"
 
 
-def _element_ctx(*matrices) -> DeformationContext | None:
-    """The common context when every entry is an ``Element``, else None."""
-    ctx = None
-    for m in matrices:
-        for x in chain((m.zero,), *(row.values() for row in m.rows.values())):
-            if type(x) is not Element:
-                return None
-            if ctx is None:
-                ctx = x.ctx
-            elif x.ctx is not ctx:
-                raise ValueError("elements live over different contexts")
-    return ctx
-
-
-# Largest half-dimension n that GammaRep builds.  The matrices store O(n 2^n)
-# entries and checking the block lemma takes O(n^2 2^n) scalar products, so
-# each step in n costs about 2.5 times the time and 2 times the memory: on a
-# 2-vCPU guest (Python 3.11) `twistcalc charge --n 11` took 5.3 s and 102 MB,
-# n = 12 15.9 s and 186 MB, and n = 13 39.8 s and 391 MB (single runs).
+# Largest half-dimension n that GammaRep builds.  The views and e store
+# O(n 2^n) entries and checking the block lemma takes O(n^2 2^n) scalar
+# products, so each step in n costs about 2.5 times the time and 2 times the
+# memory: on a 2-vCPU guest (Python 3.11) `twistcalc charge --n 11` took
+# 3.7 s and 77 MB, n = 12 10.9 s and 132 MB, and n = 13 28.9 s and 263 MB
+# (single runs).
 MAX_HALF_DIM = 13
 
 
@@ -186,14 +165,17 @@ class GammaRep:
                          x lower_shift x 1 x ... x 1,
 
     gamma^{i'} is the conjugate transpose of gamma^i and gamma^{n+1} is the
-    diagonal chirality matrix.  Each is written down entry by entry: number
-    the basis of (C^2)^{x n} in binary, bit j (weight 2^{n-j}) for the j-th
-    factor.  gamma^i sends each column with bit i clear to the row with bit
-    i set, with entry sqrt2 * prod_{j<i} (-q_{ij} if bit j is clear, else
-    1), and gamma^{n+1} = diag((-1)^{number of set bits}).
+    diagonal chirality matrix.  Each is stored as its column view
+    {column: (row, entry)} (``columns[a]``, read by ``gamma(a)``), written
+    down from the closed form: number the basis of (C^2)^{x n} in binary,
+    bit j (weight 2^{n-j}) for the j-th factor.  gamma^i sends each column
+    with bit i clear to the row with bit i set, with entry
+    sqrt2 * prod_{j<i} (-q_{ij} if bit j is clear, else 1); gamma^{i'} is
+    the conjugate-transposed view {r: (c, s.conj())}, and gamma^{n+1} is
+    {r: (r, (-1)^{number of set bits of r})}.
     """
 
-    __slots__ = ("n", "ctx", "matrices")
+    __slots__ = ("n", "ctx", "columns")
 
     def __init__(self, n: int, ctx: DeformationContext | None = None):
         if n < 1:
@@ -206,9 +188,9 @@ class GammaRep:
         self.ctx = ctx if ctx is not None else DeformationContext(2 * n + 1)
         if self.ctx.dim != 2 * n + 1:
             raise ValueError("context dimension must be 2n+1")
-        self.matrices = {}
-        size = 2 ** n
-        zero, one = self.ctx.scalar_zero(), self.ctx.scalar_one()
+        size, one = 2 ** n, self.ctx.scalar_one()
+        self.columns = {n + 1: {r: (r, -one if bin(r).count("1") % 2 else one)
+                                for r in range(size)}}
         for i in range(1, n + 1):
             # the entry for each value of the bits 1..i-1, bit 1 highest
             entries = [self.ctx.sqrt2()]
@@ -217,47 +199,59 @@ class GammaRep:
                 entries = [s for e in entries for s in (e * mq, e)]
             low = n - i  # bit i has weight 2^low
             bit = 1 << low
-            self.matrices[i] = Matrix(size, zero, {
-                col | bit: {col: entries[col >> (low + 1)]}
-                for col in range(size) if not col & bit})
-        self.matrices[n + 1] = Matrix(size, zero, {
-            r: {r: -one if bin(r).count("1") % 2 else one}
-            for r in range(size)})
-        for i in range(1, n + 1):
-            self.matrices[self.ctx.primed(i)] = self.matrices[i].dagger()
+            g = self.columns[i] = {col: (col | bit, entries[col >> (low + 1)])
+                                   for col in range(size) if not col & bit}
+            self.columns[self.ctx.primed(i)] = {r: (c, s.conj())
+                                                for c, (r, s) in g.items()}
 
-    def gamma(self, i: int) -> Matrix:
+    def gamma(self, i: int) -> dict:
+        """The column view {column: (row, entry)} of gamma^i."""
         self.ctx.check_index(i)
-        return self.matrices[i]
+        return self.columns[i]
 
-    def relation_defect(self, i: int, j: int) -> Matrix:
-        """gamma^i gamma^j + q_{ji} gamma^j gamma^i - 2 g^{ij}; zero iff ok."""
-        ctx = self.ctx
-        gi, gj = self.matrices[i], self.matrices[j]
-        qji = ctx.q_power(j, i)
-        lhs = gi * gj + (gj * gi).map(lambda s: s * qji)
+    def relation_defect(self, i: int, j: int) -> dict:
+        """The nonzero entries {(row, col): entry} of
+        gamma^i gamma^j + q_{ji} gamma^j gamma^i - 2 g^{ij}; empty iff the
+        relation holds."""
+        ctx, zero = self.ctx, self.ctx.scalar_zero()
+        gi, gj = self.columns[i], self.columns[j]
+        out: dict = {}
+        for view in (_compose(gi, gj), _compose(gj, gi, ctx.q_power(j, i))):
+            for c, (r, s) in view.items():
+                out[r, c] = out.get((r, c), zero) + s
         gij = ctx.scalar(2 * ctx.metric(i, j))
-        return lhs - Matrix(lhs.size, lhs.zero,
-                            {a: {a: gij} for a in range(lhs.size)})
+        for r in range(2 ** self.n):
+            out[r, r] = out.get((r, r), zero) - gij
+        return {rc: s for rc, s in out.items() if s}
+
+
+def _compose(u: dict, v: dict, scale: ExactScalar | None = None) -> dict:
+    """The column view of u v, times scale if given, for column views u, v."""
+    uv = {c: (u[k][0], u[k][1] * s) for c, (k, s) in v.items() if k in u}
+    return uv if scale is None else {c: (r, scale * x)
+                                     for c, (r, x) in uv.items()}
 
 
 def clifford_trace(rep: GammaRep, indices) -> ExactScalar:
-    """Trace of a product of 2n+1 gamma matrices.
+    """Trace of a product of 2n+1 gamma matrices: the diagonal sum of the
+    composed column view.
 
     Equals 2^n times the inverse-phase epsilon tensor of the index tuple.
     """
     indices = tuple(indices)
     if len(indices) != 2 * rep.n + 1:
         raise ValueError("the trace formula needs exactly 2n+1 indices")
-    return reduce(mul, map(rep.gamma, indices)).trace()
+    view = reduce(_compose, map(rep.gamma, indices))
+    return sum((s for c, (r, s) in view.items() if r == c),
+               rep.ctx.scalar_zero())
 
 
 def instanton_projector(n: int, ctx: DeformationContext | None = None):
     """The hermitian idempotent e = (1 + gamma^i x^{i'})/2 over the sphere.
 
     Returns ``(rep, e)`` with e a matrix of degree-0 ambient elements: 1/2
-    on the diagonal plus x^{i'}/2 times each nonzero gamma^i entry, so e
-    stores (n+1) 2^n entries.
+    on the diagonal plus x^{i'}/2 times each gamma^i entry, so e stores
+    (n+1) 2^n entries.
     """
     rep = GammaRep(n, ctx)
     ctx = rep.ctx
@@ -270,13 +264,12 @@ def instanton_projector(n: int, ctx: DeformationContext | None = None):
         # gamma^i has few distinct entry values: entries with equal values
         # share one element (no Matrix operation mutates an entry in place)
         scaled: dict = {}
-        for r, row in rep.gamma(i).rows.items():
+        for c, (r, s) in rep.gamma(i).items():
+            t = scaled.get(s)
+            if t is None:
+                t = scaled[s] = xi.scale(s)
             out = rows[r]
-            for c, s in row.items():
-                t = scaled.get(s)
-                if t is None:
-                    t = scaled[s] = xi.scale(s)
-                out[c] = out[c] + t if c in out else t
+            out[c] = out[c] + t if c in out else t
     return rep, Matrix(size, Element.zero(ctx), rows)
 
 
@@ -323,31 +316,13 @@ def _pairing_norm(ctx: DeformationContext) -> ExactScalar:
         Fraction(2 ** (half + 1), factorial(ctx.dim - 1)))
 
 
-def _columns(m: Matrix, name: str) -> dict:
-    """{column: (row, entry)} of a matrix with at most one entry per column;
-    raise if a column holds two."""
-    view = {c: (r, s) for r, row in m.rows.items() for c, s in row.items()}
-    if len(view) < sum(map(len, m.rows.values())):
-        raise ValueError(f"block lemma fails: {name} has two entries in "
-                         f"one column")
-    return view
-
-
-def _compose(u: dict, v: dict, scale: ExactScalar | None = None) -> dict:
-    """The column view of u v, times scale if given, for column views u, v."""
-    uv = {c: (u[k][0], u[k][1] * s) for c, (k, s) in v.items() if k in u}
-    return uv if scale is None else {c: (r, scale * x)
-                                     for c, (r, x) in uv.items()}
-
-
 def _expansion_trace(rep: GammaRep, e: Matrix) -> Element:
     """Tr[e (de)^{2n}] through the commuting-block expansion (module
     docstring), after checking the lemma behind it on the gamma entries."""
     ctx, n = rep.ctx, rep.n
     size, dx = 2 ** n, partial(Element.dx, ctx)
     zero, one = ctx.scalar_zero(), ctx.scalar_one()
-    cols = {a: _columns(rep.matrices[a], f"gamma^{a}")
-            for a in range(1, ctx.dim + 1)}
+    cols = rep.columns
     for a in range(1, ctx.dim + 1):
         for b in range(a + 1, ctx.dim + 1):
             if b != ctx.primed(a) and _compose(cols[a], cols[b]) != \

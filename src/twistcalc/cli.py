@@ -14,9 +14,8 @@ import sys
 import warnings
 
 from . import chern, oracle, sphere
-from .exprio import ExprSyntaxError, format_element, format_scalar, parse_expr
+from .exprio import format_element, format_scalar, parse_expr
 from .haar import haar_plane
-from .ncalg import Element
 from .qphase import DeformationContext
 from .suites import SUITE_NAMES, run_suite
 
@@ -102,22 +101,9 @@ def _angles(ctx: DeformationContext, theta):
     if len(theta) == 1:
         return theta * ctx.nparams
     if len(theta) != ctx.nparams:
-        raise SystemExit2(
+        raise ValueError(
             f"need {ctx.nparams} angles for dimension {ctx.dim}, got {len(theta)}")
     return theta
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"twistcalc: error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
-def _parse_element(ctx: DeformationContext, text: str) -> Element:
-    try:
-        return parse_expr(ctx, text)
-    except ExprSyntaxError as exc:
-        raise SystemExit2(str(exc))
 
 
 def _complex_json(z) -> dict | None:
@@ -157,7 +143,7 @@ def _cmd_suite_run(args) -> int:
 
 def _cmd_charge(args) -> int:
     if args.n < 1:
-        raise SystemExit2("--n must be a positive integer")
+        raise ValueError("--n must be a positive integer")
     ctx = DeformationContext(2 * args.n + 1)
     value = chern.charge(args.n, ctx)
     exact = format_scalar(value, ctx)
@@ -177,11 +163,7 @@ def _cmd_charge(args) -> int:
 
 def _cmd_haar(args) -> int:
     ctx = DeformationContext(args.dim)
-    el = _parse_element(ctx, args.expr)
-    try:
-        value = haar_plane(ctx, el)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    value = haar_plane(ctx, parse_expr(ctx, args.expr))
     angles = _angles(ctx, args.theta)
     numeric = value.eval(angles)
     if args.json:
@@ -195,11 +177,7 @@ def _cmd_haar(args) -> int:
 
 def _cmd_hodge(args) -> int:
     ctx = DeformationContext(args.sphere + 1)
-    el = _parse_element(ctx, args.expr)
-    try:
-        result = sphere.hodge_sphere(el)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    result = sphere.hodge_sphere(parse_expr(ctx, args.expr))
     degree = result.form_degree() if result else 0
     numeric = None
     if not result:
@@ -214,11 +192,7 @@ def _cmd_hodge(args) -> int:
 
 def _cmd_integrate(args) -> int:
     ctx = DeformationContext(args.sphere + 1)
-    el = _parse_element(ctx, args.expr)
-    try:
-        value = sphere.integrate_form(el)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    value = sphere.integrate_form(parse_expr(ctx, args.expr))
     numeric = value.eval(_angles(ctx, args.theta))
     print(json.dumps({"exact": format_scalar(value, ctx),
                       "numeric": _complex_json(numeric),
@@ -228,7 +202,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ctx = DeformationContext(args.dim)
-    el = _parse_element(ctx, args.expr)
+    el = parse_expr(ctx, args.expr)
     checker = oracle.BatchChecker(ctx, args.seed, args.points, args.moduli)
     with warnings.catch_warnings():
         # numpy's overflow warnings: an overflow shows as an inf sup
@@ -264,9 +238,8 @@ def main(argv=None) -> int:
             return _cmd_integrate(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except SystemExit2 as exc:
-        return exc.code
     except (ValueError, IndexError) as exc:
+        # every usage error, a bad expression (ExprSyntaxError) included
         print(f"twistcalc: error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

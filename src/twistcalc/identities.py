@@ -727,7 +727,7 @@ def clifford_relations(rep):
             defect = rep.relation_defect(i, j)
             for a, b in product(range(2 ** n), repeat=2):
                 yield Identity(group, f"n={n} relation ({i},{j})[{a}{b}]",
-                               "scalar", ctx, defect[a, b], zero)
+                               "scalar", ctx, defect.get((a, b), zero), zero)
 
 
 def clifford_traces(rep, draws=None):

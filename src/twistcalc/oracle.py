@@ -498,15 +498,17 @@ def _models(ctx, seed: int, moduli=None):
 
 
 def check_element(el: Element, seed: int = 42, points: int = 20,
-                  tol: float = DEFAULT_TOL, moduli=None) -> bool:
+                  moduli=None) -> bool:
     """Numeric vanishing of an ambient element (plane identity)."""
-    return BatchChecker(el.ctx, seed, points, moduli).element_sup(el) < tol
+    checker = BatchChecker(el.ctx, seed, points, moduli)
+    return checker.element_sup(el) < DEFAULT_TOL
 
 
 def check_sphere_class(el: Element, seed: int = 42, points: int = 20,
-                       tol: float = DEFAULT_TOL, moduli=None) -> bool:
+                       moduli=None) -> bool:
     """Numeric vanishing of the sphere class of an ambient representative."""
-    return BatchChecker(el.ctx, seed, points, moduli).sphere_sup(el) < tol
+    checker = BatchChecker(el.ctx, seed, points, moduli)
+    return checker.sphere_sup(el) < DEFAULT_TOL
 
 
 class BatchChecker:

@@ -45,8 +45,8 @@ meaning (a + b*i + c*sqrt2 + d*i*sqrt2)/n, always in canonical form: n > 0
 and gcd(a, b, c, d, n) = 1, so zero is (0, 0, 0, 0, 1).  Equal coefficients
 are therefore equal tuples, which keeps ``==`` and ``hash`` of scalars exact.
 Arithmetic runs on ints and takes a single gcd at the end (none when the
-denominator is 1); Fractions appear only at the boundary (``scalar``,
-``rational_value`` and the printers).
+denominator is 1); Fractions appear only at the boundary (``scalar`` and
+the printers).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "ExactScalar",
 ]
 
-_F0 = Fraction(0)
 _RT2 = 2.0 ** 0.5
 
 # coefficients in Q(i, sqrt2): see the module docstring for the 5-tuple form
@@ -341,7 +340,9 @@ class ExactScalar:
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                k = tuple(map(add, k1, k2))
+                # a factor with all-zero exponents keeps the other's key
+                k = (k1 if not any(k2) else k2 if not any(k1)
+                     else tuple(map(add, k1, k2)))
                 v = _c_mul(v1, v2)
                 u = out.get(k)
                 if u is not None:
@@ -423,14 +424,6 @@ class ExactScalar:
             return False
         (k, v), = self.terms.items()
         return not any(k) and not (v[1] or v[2] or v[3])
-
-    def rational_value(self) -> Fraction:
-        if not self.terms:
-            return _F0
-        if not self.is_rational():
-            raise ValueError(f"scalar {self} is not rational")
-        (_, v), = self.terms.items()
-        return Fraction(v[0], v[4])
 
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):

@@ -20,7 +20,7 @@ in n; the tests compare the expansion with it for n <= 4.
 """
 
 from twistcalc import Element
-from twistcalc.chern import instanton_projector
+from twistcalc.chern import Matrix, instanton_projector
 from twistcalc.sphere import integrate_form
 
 
@@ -80,10 +80,16 @@ def dense_charge_integral(n, ctx=None):
 
 
 def _blocks(rep):
-    """{a: Gamma_a = gamma^a (x) dx^{a'}} as matrices of forms."""
+    """{a: Gamma_a = gamma^a (x) dx^{a'}} as matrices of forms, built from
+    the column views of the gammas."""
     ctx = rep.ctx
-    return {a: rep.gamma(a).map(Element.dx(ctx, ctx.primed(a)).scale)
-            for a in range(1, ctx.dim + 1)}
+    blocks = {}
+    for a in range(1, ctx.dim + 1):
+        form, rows = Element.dx(ctx, ctx.primed(a)), {}
+        for c, (r, s) in rep.gamma(a).items():
+            rows.setdefault(r, {})[c] = form.scale(s)
+        blocks[a] = Matrix(2 ** rep.n, Element.zero(ctx), rows)
+    return blocks
 
 
 def nilpotent_products(rep):

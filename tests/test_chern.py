@@ -18,9 +18,14 @@ from twistcalc.chern import (MAX_HALF_DIM, GammaRep, Matrix, character_tau,
 from twistcalc.sphere import integrate_form, reduce_mod_c, sphere_equal
 
 
-def _dense(m):
-    """Every entry of a matrix, zeros included, as a list of rows."""
-    return [[m[a, b] for b in range(m.size)] for a in range(m.size)]
+def _dense(rep, view):
+    """Every entry of a column view of rep's size, zeros included, as a list
+    of rows."""
+    size = 2 ** rep.n
+    rows = [[rep.ctx.scalar_zero()] * size for _ in range(size)]
+    for c, (r, s) in view.items():
+        rows[r][c] = s
+    return rows
 
 
 def _stored(m):
@@ -32,9 +37,9 @@ def test_gamma_matrices_low_dimension():
     rep = GammaRep(1)
     ctx = rep.ctx
     z, one, s2 = ctx.scalar_zero(), ctx.scalar_one(), ctx.sqrt2()
-    assert _dense(rep.gamma(1)) == [[z, z], [s2, z]]
-    assert _dense(rep.gamma(2)) == [[one, z], [z, -one]]
-    assert _dense(rep.gamma(3)) == [[z, s2], [z, z]]
+    assert _dense(rep, rep.gamma(1)) == [[z, z], [s2, z]]
+    assert _dense(rep, rep.gamma(2)) == [[one, z], [z, -one]]
+    assert _dense(rep, rep.gamma(3)) == [[z, s2], [z, z]]
     with pytest.raises(ValueError):
         GammaRep(0)
 
@@ -45,7 +50,7 @@ def test_closed_form_gammas_match_kronecker_products(commutative):
         ctx = DeformationContext(2 * n + 1, commutative=commutative)
         rep, ref = GammaRep(n, ctx), kron_gammas(n, ctx)
         for a in range(1, ctx.dim + 1):
-            assert _dense(rep.gamma(a)) == ref[a], (n, a)
+            assert _dense(rep, rep.gamma(a)) == ref[a], (n, a)
 
 
 def test_stored_entries():
@@ -53,7 +58,7 @@ def test_stored_entries():
         rep, e = instanton_projector(n)
         for a in range(1, 2 * n + 2):
             want = 2 ** n if a == n + 1 else 2 ** (n - 1)
-            assert _stored(rep.gamma(a)) == want, (n, a)
+            assert len(rep.gamma(a)) == want, (n, a)  # one per column
         assert _stored(e) == (n + 1) * 2 ** n, n
 
 
@@ -64,12 +69,12 @@ def test_gamma_squares():
         size = 2 ** n
         zero = ctx.scalar_zero()
         for i in range(1, 2 * n + 2):
-            sq = rep.gamma(i) * rep.gamma(i)
+            sq = _dense(rep, chern._compose(rep.gamma(i), rep.gamma(i)))
             if i == n + 1:
-                ok = all(sq[a, b] == (ctx.scalar_one() if a == b else zero)
+                ok = all(sq[a][b] == (ctx.scalar_one() if a == b else zero)
                          for a in range(size) for b in range(size))
             else:
-                ok = all(sq[a, b] == zero
+                ok = all(sq[a][b] == zero
                          for a in range(size) for b in range(size))
             assert ok, (n, i)
 
@@ -148,6 +153,15 @@ def test_curvature_requires_projector():
     bad = Matrix(2, Element.zero(ctx), {0: {0: Element.x(ctx, 1)}})
     with pytest.raises(ValueError):
         curvature(bad)
+
+
+def test_matrix_entries_share_one_context():
+    # each entry's context is checked once, when the matrix is built
+    ctx = DeformationContext(3)
+    with pytest.raises(ValueError, match="different contexts"):
+        Matrix(2, Element.zero(ctx), {0: {0: Element.one(ctx)},
+                                      1: {0: Element.x(DeformationContext(5),
+                                                       1)}})
 
 
 def test_classical_monopole_curvature_against_chart_computation():
@@ -251,16 +265,22 @@ def test_block_expansion_matches_dense_products(n, commutative):
     assert charge_integral(n, ctx) == dense_charge_integral(n, ctx)
 
 
+def _flip_first_phase(view):
+    """q -> 1/q in the first entry of a column view that carries a phase."""
+    c = next(c for c, (_, s) in view.items() if any(map(any, s.terms)))
+    r, s = view[c]
+    view[c] = (r, s.invert_phases())
+
+
 class _OnePhaseFlipped(GammaRep):
     """gamma^2 with q -> 1/q in its first entry that carries a phase."""
 
     def __init__(self, n, ctx=None):
         super().__init__(n, ctx)
-        g = self.matrices[2]
-        r, c = next((r, c) for r, row in g.rows.items()
-                    for c, s in row.items() if any(map(any, s.terms)))
-        g.rows[r][c] = g.rows[r][c].invert_phases()
-        self.matrices[self.ctx.primed(2)] = g.dagger()
+        g = self.columns[2]
+        _flip_first_phase(g)
+        self.columns[self.ctx.primed(2)] = {r: (c, s.conj())
+                                            for c, (r, s) in g.items()}
 
 
 def test_broken_block_lemma_raises(monkeypatch):
@@ -271,23 +291,22 @@ def test_broken_block_lemma_raises(monkeypatch):
 
 def _move_entry(rep):
     """gamma^2 with one entry moved to another row."""
-    g = rep.matrices[2]
-    r = next(iter(g.rows))
-    c, s = g.rows.pop(r).popitem()
-    g.rows.setdefault(r ^ 1, {})[c] = s
+    g = rep.columns[2]
+    c = next(iter(g))
+    r, s = g[c]
+    g[c] = (r ^ 1, s)
 
 
 def _off_diagonal_chirality(rep):
-    """gamma^{n+1} with an entry added off its diagonal."""
-    rep.matrices[rep.n + 1].rows[0][1] = rep.ctx.scalar_one()
+    """gamma^{n+1} with the entry of column 1 moved off its diagonal, to
+    row 0."""
+    g = rep.columns[rep.n + 1]
+    g[1] = (0, g[1][1])
 
 
 def _flip_primed_phase(rep):
     """gamma^{2'} with q -> 1/q in one entry, and gamma^2 left as it is."""
-    g = rep.matrices[rep.ctx.primed(2)]
-    r, c = next((r, c) for r, row in g.rows.items()
-                for c, s in row.items() if any(map(any, s.terms)))
-    g.rows[r][c] = g.rows[r][c].invert_phases()
+    _flip_first_phase(rep.columns[rep.ctx.primed(2)])
 
 
 def _lemma_inputs():

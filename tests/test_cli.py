@@ -208,6 +208,21 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # wrong form degree is a usage error
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("haar", "--dim", "5", "--expr", "x1*+"),
+     "unexpected token '+' (at position 3)"),
+    (("haar", "--dim", "5", "--expr", "dx1"),
+     "the Haar functional is defined on functions only"),
+    (("haar", "--dim", "7", "--expr", "x4^2", "--theta", "0.1,0.2"),
+     "need 3 angles for dimension 7, got 2"),
+    (("charge", "--n", "0"), "--n must be a positive integer"),
+])
+def test_usage_error_is_one_stderr_line(capsys, argv, message):
+    # every usage error takes one path: one stderr line, nothing on stdout
+    # and exit code 2
+    assert run_cli(capsys, *argv) == (2, "", f"twistcalc: error: {message}\n")
+
+
 def test_sample_counts_moduli_and_n_are_checked(capsys):
     """No samples, more samples than the tangent-basis cap, a modulus that
     cannot tell q from 1/q and a chern order below 1 exit 2 instead of

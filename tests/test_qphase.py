@@ -98,6 +98,18 @@ def test_scalar_arithmetic_examples():
     assert abs(v - (-1.0)) < 1e-12
 
 
+def test_rational_factor_keeps_the_other_key():
+    # a factor with all-zero phase exponents builds no new exponent tuple:
+    # at D = 25 each tuple has 66 entries
+    ctx = DeformationContext(25)
+    two, q = ctx.scalar(2), ctx.q_power(3, 7)
+    (key,), (qkey,) = two.terms, q.terms
+    for product, want in ((two * two, key), (two * q, qkey), (q * two, qkey)):
+        (got,) = product.terms
+        assert got is want
+    assert two * two == ctx.scalar(4) and two * q == q.scale(2)
+
+
 def _random_scalar(ctx, rng):
     c = ctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
     c = c + ctx.i_unit().scale(rng.randint(-3, 3))
