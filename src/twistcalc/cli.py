@@ -144,8 +144,8 @@ def _cmd_suite_run(args) -> int:
 def _cmd_charge(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be a positive integer")
+    value = chern.charge(args.n)  # refuses n above the limit first
     ctx = DeformationContext(2 * args.n + 1)
-    value = chern.charge(args.n, ctx)
     exact = format_scalar(value, ctx)
     ok = value == ctx.scalar_one()
     numeric = None

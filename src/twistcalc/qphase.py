@@ -337,6 +337,16 @@ class ExactScalar:
             return self
         if not other.terms:
             return other
+        res = ExactScalar.__new__(ExactScalar)
+        if len(self.terms) == 1 == len(other.terms):
+            # one term each: no accumulator, and no zero test, since a
+            # product of nonzero coefficients in the field Q(i, sqrt2) is
+            # nonzero
+            (k1, v1), = self.terms.items()
+            (k2, v2), = other.terms.items()
+            res.terms = {k1 if not any(k2) else k2 if not any(k1)
+                         else tuple(map(add, k1, k2)): _c_mul(v1, v2)}
+            return res
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -351,7 +361,6 @@ class ExactScalar:
                     out[k] = v
                 elif u is not None:
                     del out[k]
-        res = ExactScalar.__new__(ExactScalar)
         res.terms = out
         return res
 

@@ -2,19 +2,21 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from chern_reference import (block_lemma_reference, dense_charge_integral,
-                             dense_trace, kron_gammas, nilpotent_products)
+from chern_reference import (block_lemma_reference, column_expansion_trace,
+                             dense_charge_integral, dense_trace, identity,
+                             kron_gammas, negated, nilpotent_products)
 from helpers import random_monomial
 from twistcalc import DeformationContext, Element, chern
-from twistcalc.chern import (MAX_HALF_DIM, GammaRep, Matrix, character_tau,
-                             charge, charge_from_curvature, charge_integral,
-                             clifford_trace, curvature, instanton_projector,
-                             is_projector)
+from twistcalc.chern import (MAX_HALF_DIM, MAX_VIEW_HALF_DIM, GammaRep, Matrix,
+                             character_tau, charge, charge_from_curvature,
+                             charge_integral, clifford_trace, curvature,
+                             instanton_projector, is_projector)
 from twistcalc.sphere import integrate_form, reduce_mod_c, sphere_equal
 
 
@@ -260,27 +262,43 @@ def test_charge_is_one():
 def test_block_expansion_matches_dense_products(n, commutative):
     # n = 3 and 4 carry three and six symbolic phases
     ctx = DeformationContext(2 * n + 1, commutative=commutative)
-    rep, e = instanton_projector(n, ctx)
-    assert chern._expansion_trace(rep, e) == dense_trace(n, ctx)
+    rep = GammaRep(n, ctx)
+    assert chern._expansion_trace(rep) == dense_trace(n, ctx)
     assert charge_integral(n, ctx) == dense_charge_integral(n, ctx)
 
 
-def _flip_first_phase(view):
-    """q -> 1/q in the first entry of a column view that carries a phase."""
-    c = next(c for c, (_, s) in view.items() if any(map(any, s.terms)))
-    r, s = view[c]
-    view[c] = (r, s.invert_phases())
+@pytest.mark.parametrize("commutative", (False, True))
+def test_factor_expansion_matches_column_reference(commutative):
+    # the bit factorisation against the expansion summed over the 2^n
+    # columns of the views
+    for n in range(1, 7):
+        ctx = DeformationContext(2 * n + 1, commutative=commutative)
+        rep, e = instanton_projector(n, ctx)
+        assert chern._expansion_trace(rep) == column_expansion_trace(rep, e)
+
+
+def _adjoint(g):
+    """The factors of the adjoint of the Kronecker product of g: column x of
+    a factor (flip, d) is row x ^ flip of its adjoint."""
+    return tuple((flip, (d[flip].conj(), d[1 ^ flip].conj()))
+                 for flip, d in g)
+
+
+def _flip_phase(g):
+    """The factors g with q -> 1/q in the first one, a diagonal carrying a
+    phase."""
+    flip, d = g[0]
+    return ((flip, tuple(s.invert_phases() for s in d)),) + g[1:]
 
 
 class _OnePhaseFlipped(GammaRep):
-    """gamma^2 with q -> 1/q in its first entry that carries a phase."""
+    """gamma^2 with q -> 1/q in its first factor, and gamma^{2'} its
+    adjoint."""
 
     def __init__(self, n, ctx=None):
         super().__init__(n, ctx)
-        g = self.columns[2]
-        _flip_first_phase(g)
-        self.columns[self.ctx.primed(2)] = {r: (c, s.conj())
-                                            for c, (r, s) in g.items()}
+        g = self.factors[2] = _flip_phase(self.factors[2])
+        self.factors[self.ctx.primed(2)] = _adjoint(g)
 
 
 def test_broken_block_lemma_raises(monkeypatch):
@@ -290,23 +308,23 @@ def test_broken_block_lemma_raises(monkeypatch):
 
 
 def _move_entry(rep):
-    """gamma^2 with one entry moved to another row."""
-    g = rep.columns[2]
-    c = next(iter(g))
-    r, s = g[c]
-    g[c] = (r ^ 1, s)
+    """gamma^2 with the entry of its shift factor moved to the other row."""
+    g = rep.factors[2]
+    rep.factors[2] = g[:1] + ((0, g[1][1]),) + g[2:]
 
 
 def _off_diagonal_chirality(rep):
-    """gamma^{n+1} with the entry of column 1 moved off its diagonal, to
-    row 0."""
-    g = rep.columns[rep.n + 1]
-    g[1] = (0, g[1][1])
+    """gamma^{n+1} with the entries of its first factor moved off the
+    diagonal."""
+    g = rep.factors[rep.n + 1]
+    rep.factors[rep.n + 1] = ((1, g[0][1]),) + g[1:]
 
 
 def _flip_primed_phase(rep):
-    """gamma^{2'} with q -> 1/q in one entry, and gamma^2 left as it is."""
-    _flip_first_phase(rep.columns[rep.ctx.primed(2)])
+    """gamma^{2'} with q -> 1/q in its first factor, and gamma^2 left as it
+    is."""
+    a = rep.ctx.primed(2)
+    rep.factors[a] = _flip_phase(rep.factors[a])
 
 
 def _lemma_inputs():
@@ -335,17 +353,42 @@ def _lemma_fails(fn, *args) -> bool:
 
 
 def test_block_lemma_check_matches_reference():
-    # the check on the gamma entries raises exactly where the parent's
-    # check by Element-valued block products raises; the two products that
-    # check also formed, Gamma_a^2 and P_a^3, vanish on every input
+    # the check on the factors raises exactly where the checks by
+    # Element-valued block products and on composed column views raise; the
+    # two products the first also formed, Gamma_a^2 and P_a^3, vanish on
+    # every input
     for label, rep, broken in _lemma_inputs():
-        size = 2 ** rep.n
-        ident = Matrix(size, Element.zero(rep.ctx),
-                       {r: {r: Element.one(rep.ctx)} for r in range(size)})
         assert _lemma_fails(block_lemma_reference, rep) == broken, label
-        assert _lemma_fails(chern._expansion_trace, rep, ident) == broken, \
-            label
+        assert _lemma_fails(column_expansion_trace, rep,
+                            identity(rep)) == broken, label
+        assert _lemma_fails(chern._expansion_trace, rep) == broken, label
         assert not any(nilpotent_products(rep)), label
+
+
+def test_facts_behind_the_expansion():
+    # the three facts of the module docstring, on the composed views: delta_a
+    # is +2 where bit a is clear and -2 where it is set; every entry s of
+    # gamma^b (b != n+1) has s s^bar = 2 and faces the entry x^b s^bar/2 of
+    # e; e's diagonal is 1/2 + (-1)^{|r|} x^{n+1}/2
+    for n in range(1, 6):
+        rep, e = instanton_projector(n)
+        ctx, half, x = rep.ctx, Fraction(1, 2), Element.x
+        two = ctx.scalar(2)
+        for a in range(1, n + 1):
+            ga, gp = rep.gamma(a), rep.gamma(ctx.primed(a))
+            bit = 1 << (n - a)
+            delta = {r: (r, -two if r & bit else two) for r in range(2 ** n)}
+            minus = {c: (r, -s) for c, (r, s) in chern._compose(ga, gp).items()}
+            assert {**chern._compose(gp, ga), **minus} == delta, (n, a)
+        for b in range(1, ctx.dim + 1):
+            for c, (r, s) in rep.gamma(b).items():
+                if b != n + 1:
+                    assert s * s.conj() == two, (n, b, c)
+                    assert e[c, r] == x(ctx, b).scale(s.conj()).scale(half)
+        for r in range(2 ** n):
+            sign = -1 if bin(r).count("1") % 2 else 1
+            assert e[r, r] == (Element.one(ctx) + x(ctx, n + 1).scale(sign)
+                               ).scale(half), (n, r)
 
 
 def test_charge_integral_makes_no_dense_product(monkeypatch):
@@ -366,25 +409,65 @@ def test_charge_integral_makes_no_dense_product(monkeypatch):
 
 def test_anti_instanton_has_charge_minus_one():
     # 1 - e is the complementary projector: its charge is -1, because the
-    # e-free piece, the integral of Tr[(de)^{2n}], vanishes by Stokes
+    # e-free piece, the integral of Tr[(de)^{2n}] = Tr[e (de)^{2n}] +
+    # Tr[(1 - e)(de)^{2n}], vanishes by Stokes; the factor path gets 1 - e
+    # from the negated gammas, the column reference from the matrix 1 - e
     for n in range(1, 7):
         rep, e = instanton_projector(n)
         ctx = rep.ctx
-        ident = Matrix(e.size, e.zero,
-                       {r: {r: Element.one(ctx)} for r in range(e.size)})
-        anti = integrate_form(chern._expansion_trace(rep, ident - e))
-        assert anti * chern._pairing_norm(ctx) == -ctx.scalar_one(), n
-        stokes = integrate_form(chern._expansion_trace(rep, ident))
-        assert stokes == ctx.scalar_zero(), n
+        trace, anti = chern._expansion_trace(rep), \
+            chern._expansion_trace(negated(GammaRep(n)))
+        assert integrate_form(anti) * chern._pairing_norm(ctx) \
+            == -ctx.scalar_one(), n
+        assert integrate_form(trace + anti) == ctx.scalar_zero(), n
+        if n <= 4:
+            assert anti == column_expansion_trace(rep, identity(rep) - e), n
 
 
 def test_half_dimension_is_bounded():
-    for n in (MAX_HALF_DIM + 1, 40):
+    for n in (MAX_HALF_DIM + 1, 100):
         with pytest.raises(ValueError,
                            match=f"n = {n} exceeds the limit {MAX_HALF_DIM}"):
             GammaRep(n)
-    with pytest.raises(ValueError, match="n = 40 exceeds the limit"):
-        charge(40)
+    with pytest.raises(ValueError, match="n = 100 exceeds the limit"):
+        charge(100)
+    # the 2^n-column views and e are refused above their own limit, before
+    # anything of size 2^n is built: at n = MAX_HALF_DIM that is 2^64 rows
+    n = MAX_HALF_DIM
+    rep, e = instanton_projector(n)
+    for build in (lambda: rep.gamma(1), lambda: e[0, 0],
+                  lambda: is_projector(e), lambda: charge_from_curvature(n)):
+        with pytest.raises(ValueError, match=f"n = {n} exceeds the limit "
+                                             f"{MAX_VIEW_HALF_DIM}"):
+            build()
+
+
+def test_charge_integral_builds_nothing_of_size_two_to_the_n(monkeypatch):
+    # the factor path composes no column view and never builds e's rows;
+    # at n = 20 its traced peak stays below one list of 2^20 pointers
+    made = []
+    project = chern.instanton_projector
+
+    def recording(n, ctx=None):
+        made.append(project(n, ctx))
+        return made[-1]
+
+    def no_view(rep, i):
+        raise AssertionError("a column view was composed")
+
+    monkeypatch.setattr(chern, "instanton_projector", recording)
+    monkeypatch.setattr(GammaRep, "gamma", no_view)
+    for n in (1, 2, 3, 4):
+        assert charge(n) == DeformationContext(2 * n + 1).scalar_one()
+    ctx = DeformationContext(41)
+    tracemalloc.start()
+    try:
+        charge_integral(20, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 * 8, peak
+    assert len(made) == 5 and all("rows" not in vars(e) for _, e in made)
 
 
 def test_charge_is_one_with_three_parameters():

@@ -41,9 +41,9 @@ def test_charge_command(capsys):
     assert payload["exact"] == "1"
     assert payload["is_one"] is True
     # an order past the half-dimension limit is refused up front
-    code, out, err = run_cli(capsys, "charge", "--n", "40")
+    code, out, err = run_cli(capsys, "charge", "--n", "100")
     assert (code, out) == (2, "")
-    assert f"n = 40 exceeds the limit {chern.MAX_HALF_DIM}" in err
+    assert f"n = 100 exceeds the limit {chern.MAX_HALF_DIM}" in err
 
 
 def test_haar_command(capsys):
