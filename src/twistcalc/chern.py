@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
+from itertools import accumulate
 from math import factorial
 from operator import mul
 
@@ -157,8 +158,8 @@ class Matrix:
 
 # Largest half-dimension n that GammaRep builds: the charge takes O(n^3)
 # scalar products on phase exponents of n(n-1)/2 entries.  On a 2-vCPU guest
-# (Python 3.11) `twistcalc charge --n` 30 took 0.7-1.0 s and 38 MB, 64
-# 7.0-9.3 s and 138 MB (single runs).
+# (Python 3.11) `twistcalc charge --n` 30 took 0.6 s and 36 MB, 64 6.0-6.8 s
+# and 118 MB (two single runs each).
 MAX_HALF_DIM = 64
 # Largest n of the column views and e, which have 2^n columns (n = 13: e
 # stores 14 * 8192 entries).
@@ -187,7 +188,7 @@ class GammaRep:
             raise ValueError("the half-dimension must be at least 1")
         if n > MAX_HALF_DIM:
             raise ValueError(f"half-dimension n = {n} exceeds the limit "
-                             f"{MAX_HALF_DIM}, where the charge takes 7-9 s")
+                             f"{MAX_HALF_DIM}, where the charge takes 6-7 s")
         if ctx is None:
             ctx = DeformationContext(2 * n + 1)
         if ctx.dim != 2 * n + 1:
@@ -387,16 +388,20 @@ def _expansion_trace(rep: GammaRep) -> Element:
 
     dx = partial(Element.dx, ctx)
     pairs = [dx(a) * dx(primed(a)) for a in range(1, n + 1)]
-    total = trace_term([delta] * n, reduce(mul, pairs))
-    for j in range(1, n + 1):
+    # heads[j - 1] = 2dx^{n+1} prod_{a<j} dx^a dx^{a'}; tail the a > j part
+    heads = list(accumulate(pairs[:-1], mul, initial=dx(n + 1).scale(2)))
+    total, tail = Element.zero(ctx), Element.one(ctx)
+    for j in range(n, 0, -1):
         # 2 Tr[e P_j Gamma_{n+1} prod_{a != j} P_a^2], by halves Gamma_b of
         # P_j; diag holds the factors of gamma^{n+1} prod_{a != j} delta_a
         diag = [c if k == j else _mul2(c, delta)
                 for k, c in enumerate(f[n + 1], 1)]
-        rest = reduce(mul, pairs[:j - 1] + pairs[j:], dx(n + 1).scale(2))
+        rest = heads[j - 1] * tail
         for b in (j, primed(j)):
             total = total + trace_term(list(map(_mul2, f[b], diag)),
                                        dx(primed(b)) * rest)
+        tail = pairs[j - 1] * tail
+    total = total + trace_term([delta] * n, tail)  # tail: every pair
     return total.scale(Fraction(factorial(2 * n), 2 ** (3 * n + 1)))
 
 

@@ -64,6 +64,11 @@ __all__ = [
 
 _RT2 = 2.0 ** 0.5
 
+# Largest dimension a context is built for: its pair table has D^2 entries,
+# so an unbounded D would exhaust memory.  129 is the ambient dimension of
+# the largest instanton charge, n = 64 (``chern.MAX_HALF_DIM``).
+MAX_DIM = 129
+
 # coefficients in Q(i, sqrt2): see the module docstring for the 5-tuple form
 _C_ONE = (1, 0, 0, 0, 1)
 _C_MINUS_ONE = (-1, 0, 0, 0, 1)
@@ -160,6 +165,9 @@ class DeformationContext:
             return self
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension D = {dim} exceeds the limit "
+                             f"{MAX_DIM} of a deformation context")
         self = super().__new__(cls)
         self.dim, self.commutative = key
         self._indices = frozenset(range(1, dim + 1))

@@ -22,14 +22,16 @@ monomial basis, and J of the twisted algebra is the image of the classical
 J under that rescaling.
 
 (c-1)*Omega is the sum over dx sets S of (c-1)*A*dx^S, so ``reduce_mod_c``
-decides the right-hand side by a confluent rewrite of x^1 x^D, dx monomial
-by dx monomial.  J is graded by form degree, so ``in_quotient_ideal``
-decides each homogeneous part alone (a form of one degree is read in place)
-and takes the residue of the part itself at degree 0 (J meets the functions
-in (c-1)*A), of f_omega with omega ^ dc/2 = f_omega * V at the sphere's top
-degree N (each term x^e dx^{[D]-j} times the one term 2 x^{j'} dx^j of dc),
-and of omega ^ dc in every other degree; at the ambient top degree D the
-product is zero.
+decides the right-hand side dx monomial by dx monomial, in one substitution:
+each term's highest power (x^1 x^D)^p becomes repl^p, where
+repl = x^1 x^D - (c-1)/2 holds neither x^1 nor x^D, so no product holds
+both and nothing is left to rewrite.  J is graded by form degree, so
+``in_quotient_ideal`` decides each homogeneous part alone (a form of one
+degree is read in place) and takes the residue of the part itself at degree
+0 (J meets the functions in (c-1)*A), of f_omega with omega ^ dc/2 =
+f_omega * V at the sphere's top degree N (each term x^e dx^{[D]-j} times the
+one term 2 x^{j'} dx^j of dc), and of omega ^ dc in every other degree; at
+the ambient top degree D the product is zero.
 
 The integral of a top form is the Haar value of f_omega; the sphere Hodge
 star and pairing push the plane ones through the normal direction dc/2.
@@ -49,10 +51,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, neg
 
 from .haar import haar_plane
-from .ncalg import Element, _finish, _mono_mul, _mul_into
+from .ncalg import Element, _add_into, _finish, _mono_mul, _mul_into
 from .qphase import DeformationContext, ExactScalar, _c_add, _c_mul, _c_neg
 from .tensorcalc import _pairing_slots, epsilon_q, epsilon_qinv
 
@@ -83,75 +85,59 @@ def _quadric_d(ctx: DeformationContext) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _companion_replacement(ctx: DeformationContext) -> Element:
-    """The degree-0 element equal to x^1 x^D modulo (c-1).
+def _companion_replacement(ctx: DeformationContext, p: int) -> Element:
+    """repl^p, where repl = x^1 x^D - (c-1)/2 is the degree-0 element equal
+    to x^1 x^D modulo (c-1) (cached per context and p, shared).
 
-    c = 2 x^1 x^D + 2 sum_{2<=a<=D//2} x^a x^{a'} + [D odd] (x^mid)^2, so
-    x^1 x^D rewrites to (1 - the rest)/2 once c is set to 1.
+    c holds x^1 x^D twice (as x^1 x^D and x^D x^1, which commute), so repl
+    holds neither x^1 nor x^D.
     """
-    if ctx.dim < 2:
-        raise ValueError("the sphere quotient needs ambient dimension >= 2")
-    out = Element.one(ctx)
-    for a in range(2, ctx.dim // 2 + 1):
-        out = out - (Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))).scale(2)
-    if ctx.dim % 2:
-        mid = ctx.dim // 2 + 1
-        out = out - Element.x(ctx, mid, 2)
-    return out.scale(Fraction(1, 2))
+    if p == 1:
+        half = (central_quadric(ctx) - Element.one(ctx)).scale(Fraction(1, 2))
+        return Element.x(ctx, 1) * Element.x(ctx, ctx.dim) - half
+    return _companion_replacement(ctx, p - 1) * _companion_replacement(ctx, 1)
 
 
 def reduce_mod_c(f: Element) -> Element:
     """Normal form of a form of any degree modulo (c-1)*Omega.
 
-    A term whose x part holds both x^1 and x^D is, up to a phase, a monomial
-    times x^1 x^D, and x^1 x^D is replaced by its value mod (c-1), until no
-    term holds both.  x^1 x^D and its replacement have torus weight zero, so
-    they commute with dx^S (the cocycle lemma of the ``qphase`` docstring):
-    f -> f dx^S carries (c-1)*A onto (c-1)*A*dx^S and the confluent rewrite
-    of functions onto this one.  Each round strips x^1 x^D from every such
-    term (distinct terms give distinct stripped monomials) and multiplies
-    them by the replacement in one product; the other terms go straight
-    into the result.
+    A term whose x part holds (x^1 x^D)^p and no higher power is, up to a
+    phase, a monomial times (x^1 x^D)^p, and (x^1 x^D)^p is replaced by
+    repl^p, its value mod (c-1).  repl holds neither x^1 nor x^D, so no
+    product holds both and one substitution is the normal form.  x^1 x^D and
+    repl have torus weight zero, so they commute with dx^S (the cocycle lemma
+    of the ``qphase`` docstring): f -> f dx^S carries (c-1)*A onto
+    (c-1)*A*dx^S and the normal form of functions onto this one.  The terms
+    of one p are stripped of (x^1 x^D)^p (distinct terms give distinct
+    stripped monomials) and multiplied by repl^p in one product; the other
+    terms go straight into the result.
     """
     ctx = f.ctx
-    repl = _companion_replacement(ctx).terms
     last = ctx.dim - 1
+    if not last:
+        raise ValueError("the sphere quotient needs ambient dimension >= 2")
     if not any(exps[0] and exps[last] for exps, _ in f.terms):
         return f  # already in normal form
-    pair_key = ((1,) + (0,) * (last - 1) + (1,), ())
-    zero = ctx._zero_exps
-    # {monomial: {phase exponents: coefficient tuple}}, as in ``_mul_into``;
-    # a coefficient that cancelled to zero is dropped by the last ``_finish``
-    pending = [(key, coeff.terms) for key, coeff in f.terms.items()]
-    done: dict = {}
-    while pending:
-        pieces: dict = {}
-        for key, phases in pending:
-            exps = key[0]
-            if exps[0] and exps[last]:
-                stripped = list(exps)
-                stripped[0] -= 1
-                stripped[last] -= 1
-                rest = (tuple(stripped), key[1])
-                # rest * (x^1 x^D) = phase * monomial: undo that phase
-                shift, sign, prod_key = _mono_mul(ctx, rest, pair_key)
-                if prod_key != key or sign != 1:
-                    raise AssertionError("x^1 x^D does not split off the term")
-                piece = pieces[rest] = ExactScalar.__new__(ExactScalar)
-                piece.terms = phases if shift == zero else {
-                    tuple(map(sub, k, shift)): v for k, v in phases.items()}
-                continue
-            slot = done.get(key)
-            if slot is None:
-                done[key] = dict(phases)
-                continue
-            for k, v in phases.items():
-                u = slot.get(k)
-                slot[k] = v if u is None else _c_add(u, v)
-        acc: dict = {}
-        _mul_into(acc, ctx, pieces, repl)
-        pending = acc.items()
-    return _finish(ctx, done)
+    plain: dict = {}
+    groups: dict[int, dict] = {}
+    for key, coeff in f.terms.items():
+        exps = key[0]
+        p = min(exps[0], exps[last])
+        if not p:
+            plain[key] = coeff
+            continue
+        rest = ((exps[0] - p,) + exps[1:last] + (exps[last] - p,), key[1])
+        pair_key = ((p,) + (0,) * (last - 1) + (p,), ())
+        # rest * (x^1 x^D)^p = phase * monomial: undo that phase
+        shift, sign, prod_key = _mono_mul(ctx, rest, pair_key)
+        if prod_key != key or sign != 1:
+            raise AssertionError("x^1 x^D does not split off the term")
+        groups.setdefault(p, {})[rest] = coeff.shifted(tuple(map(neg, shift)))
+    acc: dict = {}
+    _add_into(acc, plain)
+    for p, pieces in groups.items():
+        _mul_into(acc, ctx, pieces, _companion_replacement(ctx, p).terms)
+    return _finish(ctx, acc)
 
 
 # -- volume data ----------------------------------------------------------------

@@ -14,9 +14,10 @@ two.
 by the one term of dc that can survive.
 
 ``reduce_mod_c_by_term`` and ``in_quotient_ideal_by_parts`` keep the earlier
-decision path: one product with the replacement of x^1 x^D per rewritten
-term, and a copied homogeneous part per form degree, with f_omega read off
-the full product with dc.
+decision path: x^1 x^D rewritten round by round, one product with its
+replacement per rewritten term, the replacement built by its explicit
+formula rather than read off c, and a copied homogeneous part per form
+degree, with f_omega read off the full product with dc.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 from twistcalc.ncalg import (Element, Monomial, _add_into, _finish,
                              _mono_mul, _mul_into)
 from twistcalc.qphase import DeformationContext, ExactScalar
-from twistcalc.sphere import _companion_replacement, central_quadric
+from twistcalc.sphere import central_quadric
 
 
 def top_decompose_full_product(om: Element) -> Element:
@@ -44,11 +45,22 @@ def top_decompose_full_product(om: Element) -> Element:
     return Element(ctx, out)
 
 
+def companion_replacement(ctx: DeformationContext) -> Element:
+    """x^1 x^D mod (c-1), as (1 - 2 sum_{2<=a<=D/2} x^a x^{a'} -
+    [D odd] (x^mid)^2) / 2."""
+    out = Element.one(ctx)
+    for a in range(2, ctx.dim // 2 + 1):
+        out = out - (Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))).scale(2)
+    if ctx.dim % 2:
+        out = out - Element.x(ctx, ctx.dim // 2 + 1, 2)
+    return out.scale(Fraction(1, 2))
+
+
 def reduce_mod_c_by_term(f: Element) -> Element:
     """Normal form of f modulo (c-1)*Omega, rewriting x^1 x^D round by
     round with one product per rewritten term."""
     ctx = f.ctx
-    repl = _companion_replacement(ctx)
+    repl = companion_replacement(ctx)
     last = ctx.dim - 1
     pair_key = (tuple(1 if j in (0, last) else 0 for j in range(ctx.dim)), ())
     pending = f

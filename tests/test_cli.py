@@ -3,14 +3,20 @@
 import hashlib
 import json
 import math
+import os
 import pstats
 import re
+import resource
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from twistcalc import chern, cli, identities, suites
+import twistcalc
+from twistcalc import chern, cli, identities, qphase, suites
 from twistcalc.cli import main
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
@@ -44,6 +50,26 @@ def test_charge_command(capsys):
     code, out, err = run_cli(capsys, "charge", "--n", "100")
     assert (code, out) == (2, "")
     assert f"n = 100 exceeds the limit {chern.MAX_HALF_DIM}" in err
+
+
+def test_oversized_dimension_refused_before_the_pair_table():
+    # a context of dimension D holds a D^2-entry pair table: at D = 10^6
+    # each command must exit 2 with the limit's message, in a process whose
+    # address space is capped, so that building the table shows as a
+    # MemoryError or a timeout rather than exhausting the machine
+    cap = 1 << 30
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(twistcalc.__file__).resolve().parents[1])}
+    big = "1000000"
+    for argv in (("haar", "--dim", big), ("hodge", "--sphere", big),
+                 ("integrate", "--sphere", big), ("oracle", "--dim", big)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistcalc.cli", *argv, "--expr", "x1"],
+            capture_output=True, text=True, timeout=30, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert f"exceeds the limit {qphase.MAX_DIM}" in proc.stderr
 
 
 def test_haar_command(capsys):

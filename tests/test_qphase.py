@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_coeffs as ref
 from phase_reference import reduce_pair_orbit
-from twistcalc import DeformationContext, qphase
+from twistcalc import DeformationContext, chern, qphase
 from twistcalc.exprio import format_scalar
 
 
@@ -96,6 +96,15 @@ def test_scalar_arithmetic_examples():
     assert ctx.q_power(1, 2) * ctx.q_power(2, 1) == ctx.scalar_one()
     v = ctx.q_power(1, 2).eval([math.pi])
     assert abs(v - (-1.0)) < 1e-12
+
+
+def test_context_dimension_limit():
+    # the largest context the charge builds (n = 64) is the limit
+    assert qphase.MAX_DIM == 2 * chern.MAX_HALF_DIM + 1 == 129
+    assert DeformationContext(qphase.MAX_DIM).dim == 129
+    for dim in (130, 10 ** 6):
+        with pytest.raises(ValueError, match="exceeds the limit 129"):
+            DeformationContext(dim)
 
 
 def test_rational_factor_keeps_the_other_key():

@@ -63,15 +63,19 @@ def _contexts(dims):
 
 def test_reduce_mod_c_matches_round_by_round_reference():
     # forms of every degree 0..D and of mixed degree, x-degree up to 4, and
-    # a term holding (x^1 x^D)^2 in each, which takes two rewrite rounds
+    # terms holding (x^1 x^D)^2, ^3 and ^4 in each, so that one call strips
+    # several powers; the reference rewrites them in two to four rounds
     rng = random.Random(21)
-    for ctx in _contexts(range(2, 8)):
+    for ctx in _contexts(range(2, 10)):
         d = ctx.dim
-        square = (2,) + (0,) * (d - 2) + (2,)
-        for k in range(d + 1):
-            for _ in range(3):
-                f = random_element(ctx, rng, 4, k, 4) + Element.monomial(
-                    ctx, (square, tuple(range(1, k + 1))))
+        for k in range(d + 1) if d < 8 else (0, 1, d // 2, d - 1):
+            dxs = tuple(range(1, k + 1))
+            powers = Element.zero(ctx)
+            for p in (2, 3, 4):
+                pair = (p,) + (0,) * (d - 2) + (p,)
+                powers = powers + Element.monomial(ctx, (pair, dxs))
+            for _ in range(3 if d < 8 else 1):
+                f = random_element(ctx, rng, 4, k, 4) + powers
                 mixed = f + random_element(ctx, rng, 4, rng.randint(0, d), 3)
                 for form in (f, mixed, f - f):
                     got = reduce_mod_c(form)
