@@ -138,6 +138,8 @@ def _cmd_suite_run(args) -> int:
         for f in report.failures:
             print(f"  FAIL {f['expression']}: expected {f['expected']}, "
                   f"got {f['got']}")
+            if "residue" in f:
+                print(f"    residue outside J: {f['residue']}")
     return 0 if report.ok else 1
 
 

@@ -21,17 +21,29 @@ classical map up to the diagonal phase rescaling m -> q^(-Q(m)) m of the
 monomial basis, and J of the twisted algebra is the image of the classical
 J under that rescaling.
 
-(c-1)*Omega is the sum over dx sets S of (c-1)*A*dx^S, so ``reduce_mod_c``
-decides the right-hand side dx monomial by dx monomial, in one substitution:
-each term's highest power (x^1 x^D)^p becomes repl^p, where
-repl = x^1 x^D - (c-1)/2 holds neither x^1 nor x^D, so no product holds
-both and nothing is left to rewrite.  J is graded by form degree, so
+(c-1)*Omega is the direct sum over dx sets T of (c-1)*A*dx^T, so
+``reduce_mod_c`` decides the right-hand side dx monomial by dx monomial, in
+one substitution: each term's highest power (x^1 x^D)^p becomes repl^p,
+where repl = x^1 x^D - (c-1)/2 holds neither x^1 nor x^D, so no product
+holds both and nothing is left to rewrite.  J is graded by form degree, so
 ``in_quotient_ideal`` decides each homogeneous part alone (a form of one
 degree is read in place) and takes the residue of the part itself at degree
 0 (J meets the functions in (c-1)*A), of f_omega with omega ^ dc/2 =
 f_omega * V at the sphere's top degree N (each term x^e dx^{[D]-j} times the
 one term 2 x^{j'} dx^j of dc), and of omega ^ dc in every other degree; at
 the ambient top degree D the product is zero.
+
+In a degree 0 < k < N two facts let the residue of omega ^ dc be read one
+block at a time, and stop early.  (1) omega may be replaced by its normal
+form N(omega) = ``reduce_mod_c(omega)``: omega - N(omega) = (c-1) alpha, and
+(c-1) alpha ^ dc lies in (c-1)*Omega since c-1 is central, so omega ^ dc and
+N(omega) ^ dc have the same residue.  (2) The residue splits by target dx
+set: the dx set of a term of N(omega) ^ dc is that of the N(omega) term
+plus the one index a of the dc term x^{a'} dx^a, and ``reduce_mod_c`` keeps
+each dx set, so the residue's dx^T part is the residue of the block
+sum_{a in T} N(omega)_{T - {a}} x^{a'} dx^a alone.  By the direct sum,
+omega ^ dc lies in (c-1)*Omega iff every block reduces to zero, so the first
+nonzero block is a complete "no" (``_block_residues``).
 
 The integral of a top form is the Haar value of f_omega; the sphere Hodge
 star and pairing push the plane ones through the normal direction dc/2.
@@ -76,12 +88,6 @@ def central_quadric(ctx: DeformationContext) -> Element:
     for a in range(1, ctx.dim + 1):
         out = out + Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))
     return out
-
-
-@lru_cache(maxsize=None)
-def _quadric_d(ctx: DeformationContext) -> Element:
-    """dc, the degree-1 generator of J (cached, shared)."""
-    return central_quadric(ctx).d()
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +173,30 @@ def volume_form(ctx: DeformationContext) -> Element:
 
 
 @lru_cache(maxsize=None)
+def _dc_slices(ctx: DeformationContext) -> dict:
+    """{a: {x^{a'} dx^a: coefficient}}: the one term of dc, the degree-1
+    generator of J, holding dx^a (cached, shared)."""
+    out: dict[int, dict] = {}
+    for key, coeff in central_quadric(ctx).d().terms.items():
+        if key[1][0] in out:
+            raise AssertionError("dc holds two terms with one differential")
+        out[key[1][0]] = {key: coeff}
+    return out
+
+
+@lru_cache(maxsize=None)
 def _top_slices(ctx: DeformationContext) -> dict:
     """{j: (key, value)}: the one term x^{j'} dx^j of dc holding dx^j, and
     its coefficient times the normalisation i^{-D//2}/2 of f_omega, as a
     coefficient tuple (cached, shared)."""
     norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
     out: dict[int, tuple] = {}
-    for (exps, dxs), coeff in _quadric_d(ctx).terms.items():
-        if dxs[0] in out:
-            raise AssertionError("dc holds two terms with one differential")
+    for j, slice_ in _dc_slices(ctx).items():
+        (key, coeff), = slice_.items()
         (phase, value), = (coeff * norm).terms.items()
         if any(phase):
             raise AssertionError("a term of dc carries a phase")
-        out[dxs[0]] = ((exps, dxs), value)
+        out[j] = (key, value)
     return out
 
 
@@ -229,21 +246,59 @@ def in_quotient_ideal(el: Element) -> bool:
 
     Each homogeneous part is in J iff its residue mod (c-1) is zero: of the
     part itself at degree 0, of f_omega at degree N and of omega ^ dc in
-    every other degree (see the module docstring).
+    every other degree (see the module docstring).  There omega ^ dc is
+    never formed whole.  omega is first replaced by its normal form
+    N(omega), which keeps the verdict: omega - N(omega) lies in
+    (c-1)*Omega, inside J.  Then N(omega) ^ dc is reduced one target dx set
+    at a time, and the first nonzero block answers "no": (c-1)*Omega is the
+    direct sum of the (c-1)*A*dx^T and ``reduce_mod_c`` keeps every dx set,
+    so the form is in J iff every block reduces to zero.
     """
+    return _first_residue(el) is None
+
+
+def _first_residue(el: Element) -> Element | None:
+    """The first nonzero residue that puts ``el`` outside J, or None: parts
+    in increasing degree, and in a degree 0 < k < N the blocks of
+    ``_block_residues`` in their order."""
     ctx = el.ctx
     degrees = el.form_degrees()
     for k in sorted(degrees):
         part = el if len(degrees) == 1 else el.homogeneous_part(k)
         if k == 0:
-            residue = reduce_mod_c(part)
+            residues = (reduce_mod_c(part),)
         elif k == ctx.dim - 1:
-            residue = reduce_mod_c(top_decompose(part))
+            residues = (reduce_mod_c(top_decompose(part)),)
         else:
-            residue = reduce_mod_c(part * _quadric_d(ctx))
-        if residue:
-            return False
-    return True
+            residues = _block_residues(part)
+        for residue in residues:
+            if residue:
+                return residue
+    return None
+
+
+def _block_residues(om: Element):
+    """The residue mod (c-1) of om ^ dc, one target dx set T at a time in
+    sorted order, lazily: a caller may stop at the first nonzero one.
+
+    The block of T is sum_{a in T} N(om)_{T - {a}} x^{a'} dx^a, the terms of
+    N(om) ^ dc with dx set T, for N(om) = ``reduce_mod_c(om)`` (the module
+    docstring proves both steps).  At degree D there is no block.
+    """
+    ctx = om.ctx
+    slices = _dc_slices(ctx)
+    by_dxs: dict = {}
+    for key, coeff in reduce_mod_c(om).terms.items():
+        by_dxs.setdefault(key[1], {})[key] = coeff
+    blocks: dict = {}
+    for s in by_dxs:
+        for a in slices.keys() - s:
+            blocks.setdefault(tuple(sorted(s + (a,))), []).append((s, a))
+    for t in sorted(blocks):
+        acc: dict = {}
+        for s, a in blocks[t]:
+            _mul_into(acc, ctx, by_dxs[s], slices[a])
+        yield reduce_mod_c(_finish(ctx, acc))
 
 
 def sphere_equal(a: Element, b: Element) -> bool:

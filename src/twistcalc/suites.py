@@ -29,6 +29,7 @@ from itertools import filterfalse, groupby
 from operator import attrgetter
 
 from . import chern, identities as ids, oracle, sphere
+from .exprio import format_element
 from .haar import haar_plane
 from .ncalg import Element
 from .qphase import DeformationContext
@@ -85,13 +86,17 @@ class _Runner:
     def check(self, family):
         """One case per run of catalogue identities sharing a group: it
         passes when every identity holds, and a failure reports the sides of
-        the first identity that does not."""
+        the first identity that does not; a failing sphere identity's record
+        also carries the residue that puts lhs - rhs outside J."""
         for group, run in groupby(family, key=attrgetter("group")):
             bad = next(filterfalse(ids.holds, run), None)
             if bad is None:
                 self.case(group, True)
-            else:
-                self.case(group, False, expected=bad.rhs, got=bad.lhs)
+                continue
+            self.case(group, False, expected=bad.rhs, got=bad.lhs)
+            if bad.kind == "sphere":
+                residue = sphere._first_residue(bad.lhs - bad.rhs)
+                self.report.failures[-1]["residue"] = format_element(residue)
 
 
 def random_element(ctx, rng, xdeg=2, form_deg=0, nterms=3):

@@ -2,8 +2,10 @@
 and the top decomposition by the full product with dc.
 
 ``twistcalc.sphere.in_quotient_ideal`` decides omega in
-J = (c-1)*Omega + dc ^ Omega by one rewrite of omega ^ dc mod (c-1).  This
-module keeps the earlier, independent procedure: build the generators
+J = (c-1)*Omega + dc ^ Omega on the normal form of omega mod (c-1): it
+reduces that normal form ^ dc mod (c-1) one target dx set at a time and
+stops at the first nonzero block.  This module keeps the earlier,
+independent procedure: build the generators
 (c-1)*m and dc*m up to the form's x-degree and solve for omega in their
 span, exactly and fraction-free, split into blocks by the companion-pair
 multidegree invariants that c-1 and dc both preserve.  Tests compare the
@@ -17,7 +19,8 @@ by the one term of dc that can survive.
 decision path: x^1 x^D rewritten round by round, one product with its
 replacement per rewritten term, the replacement built by its explicit
 formula rather than read off c, and a copied homogeneous part per form
-degree, with f_omega read off the full product with dc.
+degree, multiplied by dc in full as it stands (not in normal form) before
+anything is reduced, with f_omega read off the full product with dc.
 """
 
 from fractions import Fraction

@@ -8,9 +8,11 @@ from itertools import product
 from contraction_reference import epsilon_contraction_every_pair
 from hodge_reference import hodge_plane_every_pair, hodge_sphere_every_pair
 from twistcalc import DeformationContext, Element, central_quadric
+from twistcalc.exprio import parse_expr
 from twistcalc.identities import (Identity, _contraction, epsilon_contraction,
                                   hodge_plane_basis, hodge_sphere_basis,
                                   holds)
+from twistcalc.sphere import _first_residue, in_quotient_ideal
 from twistcalc.suites import (SuiteReport, _Runner, distinct_index_pairs,
                               random_index_pair)
 from twistcalc.tensorcalc import (antisym_w_bruteforce, epsilon_q,
@@ -38,6 +40,27 @@ def test_one_case_per_family_instance():
     assert report.cases == 2
     assert report.failures == [
         {"expression": "first", "expected": str(zero), "got": str(one)}]
+
+
+def test_failing_sphere_identity_records_its_residue():
+    # the record of a failing sphere identity carries the first nonzero
+    # residue of lhs - rhs, which parses back to a form outside J: a 2-form
+    # block for the 1-forms, the function itself for the 0-forms
+    ctx = DeformationContext(4)
+    c, one, dx1 = central_quadric(ctx), Element.one(ctx), Element.dx(ctx, 1)
+    family = [Identity("relation", "c = 1", "sphere", ctx, c, one),
+              Identity("relation", "c dx1 = 2 dx1", "sphere", ctx, c * dx1,
+                       dx1.scale(2)),
+              Identity("quadric", "c = 2", "sphere", ctx, c, one.scale(2))]
+    report = SuiteReport(suite="test")
+    _Runner(report).check(family)
+    assert [f["expression"] for f in report.failures] == ["relation",
+                                                          "quadric"]
+    for f, bad, degree in zip(report.failures, family[1:], (2, 0)):
+        residue = parse_expr(ctx, f["residue"])
+        assert residue == _first_residue(bad.lhs - bad.rhs)
+        assert residue and residue.form_degree() == degree
+        assert not in_quotient_ideal(residue)
 
 
 def _full_contraction(ctx, up, lo, cyclic):

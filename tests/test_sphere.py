@@ -11,9 +11,10 @@ from sphere_reference import (_in_scalar_span, _middle_degree_membership,
                               reduce_mod_c_by_term,
                               top_decompose_full_product)
 from twistcalc import DeformationContext, Element
-from twistcalc.sphere import (central_quadric, in_quotient_ideal,
-                              integrate_form, omega_form, reduce_mod_c,
-                              sphere_equal, top_decompose, volume_form)
+from twistcalc.sphere import (_block_residues, central_quadric,
+                              in_quotient_ideal, integrate_form, omega_form,
+                              reduce_mod_c, sphere_equal, top_decompose,
+                              volume_form)
 from twistcalc.tensorcalc import volume_element
 
 
@@ -84,28 +85,43 @@ def test_reduce_mod_c_matches_round_by_round_reference():
 
 
 def test_membership_matches_by_parts_reference():
-    # the decision against the earlier one that copies each homogeneous part
-    # and reads f_omega off the full product with dc: members, spoiled
-    # members, random and mixed-degree forms, and sphere_equal on pairs whose
-    # shared terms cancel in a - b
+    # the decision against the earlier one that copies each homogeneous part,
+    # multiplies it by dc in full and reduces round by round: members, some
+    # with (x^1 x^D)^p (p <= 3) in alpha so that the normal form of omega
+    # does work; members spoiled by a constant or by a random form, so that
+    # the first nonzero block of omega ^ dc falls in different places;
+    # random and mixed-degree forms; and sphere_equal on pairs whose shared
+    # terms cancel in a - b and on mixed-degree pairs.  D = 8 and 9 in three
+    # degrees each
     rng = random.Random(22)
-    for ctx in _contexts(range(2, 8)):
+    first_blocks = set()
+    for ctx in _contexts(range(2, 10)):
         d = ctx.dim
         cm1 = central_quadric(ctx) - Element.one(ctx)
         dc = central_quadric(ctx).d()
         verdicts = set()
         members = []
-        for k in range(d + 1):
+        for k in range(d + 1) if d < 8 else (1, d // 2, d - 2):
             member = cm1 * random_element(ctx, rng, 2, k, 2)
             if k:
                 member = member + dc * random_element(ctx, rng, 2, k - 1, 2)
             members.append(member)
-            spoiled = member + random_element(ctx, rng, 0, k, 2)
-            for el in (member, spoiled, random_element(ctx, rng, 4, k, 3)):
+            p = rng.randint(1, 3)
+            pair = (p,) + (0,) * (d - 2) + (p,)
+            dxs = tuple(sorted(rng.sample(range(1, d + 1), k)))
+            powered = member + cm1 * Element.monomial(ctx, (pair, dxs))
+            forms = [member, powered,
+                     member + random_element(ctx, rng, 0, k, 2),
+                     powered + random_element(ctx, rng, 2, k, 2),
+                     random_element(ctx, rng, 4, k, 3)]
+            for el in forms if d < 8 else forms[1:4]:
                 got = in_quotient_ideal(el)
                 assert got is in_quotient_ideal_by_parts(el), (ctx, k, el)
                 verdicts.add(got)
-        for _ in range(6):
+                if not got and 0 < k < d - 1:
+                    first_blocks.add(next(
+                        j for j, r in enumerate(_block_residues(el)) if r))
+        for _ in range(6 if d < 8 else 2):
             shared = random_element(ctx, rng, 3, rng.randint(0, d), 3)
             a = shared + rng.choice(members) + random_element(
                 ctx, rng, 2, rng.randint(0, d), 2)
@@ -116,7 +132,16 @@ def test_membership_matches_by_parts_reference():
                 assert got is in_quotient_ideal_by_parts(el), (ctx, el)
             assert sphere_equal(a, b) is in_quotient_ideal_by_parts(a + (-b))
             assert sphere_equal(a, a) and sphere_equal(b + members[0], b)
+            # a mixed-degree pair: two members and a form of a third degree
+            # on one side, that form and maybe a spoiler on the other
+            mixed = random_element(ctx, rng, 2, rng.randint(0, d), 2)
+            a = rng.choice(members) + rng.choice(members) + mixed
+            b = mixed + rng.choice((0, 1)) * random_element(
+                ctx, rng, 1, rng.randint(0, d - 1), 2)
+            assert sphere_equal(a, b) is \
+                in_quotient_ideal_by_parts(a + (-b)), (ctx, a, b)
         assert verdicts == {True, False}, ctx
+    assert len(first_blocks) > 2, first_blocks
 
 
 def test_omega_duality():
