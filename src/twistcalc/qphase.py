@@ -45,8 +45,9 @@ meaning (a + b*i + c*sqrt2 + d*i*sqrt2)/n, always in canonical form: n > 0
 and gcd(a, b, c, d, n) = 1, so zero is (0, 0, 0, 0, 1).  Equal coefficients
 are therefore equal tuples, which keeps ``==`` and ``hash`` of scalars exact.
 Arithmetic runs on ints and takes a single gcd at the end (none when the
-denominator is 1); Fractions appear only at the boundary (``scalar`` and
-the printers).
+denominator is 1); a Fraction appears only where a rational enters
+(``scalar`` and ``scale``).  The text form of a scalar is the expression
+grammar (``exprio.format_scalar``); ``repr`` shows the stored terms.
 """
 
 from __future__ import annotations
@@ -470,22 +471,9 @@ class ExactScalar:
             total += _c_eval(v) * z
         return total
 
-    # -- printing ---------------------------------------------------------------
-
-    def __str__(self):
-        parts = []
-        for k in sorted(self.terms):
-            phases = _phase_factors(k)
-            for piece in _coeff_pieces(self.terms[k]):
-                fac = piece + phases
-                if len(fac) > 1 and fac[0] == "1":
-                    fac = fac[1:]
-                parts.append("*".join(fac))
-        if not parts:
-            return "0"
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def __repr__(self):
+        # eval(repr(s)) == s with ExactScalar in scope
+        return f"ExactScalar({dict(self.terms)!r})"
 
 
 # The one zero scalar, shared by every caller: its terms are a read-only view,
@@ -493,30 +481,3 @@ class ExactScalar:
 # corrupting every other zero.
 _ZERO = ExactScalar.__new__(ExactScalar)
 _ZERO.terms = MappingProxyType({})
-
-_UNIT_NAMES = (None, "i", "sqrt2", "i*sqrt2")
-
-
-def _coeff_pieces(v):
-    """Expand a Q(i,sqrt2) coefficient into printable factor lists."""
-    pieces = []
-    for idx, name in enumerate(_UNIT_NAMES):
-        if not v[idx]:
-            continue
-        r = Fraction(v[idx], v[4])
-        if name is None:
-            fac = [str(r)]
-        elif r == 1:
-            fac = [name]
-        else:
-            fac = [str(r), name]
-        pieces.append(fac)
-    return pieces
-
-
-def _phase_factors(k):
-    out = []
-    for j, e in enumerate(k):
-        if e:
-            out.append(f"@{j}^{e}")
-    return out

@@ -27,14 +27,14 @@ one substitution: each term's highest power (x^1 x^D)^p becomes repl^p,
 where repl = x^1 x^D - (c-1)/2 holds neither x^1 nor x^D, so no product
 holds both and nothing is left to rewrite.  J is graded by form degree, so
 ``in_quotient_ideal`` decides each homogeneous part alone (a form of one
-degree is read in place) and takes the residue of the part itself at degree
-0 (J meets the functions in (c-1)*A), of f_omega with omega ^ dc/2 =
-f_omega * V at the sphere's top degree N (each term x^e dx^{[D]-j} times the
-one term 2 x^{j'} dx^j of dc), and of omega ^ dc in every other degree; at
-the ambient top degree D the product is zero.
+degree is read in place) and takes the residue of f_omega with
+omega ^ dc/2 = f_omega * V at the sphere's top degree N (each term
+x^e dx^{[D]-j} times the one term 2 x^{j'} dx^j of dc), and of omega ^ dc
+in every other degree, functions included; at the ambient top degree D the
+product is zero.
 
-In a degree 0 < k < N two facts let the residue of omega ^ dc be read one
-block at a time, and stop early.  (1) omega may be replaced by its normal
+In a degree k < N two facts let the residue of omega ^ dc be read one block
+at a time, and stop early.  (1) omega may be replaced by its normal
 form N(omega) = ``reduce_mod_c(omega)``: omega - N(omega) = (c-1) alpha, and
 (c-1) alpha ^ dc lies in (c-1)*Omega since c-1 is central, so omega ^ dc and
 N(omega) ^ dc have the same residue.  (2) The residue splits by target dx
@@ -244,30 +244,30 @@ def integrate_form(om: Element) -> ExactScalar:
 def in_quotient_ideal(el: Element) -> bool:
     """Exact membership of an ambient form in J (sphere class zero).
 
-    Each homogeneous part is in J iff its residue mod (c-1) is zero: of the
-    part itself at degree 0, of f_omega at degree N and of omega ^ dc in
-    every other degree (see the module docstring).  There omega ^ dc is
-    never formed whole.  omega is first replaced by its normal form
-    N(omega), which keeps the verdict: omega - N(omega) lies in
-    (c-1)*Omega, inside J.  Then N(omega) ^ dc is reduced one target dx set
-    at a time, and the first nonzero block answers "no": (c-1)*Omega is the
-    direct sum of the (c-1)*A*dx^T and ``reduce_mod_c`` keeps every dx set,
-    so the form is in J iff every block reduces to zero.
+    Each homogeneous part is in J iff its residue mod (c-1) is zero: of
+    f_omega at degree N and of omega ^ dc in every other degree (see the
+    module docstring).  There omega ^ dc is never formed whole.  omega is
+    first replaced by its normal form N(omega), which keeps the verdict:
+    omega - N(omega) lies in (c-1)*Omega, inside J.  Then N(omega) ^ dc is
+    reduced one target dx set at a time, and the first nonzero block
+    answers "no": (c-1)*Omega is the direct sum of the (c-1)*A*dx^T and
+    ``reduce_mod_c`` keeps every dx set, so the form is in J iff every
+    block reduces to zero.
     """
     return _first_residue(el) is None
 
 
 def _first_residue(el: Element) -> Element | None:
     """The first nonzero residue that puts ``el`` outside J, or None: parts
-    in increasing degree, and in a degree 0 < k < N the blocks of
-    ``_block_residues`` in their order."""
+    in increasing degree, f_omega at degree N, and in every other degree the
+    blocks of ``_block_residues`` in their order.  A function f has no
+    block when it lies in (c-1)*A, where N(f) = 0; otherwise its first
+    nonzero block is the residue of N(f) x^{a'} dx^a, a 1-form."""
     ctx = el.ctx
     degrees = el.form_degrees()
     for k in sorted(degrees):
         part = el if len(degrees) == 1 else el.homogeneous_part(k)
-        if k == 0:
-            residues = (reduce_mod_c(part),)
-        elif k == ctx.dim - 1:
+        if k == ctx.dim - 1:
             residues = (reduce_mod_c(top_decompose(part)),)
         else:
             residues = _block_residues(part)

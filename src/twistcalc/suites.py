@@ -3,8 +3,11 @@
 A suite draws random inputs from its seed and passes them to the families of
 the ``identities`` catalogue, where every identity is declared; ``r.check``
 makes one case of each family instance, and a failing case reports the two
-sides of its first identity that does not hold.  Identical seeds give
-identical reports (wall time aside), and every case label is unique.
+sides of its first identity that does not hold.  The ``expected``, ``got``
+and ``residue`` of such a failure record are text of the expression grammar
+(``exprio``), which ``parse_expr`` over the identity's context reads back: a
+scalar side as ``Element.from_scalar``, a form as itself.  Identical seeds
+give identical reports (wall time aside), and every case label is unique.
 
 The cases that are not exact equations are named one-offs of ``r.case``:
 the floating-point evaluations ``eval(conj s) = conj(eval s) #{j}``,
@@ -29,7 +32,7 @@ from itertools import filterfalse, groupby
 from operator import attrgetter
 
 from . import chern, identities as ids, oracle, sphere
-from .exprio import format_element
+from .exprio import format_element, format_scalar
 from .haar import haar_plane
 from .ncalg import Element
 from .qphase import DeformationContext
@@ -86,14 +89,17 @@ class _Runner:
     def check(self, family):
         """One case per run of catalogue identities sharing a group: it
         passes when every identity holds, and a failure reports the sides of
-        the first identity that does not; a failing sphere identity's record
-        also carries the residue that puts lhs - rhs outside J."""
+        the first identity that does not, in the expression grammar; a
+        failing sphere identity's record also carries the residue that puts
+        lhs - rhs outside J."""
         for group, run in groupby(family, key=attrgetter("group")):
             bad = next(filterfalse(ids.holds, run), None)
             if bad is None:
                 self.case(group, True)
                 continue
-            self.case(group, False, expected=bad.rhs, got=bad.lhs)
+            text = (format_element if bad.kind != "scalar"
+                    else lambda s: format_scalar(s, bad.ctx))
+            self.case(group, False, expected=text(bad.rhs), got=text(bad.lhs))
             if bad.kind == "sphere":
                 residue = sphere._first_residue(bad.lhs - bad.rhs)
                 self.report.failures[-1]["residue"] = format_element(residue)

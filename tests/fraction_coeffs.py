@@ -3,7 +3,8 @@
 A coefficient here is (p, q, r, s) meaning p + q*i + r*sqrt2 + s*i*sqrt2
 with each part a ``Fraction``: the representation the engine used before it
 moved to integer numerators over one denominator.  The tests compare the
-engine's canonical 5-tuples against these functions and printers.
+engine's canonical 5-tuples against these functions and its grammar
+printer.
 """
 
 from fractions import Fraction
@@ -65,38 +66,9 @@ def c_eval(u) -> complex:
                    float(u[1]) + rt2 * float(u[3]))
 
 
-# -- printers, as ``ExactScalar.__str__`` and ``format_scalar`` wrote them ----
+# -- the grammar printer, as ``exprio.format_scalar`` wrote it --------------
 
 _UNIT_NAMES = (None, "i", "sqrt2", "i*sqrt2")
-
-
-def _coeff_pieces(v):
-    pieces = []
-    for idx, name in enumerate(_UNIT_NAMES):
-        r = v[idx]
-        if not r:
-            continue
-        if name is None:
-            fac = [str(r)]
-        elif r == 1:
-            fac = [name]
-        else:
-            fac = [str(r), name]
-        pieces.append(fac)
-    return pieces
-
-
-def scalar_str(terms) -> str:
-    """``str`` of a scalar given as {phase exponents -> Fraction 4-tuple}."""
-    parts = []
-    for k in sorted(terms):
-        phases = [f"@{j}^{e}" for j, e in enumerate(k) if e]
-        for piece in _coeff_pieces(terms[k]):
-            fac = piece + phases
-            if len(fac) > 1 and fac[0] == "1":
-                fac = fac[1:]
-            parts.append("*".join(fac))
-    return " + ".join(parts) if parts else "0"
 
 
 def format_scalar(terms, ctx) -> str:

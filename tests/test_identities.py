@@ -39,24 +39,40 @@ def test_one_case_per_family_instance():
     _Runner(report).check(family)
     assert report.cases == 2
     assert report.failures == [
-        {"expression": "first", "expected": str(zero), "got": str(one)}]
+        {"expression": "first", "expected": "0", "got": "1"}]
 
 
 def test_failing_sphere_identity_records_its_residue():
     # the record of a failing sphere identity carries the first nonzero
     # residue of lhs - rhs, which parses back to a form outside J: a 2-form
-    # block for the 1-forms, the function itself for the 0-forms
+    # block for the 1-forms, a 1-form block for the 0-forms.  The expected
+    # and got of every failing record, scalar, element or sphere, parse back
+    # to the identity's sides
     ctx = DeformationContext(4)
     c, one, dx1 = central_quadric(ctx), Element.one(ctx), Element.dx(ctx, 1)
+    q = ctx.q_power(1, 2)
     family = [Identity("relation", "c = 1", "sphere", ctx, c, one),
               Identity("relation", "c dx1 = 2 dx1", "sphere", ctx, c * dx1,
                        dx1.scale(2)),
-              Identity("quadric", "c = 2", "sphere", ctx, c, one.scale(2))]
+              Identity("quadric", "c = 2", "sphere", ctx, c, one.scale(2)),
+              Identity("phase", "q = i sqrt2 / q", "scalar", ctx, q,
+                       ctx.i_unit() * ctx.sqrt2() * q.inverse()),
+              Identity("product", "c x1 = x1", "element", ctx,
+                       c * Element.x(ctx, 1), Element.x(ctx, 1))]
     report = SuiteReport(suite="test")
     _Runner(report).check(family)
-    assert [f["expression"] for f in report.failures] == ["relation",
-                                                          "quadric"]
-    for f, bad, degree in zip(report.failures, family[1:], (2, 0)):
+    assert [f["expression"] for f in report.failures] == [
+        "relation", "quadric", "phase", "product"]
+    for f, bad in zip(report.failures, family[1:]):
+        if bad.kind == "scalar":
+            sides = [Element.from_scalar(ctx, s) for s in (bad.rhs, bad.lhs)]
+        else:
+            sides = [bad.rhs, bad.lhs]
+        assert [parse_expr(ctx, f[k]) for k in ("expected", "got")] == sides
+        assert ("residue" in f) is (bad.kind == "sphere")
+    assert report.failures[2]["expected"] == "i*sqrt2*q(1,2)^-1"
+    assert report.failures[1]["residue"] == "-2*x4*dx1"
+    for f, bad, degree in zip(report.failures, family[1:3], (2, 1)):
         residue = parse_expr(ctx, f["residue"])
         assert residue == _first_residue(bad.lhs - bad.rhs)
         assert residue and residue.form_degree() == degree

@@ -257,8 +257,9 @@ def test_scalar_hash_and_printing_match_reference(terms, y):
     ctx = DeformationContext(5)
     s = qphase.ExactScalar({(e,): ref.to_engine(x) for e, x in terms.items()})
     want = {(e,): x for e, x in terms.items() if any(x)}
-    assert str(s) == ref.scalar_str(want)
     assert format_scalar(s, ctx) == ref.format_scalar(want, ctx)
+    for value in (s, ctx.scalar_zero()):
+        assert eval(repr(value), {"ExactScalar": qphase.ExactScalar}) == value
     # the same value reached along another route is equal and hashes equal
     t = qphase.ExactScalar({(0,): ref.to_engine(y)})
     other = (s + t) - t
