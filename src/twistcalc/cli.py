@@ -181,11 +181,13 @@ def _cmd_hodge(args) -> int:
     ctx = DeformationContext(args.sphere + 1)
     result = sphere.hodge_sphere(parse_expr(ctx, args.expr))
     degree = result.form_degree() if result else 0
+    coeffs = result.coefficients()
     numeric = None
-    if not result:
+    if not coeffs:
         numeric = 0j
-    elif result.constant_term_only():
-        numeric = result.scalar_part().eval(_angles(ctx, args.theta))
+    elif coeffs.keys() == {((0,) * ctx.dim, ())}:
+        (scalar,) = coeffs.values()
+        numeric = scalar.eval(_angles(ctx, args.theta))
     print(json.dumps({"exact": format_element(result),
                       "numeric": _complex_json(numeric),
                       "degree": degree}))

@@ -17,8 +17,8 @@ letter in canonical position (an x whose index is not below the last x, with
 no dx yet; a dx whose index is above the last dx) is appended to the key.
 Any other letter is normal-ordered into the key by ``ncalg._mono_mul``, the
 one place that computes exchange phases, so "x2*x1" parses to the canonical
-q-reordered element.  Every term is added into one {monomial: {phase:
-coefficient}} accumulator, which one ``ncalg._finish`` call turns into the
+q-reordered element.  Every term is added into one flat {(monomial, phase):
+coefficient} accumulator, which one ``ncalg._finish`` call turns into the
 element.  Tokens carry no positions; an error scans the text again to find
 its position.
 
@@ -196,14 +196,9 @@ def parse_expr(ctx: DeformationContext, text: str) -> Element:
             else:
                 break
         if live:
-            key = (tuple(exps), tuple(dxs))
-            phase = tuple(phase)
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = {phase: coeff}
-            else:
-                u = slot.get(phase)
-                slot[phase] = coeff if u is None else _c_add(u, coeff)
+            key = ((tuple(exps), tuple(dxs)), tuple(phase))
+            u = acc.get(key)
+            acc[key] = coeff if u is None else _c_add(u, coeff)
         if k == ntok:
             return _finish(ctx, acc)
         tok = tokens[k]
@@ -220,32 +215,23 @@ def format_element(el: Element) -> str:
     """Deterministic grammar text; parse(format(e)) == e exactly."""
     ctx = el.ctx
     parts = []  # (sign, factor string)
-    for key in sorted(el.terms, key=lambda k: (len(k[1]), k[1], sum(k[0]), k[0])):
-        exps, dxs = key
-        mono = [f"x{a}^{e}" if e > 1 else f"x{a}"
-                for a, e in enumerate(exps, start=1) if e]
-        mono += [f"dx{a}" for a in dxs]
-        coeff = el.terms[key]
-        for phase in sorted(coeff.terms):
-            qfacs = []
-            for j, e in enumerate(phase):
-                if e:
-                    a, b = ctx.params[j]
-                    qfacs.append(f"q({a},{b})^{e}")
-            comp = coeff.terms[phase]
-            for slot, unit in _UNITS:
-                if not comp[slot]:
-                    continue
-                r = Fraction(comp[slot], comp[4])
-                facs = []
-                tail = bool(unit) or qfacs or mono
-                if abs(r) != 1 or not tail:
-                    facs.append(str(abs(r)))
-                if unit:
-                    facs.append(unit)
-                facs.extend(qfacs)
-                facs.extend(mono)
-                parts.append((1 if r > 0 else -1, "*".join(facs)))
+    for key in sorted(el.terms, key=lambda t: (len(t[0][1]), t[0][1],
+                                               sum(t[0][0]), t[0][0], t[1])):
+        (exps, dxs), phase = key
+        facs = [f"q({a},{b})^{e}"
+                for (a, b), e in zip(ctx.params, phase) if e]
+        facs += [f"x{a}^{e}" if e > 1 else f"x{a}"
+                 for a, e in enumerate(exps, start=1) if e]
+        facs += [f"dx{a}" for a in dxs]
+        comp = el.terms[key]
+        for slot, unit in _UNITS:
+            if not comp[slot]:
+                continue
+            r = Fraction(comp[slot], comp[4])
+            lead = [unit] if unit else []
+            if abs(r) != 1 or not (lead or facs):
+                lead.insert(0, str(abs(r)))
+            parts.append((1 if r > 0 else -1, "*".join(lead + facs)))
     if not parts:
         return "0"
     sign, text = parts[0]

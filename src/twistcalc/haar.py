@@ -44,9 +44,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from .ncalg import Element, _add_into, _finish, _mono_mul
-from .qphase import DeformationContext, ExactScalar, _c_add, _c_reduce
+from .qphase import DeformationContext, ExactScalar, _c_add, _c_scale
 
 __all__ = ["partial_derivative", "laplacian", "lambda_coefficient", "haar_plane"]
 
@@ -58,7 +59,7 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
         raise ValueError("element belongs to a different context")
     unit_s = (0,) * (s - 1) + (1,) + (0,) * (ctx.dim - s)
     out: dict = {}
-    for (exps, dxs), coeff in f.terms.items():
+    for ((exps, dxs), k), v in f.terms.items():
         if dxs:
             raise ValueError("partial derivative needs form degree 0")
         es = exps[s - 1]
@@ -68,11 +69,10 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
         low = exps[:s - 1] + (0,) * (ctx.dim - s + 1)
         shift = _mono_mul(ctx, (unit_s, ()), (low, ()))[0]
         # lowering x^s is injective on monomials: no two terms share a key
-        key = (exps[:s - 1] + (es - 1,) + exps[s:], ())
-        out[key] = coeff.shifted(tuple(-x for x in shift)).scale(es)
-    res = Element.__new__(Element)
-    res.ctx, res.terms = ctx, out
-    return res
+        key = ((exps[:s - 1] + (es - 1,) + exps[s:], ()),
+               tuple(map(sub, k, shift)))
+        out[key] = _c_scale(v, es)
+    return _finish(ctx, out)
 
 
 def laplacian(f: Element) -> Element:
@@ -129,14 +129,13 @@ def haar_plane(ctx: DeformationContext, f: Element) -> ExactScalar:
     if f.ctx != ctx:
         raise ValueError("element belongs to a different context")
     acc: dict = {}
-    for (exps, dxs), coeff in f.terms.items():
+    for ((exps, dxs), k), v in f.terms.items():
         if dxs:
             raise ValueError("the Haar functional is defined on functions only")
         p, q = _moment(ctx.dim, exps)
         if not p:
             continue
-        for k, v in coeff.terms.items():
-            w = _c_reduce(v[0] * p, v[1] * p, v[2] * p, v[3] * p, v[4] * q)
-            u = acc.get(k)
-            acc[k] = w if u is None else _c_add(u, w)
+        w = _c_scale(v, p, q)
+        u = acc.get(k)
+        acc[k] = w if u is None else _c_add(u, w)
     return ExactScalar(acc)

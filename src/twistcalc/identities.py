@@ -157,7 +157,7 @@ def basis_counts(ctx):
     keys = [set() for _ in range(d + 1)]
 
     def extend(idx, form):
-        keys[len(idx)].update(key[1] for key in form.terms)
+        keys[len(idx)].update(mono[1] for mono, _ in form.terms)
         for a in range(1, d + 1):
             if a not in idx:
                 extend(idx + (a,), form * Element.dx(ctx, a))

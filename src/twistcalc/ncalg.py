@@ -8,31 +8,40 @@ Generators x^1..x^D and differentials dx^1..dx^D obey
 
 The canonical word has all x factors first in ascending index order, then the
 dx factors as a strictly ascending set.  A monomial is the pair (x exponents,
-dx index set); an element is a sparse scalar combination of monomials.
+dx index set).  An element is one flat dict
+
+    {(monomial, phase exponents): Q(i, sqrt2) coefficient 5-tuple}
+
+(``qphase`` gives the 5-tuple form), with no zero coefficient stored: a term
+is a rational combination of 1, i, sqrt2 and i sqrt2 times one phase
+monomial times one canonical monomial.  ``ExactScalar`` stays the scalar
+type, but no element holds one: the constructor takes {monomial:
+ExactScalar}, and ``Element.coefficients`` gives that per-monomial view back
+to code off the hot path.
 
 ``_mono_mul`` is the only function that computes exchange phases.  The
 exterior derivative, the star, the twisted derivatives and the plane
 pairing each read theirs from one ``_mono_mul`` call, and the q-epsilon
 tensor and W from one per factor, instead of counting them over the table.
 
-Every product of elements runs one kernel.  ``_mul_into`` normal-orders each
-pair of monomials through ``_mono_mul``, whose results sit in an LRU cache of
-``MONO_CACHE_SIZE`` entries (a fixed bound, whatever the input size: the
-engine's products repeat a few thousand monomial pairs many times over), and
-adds the raw coefficient products, as {phase exponents: Q(i, sqrt2) 5-tuple}
-per output monomial, into an accumulator.  ``_finish`` drops what cancelled
-and builds one ``ExactScalar`` per surviving monomial.  A sum of products
-(pairings, Hodge stars, matrix entries) feeds all of its products into one
-accumulator, so no intermediate element is built or copied.
+Every product of elements runs one kernel.  ``_mul_into`` walks the term
+pairs once: per pair one ``_mono_mul`` call, whose results sit in an LRU
+cache of ``MONO_CACHE_SIZE`` entries (a fixed bound, whatever the input
+size: the engine's products repeat a few thousand monomial pairs many times
+over), one coefficient product and one update of a flat accumulator of the
+same shape as an element.  ``_finish`` drops what cancelled.  A sum of
+products (pairings, Hodge stars, matrix entries) feeds all of its products
+into one accumulator, so no intermediate element is built or copied.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
-from .qphase import DeformationContext, ExactScalar, _c_add, _c_mul, _c_neg
+from .qphase import (DeformationContext, ExactScalar, _c_add, _c_conj, _c_mul,
+                     _c_neg, _c_scale)
 
 __all__ = ["Element", "Monomial", "normal_order"]
 
@@ -40,10 +49,10 @@ __all__ = ["Element", "Monomial", "normal_order"]
 # ascending tuple of indices in 1..D.
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
-# Bound of the normal-ordering cache.  In one pass of the benchmark's exact
-# workload (seed 1) 2048 entries answer 65.8% of its 26,335 monomial products
-# for about 0.4 MB of peak memory; 16,384 entries answer 70.6%, and when the
-# bound was chosen they were no faster and cost 5 MB.
+# Bound of the normal-ordering cache.  In one cold pass of the benchmark's
+# exact workload (seed 1) 2048 entries answer 67.3% of its 21,478 monomial
+# products; 16,384 entries answer 71.7%, and when the bound was chosen they
+# were no faster and cost 5 MB of peak memory.
 MONO_CACHE_SIZE = 2048
 
 
@@ -98,79 +107,55 @@ def _mul_into(acc: dict, ctx: DeformationContext, terms1: dict,
               terms2: dict) -> None:
     """Add the product (sum terms1) * (sum terms2) into ``acc``.
 
-    ``acc`` maps a monomial to {phase exponents: coefficient 5-tuple}; the
-    coefficients are summed raw and may cancel to zero, which ``_finish``
-    drops.  Callers have checked that both sides live over ``ctx``.
+    All three are flat term dicts (see the module docstring); the products
+    are summed raw and may cancel to zero, which ``_finish`` drops.  Callers
+    have checked that both sides live over ``ctx``.
     """
-    if not terms1 or not terms2:
-        return
     zero = ctx._zero_exps
-    right = [(m2, c2.terms.items()) for m2, c2 in terms2.items()]
-    for m1, c1 in terms1.items():
-        left = c1.terms.items()
-        left_neg = None
-        for m2, phases2 in right:
+    right = terms2.items()
+    for (m1, k1), v1 in terms1.items():
+        n1 = _c_neg(v1)
+        for (m2, k2), v2 in right:
             r = _mono_mul(ctx, m1, m2)
             if r is None:
                 continue
-            shift, sign, key = r
-            if sign < 0:
-                if left_neg is None:
-                    left_neg = [(k, _c_neg(v)) for k, v in left]
-                phases1 = left_neg
-            else:
-                phases1 = left
-            slot = acc.get(key)
-            if slot is None:
-                slot = acc[key] = {}
-            for k1, v1 in phases1:
-                if shift != zero:
-                    k1 = tuple(map(add, k1, shift))
-                for k2, v2 in phases2:
-                    k = k1 if k2 == zero else tuple(map(add, k1, k2))
-                    v = _c_mul(v1, v2)
-                    u = slot.get(k)
-                    slot[k] = v if u is None else _c_add(u, v)
+            shift, sign, mono = r
+            k = k1 if k2 == zero else k2 if k1 == zero else tuple(
+                map(add, k1, k2))
+            if shift != zero:
+                k = tuple(map(add, k, shift))
+            key = (mono, k)
+            v = _c_mul(v1 if sign > 0 else n1, v2)
+            u = acc.get(key)
+            acc[key] = v if u is None else _c_add(u, v)
 
 
 def _add_into(acc: dict, terms: dict) -> None:
-    """Add the terms of an element into ``acc`` (see ``_mul_into``)."""
-    for key, c in terms.items():
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = dict(c.terms)
-            continue
-        for k, v in c.terms.items():
-            u = slot.get(k)
-            slot[k] = v if u is None else _c_add(u, v)
+    """Add the flat terms of an element into ``acc`` (see ``_mul_into``)."""
+    for key, v in terms.items():
+        u = acc.get(key)
+        acc[key] = v if u is None else _c_add(u, v)
 
 
 def _finish(ctx: DeformationContext, acc: dict) -> "Element":
     """The element summed up in ``acc``, with every zero coefficient dropped."""
-    out = {}
-    for key, slot in acc.items():
-        phases = {k: v for k, v in slot.items() if v[0] or v[1] or v[2] or v[3]}
-        if phases:
-            s = ExactScalar.__new__(ExactScalar)
-            s.terms = phases
-            out[key] = s
     res = Element.__new__(Element)
-    res.ctx, res.terms = ctx, out
+    res.ctx = ctx
+    res.terms = {k: v for k, v in acc.items() if v[0] or v[1] or v[2] or v[3]}
     return res
 
 
 class Element:
-    """Sparse sum of canonical monomials with exact scalar coefficients."""
+    """Sparse sum of canonical monomials with exact scalar coefficients,
+    stored flat as {(monomial, phase exponents): coefficient 5-tuple}."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: DeformationContext, terms: dict | None = None):
+        """The element sum_m terms[m] m of {monomial: ExactScalar}."""
         self.ctx = ctx
-        self.terms: dict[Monomial, ExactScalar] = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
+        self.terms = {(mono, k): v for mono, s in (terms or {}).items()
+                      for k, v in s.terms.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -180,14 +165,13 @@ class Element:
 
     @classmethod
     def one(cls, ctx) -> "Element":
-        return cls.from_scalar(ctx, ctx.scalar_one())
+        return cls.monomial(ctx, ((0,) * ctx.dim, ()))
 
     @classmethod
     def from_scalar(cls, ctx, s) -> "Element":
         if isinstance(s, (int, Fraction)):
             s = ctx.scalar(s)
-        key = ((0,) * ctx.dim, ())
-        return cls(ctx, {key: s})
+        return cls(ctx, {((0,) * ctx.dim, ()): s})
 
     @classmethod
     def x(cls, ctx, a: int, power: int = 1) -> "Element":
@@ -196,16 +180,27 @@ class Element:
             raise ValueError("negative coordinate power")
         exps = [0] * ctx.dim
         exps[a - 1] = power
-        return cls(ctx, {(tuple(exps), ()): ctx.scalar_one()})
+        return cls.monomial(ctx, (tuple(exps), ()))
 
     @classmethod
     def dx(cls, ctx, a: int) -> "Element":
         ctx.check_index(a)
-        return cls(ctx, {((0,) * ctx.dim, (a,)): ctx.scalar_one()})
+        return cls.monomial(ctx, ((0,) * ctx.dim, (a,)))
 
     @classmethod
     def monomial(cls, ctx, key: Monomial, coeff=None) -> "Element":
         return cls(ctx, {key: coeff if coeff is not None else ctx.scalar_one()})
+
+    def coefficients(self) -> dict:
+        """The per-monomial view {monomial: ExactScalar}, each scalar's
+        phases in stored order; ``Element(ctx, view)`` is this element."""
+        out: dict = {}
+        for (mono, k), v in self.terms.items():
+            slot = out.get(mono)
+            if slot is None:
+                slot = out[mono] = {}
+            slot[k] = v
+        return {mono: ExactScalar(slot) for mono, slot in out.items()}
 
     # -- ring structure --------------------------------------------------------
 
@@ -220,10 +215,13 @@ class Element:
         out = dict(self.terms)
         for k, v in other.terms.items():
             u = out.get(k)
-            w = v if u is None else u + v
-            if w:
+            if u is None:
+                out[k] = v
+                continue
+            w = _c_add(u, v)
+            if w[0] or w[1] or w[2] or w[3]:
                 out[k] = w
-            elif u is not None:
+            else:
                 del out[k]
         res = Element.__new__(Element)
         res.ctx, res.terms = self.ctx, out
@@ -232,27 +230,13 @@ class Element:
     def __neg__(self) -> "Element":
         res = Element.__new__(Element)
         res.ctx = self.ctx
-        res.terms = {k: -v for k, v in self.terms.items()}
+        res.terms = {k: _c_neg(v) for k, v in self.terms.items()}
         return res
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_ctx(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            u = out.get(k)
-            if u is None:
-                out[k] = -v
-            else:
-                w = u - v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        res = Element.__new__(Element)
-        res.ctx, res.terms = self.ctx, out
-        return res
+        return self + -other
 
     def __mul__(self, other):
         if type(other) is Element:
@@ -274,18 +258,20 @@ class Element:
             if not s:
                 return Element(self.ctx)
             s = Fraction(s)
+            p, q = s.numerator, s.denominator
             res = Element.__new__(Element)
             res.ctx = self.ctx
-            res.terms = {k: v.scale(s) for k, v in self.terms.items()}
+            res.terms = {k: _c_scale(v, p, q) for k, v in self.terms.items()}
             return res
-        res = Element.__new__(Element)
-        res.ctx = self.ctx
-        res.terms = {}
-        for k, v in self.terms.items():
-            w = v * s
-            if w:
-                res.terms[k] = w
-        return res
+        zero = self.ctx._zero_exps
+        acc: dict = {}
+        for (mono, k1), v1 in self.terms.items():
+            for k2, v2 in s.terms.items():
+                key = (mono, k1 if k2 == zero else tuple(map(add, k1, k2)))
+                v = _c_mul(v1, v2)
+                u = acc.get(key)
+                acc[key] = v if u is None else _c_add(u, v)
+        return _finish(self.ctx, acc)
 
     # -- calculus -----------------------------------------------------------
 
@@ -294,16 +280,18 @@ class Element:
         ctx = self.ctx
         zero = (0,) * ctx.dim
         acc: dict = {}
-        for (exps, dxs), coeff in self.terms.items():
+        for ((exps, dxs), k), v in self.terms.items():
             for b, eb in enumerate(exps, start=1):
                 if not eb or b in dxs:
                     continue
                 # dx^b exits the x block past x^{>b}, then merges into dx^S
                 shift, sign, (_, new_dxs) = _mono_mul(
                     ctx, (zero, (b,)), (zero[:b] + exps[b:], dxs))
-                new_exps = exps[:b - 1] + (eb - 1,) + exps[b:]
-                _add_into(acc, {(new_exps, new_dxs):
-                                coeff.shifted(shift, sign).scale(eb)})
+                key = ((exps[:b - 1] + (eb - 1,) + exps[b:], new_dxs),
+                       tuple(map(add, k, shift)))
+                w = _c_scale(v, eb * sign)
+                u = acc.get(key)
+                acc[key] = w if u is None else _c_add(u, w)
         return _finish(ctx, acc)
 
     def star(self) -> "Element":
@@ -311,15 +299,16 @@ class Element:
         products star(uv) = (-1)^{|u||v|} star(v) star(u)."""
         ctx = self.ctx
         zero = (0,) * ctx.dim
-        out: dict[Monomial, ExactScalar] = {}
-        for (exps, dxs), coeff in self.terms.items():
-            k = len(dxs)
+        out: dict = {}
+        for ((exps, dxs), k), v in self.terms.items():
+            n = len(dxs)
             # normal-order dx^{S'} x^{e'}; priming maps distinct monomials
             # to distinct keys, so each term is written once
             pdxs = tuple(ctx.primed(s) for s in reversed(dxs))
-            shift, _, key = _mono_mul(ctx, (zero, pdxs), (exps[::-1], ()))
-            sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            out[key] = coeff.conj().shifted(shift, sign)
+            shift, _, mono = _mono_mul(ctx, (zero, pdxs), (exps[::-1], ()))
+            v = _c_conj(v)
+            out[(mono, tuple(map(sub, shift, k)))] = (
+                _c_neg(v) if (n * (n - 1) // 2) % 2 else v)
         res = Element.__new__(Element)
         res.ctx, res.terms = ctx, out
         return res
@@ -338,12 +327,11 @@ class Element:
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ctx,
-                     frozenset((k, v) for k, v in self.terms.items())))
+        return hash((self.ctx, frozenset(self.terms.items())))
 
     def form_degree(self) -> int:
         """Common form degree; raises on mixed-degree input."""
-        degs = {len(dxs) for (_, dxs) in self.terms}
+        degs = self.form_degrees()
         if not degs:
             return 0
         if len(degs) > 1:
@@ -351,23 +339,14 @@ class Element:
         return degs.pop()
 
     def form_degrees(self) -> set[int]:
-        return {len(dxs) for (_, dxs) in self.terms}
+        return {len(mono[1]) for mono, _ in self.terms}
 
     def x_degree(self) -> int:
-        return max((sum(e) for (e, _) in self.terms), default=0)
+        return max((sum(mono[0]) for mono, _ in self.terms), default=0)
 
     def homogeneous_part(self, form_deg: int) -> "Element":
-        return Element(self.ctx, {k: v for k, v in self.terms.items()
-                                  if len(k[1]) == form_deg})
-
-    def scalar_part(self) -> ExactScalar:
-        """Coefficient of the unit monomial."""
-        key = ((0,) * self.ctx.dim, ())
-        return self.terms.get(key, self.ctx.scalar_zero())
-
-    def constant_term_only(self) -> bool:
-        key = ((0,) * self.ctx.dim, ())
-        return set(self.terms) <= {key}
+        return _finish(self.ctx, {key: v for key, v in self.terms.items()
+                                  if len(key[0][1]) == form_deg})
 
     # -- printing -----------------------------------------------------------
 

@@ -81,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ncalg import Element
-from .qphase import DeformationContext, ExactScalar
+from .qphase import DeformationContext, ExactScalar, _term_at_roots
 
 __all__ = [
     "TorusRep", "Tangents", "Word", "sphere_sample", "plane_sample",
@@ -289,13 +289,21 @@ class TorusRep:
         """Dense U-word of a canonical monomial."""
         return self.dense(self.word(key))
 
-    def term_values(self, el: Element, point: np.ndarray):
-        """(key, coefficient times classical monomial value) per term."""
+    def _coefficients_at_roots(self, el: Element) -> dict:
+        """{monomial: its coefficient at the model's roots}, each monomial's
+        phase terms summed in stored order, as ``eval_scalar`` sums those
+        of a scalar."""
         if el.ctx != self.ctx:
             raise ValueError("element and model contexts differ")
+        out: dict = {}
+        for (mono, k), v in el.terms.items():
+            out[mono] = out.get(mono, 0j) + _term_at_roots(k, v, self.roots)
+        return out
+
+    def term_values(self, el: Element, point: np.ndarray):
+        """(key, coefficient times classical monomial value) per monomial."""
         point = np.asarray(point).tolist()
-        for key, coeff in el.terms.items():
-            z = self.eval_scalar(coeff)
+        for key, z in self._coefficients_at_roots(el).items():
             for a, e in enumerate(key[0]):
                 if e:
                     z *= point[a] ** e
@@ -351,13 +359,11 @@ class TorusRep:
         summed against the minors of each subset of tangent vectors (the
         pullback to the sphere).  Cost and memory: see the module docstring.
         """
-        if el.ctx != self.ctx:
-            raise ValueError("element and model contexts differ")
         points = np.asarray(points)
         sphere = tangents is not None
         dim = self.ctx.dim
         # a top form vanishes on the D-1 tangent vectors
-        kept = [(key, coeff) for key, coeff in el.terms.items()
+        kept = [(key, z) for key, z in self._coefficients_at_roots(el).items()
                 if not (sphere and len(key[1]) == dim)]
         if not kept:
             return 0.0
@@ -378,7 +384,7 @@ class TorusRep:
             part, group = ((len(dxs), int(w.perm[0])) if sphere
                            else (0, (int(w.perm[0]), dxs)))
             parts.setdefault(part, []).append((group, dxs, t))
-            coeffs.append(self.eval_scalar(coeff))
+            coeffs.append(coeff)
             phases.append(w.phase)
         # (point, term) -> coefficient times classical monomial value, from
         # the powers points[p, a] ** e, e <= top, by repeated products

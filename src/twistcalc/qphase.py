@@ -98,6 +98,11 @@ def _c_neg(u):
     return (-u[0], -u[1], -u[2], -u[3], u[4])
 
 
+def _c_scale(u, p, q=1):
+    """u times the rational p/q, given q > 0."""
+    return _c_reduce(u[0] * p, u[1] * p, u[2] * p, u[3] * p, u[4] * q)
+
+
 def _c_mul(u, v):
     a, b, c, d, n = u
     e, f, g, h, m = v
@@ -141,6 +146,14 @@ def _c_inv(u):
 def _c_eval(u) -> complex:
     a, b, c, d, n = u
     return complex(a / n + _RT2 * (c / n), b / n + _RT2 * (d / n))
+
+
+def _term_at_roots(k, u, roots) -> complex:
+    """Value of the term u * q^k with the phase for parameter j at roots[j]."""
+    z = 1 + 0j
+    for e, r in zip(k, roots):
+        z *= r ** e
+    return _c_eval(u) * z
 
 
 class DeformationContext:
@@ -388,9 +401,7 @@ class ExactScalar:
         if not p:
             return _ZERO
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {k: _c_reduce(v[0] * p, v[1] * p, v[2] * p, v[3] * p,
-                                  v[4] * q)
-                     for k, v in self.terms.items()}
+        res.terms = {k: _c_scale(v, p, q) for k, v in self.terms.items()}
         return res
 
     def shifted(self, shift: tuple[int, ...], sign: int = 1) -> "ExactScalar":
@@ -465,10 +476,7 @@ class ExactScalar:
         """Numeric value with the phase for parameter j set to roots[j]."""
         total = 0j
         for k, v in self.terms.items():
-            z = 1 + 0j
-            for e, r in zip(k, roots):
-                z *= r ** e
-            total += _c_eval(v) * z
+            total += _term_at_roots(k, v, roots)
         return total
 
     def __repr__(self):

@@ -63,11 +63,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg
+from operator import add, sub
 
 from .haar import haar_plane
-from .ncalg import Element, _add_into, _finish, _mono_mul, _mul_into
-from .qphase import DeformationContext, ExactScalar, _c_add, _c_mul, _c_neg
+from .ncalg import Element, _finish, _mono_mul, _mul_into
+from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, ExactScalar,
+                     _c_add, _c_mul, _c_neg, _c_scale)
 from .tensorcalc import _pairing_slots, epsilon_q, epsilon_qinv
 
 __all__ = [
@@ -122,25 +123,24 @@ def reduce_mod_c(f: Element) -> Element:
     last = ctx.dim - 1
     if not last:
         raise ValueError("the sphere quotient needs ambient dimension >= 2")
-    if not any(exps[0] and exps[last] for exps, _ in f.terms):
+    if not any(exps[0] and exps[last] for (exps, _), _ in f.terms):
         return f  # already in normal form
-    plain: dict = {}
+    acc: dict = {}
     groups: dict[int, dict] = {}
-    for key, coeff in f.terms.items():
-        exps = key[0]
+    for key, v in f.terms.items():
+        mono, k = key
+        exps = mono[0]
         p = min(exps[0], exps[last])
         if not p:
-            plain[key] = coeff
+            acc[key] = v
             continue
-        rest = ((exps[0] - p,) + exps[1:last] + (exps[last] - p,), key[1])
+        rest = ((exps[0] - p,) + exps[1:last] + (exps[last] - p,), mono[1])
         pair_key = ((p,) + (0,) * (last - 1) + (p,), ())
         # rest * (x^1 x^D)^p = phase * monomial: undo that phase
         shift, sign, prod_key = _mono_mul(ctx, rest, pair_key)
-        if prod_key != key or sign != 1:
+        if prod_key != mono or sign != 1:
             raise AssertionError("x^1 x^D does not split off the term")
-        groups.setdefault(p, {})[rest] = coeff.shifted(tuple(map(neg, shift)))
-    acc: dict = {}
-    _add_into(acc, plain)
+        groups.setdefault(p, {})[(rest, tuple(map(sub, k, shift)))] = v
     for p, pieces in groups.items():
         _mul_into(acc, ctx, pieces, _companion_replacement(ctx, p).terms)
     return _finish(ctx, acc)
@@ -174,29 +174,29 @@ def volume_form(ctx: DeformationContext) -> Element:
 
 @lru_cache(maxsize=None)
 def _dc_slices(ctx: DeformationContext) -> dict:
-    """{a: {x^{a'} dx^a: coefficient}}: the one term of dc, the degree-1
+    """{a: flat terms of x^{a'} dx^a}: the one term of dc, the degree-1
     generator of J, holding dx^a (cached, shared)."""
     out: dict[int, dict] = {}
-    for key, coeff in central_quadric(ctx).d().terms.items():
-        if key[1][0] in out:
+    for key, v in central_quadric(ctx).d().terms.items():
+        a = key[0][1][0]
+        if a in out:
             raise AssertionError("dc holds two terms with one differential")
-        out[key[1][0]] = {key: coeff}
+        out[a] = {key: v}
     return out
 
 
 @lru_cache(maxsize=None)
 def _top_slices(ctx: DeformationContext) -> dict:
-    """{j: (key, value)}: the one term x^{j'} dx^j of dc holding dx^j, and
-    its coefficient times the normalisation i^{-D//2}/2 of f_omega, as a
-    coefficient tuple (cached, shared)."""
-    norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
+    """{j: (monomial, value)}: the one term x^{j'} dx^j of dc holding dx^j,
+    and its coefficient times the normalisation i^{-D//2}/2 of f_omega
+    (cached, shared)."""
+    norm = _c_scale(ctx.i_power(-(ctx.dim // 2)).terms[ctx._zero_exps], 1, 2)
     out: dict[int, tuple] = {}
     for j, slice_ in _dc_slices(ctx).items():
-        (key, coeff), = slice_.items()
-        (phase, value), = (coeff * norm).terms.items()
+        ((mono, phase), v), = slice_.items()
         if any(phase):
             raise AssertionError("a term of dc carries a phase")
-        out[j] = (key, value)
+        out[j] = (mono, _c_mul(v, norm))
     return out
 
 
@@ -212,25 +212,17 @@ def top_decompose(om: Element) -> Element:
     full = tuple(range(1, ctx.dim + 1))
     index_sum = sum(full)
     slices = _top_slices(ctx)
-    zero = ctx._zero_exps
     acc: dict = {}
-    for mono, coeff in om.terms.items():
-        key, value = slices[index_sum - sum(mono[1])]
-        shift, sign, (exps, dxs) = _mono_mul(ctx, mono, key)
+    for (mono, k), v in om.terms.items():
+        dc_mono, value = slices[index_sum - sum(mono[1])]
+        shift, sign, (exps, dxs) = _mono_mul(ctx, mono, dc_mono)
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
-        if sign < 0:
-            value = _c_neg(value)
-        slot = acc.get(exps)
-        if slot is None:
-            slot = acc[exps] = {}
-        for k, v in coeff.terms.items():
-            if shift != zero:
-                k = tuple(map(add, k, shift))
-            v = _c_mul(v, value)
-            u = slot.get(k)
-            slot[k] = v if u is None else _c_add(u, v)
-    return _finish(ctx, {(exps, ()): slot for exps, slot in acc.items()})
+        key = ((exps, ()), tuple(map(add, k, shift)))
+        v = _c_mul(v if sign > 0 else _c_neg(v), value)
+        u = acc.get(key)
+        acc[key] = v if u is None else _c_add(u, v)
+    return _finish(ctx, acc)
 
 
 def integrate_form(om: Element) -> ExactScalar:
@@ -288,8 +280,8 @@ def _block_residues(om: Element):
     ctx = om.ctx
     slices = _dc_slices(ctx)
     by_dxs: dict = {}
-    for key, coeff in reduce_mod_c(om).terms.items():
-        by_dxs.setdefault(key[1], {})[key] = coeff
+    for key, v in reduce_mod_c(om).terms.items():
+        by_dxs.setdefault(key[0][1], {})[key] = v
     blocks: dict = {}
     for s in by_dxs:
         for a in slices.keys() - s:
@@ -346,7 +338,6 @@ def _pairing_sphere_basis(ctx: DeformationContext, u: tuple) -> dict:
     """
     dim = ctx.dim
     zero = (0,) * dim
-    one = ctx.scalar_one()
     sign = -1 if ((len(u) + 1) // 2) % 2 else 1  # the plane's (-1)^{(k+1)//2}
     acc: dict[tuple, dict] = {}
     for a in range(1, dim + 1):
@@ -354,7 +345,7 @@ def _pairing_sphere_basis(ctx: DeformationContext, u: tuple) -> dict:
             continue
         xa = tuple(int(j == dim - a) for j in range(dim))  # x^{a'}
         shift, s, (_, big) = _mono_mul(ctx, (zero, u), (xa, (a,)))
-        left = {(xa, ()): one.shifted(shift, s * sign)}
+        left = {((xa, ()), shift): _C_ONE if s == sign else _C_MINUS_ONE}
         partner = tuple(ctx.primed(w) for w in reversed(big))
         for b in partner:
             xb = tuple(int(j == dim - b) for j in range(dim))  # x^{b'}
@@ -362,8 +353,8 @@ def _pairing_sphere_basis(ctx: DeformationContext, u: tuple) -> dict:
             shift, s, _ = _mono_mul(ctx, (zero, v), (xb, (b,)))
             # the right slot's x^{b'} leaves rightward through dx^{(u+a)'}
             back = _mono_mul(ctx, (zero, partner), (xb, ()))[0]
-            right = {(xb, ()): one.shifted(
-                tuple(p - q for p, q in zip(shift, back)), s)}
+            right = {((xb, ()), tuple(map(sub, shift, back))):
+                     _C_ONE if s > 0 else _C_MINUS_ONE}
             _mul_into(acc.setdefault(v, {}), ctx, left, right)
     out = {}
     for v, slot in acc.items():
@@ -391,8 +382,9 @@ def _hodge_sphere_basis(ctx: DeformationContext, dxs: tuple) -> Element:
     for a in rest:
         tail = tuple(l for l in rest if l != a)
         dx_tail = ((0,) * dim, tuple(ctx.primed(t) for t in reversed(tail)))
-        _mul_into(acc, ctx, {dx_tail: epsilon_q(ctx, dxs + (a,) + tail)},
-                  Element.x(ctx, ctx.primed(a)).terms)
+        _mul_into(acc, ctx, Element.monomial(
+            ctx, dx_tail, epsilon_q(ctx, dxs + (a,) + tail)).terms,
+            Element.x(ctx, ctx.primed(a)).terms)
     return _finish(ctx, acc) * norm
 
 
@@ -404,8 +396,11 @@ def hodge_sphere(el: Element) -> Element:
     k = el.form_degree()
     if k > ctx.dim - 1:
         raise ValueError("sphere forms have degree at most D-1")
+    # the star is left-linear over functions: one product per dx set
+    lefts: dict = {}
+    for ((exps, dxs), k), v in el.terms.items():
+        lefts.setdefault(dxs, {})[((exps, ()), k)] = v
     acc: dict = {}
-    for (exps, dxs), coeff in el.terms.items():
-        _mul_into(acc, ctx, {(exps, ()): coeff},
-                  _hodge_sphere_basis(ctx, dxs).terms)
+    for dxs, left in lefts.items():
+        _mul_into(acc, ctx, left, _hodge_sphere_basis(ctx, dxs).terms)
     return _finish(ctx, acc)

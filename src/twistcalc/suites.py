@@ -17,12 +17,17 @@ numeric checks ``torus unitaries realise the phases``, ``c evaluates to the
 identity on sphere samples``, ``evaluation is an algebra homomorphism
 (sampled)``, ``defining relation vanishes in the model``, ``check(0) =
 true``, ``check(x1) = false``, ``perturbed representative has zero sphere
-class`` and ``volume class does not vanish``.
+class`` and ``volume class does not vanish``.  Those that measure a number
+(the deviations of the qphase evaluations and the oracle's sups) go through
+r.measure: a failing record's "got" is the repr of the measured float and
+its "expected" the bound it missed, such as "< 1e-12".  The others record
+"expected" True and "got" False.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 import zlib
@@ -73,6 +78,10 @@ class SuiteReport:
         return out
 
 
+# the comparisons of r.measure
+_BOUNDS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
 @dataclass
 class _Runner:
     report: SuiteReport
@@ -85,6 +94,12 @@ class _Runner:
                 "expected": str(expected),
                 "got": str(got),
             })
+
+    def measure(self, expression: str, value: float, op: str, bound: float):
+        """A one-off numeric case that passes when ``value op bound``; a
+        failing record carries the value and the bound."""
+        self.case(expression, _BOUNDS[op](value, bound),
+                  expected=f"{op} {bound!r}", got=repr(value))
 
     def check(self, family):
         """One case per run of catalogue identities sharing a group: it
@@ -161,10 +176,10 @@ def _suite_qphase(r: _Runner, dim: int, rng: random.Random, moduli, n):
              for _ in range(20)]
     r.check(ids.phase_examples(ctx, [s for s, _ in draws]))
     for j, (s, th) in enumerate(draws):
-        r.case(f"eval(conj s) = conj(eval s) #{j}",
-               abs(s.conj().eval(th) - s.eval(th).conjugate()) < 1e-12)
-    r.case("eval(q, pi) = -1",
-           abs(ctx.q_power(1, 2).eval([math.pi]) + 1.0) < 1e-12)
+        r.measure(f"eval(conj s) = conj(eval s) #{j}",
+                  abs(s.conj().eval(th) - s.eval(th).conjugate()), "<", 1e-12)
+    r.measure("eval(q, pi) = -1",
+              abs(ctx.q_power(1, 2).eval([math.pi]) + 1.0), "<", 1e-12)
 
 
 def _suite_ncalg(r: _Runner, dim: int, rng: random.Random, moduli, n):
@@ -298,8 +313,8 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli, n):
     prng = random.Random(seed + 1)
     pt = oracle.sphere_sample(ctx, prng, 1)
     cc = sphere.central_quadric(ctx)
-    r.case("c evaluates to the identity on sphere samples",
-           model.form_sup(cc - Element.one(ctx), pt) <= 1e-12)
+    r.measure("c evaluates to the identity on sphere samples",
+              model.form_sup(cc - Element.one(ctx), pt), "<=", 1e-12)
     draws = [(random_element(ctx, prng, 2, 1, 2),
               random_element(ctx, prng, 2, 1, 2),
               oracle.plane_sample(ctx, prng, 1)[0]) for _ in range(20)]
@@ -308,17 +323,18 @@ def _suite_oracle(r: _Runner, dim: int, rng: random.Random, moduli, n):
     x1, x2 = Element.x(ctx, 1), Element.x(ctx, 2)
     rel = x1 * x2 - (x2 * x1) * ctx.q_power(1, 2)
     tol = oracle.DEFAULT_TOL
-    r.case("defining relation vanishes in the model",
-           checker.element_sup(rel) < tol)
-    r.case("check(0) = true", checker.element_sup(Element.zero(ctx)) < tol)
-    r.case("check(x1) = false",
-           not checker.element_sup(Element.x(ctx, 1)) < tol)
+    r.measure("defining relation vanishes in the model",
+              checker.element_sup(rel), "<", tol)
+    r.measure("check(0) = true", checker.element_sup(Element.zero(ctx)),
+              "<", tol)
+    r.measure("check(x1) = false", checker.element_sup(Element.x(ctx, 1)),
+              ">=", tol)
     memb = (cc - Element.one(ctx)) * random_element(ctx, prng, 2, 2, 2) \
         + cc.d() * random_element(ctx, prng, 2, 1, 2)
-    r.case("perturbed representative has zero sphere class",
-           checker.sphere_sup(memb) < tol)
-    r.case("volume class does not vanish",
-           not checker.sphere_sup(sphere.volume_form(ctx)) < tol)
+    r.measure("perturbed representative has zero sphere class",
+              checker.sphere_sup(memb), "<", tol)
+    r.measure("volume class does not vanish",
+              checker.sphere_sup(sphere.volume_form(ctx)), ">=", tol)
 
 
 _SUITES = {

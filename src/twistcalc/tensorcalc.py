@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import add
+from operator import add, sub
 
 from .ncalg import Element, _finish, _mono_mul, _mul_into
-from .qphase import DeformationContext, ExactScalar, _C_MINUS_ONE, _C_ONE
+from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, ExactScalar,
+                     _c_mul)
 
 __all__ = [
     "lambda_entry", "apply_lambda", "braid_word", "epsilon_q", "epsilon_qinv",
@@ -234,8 +235,8 @@ def _pairing_slots(alpha: Element, beta: Element):
     Checks that the forms share a context and, unless one is zero, a form
     degree k.  Returns (k, lefts, rights): lefts[u] holds alpha's functions
     of dx^u, which stay on the left, and rights[v] beta's functions of dx^v
-    moved right through dx^v (the phase of dx^v x^e undone), each as
-    {(e, ()): coefficient}.  Both are empty when a form is zero.
+    moved right through dx^v (the phase of dx^v x^e undone), each as flat
+    terms of x^e.  Both are empty when a form is zero.
     """
     ctx = alpha.ctx
     if ctx is not beta.ctx:
@@ -247,13 +248,12 @@ def _pairing_slots(alpha: Element, beta: Element):
         raise ValueError("pairing needs equal form degrees")
     zero = (0,) * ctx.dim
     lefts: dict[tuple, dict] = {}
-    for (e1, u), c1 in alpha.terms.items():
-        lefts.setdefault(u, {})[(e1, ())] = c1
+    for ((e1, u), k1), c1 in alpha.terms.items():
+        lefts.setdefault(u, {})[((e1, ()), k1)] = c1
     rights: dict[tuple, dict] = {}
-    for (e2, v), c2 in beta.terms.items():
+    for ((e2, v), k2), c2 in beta.terms.items():
         shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
-        rights.setdefault(v, {})[(e2, ())] = c2.shifted(
-            tuple(-x for x in shift))
+        rights.setdefault(v, {})[((e2, ()), tuple(map(sub, k2, shift)))] = c2
     return k, lefts, rights
 
 
@@ -269,12 +269,13 @@ def hodge_plane(alpha: Element) -> Element:
     # C_{D,k} = (-i)^{D//2} (-1)^{(D-k)//2}; the 1/(D-k)! of the contraction
     # cancels against the (D-k)! equal terms of _hodge_basis
     const = ctx.i_power(-(dim // 2)).scale(_half_sign(dim - k))
-    terms = {}
-    for (e, u), c in alpha.terms.items():
+    out = {}
+    for ((e, u), k1), c in alpha.terms.items():
         # x^e dx^{dxs} is already in normal order; distinct u give distinct dxs
         dxs, phase = _hodge_basis(ctx, u)
-        terms[(e, dxs)] = c * (phase * const)
-    return Element(ctx, terms)
+        (k2, c2), = (phase * const).terms.items()
+        out[((e, dxs), tuple(map(add, k1, k2)))] = _c_mul(c, c2)
+    return _finish(ctx, out)
 
 
 def _hodge_basis(ctx, u: tuple):

@@ -74,7 +74,7 @@ class DenseRep:
 
     def eval_element(self, el, point) -> dict:
         out = {}
-        for key, coeff in el.terms.items():
+        for key, coeff in el.coefficients().items():
             exps, dxs = key
             z = self.model.eval_scalar(coeff)
             for a, e in enumerate(exps):
@@ -214,7 +214,7 @@ def form_sup(model, el, points, tangents=None) -> float:
     points = np.asarray(points)
     classes: dict = {}
     exps, coeffs = [], []
-    for key, coeff in el.terms.items():
+    for key, coeff in el.coefficients().items():
         dxs = key[1]
         if tangents is not None and len(dxs) == model.ctx.dim:
             continue

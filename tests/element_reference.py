@@ -12,8 +12,12 @@ The sphere pairing forms alpha ^ dc and beta ^ dc and pairs them on the
 plane.
 ``d``, ``star``, ``partial_derivative`` and ``dx_sort`` count their exchange
 phases with their own loops over the pair table, as the engine did before
-every phase came from its normal-ordering kernel.
-The tests compare the engine against these functions.
+every phase came from its normal-ordering kernel.  ``neg``, ``sub``,
+``scale`` and ``homogeneous_part`` are the per-monomial loops the engine ran
+before an element stored its terms flat, one ``ExactScalar`` per monomial.
+Every function reads an element through its per-monomial view
+``Element.coefficients``.  The tests compare the engine against these
+functions.
 """
 
 from fractions import Fraction
@@ -94,7 +98,7 @@ def d(el: Element) -> Element:
     ctx = el.ctx
     table = ctx._pair_table
     out = {}
-    for (exps, dxs), coeff in el.terms.items():
+    for (exps, dxs), coeff in el.coefficients().items():
         for b in range(1, ctx.dim + 1):
             eb = exps[b - 1]
             if not eb or b in dxs:
@@ -134,7 +138,7 @@ def star(el: Element) -> Element:
     ctx = el.ctx
     table = ctx._pair_table
     out = {}
-    for (exps, dxs), coeff in el.terms.items():
+    for (exps, dxs), coeff in el.coefficients().items():
         k = len(dxs)
         pexps = tuple(exps[ctx.dim - a] for a in range(1, ctx.dim + 1))
         pdxs = tuple(sorted(ctx.dim + 1 - s for s in dxs))
@@ -161,7 +165,7 @@ def partial_derivative(ctx, s: int, f: Element) -> Element:
     """Twisted derivative along x^s: q_{as} for each x^a with a < s."""
     table = ctx._pair_table
     out = {}
-    for (exps, dxs), coeff in f.terms.items():
+    for (exps, dxs), coeff in f.coefficients().items():
         es = exps[s - 1]
         if not es:
             continue
@@ -185,13 +189,47 @@ def partial_derivative(ctx, s: int, f: Element) -> Element:
     return Element(ctx, out)
 
 
+def neg(el: Element) -> Element:
+    return Element(el.ctx, {m: -c for m, c in el.coefficients().items()})
+
+
+def sub(a: Element, b: Element) -> Element:
+    out = a.coefficients()
+    for m, c in b.coefficients().items():
+        u = out.get(m)
+        if u is None:
+            out[m] = -c
+        else:
+            w = u - c
+            if w:
+                out[m] = w
+            else:
+                del out[m]
+    return Element(a.ctx, out)
+
+
+def scale(el: Element, s) -> Element:
+    """el times a rational or an ExactScalar, monomial by monomial."""
+    out = {}
+    for m, c in el.coefficients().items():
+        w = c.scale(s) if isinstance(s, (int, Fraction)) else c * s
+        if w:
+            out[m] = w
+    return Element(el.ctx, out)
+
+
+def homogeneous_part(el: Element, form_deg: int) -> Element:
+    return Element(el.ctx, {m: c for m, c in el.coefficients().items()
+                            if len(m[1]) == form_deg})
+
+
 def element_mul(a: Element, b: Element) -> Element:
     if a.ctx != b.ctx:
         raise ValueError("elements live over different contexts")
     ctx = a.ctx
     out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in a.coefficients().items():
+        for m2, c2 in b.coefficients().items():
             r = mono_mul(ctx, m1, m2)
             if r is None:
                 continue
@@ -203,9 +241,7 @@ def element_mul(a: Element, b: Element) -> Element:
                 out[key] = w
             elif u is not None:
                 del out[key]
-    res = Element.__new__(Element)
-    res.ctx, res.terms = ctx, out
-    return res
+    return Element(ctx, out)
 
 
 def _pairing_basis(ctx, u: tuple, v: tuple):
@@ -225,9 +261,9 @@ def pairing_plane(alpha: Element, beta: Element) -> Element:
         return Element.zero(ctx)
     table = ctx._pair_table
     out = Element.zero(ctx)
-    for (e1, u), c1 in alpha.terms.items():
+    for (e1, u), c1 in alpha.coefficients().items():
         left = Element(ctx, {(e1, ()): c1})
-        for (e2, v), c2 in beta.terms.items():
+        for (e2, v), c2 in beta.coefficients().items():
             w = _pairing_basis(ctx, u, v)
             if not w:
                 continue
@@ -267,7 +303,7 @@ def hodge_plane(alpha: Element) -> Element:
     const = ctx.i_power(-(dim // 2)).scale(
         Fraction(half_sign, factorial(dim - k)))
     out = Element.zero(ctx)
-    for (e, u), c in alpha.terms.items():
+    for (e, u), c in alpha.coefficients().items():
         star_u = _hodge_basis(ctx, u).scale(const)
         out = out + element_mul(Element(ctx, {(e, ()): c}), star_u)
     return out
@@ -308,7 +344,7 @@ def _hodge_sphere_basis(ctx, dxs: tuple) -> Element:
 def hodge_sphere(el: Element) -> Element:
     ctx = el.ctx
     out = Element.zero(ctx)
-    for (exps, dxs), coeff in el.terms.items():
+    for (exps, dxs), coeff in el.coefficients().items():
         out = out + element_mul(Element(ctx, {(exps, ()): coeff}),
                                 _hodge_sphere_basis(ctx, dxs))
     return out

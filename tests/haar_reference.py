@@ -16,10 +16,10 @@ def haar_by_laplacian(ctx, f):
     """h(f) = sum over n of lambda_n * Laplacian^n(degree-2n part of f)."""
     if f.ctx != ctx:
         raise ValueError("element belongs to a different context")
-    if any(dxs for (_, dxs) in f.terms):
+    if any(dxs for (_, dxs) in f.coefficients()):
         raise ValueError("the Haar functional is defined on functions only")
     by_degree = {}
-    for key, coeff in f.terms.items():
+    for key, coeff in f.coefficients().items():
         by_degree.setdefault(sum(key[0]), {})[key] = coeff
     total = ctx.scalar_zero()
     for deg, terms in by_degree.items():
@@ -29,5 +29,6 @@ def haar_by_laplacian(ctx, f):
         part = Element(ctx, terms)
         for _ in range(n):
             part = laplacian(part)
-        total = total + part.scalar_part().scale(lambda_coefficient(ctx.dim, n))
+        left = part.coefficients().get(((0,) * ctx.dim, ()), ctx.scalar_zero())
+        total = total + left.scale(lambda_coefficient(ctx.dim, n))
     return total

@@ -41,7 +41,7 @@ def top_decompose_full_product(om: Element) -> Element:
     full = tuple(range(1, ctx.dim + 1))
     norm = ctx.i_power(-(ctx.dim // 2)).scale(Fraction(1, 2))
     out = {}
-    for (exps, dxs), coeff in top.terms.items():
+    for (exps, dxs), coeff in top.coefficients().items():
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
         out[(exps, ())] = coeff * norm
@@ -70,7 +70,7 @@ def reduce_mod_c_by_term(f: Element) -> Element:
     done: dict = {}
     while pending.terms:
         acc: dict = {}
-        for (exps, dxs), coeff in pending.terms.items():
+        for (exps, dxs), coeff in pending.coefficients().items():
             if exps[0] and exps[last]:
                 stripped = list(exps)
                 stripped[0] -= 1
@@ -80,9 +80,9 @@ def reduce_mod_c_by_term(f: Element) -> Element:
                 if prod_key != (exps, dxs) or sign != 1:
                     raise AssertionError("x^1 x^D does not split off the term")
                 piece = {key: coeff.shifted(tuple(-s for s in shift))}
-                _mul_into(acc, ctx, piece, repl.terms)
+                _mul_into(acc, ctx, Element(ctx, piece).terms, repl.terms)
             else:
-                _add_into(done, {(exps, dxs): coeff})
+                _add_into(done, Element(ctx, {(exps, dxs): coeff}).terms)
         pending = _finish(ctx, acc)
     return _finish(ctx, done)
 
@@ -220,7 +220,7 @@ def _middle_degree_membership(part: Element, k: int) -> bool:
     cm1 = central_quadric(ctx) - Element.one(ctx)
     dc = central_quadric(ctx).d()
     targets: dict[tuple, dict] = {}
-    for key, cf in part.terms.items():
+    for key, cf in part.coefficients().items():
         targets.setdefault(_signature(ctx, key), {})[key] = cf
     # Each term of c and of dc raises n_a and n_{a'} together (x^a x^{a'},
     # dx^a x^{a'}, x^a dx^{a'}), so (c-1)*m and dc*m keep every entry
@@ -234,13 +234,13 @@ def _middle_degree_membership(part: Element, k: int) -> bool:
                 continue
             g = cm1 * Element.monomial(ctx, key)
             if g:
-                gens.append(g.terms)
+                gens.append(g.coefficients())
         for key in _monomials(ctx, dmax + 1, k - 1) if k else ():
             if _signature(ctx, key) != sig:
                 continue
             g = dc * Element.monomial(ctx, key)
             if g:
-                gens.append(g.terms)
+                gens.append(g.coefficients())
         if not _in_scalar_span(tgt, gens):
             return False
     return True

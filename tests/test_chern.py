@@ -120,7 +120,7 @@ def test_projector_trace_rank_at_north_pole():
     assert tr == Element.one(ctx)  # 2^{n-1} for n = 1
     north = {1: 0.0, 2: 1.0, 3: 0.0}
     val = 0.0
-    for (exps, _), coeff in tr.terms.items():
+    for (exps, _), coeff in tr.coefficients().items():
         term = coeff.eval([0.0] * ctx.nparams).real
         for a, p in enumerate(exps, start=1):
             term *= north[a] ** p
@@ -207,7 +207,7 @@ def test_classical_monopole_curvature_against_chart_computation():
         for i in range(2):
             for j in range(2):
                 got = 0j
-                for (exps, dxs), coeff in f_engine[i, j].terms.items():
+                for (exps, dxs), coeff in f_engine[i, j].coefficients().items():
                     z = coeff.eval(()).real + 1j * coeff.eval(()).imag
                     for a, p in enumerate(exps, start=1):
                         z *= pt[a] ** p

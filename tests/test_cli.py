@@ -17,7 +17,7 @@ import pytest
 
 import twistcalc
 from twistcalc import (DeformationContext, Element, chern, cli, identities,
-                       qphase, suites)
+                       oracle, qphase, suites)
 from twistcalc.cli import main
 from twistcalc.exprio import parse_expr
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
@@ -435,3 +435,58 @@ def test_reports_deterministic_for_fixed_seed():
     c = _without_wall_times(run_suite("oracle", dim=4, seed=7).to_dict())
     d = _without_wall_times(run_suite("oracle", dim=4, seed=7).to_dict())
     assert c == d
+
+
+def test_failing_numeric_case_records_its_measurement(monkeypatch):
+    """A one-off numeric case that fails reports the sup it measured and
+    the bound it missed: here every plane sup of the oracle suite reads
+    0.25, so the two cases that want a zero sup fail."""
+    monkeypatch.setattr(oracle.BatchChecker, "element_sup",
+                        lambda self, el: 0.25)
+    report = run_suite("oracle", dim=4, seed=42)
+    failed = {f["expression"]: f for f in report.failures}
+    assert set(failed) == {"defining relation vanishes in the model",
+                           "check(0) = true"}
+    for record in failed.values():
+        assert float(record["got"]) == 0.25
+        assert record["expected"] == f"< {oracle.DEFAULT_TOL!r}"
+
+
+# README's command-line examples in their JSON form (hodge and integrate
+# always print JSON), with the output they gave before the flat term store
+_README_GOLDEN = (
+    (["haar", "--dim", "5", "--expr", "x3^2", "--json"],
+     '{"exact": "1/5", "numeric": {"re": 0.2, "im": 0.0}}'),
+    (["integrate", "--sphere", "2", "--expr", "i*x3*dx1*dx2"],
+     '{"exact": "1/3", "numeric": {"re": 0.3333333333333333, "im": 0.0},'
+     ' "degree": 0}'),
+    (["hodge", "--sphere", "4", "--expr", "dx1*dx2"],
+     '{"exact": "x3*dx1*dx2 - q(1,2)^1*x2*dx1*dx3 + x1*dx2*dx3",'
+     ' "numeric": null, "degree": 2}'),
+    (["charge", "--n", "2", "--numeric-check", "--json"],
+     '{"n": 2, "exact": "1", "is_one": true,'
+     ' "numeric": {"re": 1.0, "im": 0.0}}'),
+    (["oracle", "--dim", "5", "--moduli", "5,7", "--seed", "42", "--expr",
+      "x1*x2 - q(1,2)^1*x2*x1", "--json"],
+     '{"max_abs": 0.0, "zero": true, "seed": 42, "points": 20,'
+     ' "mode": "plane"}'),
+)
+
+
+def _same_output(got, want) -> bool:
+    """Equal JSON values with keys in the same order, floats to 12
+    significant digits and everything else exactly."""
+    if isinstance(want, float):
+        return isinstance(got, float) and f"{got:.12g}" == f"{want:.12g}"
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and list(got) == list(want)
+                and all(_same_output(got[k], v) for k, v in want.items()))
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("argv, want", _README_GOLDEN,
+                         ids=[argv[0] for argv, _ in _README_GOLDEN])
+def test_readme_examples_keep_their_output(argv, want, capsys):
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    assert _same_output(json.loads(got), json.loads(want)), got

@@ -1,4 +1,5 @@
-"""The fused Element product kernel against the term-by-term reference."""
+"""The flat term store and its product kernel against the per-monomial
+reference loops of ``element_reference``."""
 
 import ast
 import math
@@ -22,13 +23,21 @@ from twistcalc.tensorcalc import epsilon_q, epsilon_qinv, hodge_plane, pairing_p
 
 
 def _assert_canonical(el: Element):
-    """No zero scalar and no zero coefficient is stored; coefficients are
-    canonical 5-tuples."""
-    for coeff in el.terms.values():
-        assert coeff.terms, el
-        for u in coeff.terms.values():
-            assert any(u[:4]), el
-            assert u[4] > 0 and math.gcd(*u) == 1, el
+    """Every stored term is a (monomial, phase exponents) key of the
+    context's shape with a nonzero canonical coefficient 5-tuple."""
+    ctx = el.ctx
+    for ((exps, dxs), phase), u in el.terms.items():
+        assert len(exps) == ctx.dim and len(phase) == ctx.nparams, el
+        assert list(dxs) == sorted(set(dxs)), el
+        assert any(u[:4]), el
+        assert u[4] > 0 and math.gcd(*u) == 1, el
+
+
+@st.composite
+def _context(draw, low=2):
+    """A context of dimension low..9, deformed or commutative."""
+    return DeformationContext(draw(st.integers(low, 9)),
+                              commutative=draw(st.booleans()))
 
 
 @st.composite
@@ -104,9 +113,68 @@ def test_cancelling_term_pairs_leave_no_zero_coefficient(d, data):
     b = Element(ctx, {n: cb, m: lam})
     got = a * b
     assert got == ref.element_mul(a, b)
-    assert key not in got.terms
+    assert key not in got.coefficients()
     _assert_canonical(got)
     assert (a * b - ref.element_mul(a, b)).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_store_round_trips_and_associates(data):
+    """The per-monomial view rebuilds the element, hash included, and both
+    association orders of a triple product store the same terms."""
+    ctx = data.draw(_context())
+    a, b, c = (data.draw(_element(ctx, 3)) for _ in range(3))
+    for el in (a, b, a * b):
+        _assert_canonical(el)
+        again = Element(ctx, el.coefficients())
+        assert again == el and hash(again) == hash(el)
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    _assert_canonical(left)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_operations_match_per_monomial_loops(data):
+    ctx = data.draw(_context())
+    a, b = data.draw(_element(ctx)), data.draw(_element(ctx))
+    s = data.draw(_coeff(ctx))
+    r = data.draw(st.fractions(-3, 3, max_denominator=4))
+    k = data.draw(st.integers(0, min(3, ctx.dim)))
+    for got, want in ((-a, ref.neg(a)), (a - b, ref.sub(a, b)),
+                      (a - a, Element.zero(ctx)),
+                      (a.scale(r), ref.scale(a, r)),
+                      (a.scale(s), ref.scale(a, s)), (s * a, ref.scale(a, s)),
+                      (a.d(), ref.d(a)), (a.star(), ref.star(a)),
+                      (a.homogeneous_part(k), ref.homogeneous_part(a, k))):
+        assert got == want
+        _assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_two_phase_coefficients_survive_products_and_cancel(data):
+    """(1 + q12) m1 times (1 - q12) m2 holds 1 - q12^2: its two q12 terms
+    cancel inside the kernel and two phases survive; and a two-phase
+    coefficient cancels exactly against its phases taken one at a time."""
+    ctx = data.draw(_context(4))
+    one, q = ctx.scalar_one(), ctx.q_power(1, 2)
+    m1, m2 = data.draw(_monomial(ctx)), data.draw(_monomial(ctx))
+    plus, minus = Element(ctx, {m1: one + q}), Element(ctx, {m2: one - q})
+    got = plus * minus
+    assert got == ref.element_mul(plus, minus)
+    _assert_canonical(got)
+    if got:
+        (coeff,) = got.coefficients().values()
+        assert len(coeff.terms) == 2
+    f = data.draw(_element(ctx))
+    prod = plus * f
+    assert prod == ref.element_mul(plus, f)
+    _assert_canonical(prod)
+    apart = Element(ctx, {m1: one}) * f + Element(ctx, {m1: q}) * f
+    assert (prod - apart).is_zero() and prod == apart
+    assert plus - Element(ctx, {m1: q}) == Element(ctx, {m1: one})
 
 
 @settings(max_examples=40, deadline=None)

@@ -198,7 +198,7 @@ def test_wedge_basis_has_classical_dimensions():
                 el = Element.one(ctx)
                 for a in idx:
                     el = el * Element.dx(ctx, a)
-                keys |= {key[1] for key in el.terms}
+                keys |= {mono[1] for mono in el.coefficients()}
             assert len(keys) == math.comb(d, k)
             total += len(keys)
         assert total == 2 ** d

@@ -406,7 +406,7 @@ def test_block_sups_match_single_point_sups():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * (2 * len(el.terms) * models[1].size
+    assert peak < 16 * (2 * len(el.coefficients()) * models[1].size
                         + 4 * _BLOCK_ENTRIES)
 
 

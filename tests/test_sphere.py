@@ -52,7 +52,7 @@ def test_reduce_mod_c_idempotent_and_sound():
                 assert reduce_mod_c(r) == r
                 assert reduce_mod_c(rel * f).is_zero()
                 # normal form never contains the eliminated companion product
-                for (exps, _) in r.terms:
+                for (exps, _) in r.coefficients():
                     assert not (exps[0] and exps[d - 1])
 
 
@@ -191,7 +191,7 @@ def test_top_decompose_matches_full_product():
             om = Element.zero(ctx)
             for _ in range(rng.randint(1, 3)):
                 om = om + random_element(ctx, rng, 2, d - 1, rng.randint(1, 4))
-            missing = [sum(range(1, d + 1)) - sum(dxs) for _, dxs in om.terms]
+            missing = [sum(range(1, d + 1)) - sum(dxs) for _, dxs in om.coefficients()]
             multi |= len(missing) > len(set(missing))
             beta = random_element(ctx, rng, 1, d - 2, 2) + Element.monomial(
                 ctx, ((1,) + (0,) * (d - 1), tuple(range(2, d))))
@@ -327,7 +327,7 @@ def test_ideal_generators_stay_in_their_signature_block():
                 m = Element.monomial(ctx, key)
                 sig = _signature(ctx, key)
                 for gen in (cm1 * m, dc * m):
-                    for term in gen.terms:
+                    for term in gen.coefficients():
                         assert _signature(ctx, term) == sig, (dim, key, term)
 
 
@@ -351,7 +351,7 @@ def test_membership_solver_against_numeric_rank():
         # zero right-hand side and residual, and only el's blocks are solved
         k = el.form_degree()
         dmax = el.x_degree()
-        blocks = {_signature(ctx, m): [] for m in el.terms}
+        blocks = {_signature(ctx, m): [] for m in el.coefficients()}
         for gen, keys in ((cc - one, _monomials(ctx, dmax, k)),
                           (dc, _monomials(ctx, dmax + 1, k - 1))):
             for key in keys:
@@ -362,16 +362,16 @@ def test_membership_solver_against_numeric_rank():
                         gens.append(g)
         squares = 0.0
         for sig, gens in blocks.items():
-            target = {m: cf for m, cf in el.terms.items()
+            target = {m: cf for m, cf in el.coefficients().items()
                       if _signature(ctx, m) == sig}
             monos = {}
             for g in gens + [Element(ctx, target)]:
-                for m in g.terms:
+                for m in g.coefficients():
                     monos.setdefault(m, len(monos))
             a = np.zeros((len(monos), len(gens)), dtype=complex)
             b = np.zeros(len(monos), dtype=complex)
             for j, g in enumerate(gens):
-                for m, cf in g.terms.items():
+                for m, cf in g.coefficients().items():
                     a[monos[m], j] = cf.eval(theta)
             for m, cf in target.items():
                 b[monos[m]] = cf.eval(theta)
