@@ -52,7 +52,7 @@ columns of gamma^b, +-4^{n-1} x^b.  ``_expansion_trace`` checks the
 commutation and fact 1 factor by factor and raises if either fails (2 and 3
 only say which products survive), in O(n^3) scalar products.
 ``charge_from_curvature`` keeps the full matrix products of e, de and F as
-the independent second computation.
+the independent second computation (the last one traced, not formed).
 """
 
 from __future__ import annotations
@@ -147,6 +147,19 @@ class Matrix:
             if r in row:
                 _add_into(acc, row[r].terms)
         return _finish(self.zero.ctx, acc)
+
+    def trace_mul(self, other) -> Element:
+        """Tr(self * other): the sum of self[r, k] other[k, r] in one
+        accumulator, with no entry of the product formed."""
+        ctx = self.zero.ctx
+        if other.zero.ctx is not ctx:
+            raise ValueError("elements live over different contexts")
+        acc: dict = {}
+        for r, row in self.rows.items():
+            for k, x in row.items():
+                if (y := other.rows.get(k, {}).get(r)) is not None:
+                    _mul_into(acc, ctx, x.terms, y.terms)
+        return _finish(ctx, acc)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.size == other.size
@@ -428,5 +441,6 @@ def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> Exac
     """Same pairing computed as (normalisation/n!) * int Tr(F^n)."""
     rep, e = instanton_projector(n, ctx)
     ctx = rep.ctx
-    m = reduce(mul, [curvature(e)] * n)
-    return integrate_form(m.trace()) * _pairing_norm(ctx)
+    f = curvature(e)
+    trace = f.trace() if n == 1 else reduce(mul, [f] * (n - 1)).trace_mul(f)
+    return integrate_form(trace) * _pairing_norm(ctx)

@@ -180,17 +180,11 @@ def _cmd_haar(args) -> int:
 def _cmd_hodge(args) -> int:
     ctx = DeformationContext(args.sphere + 1)
     result = sphere.hodge_sphere(parse_expr(ctx, args.expr))
-    degree = result.form_degree() if result else 0
-    coeffs = result.coefficients()
-    numeric = None
-    if not coeffs:
-        numeric = 0j
-    elif coeffs.keys() == {((0,) * ctx.dim, ())}:
-        (scalar,) = coeffs.values()
-        numeric = scalar.eval(_angles(ctx, args.theta))
+    # every term of a sphere star carries some x^{a'}, so only a zero
+    # result is a number
     print(json.dumps({"exact": format_element(result),
-                      "numeric": _complex_json(numeric),
-                      "degree": degree}))
+                      "numeric": None if result else _complex_json(0j),
+                      "degree": result.form_degree() if result else 0}))
     return 0
 
 

@@ -785,16 +785,14 @@ def charge_laws(n: int):
     piece Stokes discards, integral Tr[(de)^2n], is 0."""
     rep, e = instanton_projector(n)
     ctx, de = rep.ctx, e.map(lambda f: f.d())
-    acc = de * de
-    for _ in range(n - 1):
-        acc = acc * de * de
+    head = reduce(mul, [de] * (2 * n - 1))  # (de)^2n = head * de
     yield from _singles("scalar", ctx, [
         (f"n={n}: integral Tr[e(de)^{2 * n}] = (2n)! i^n / 2^(n+1)",
          charge_integral(n),
          ctx.i_power(n).scale(Fraction(factorial(2 * n), 2 ** (n + 1)))),
         (f"n={n}: charge = 1", charge(n), ctx.scalar_one()),
-        (f"n={n}: integral Tr[(de)^{2 * n}]", integrate_form(acc.trace()),
-         ctx.scalar_zero())])
+        (f"n={n}: integral Tr[(de)^{2 * n}]",
+         integrate_form(head.trace_mul(de)), ctx.scalar_zero())])
 
 
 def character_laws(ctx, tuples, fs):

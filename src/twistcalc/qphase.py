@@ -73,6 +73,7 @@ MAX_DIM = 129
 # coefficients in Q(i, sqrt2): see the module docstring for the 5-tuple form
 _C_ONE = (1, 0, 0, 0, 1)
 _C_MINUS_ONE = (-1, 0, 0, 0, 1)
+_C_TWO = (2, 0, 0, 0, 1)
 
 
 def _c_reduce(a, b, c, d, n):

@@ -20,6 +20,8 @@ cocycle lemma (``qphase`` docstring) left multiplication by each is the
 classical map up to the diagonal phase rescaling m -> q^(-Q(m)) m of the
 monomial basis, and J of the twisted algebra is the image of the classical
 J under that rescaling.
+The terms of c, dc and repl are 1, x^a x^{a'} and x^{a'} dx^a, all with
+Q = 0 (q_{aa'} = 1): they carry no phase and are written out, not multiplied.
 
 (c-1)*Omega is the direct sum over dx sets T of (c-1)*A*dx^T, so
 ``reduce_mod_c`` decides the right-hand side dx monomial by dx monomial, in
@@ -61,14 +63,13 @@ single term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
 from .haar import haar_plane
 from .ncalg import Element, _finish, _mono_mul, _mul_into
-from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, ExactScalar,
-                     _c_add, _c_mul, _c_neg, _c_scale)
+from .qphase import (_C_MINUS_ONE, _C_ONE, _C_TWO, DeformationContext,
+                     ExactScalar, _c_add, _c_mul, _c_neg, _c_scale)
 from .tensorcalc import _pairing_slots, epsilon_q, epsilon_qinv
 
 __all__ = [
@@ -80,15 +81,16 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def central_quadric(ctx: DeformationContext) -> Element:
-    """c = sum_a x^a x^{a'}; central in the whole differential algebra.
-
-    Cached per context: the result is shared between callers and must not
-    be mutated.
+    """c = sum_a x^a x^{a'}, written out as 2 x^a x^{a'} for a < a' and
+    (x^m)^2 for the middle index m of odd D; central in the whole
+    differential algebra.  Cached per context: the result is shared between
+    callers and must not be mutated.
     """
-    out = Element.zero(ctx)
-    for a in range(1, ctx.dim + 1):
-        out = out + Element.x(ctx, a) * Element.x(ctx, ctx.primed(a))
-    return out
+    dim = ctx.dim
+    return _finish(ctx, {
+        ((tuple((j == a - 1) + (j == dim - a) for j in range(dim)), ()),
+         ctx._zero_exps): _C_ONE if 2 * a > dim else _C_TWO
+        for a in range(1, (dim + 1) // 2 + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +98,14 @@ def _companion_replacement(ctx: DeformationContext, p: int) -> Element:
     """repl^p, where repl = x^1 x^D - (c-1)/2 is the degree-0 element equal
     to x^1 x^D modulo (c-1) (cached per context and p, shared).
 
-    c holds x^1 x^D twice (as x^1 x^D and x^D x^1, which commute), so repl
-    holds neither x^1 nor x^D.
+    c holds x^1 x^D as its term 2 x^1 x^D, so repl is -1/2 times c's other
+    terms, plus 1/2, and holds neither x^1 nor x^D.
     """
     if p == 1:
-        half = (central_quadric(ctx) - Element.one(ctx)).scale(Fraction(1, 2))
-        return Element.x(ctx, 1) * Element.x(ctx, ctx.dim) - half
+        terms = {(mono, k): _c_scale(v, -1, 2) for (mono, k), v in
+                 central_quadric(ctx).terms.items() if not mono[0][0]}
+        terms[(((0,) * ctx.dim, ()), ctx._zero_exps)] = (1, 0, 0, 0, 2)
+        return _finish(ctx, terms)
     return _companion_replacement(ctx, p - 1) * _companion_replacement(ctx, 1)
 
 
@@ -174,15 +178,11 @@ def volume_form(ctx: DeformationContext) -> Element:
 
 @lru_cache(maxsize=None)
 def _dc_slices(ctx: DeformationContext) -> dict:
-    """{a: flat terms of x^{a'} dx^a}: the one term of dc, the degree-1
+    """{a: flat terms of 2 x^{a'} dx^a}: the one term of dc, the degree-1
     generator of J, holding dx^a (cached, shared)."""
-    out: dict[int, dict] = {}
-    for key, v in central_quadric(ctx).d().terms.items():
-        a = key[0][1][0]
-        if a in out:
-            raise AssertionError("dc holds two terms with one differential")
-        out[a] = {key: v}
-    return out
+    dim = ctx.dim
+    return {a: {((tuple(int(j == dim - a) for j in range(dim)), (a,)),
+                 ctx._zero_exps): _C_TWO} for a in range(1, dim + 1)}
 
 
 @lru_cache(maxsize=None)

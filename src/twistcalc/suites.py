@@ -43,10 +43,11 @@ from .ncalg import Element
 from .qphase import DeformationContext
 
 # The largest --dim and --n of a suite run.  On a 2-vCPU guest (Python 3.11)
-# `suite run all --dim 9` takes 7-12 s and `suite run chern --n 6` 10 s, 69 MB;
-# a step costs about 2.7 times in D (`suite run hodge --dim 10`: 28 s, 110 MB)
-# and 5 times in n, for the (2n + 1)^2 4^n Clifford relations of GammaRep(n).
-MAX_DIM, MAX_N = 9, 6
+# `suite run all --dim 10` takes 14-16 s and 108 MB (894 cases, the hodge
+# suite nearly all of it) and `suite run chern --n 6` 10 s, 69 MB; a step
+# costs about 3 times in D (`suite run all --dim 11`: 34 s, 181 MB) and 5
+# times in n, for the (2n + 1)^2 4^n Clifford relations of GammaRep(n).
+MAX_DIM, MAX_N = 10, 6
 # The lowest --dim of the suites that need D >= 2, for the sphere quotient
 # and, in the oracle suite, the relation x1 x2 = q12 x2 x1; every other
 # suite runs from D = 1.

@@ -485,9 +485,19 @@ def test_charge_is_one_with_six_parameters():
 
 
 def test_charge_via_curvature_power():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         ctx = DeformationContext(2 * n + 1)
         assert charge_from_curvature(n) == ctx.scalar_one()
+
+
+def test_trace_mul_is_the_trace_of_the_product():
+    # the trace-only last product of the curvature route and of the Stokes
+    # term, against the trace of the full product
+    for n in (1, 2, 3):
+        _, e = instanton_projector(n)
+        de, f = e.map(lambda x: x.d()), curvature(e)
+        for a, b in ((f, f), (de, de), (f, de), (de, e)):
+            assert a.trace_mul(b) == (a * b).trace(), n
 
 
 def test_discarded_boundary_term_vanishes():

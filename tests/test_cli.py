@@ -102,6 +102,12 @@ def test_hodge_command_json_schema(capsys):
     assert set(payload) == {"exact", "numeric", "degree"}
     assert payload["degree"] == 2
     assert payload["numeric"] is None
+    # a zero star is the only result with a numeric value
+    code, out, _ = run_cli(capsys, "hodge", "--sphere", "2", "--expr",
+                           "x1*dx1 - x1*dx1")
+    assert code == 0
+    assert json.loads(out) == {"exact": "0", "numeric": {"re": 0.0, "im": 0.0},
+                               "degree": 0}
 
 
 def test_oracle_command(capsys):
@@ -402,12 +408,12 @@ def test_case_labels_golden(dim, all_run):
 
 
 def test_suite_size_limits_refused_before_any_work(capsys, monkeypatch):
-    # the hodge suite at D = 10 and the chern suite at n = 7 take half a
+    # the hodge suite at D = 11 and the chern suite at n = 7 take half a
     # minute or more; no suite starts
     monkeypatch.setattr(suites, "_SUITES", {})
     start = time.perf_counter()
     for argv, msg in (
-            (("hodge", "--dim", "10"), "dim = 10 exceeds the limit 9"),
+            (("hodge", "--dim", "11"), "dim = 11 exceeds the limit 10"),
             (("chern", "--n", "7"), "n = 7 exceeds the limit 6"),
             # the sphere suites and the oracle suite start at D = 2, the
             # others at D = 1

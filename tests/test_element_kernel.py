@@ -314,6 +314,7 @@ def test_matrix_product_and_trace_match_reference():
         for i in range(1, size):
             want = want + rows[i][i]
         assert _matrix(ctx, rows).trace() == want
+        assert _matrix(ctx, rows).trace_mul(_matrix(ctx, cols)) == got.trace()
         for row in got.rows.values():
             for el in row.values():
                 _assert_canonical(el)

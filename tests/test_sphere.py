@@ -1,6 +1,7 @@
 """Quotient algebra of the sphere: rewriting, volume, integral, ideal."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,10 @@ from sphere_reference import (_in_scalar_span, _middle_degree_membership,
                               in_quotient_ideal_by_parts,
                               reduce_mod_c_by_term,
                               top_decompose_full_product)
-from twistcalc import DeformationContext, Element
-from twistcalc.sphere import (_block_residues, central_quadric,
+from twistcalc import DeformationContext, Element, ncalg, sphere
+from twistcalc.ncalg import _finish
+from twistcalc.sphere import (_block_residues, _companion_replacement,
+                              _dc_slices, _top_slices, central_quadric,
                               in_quotient_ideal, integrate_form, omega_form,
                               reduce_mod_c, sphere_equal, top_decompose,
                               volume_form)
@@ -27,6 +30,57 @@ def test_central_quadric_is_central():
             f = random_element(ctx, rng, 2, rng.randint(0, 2), 2)
             assert cc * f == f * cc
         assert cc.d() * Element.x(ctx, 1) == Element.x(ctx, 1) * cc.d()
+
+
+def test_written_out_constants_match_their_products():
+    # c, dc and repl are written out term by term; their definitions are
+    # built here from Element products: c = sum_a x^a x^{a'} (``central``),
+    # dc = d(c) and repl = x^1 x^D - (c - 1)/2
+    for d in range(2, 12):
+        for ctx in (DeformationContext(d),
+                    DeformationContext(d, commutative=True)):
+            c, one = central(ctx), Element.one(ctx)
+            dc = c.d()
+            norm = ctx.i_power(-(d // 2)).scale(Fraction(1, 2))
+            assert central_quadric(ctx) == c
+            assert sorted(_dc_slices(ctx)) == list(range(1, d + 1))
+            for a, slice_ in _dc_slices(ctx).items():
+                part = _finish(ctx, {key: v for key, v in dc.terms.items()
+                                     if key[0][1] == (a,)})
+                assert slice_ == part.terms, (ctx, a)
+                mono, value = _top_slices(ctx)[a]
+                assert {(mono, ctx._zero_exps): value} == \
+                    part.scale(norm).terms, (ctx, a)
+            repl = Element.x(ctx, 1) * Element.x(ctx, d) \
+                - (c - one).scale(Fraction(1, 2))
+            power = one
+            for p in range(1, 5):
+                power = power * repl
+                assert _companion_replacement(ctx, p) == power, (ctx, p)
+
+
+def test_sphere_constants_make_no_product(monkeypatch):
+    # a fresh context's c, dc slices and repl are written out: no product
+    seen = []
+    mul_into = ncalg._mul_into
+
+    def recording(acc, ctx, terms1, terms2):
+        seen.append(ctx.dim)
+        mul_into(acc, ctx, terms1, terms2)
+
+    monkeypatch.setattr(ncalg, "_mul_into", recording)
+    monkeypatch.setattr(sphere, "_mul_into", recording)
+    for cache in (central_quadric, _dc_slices, _companion_replacement):
+        cache.cache_clear()
+    for d in (2, 5, 6, 7):
+        for ctx in (DeformationContext(d),
+                    DeformationContext(d, commutative=True)):
+            central_quadric(ctx)
+            _dc_slices(ctx)
+            _companion_replacement(ctx, 1)
+    assert not seen
+    _companion_replacement(ctx, 2)  # the recorder does see products
+    assert seen
 
 
 def test_reduce_mod_c_examples():
