@@ -63,8 +63,8 @@ from itertools import accumulate
 from math import factorial
 from operator import mul
 
-from .ncalg import Element, _add_into, _finish, _mul_into
-from .qphase import DeformationContext, ExactScalar
+from .ncalg import Element, _finish, _mul_into
+from .qphase import DeformationContext, ExactScalar, _add_into
 from .sphere import integrate_form, reduce_mod_c
 
 __all__ = [
@@ -328,13 +328,9 @@ def instanton_projector(n: int, ctx: DeformationContext | None = None):
     return rep, Matrix(2 ** n, Element.zero(ctx), rows)
 
 
-def projector_defect(e: Matrix) -> Matrix:
-    """e*e - e reduced mod (c-1); all-zero iff e is a sphere projector."""
-    return (e * e - e).map(reduce_mod_c)
-
-
 def is_projector(e: Matrix) -> bool:
-    return not projector_defect(e)
+    """Whether e*e - e reduces to zero mod (c-1): e is a sphere projector."""
+    return not (e * e - e).map(reduce_mod_c)
 
 
 def curvature(e: Matrix) -> Matrix:

@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ho = sub.add_parser("hodge", help="sphere Hodge star of a form")
     ho.add_argument("--sphere", type=int, required=True, metavar="N")
     ho.add_argument("--expr", type=str, required=True)
-    ho.add_argument("--theta", type=_theta_arg, default=None)
 
     it = sub.add_parser("integrate", help="integral of a top sphere form")
     it.add_argument("--sphere", type=int, required=True, metavar="N")

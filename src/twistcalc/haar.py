@@ -46,8 +46,9 @@ from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from .ncalg import Element, _add_into, _finish, _mono_mul
-from .qphase import DeformationContext, ExactScalar, _c_add, _c_scale
+from .ncalg import Element, _finish, _mono_mul
+from .qphase import (DeformationContext, ExactScalar, _add_into, _c_add,
+                     _c_scale)
 
 __all__ = ["partial_derivative", "laplacian", "lambda_coefficient", "haar_plane"]
 

@@ -580,36 +580,25 @@ def braid_equation(ctx):
                        else ctx.scalar_zero())
 
 
-def _contraction(ctx, up: tuple, lo: tuple, cyclic: bool = False):
-    """sum_l eps_q(up l) eps_qinv(lo l) over the D - k trailing slots, or
-    eps_q(l up) eps_qinv(l lo) over the leading ones when cyclic.
+def _contraction_row(ctx, up: tuple, cyclic: bool = False) -> dict:
+    """{lo: sum_l eps_q(up l) eps_qinv(lo l)} over the D - k trailing slots,
+    or of eps_q(l up) eps_qinv(l lo) over the leading ones when cyclic.
 
-    Both epsilons vanish on every tuple with a repeated index, so the sum is
-    zero at once when up or lo repeats one, and otherwise runs over the
-    (D - k)! orders l of the complement of up alone.
+    Both epsilons vanish on every tuple with a repeated index, so the sum
+    runs over the (D - k)! orders l of the complement of up alone, and the
+    row is empty when up repeats an index.  It holds the lo that order the
+    index set of up, the only lo whose sum can be nonzero: any other lo
+    repeats an index or holds one of the complement, which every l repeats.
     """
-    s = ctx.scalar_zero()
-    if len(set(up)) < len(up) or len(set(lo)) < len(lo):
-        return s
-    for l in permutations([a for a in range(1, ctx.dim + 1) if a not in up]):
-        u, v = (l + up, l + lo) if cyclic else (up + l, lo + l)
-        s = s + epsilon_q(ctx, u) * epsilon_qinv(ctx, v)
-    return s
-
-
-def _contraction_row(ctx, up: tuple) -> dict:
-    """{lo: _contraction(ctx, up, lo)} over the lo that order the index set
-    of up, which are the only lo whose sum can be nonzero: any other
-    repeat-free lo holds an index of the complement, which every complement
-    order l repeats.  Empty when up repeats an index."""
     if len(set(up)) < len(up):
         return {}
     los = list(permutations(up))
     row = dict.fromkeys(los, ctx.scalar_zero())
     for l in permutations([a for a in range(1, ctx.dim + 1) if a not in up]):
-        e = epsilon_q(ctx, up + l)
+        e = epsilon_q(ctx, l + up if cyclic else up + l)
         for lo in los:
-            row[lo] = row[lo] + e * epsilon_qinv(ctx, lo + l)
+            row[lo] = row[lo] + e * epsilon_qinv(ctx, l + lo if cyclic
+                                                 else lo + l)
     return row
 
 
@@ -648,14 +637,13 @@ def epsilon_contraction_draws(ctx, draws):
     """The contraction identity on drawn (upper, lower) pairs, over trailing
     and over leading slots; one family instance per identity."""
     d = ctx.dim
+    zero = ctx.scalar_zero()
     for j, (up, lo) in enumerate(draws):
         w = antisym_w(ctx, up, lo).scale(factorial(d - len(up)))
-        yield Identity(f"D={d} contraction {up}|{lo} #{j}",
-                       f"D={d} contraction #{j}", "scalar", ctx,
-                       _contraction(ctx, up, lo), w)
-        yield Identity(f"D={d} cyclic contraction {up}|{lo} #{j}",
-                       f"D={d} cyclic contraction #{j}", "scalar", ctx,
-                       _contraction(ctx, up, lo, cyclic=True), w)
+        for tag, cyclic in (("", False), ("cyclic ", True)):
+            yield Identity(f"D={d} {tag}contraction {up}|{lo} #{j}",
+                           f"D={d} {tag}contraction #{j}", "scalar", ctx,
+                           _contraction_row(ctx, up, cyclic).get(lo, zero), w)
 
 
 def w_partial_traces(ctx, draws):

@@ -31,7 +31,9 @@ size: the engine's products repeat a few thousand monomial pairs many times
 over), one coefficient product and one update of a flat accumulator of the
 same shape as an element.  ``_finish`` drops what cancelled.  A sum of
 products (pairings, Hodge stars, matrix entries) feeds all of its products
-into one accumulator, so no intermediate element is built or copied.
+into one accumulator, so no intermediate element is built or copied.  Sums,
+negation and rational scaling of flat terms are ``qphase``'s, shared with
+``ExactScalar``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .qphase import (DeformationContext, ExactScalar, _c_add, _c_conj, _c_mul,
-                     _c_neg, _c_scale)
+from .qphase import (DeformationContext, ExactScalar, _add_into, _c_add,
+                     _c_conj, _c_mul, _c_neg, _c_scale, _neg_terms,
+                     _scale_terms)
 
 __all__ = ["Element", "Monomial", "normal_order"]
 
@@ -130,13 +133,6 @@ def _mul_into(acc: dict, ctx: DeformationContext, terms1: dict,
             acc[key] = v if u is None else _c_add(u, v)
 
 
-def _add_into(acc: dict, terms: dict) -> None:
-    """Add the flat terms of an element into ``acc`` (see ``_mul_into``)."""
-    for key, v in terms.items():
-        u = acc.get(key)
-        acc[key] = v if u is None else _c_add(u, v)
-
-
 def _finish(ctx: DeformationContext, acc: dict) -> "Element":
     """The element summed up in ``acc``, with every zero coefficient dropped."""
     res = Element.__new__(Element)
@@ -212,25 +208,14 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_ctx(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            u = out.get(k)
-            if u is None:
-                out[k] = v
-                continue
-            w = _c_add(u, v)
-            if w[0] or w[1] or w[2] or w[3]:
-                out[k] = w
-            else:
-                del out[k]
         res = Element.__new__(Element)
-        res.ctx, res.terms = self.ctx, out
+        res.ctx, res.terms = self.ctx, dict(self.terms)
+        _add_into(res.terms, other.terms)
         return res
 
     def __neg__(self) -> "Element":
         res = Element.__new__(Element)
-        res.ctx = self.ctx
-        res.terms = {k: _c_neg(v) for k, v in self.terms.items()}
+        res.ctx, res.terms = self.ctx, _neg_terms(self.terms)
         return res
 
     def __sub__(self, other: "Element") -> "Element":
@@ -255,13 +240,8 @@ class Element:
 
     def scale(self, s) -> "Element":
         if isinstance(s, (int, Fraction)):
-            if not s:
-                return Element(self.ctx)
-            s = Fraction(s)
-            p, q = s.numerator, s.denominator
             res = Element.__new__(Element)
-            res.ctx = self.ctx
-            res.terms = {k: _c_scale(v, p, q) for k, v in self.terms.items()}
+            res.ctx, res.terms = self.ctx, _scale_terms(self.terms, s)
             return res
         zero = self.ctx._zero_exps
         acc: dict = {}

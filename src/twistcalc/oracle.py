@@ -194,13 +194,13 @@ class TorusRep:
     slots (first slot outermost) of clock^(p_k) shift^(r_k).  Primed
     partners act as the adjoints and the middle coordinate of odd D as the
     identity.  Parameter (a, b) takes the root zeta^omega(v_a, v_b), zeta =
-    e^(2 pi i/m).  ``root_exps`` gives the vectors; by default they are
-    drawn from rng, and redrawn while 2 omega(v_a, v_b) = 0 (mod m) for any
-    parameter, so that no q equals 1/q.  ``unitaries[a]`` is U^a as a
-    ``Word``; ``_mono_cache`` holds the word of each monomial evaluated.
+    e^(2 pi i/m).  The vectors are drawn from rng, and redrawn while
+    2 omega(v_a, v_b) = 0 (mod m) for any parameter, so that no q equals
+    1/q.  ``unitaries[a]`` is U^a as a ``Word``; ``_mono_cache`` holds the
+    word of each monomial evaluated.
     """
 
-    def __init__(self, ctx: DeformationContext, moduli=None, root_exps=None,
+    def __init__(self, ctx: DeformationContext, moduli=None,
                  rng: random.Random | None = None):
         self.ctx = ctx
         m = self.modulus = _model_moduli(moduli)[0]
@@ -214,17 +214,12 @@ class TorusRep:
         words = 2 * h + 1
         if self.size > MAX_SIZE:
             raise _oversized(self.size, m, s, words)
-        if root_exps is None:
-            root_exps = _weyl_vectors(h, s, m, rng or random.Random(0))
-        if len(root_exps) != h or any(len(v) != 2 * s for v in root_exps):
-            raise ValueError(f"need {h} Weyl vectors of {2 * s} entries")
+        vecs = self.vectors = [tuple(v) for v in _weyl_vectors(
+            h, s, m, rng or random.Random(0))]
         if self.size * words > MAX_SIZE:
             raise _oversized(self.size, m, s, words)
-        vecs = self.vectors = [tuple(x % m for x in v) for v in root_exps]
         exps = [_omega(vecs[a - 1], vecs[b - 1], s) % m
                 for a, b in ctx.params]
-        if any(2 * k % m == 0 for k in exps):
-            raise ValueError(f"Weyl vectors give q = 1/q modulo {m}")
         zeta_powers = np.exp(2j * np.pi * np.arange(m) / m)
         self.roots = [complex(zeta_powers[k]) for k in exps]
         self._identity = Word(np.arange(self.size),

@@ -149,6 +149,39 @@ def _c_eval(u) -> complex:
     return complex(a / n + _RT2 * (c / n), b / n + _RT2 * (d / n))
 
 
+# -- flat term dicts, a scalar's {phase exponents: coefficient} or an element's
+# {(monomial, phase exponents): coefficient}: the one sum, negation, scaling
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """Add flat terms into ``acc`` in place, deleting each key that cancels."""
+    for key, v in terms.items():
+        u = acc.get(key)
+        if u is None:
+            acc[key] = v
+            continue
+        w = _c_add(u, v)
+        if w[0] or w[1] or w[2] or w[3]:
+            acc[key] = w
+        else:
+            del acc[key]
+
+
+def _neg_terms(terms: dict) -> dict:
+    return {k: _c_neg(v) for k, v in terms.items()}
+
+
+def _scale_terms(terms: dict, r) -> dict:
+    """Flat terms times the rational r (int or Fraction); empty for r = 0."""
+    if type(r) is int:
+        p, q = r, 1
+    else:
+        r = Fraction(r)
+        p, q = r.numerator, r.denominator
+    if not p:
+        return {}
+    return {k: _c_scale(v, p, q) for k, v in terms.items()}
+
+
 def _term_at_roots(k, u, roots) -> complex:
     """Value of the term u * q^k with the phase for parameter j at roots[j]."""
     z = 1 + 0j
@@ -315,40 +348,18 @@ class ExactScalar:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            u = out.get(k)
-            if u is None:
-                out[k] = v
-            else:
-                w = _c_add(u, v)
-                if w[0] or w[1] or w[2] or w[3]:
-                    out[k] = w
-                else:
-                    del out[k]
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = out
+        res.terms = dict(self.terms)
+        _add_into(res.terms, other.terms)
         return res
 
     def __neg__(self) -> "ExactScalar":
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {k: _c_neg(v) for k, v in self.terms.items()}
+        res.terms = _neg_terms(self.terms)
         return res
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            u = out.get(k)
-            w = _c_neg(v) if u is None else _c_add(u, _c_neg(v))
-            if w[0] or w[1] or w[2] or w[3]:
-                out[k] = w
-            else:
-                del out[k]
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = out
-        return res
+        return self + -other
 
     def __mul__(self, other):
         if type(other) is not ExactScalar:
@@ -392,17 +403,11 @@ class ExactScalar:
     def scale(self, r) -> "ExactScalar":
         if r == 1:
             return self
-        if r == -1:
-            return -self
-        if type(r) is int:
-            p, q = r, 1
-        else:
-            r = Fraction(r)
-            p, q = r.numerator, r.denominator
-        if not p:
+        terms = _scale_terms(self.terms, r)
+        if not terms:
             return _ZERO
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {k: _c_scale(v, p, q) for k, v in self.terms.items()}
+        res.terms = terms
         return res
 
     def shifted(self, shift: tuple[int, ...], sign: int = 1) -> "ExactScalar":
@@ -467,11 +472,7 @@ class ExactScalar:
 
     def eval(self, angles=()) -> complex:
         """Numeric value with the phase for parameter j set to e^{i angles[j]}."""
-        total = 0j
-        for k, v in self.terms.items():
-            ph = sum(e * t for e, t in zip(k, angles))
-            total += _c_eval(v) * cmath.exp(1j * ph)
-        return total
+        return self.eval_at_roots([cmath.exp(1j * t) for t in angles])
 
     def eval_at_roots(self, roots) -> complex:
         """Numeric value with the phase for parameter j set to roots[j]."""

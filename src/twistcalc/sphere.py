@@ -185,41 +185,29 @@ def _dc_slices(ctx: DeformationContext) -> dict:
                  ctx._zero_exps): _C_TWO} for a in range(1, dim + 1)}
 
 
-@lru_cache(maxsize=None)
-def _top_slices(ctx: DeformationContext) -> dict:
-    """{j: (monomial, value)}: the one term x^{j'} dx^j of dc holding dx^j,
-    and its coefficient times the normalisation i^{-D//2}/2 of f_omega
-    (cached, shared)."""
-    norm = _c_scale(ctx.i_power(-(ctx.dim // 2)).terms[ctx._zero_exps], 1, 2)
-    out: dict[int, tuple] = {}
-    for j, slice_ in _dc_slices(ctx).items():
-        ((mono, phase), v), = slice_.items()
-        if any(phase):
-            raise AssertionError("a term of dc carries a phase")
-        out[j] = (mono, _c_mul(v, norm))
-    return out
-
-
 def top_decompose(om: Element) -> Element:
     """The unique function with om ^ dc/2 = f * V_D (om of degree D-1).
 
     A term x^e dx^{[D] - j} of om meets a repeated dx in every term of dc but
-    2 x^{j'} dx^j, so each term is multiplied by that one term alone.
+    2 x^{j'} dx^j, so each term is multiplied by that one term of
+    ``_dc_slices`` alone.  dc's factor 2 and the 1/2 of dc/2 cancel, and
+    V_D = i^{D//2} dx^1...dx^D, so every product is scaled by i^{-D//2}.
     """
     ctx = om.ctx
     if om.terms and om.form_degree() != ctx.dim - 1:
         raise ValueError("top decomposition needs a form of degree D-1")
     full = tuple(range(1, ctx.dim + 1))
     index_sum = sum(full)
-    slices = _top_slices(ctx)
+    slices = _dc_slices(ctx)
+    norm = ctx.i_power(-(ctx.dim // 2)).terms[ctx._zero_exps]
     acc: dict = {}
     for (mono, k), v in om.terms.items():
-        dc_mono, value = slices[index_sum - sum(mono[1])]
+        ((dc_mono, _), _), = slices[index_sum - sum(mono[1])].items()
         shift, sign, (exps, dxs) = _mono_mul(ctx, mono, dc_mono)
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
         key = ((exps, ()), tuple(map(add, k, shift)))
-        v = _c_mul(v if sign > 0 else _c_neg(v), value)
+        v = _c_mul(v if sign > 0 else _c_neg(v), norm)
         u = acc.get(key)
         acc[key] = v if u is None else _c_add(u, v)
     return _finish(ctx, acc)

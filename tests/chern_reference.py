@@ -34,7 +34,8 @@ from operator import mul
 
 from twistcalc import Element
 from twistcalc.chern import Matrix, _compose, instanton_projector
-from twistcalc.ncalg import _add_into, _finish
+from twistcalc.ncalg import _finish
+from twistcalc.qphase import _add_into
 from twistcalc.sphere import integrate_form
 
 

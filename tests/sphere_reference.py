@@ -26,9 +26,8 @@ anything is reduced, with f_omega read off the full product with dc.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from twistcalc.ncalg import (Element, Monomial, _add_into, _finish,
-                             _mono_mul, _mul_into)
-from twistcalc.qphase import DeformationContext, ExactScalar
+from twistcalc.ncalg import Element, Monomial, _finish, _mono_mul, _mul_into
+from twistcalc.qphase import DeformationContext, ExactScalar, _add_into
 from twistcalc.sphere import central_quadric
 
 

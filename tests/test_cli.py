@@ -110,6 +110,15 @@ def test_hodge_command_json_schema(capsys):
                                "degree": 0}
 
 
+def test_hodge_takes_no_angles(capsys):
+    # a sphere star's numeric value is 0 or null at every angle, so hodge
+    # has no --theta to ignore: argparse refuses it
+    with pytest.raises(SystemExit) as info:
+        main(["hodge", "--sphere", "2", "--expr", "x1", "--theta", "0.3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --theta 0.3" in capsys.readouterr().err
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--dim", "5",
                            "--expr", "x1*x2 - q(1,2)^1*x2*x1", "--json")

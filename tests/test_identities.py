@@ -9,9 +9,9 @@ from contraction_reference import epsilon_contraction_every_pair
 from hodge_reference import hodge_plane_every_pair, hodge_sphere_every_pair
 from twistcalc import DeformationContext, Element, central_quadric
 from twistcalc.exprio import parse_expr
-from twistcalc.identities import (Identity, _contraction, epsilon_contraction,
-                                  hodge_plane_basis, hodge_sphere_basis,
-                                  holds)
+from twistcalc.identities import (Identity, _contraction_row,
+                                  epsilon_contraction, hodge_plane_basis,
+                                  hodge_sphere_basis, holds)
 from twistcalc.sphere import _first_residue, in_quotient_ideal
 from twistcalc.suites import (SuiteReport, _Runner, distinct_index_pairs,
                               random_index_pair)
@@ -91,11 +91,12 @@ def _full_contraction(ctx, up, lo, cyclic):
 def test_contraction_sums_over_complement_orders_only():
     # every pair of index tuples at D = 3, random pairs at D = 4 and 5
     ctx = DeformationContext(3)
+    zero = ctx.scalar_zero()
     for k in range(4):
         tuples = list(product(range(1, 4), repeat=k))
         for up, lo in product(tuples, repeat=2):
             for cyclic in (False, True):
-                assert _contraction(ctx, up, lo, cyclic) == \
+                assert _contraction_row(ctx, up, cyclic).get(lo, zero) == \
                     _full_contraction(ctx, up, lo, cyclic), (up, lo, cyclic)
     rng = random.Random(12)
     for d in (4, 5):
@@ -105,7 +106,7 @@ def test_contraction_sums_over_complement_orders_only():
             up, lo = random_index_pair(rng, d, rng.randint(0, d))
             repeats.add(len(set(up)) < len(up) or len(set(lo)) < len(lo))
             for cyclic in (False, True):
-                assert _contraction(ctx, up, lo, cyclic) == \
+                assert _contraction_row(ctx, up, cyclic).get(lo, zero) == \
                     _full_contraction(ctx, up, lo, cyclic), (up, lo, cyclic)
         assert repeats == {True, False}
 

@@ -50,11 +50,6 @@ def test_unitary_exchange_relations():
 def test_moduli_arity_guard():
     with pytest.raises(ValueError, match="need at least one modulus"):
         TorusRep(DeformationContext(6), moduli=())
-    with pytest.raises(ValueError, match="need 3 Weyl vectors of 4 entries"):
-        TorusRep(DeformationContext(6), root_exps=[(1, 0, 0, 1)] * 2)
-    # v_1 = v_2 gives omega = 0, so q = 1 = 1/q
-    with pytest.raises(ValueError, match="q = 1/q modulo 13"):
-        TorusRep(DeformationContext(6), root_exps=[(1, 0, 0, 1)] * 3)
 
 
 def test_sample_points_structure():

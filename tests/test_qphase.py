@@ -6,6 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,4 +268,33 @@ def test_scalar_hash_and_printing_match_reference(terms, y):
     doubled = (s + s).scale(Fraction(1, 2))
     assert doubled == s and hash(doubled) == hash(s)
     for coeff in list(other.terms.values()) + list(doubled.terms.values()):
+        _assert_canonical(coeff)
+
+
+_scalars = st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * 3), _coeffs, max_size=4).map(
+        lambda terms: qphase.ExactScalar(
+            {k: ref.to_engine(x) for k, x in terms.items()}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalars, st.integers(3, 40), st.lists(st.integers(0, 39), min_size=3,
+                                              max_size=3))
+def test_eval_at_angles_is_eval_at_matching_roots(s, m, ks):
+    # the angles 2 pi k/m and the m-th roots of unity zeta^k, zeta =
+    # e^(2 pi i/m), as the oracle's models take them
+    zeta_powers = np.exp(2j * np.pi * np.arange(m) / m)
+    theta = [2 * math.pi * (k % m) / m for k in ks]
+    got = s.eval(theta)
+    want = s.eval_at_roots([complex(zeta_powers[k % m]) for k in ks])
+    size = sum(abs(qphase._c_eval(v)) for v in s.terms.values())
+    assert abs(got - want) <= 1e-12 * max(1.0, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalars, _scalars)
+def test_difference_is_sum_with_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert a - a == DeformationContext(6).scalar_zero()
+    for coeff in (a - b).terms.values():
         _assert_canonical(coeff)

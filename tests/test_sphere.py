@@ -14,10 +14,9 @@ from sphere_reference import (_in_scalar_span, _middle_degree_membership,
 from twistcalc import DeformationContext, Element, ncalg, sphere
 from twistcalc.ncalg import _finish
 from twistcalc.sphere import (_block_residues, _companion_replacement,
-                              _dc_slices, _top_slices, central_quadric,
-                              in_quotient_ideal, integrate_form, omega_form,
-                              reduce_mod_c, sphere_equal, top_decompose,
-                              volume_form)
+                              _dc_slices, central_quadric, in_quotient_ideal,
+                              integrate_form, omega_form, reduce_mod_c,
+                              sphere_equal, top_decompose, volume_form)
 from twistcalc.tensorcalc import volume_element
 
 
@@ -41,16 +40,14 @@ def test_written_out_constants_match_their_products():
                     DeformationContext(d, commutative=True)):
             c, one = central(ctx), Element.one(ctx)
             dc = c.d()
-            norm = ctx.i_power(-(d // 2)).scale(Fraction(1, 2))
             assert central_quadric(ctx) == c
             assert sorted(_dc_slices(ctx)) == list(range(1, d + 1))
             for a, slice_ in _dc_slices(ctx).items():
                 part = _finish(ctx, {key: v for key, v in dc.terms.items()
                                      if key[0][1] == (a,)})
                 assert slice_ == part.terms, (ctx, a)
-                mono, value = _top_slices(ctx)[a]
-                assert {(mono, ctx._zero_exps): value} == \
-                    part.scale(norm).terms, (ctx, a)
+            # V ^ dc/2 = c V_D: top_decompose's i^{-D//2} at every D//2 mod 4
+            assert top_decompose(volume_form(ctx)) == c, ctx
             repl = Element.x(ctx, 1) * Element.x(ctx, d) \
                 - (c - one).scale(Fraction(1, 2))
             power = one
