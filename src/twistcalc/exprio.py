@@ -11,8 +11,8 @@ Grammar (whitespace ignored):
 A zero denominator <m> is a syntax error, as is an index outside 1..D.
 
 Parsing is one pass over the tokens.  A term is held as a Q(i, sqrt2)
-coefficient 5-tuple, a list of phase exponents and a canonical monomial key,
-never as an ``Element``: a scalar factor multiplies the coefficient, and a
+coefficient 5-tuple, a phase key and a canonical monomial key, never as an
+``Element``: a scalar factor multiplies the coefficient or the phase, and a
 letter in canonical position (an x whose index is not below the last x, with
 no dx yet; a dx whose index is above the last dx) is appended to the key.
 Any other letter is normal-ordered into the key by ``ncalg._mono_mul``, the
@@ -22,19 +22,18 @@ coefficient} accumulator, which one ``ncalg._finish`` call turns into the
 element.  Tokens carry no positions; an error scans the text again to find
 its position.
 
-Printing expands every coefficient into grammar terms, ordered
-deterministically, so print -> parse -> print is the identity.
+Printing expands every coefficient into grammar terms, ordered by dx set, x
+exponents and phase exponents, so print -> parse -> print is the identity.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
 
 from .ncalg import Element, _finish, _mono_mul
 from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, _c_add,
-                     _c_mul, _c_neg, _c_reduce)
+                     _c_mul, _c_neg, _c_reduce, _key_mul, _phase_exps)
 
 __all__ = ["parse_expr", "format_element", "format_scalar", "ExprSyntaxError"]
 
@@ -120,10 +119,10 @@ def parse_expr(ctx: DeformationContext, text: str) -> Element:
     acc: dict = {}
     k, sign = (1, -1) if ntok and tokens[0] == "-" else (0, 1)
     while True:
-        # one term: coefficient, phase exponents and monomial key, the key
+        # one term: coefficient, phase key and monomial key, the key
         # canonical after every factor
         coeff = _C_ONE if sign > 0 else _C_MINUS_ONE
-        phase = [0] * ctx.nparams
+        phase = ctx.one_key
         exps, dxs = [0] * dim, []
         last_x = 0  # highest x index of the key while it has no dx
         live = True  # False once a factor has made the term zero
@@ -169,11 +168,10 @@ def parse_expr(ctx: DeformationContext, text: str) -> Element:
                 b = number(expect(k + 2, ","), "phase index")
                 k, e = power(expect(k + 4, ")"), True)
                 try:
-                    red = ctx.pair_reduction(a, b)
+                    (factor,) = ctx.q_power(a, b, e).terms
                 except IndexError as exc:
                     raise _error(text, at, str(exc)) from None
-                if red is not None:
-                    phase[red[0]] += red[1] * e
+                phase = _key_mul(ctx.one_key, phase, factor)
             elif c == "i":
                 coeff = _c_mul(coeff, _C_I)
             elif c == "s":
@@ -188,7 +186,7 @@ def parse_expr(ctx: DeformationContext, text: str) -> Element:
                 else:
                     shift, s, (exps, dxs) = got
                     exps, dxs = list(exps), list(dxs)
-                    phase = list(map(add, phase, shift))
+                    phase = _key_mul(ctx.one_key, phase, shift)
                     if s < 0:
                         coeff = _c_neg(coeff)
             if k < ntok and tokens[k] == "*":
@@ -196,7 +194,7 @@ def parse_expr(ctx: DeformationContext, text: str) -> Element:
             else:
                 break
         if live:
-            key = ((tuple(exps), tuple(dxs)), tuple(phase))
+            key = ((tuple(exps), tuple(dxs)), phase)
             u = acc.get(key)
             acc[key] = coeff if u is None else _c_add(u, coeff)
         if k == ntok:
@@ -215,11 +213,11 @@ def format_element(el: Element) -> str:
     """Deterministic grammar text; parse(format(e)) == e exactly."""
     ctx = el.ctx
     parts = []  # (sign, factor string)
-    for key in sorted(el.terms, key=lambda t: (len(t[0][1]), t[0][1],
-                                               sum(t[0][0]), t[0][0], t[1])):
+    for key in sorted(el.terms, key=lambda t: (len(t[0][1]), t[0][1], sum(
+            t[0][0]), t[0][0], _phase_exps(t[1], ctx.nparams))):
         (exps, dxs), phase = key
-        facs = [f"q({a},{b})^{e}"
-                for (a, b), e in zip(ctx.params, phase) if e]
+        facs = [f"q({a},{b})^{e}" for (a, b), e in
+                zip(ctx.params, _phase_exps(phase, ctx.nparams)) if e]
         facs += [f"x{a}^{e}" if e > 1 else f"x{a}"
                  for a, e in enumerate(exps, start=1) if e]
         facs += [f"dx{a}" for a in dxs]

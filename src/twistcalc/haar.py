@@ -44,11 +44,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import sub
 
 from .ncalg import Element, _finish, _mono_mul
 from .qphase import (DeformationContext, ExactScalar, _add_into, _c_add,
-                     _c_scale)
+                     _c_scale, _key_div)
 
 __all__ = ["partial_derivative", "laplacian", "lambda_coefficient", "haar_plane"]
 
@@ -71,7 +70,7 @@ def partial_derivative(ctx: DeformationContext, s: int, f: Element) -> Element:
         shift = _mono_mul(ctx, (unit_s, ()), (low, ()))[0]
         # lowering x^s is injective on monomials: no two terms share a key
         key = ((exps[:s - 1] + (es - 1,) + exps[s:], ()),
-               tuple(map(sub, k, shift)))
+               _key_div(ctx.one_key, k, shift))
         out[key] = _c_scale(v, es)
     return _finish(ctx, out)
 

@@ -36,8 +36,8 @@ from .chern import (character_tau, charge, charge_from_curvature,
                     instanton_projector)
 from .exprio import format_element, parse_expr
 from .haar import haar_plane, lambda_coefficient, laplacian, partial_derivative
-from .ncalg import Element
-from .qphase import DeformationContext, ExactScalar, _C_ONE
+from .ncalg import Element, normal_order
+from .qphase import DeformationContext
 from .sphere import (central_quadric, hodge_sphere, integrate_form,
                      omega_form, pairing_sphere, reduce_mod_c, sphere_equal,
                      top_decompose, volume_form)
@@ -110,9 +110,9 @@ def phase_examples(ctx, scalars):
     conjugation of i q, and conj(conj(s)) = s on each drawn scalar s."""
     q, i = ctx.q_power, ctx.i_unit()
     yield from _singles("scalar", ctx, [
-        ("D=5: q_(4,5)", q(4, 5), ExactScalar({(-1,): _C_ONE})),
-        ("D=5: q_(3,1) trivial", q(3, 1), ExactScalar({(0,): _C_ONE})),
-        ("D=5: q_(1,2) generator", q(1, 2), ExactScalar({(1,): _C_ONE})),
+        ("D=5: q_(4,5)", q(4, 5), ctx.scalar_one().shifted((-1,))),
+        ("D=5: q_(3,1) trivial", q(3, 1), ctx.scalar_one()),
+        ("D=5: q_(1,2) generator", q(1, 2), ctx.scalar_one().shifted((1,))),
         ("conj(i q) = -i q^-1", (i * q(1, 2)).conj(), (-i) * q(1, 2, -1)),
         ("q_(1,2) q_(2,1) - 1", q(1, 2) * q(2, 1), ctx.scalar_one())]
         + [(f"conj(conj(s)) = s #{j}", s.conj().conj(), s)
@@ -139,9 +139,7 @@ def confluence(ctx, words):
     equals right to left, on each drawn word of ("x" or "dx", index)."""
     gen = {"x": Element.x, "dx": Element.dx}
     for j, word in enumerate(words):
-        left = right = Element.one(ctx)
-        for kind, a in word:
-            left = left * gen[kind](ctx, a)
+        left, right = normal_order(ctx, word), Element.one(ctx)
         for kind, a in reversed(word):
             right = gen[kind](ctx, a) * right
         yield from _singles("element", ctx, [
@@ -562,7 +560,7 @@ def braid_squares(ctx):
         u, exps = braid_word(ctx, t, (0, 0))
         yield Identity(f"D={d}: braid matrix squares to identity",
                        f"D={d} braid^2 {t}", "scalar", ctx,
-                       ExactScalar({exps: _C_ONE}) if u == t
+                       ctx.scalar_one().shifted(exps) if u == t
                        else ctx.scalar_zero(),
                        ctx.scalar_one())
 
@@ -575,8 +573,8 @@ def braid_equation(ctx):
         ua, ea = braid_word(ctx, t, (0, 1, 0))
         ub, eb = braid_word(ctx, t, (1, 0, 1))
         yield Identity(f"D={d}: braid equation", f"D={d} braid eq {t}",
-                       "scalar", ctx, ExactScalar({ea: _C_ONE}),
-                       ExactScalar({eb: _C_ONE}) if ub == ua
+                       "scalar", ctx, ctx.scalar_one().shifted(ea),
+                       ctx.scalar_one().shifted(eb) if ub == ua
                        else ctx.scalar_zero())
 
 

@@ -10,14 +10,16 @@ The canonical word has all x factors first in ascending index order, then the
 dx factors as a strictly ascending set.  A monomial is the pair (x exponents,
 dx index set).  An element is one flat dict
 
-    {(monomial, phase exponents): Q(i, sqrt2) coefficient 5-tuple}
+    {(monomial, phase key): Q(i, sqrt2) coefficient 5-tuple}
 
 (``qphase`` gives the 5-tuple form), with no zero coefficient stored: a term
 is a rational combination of 1, i, sqrt2 and i sqrt2 times one phase
-monomial times one canonical monomial.  ``ExactScalar`` stays the scalar
-type, but no element holds one: the constructor takes {monomial:
-ExactScalar}, and ``Element.coefficients`` gives that per-monomial view back
-to code off the hot path.
+monomial times one canonical monomial.  A term's phase key is ``qphase``'s
+form, which only ``qphase`` builds and combines; the exponent vector over
+``ctx.params`` is the boundary form.  ``ExactScalar`` stays the scalar type,
+but no element holds one: the constructor takes {monomial: ExactScalar}, and
+``Element.coefficients`` gives that per-monomial view back to code off the
+hot path.
 
 ``_mono_mul`` is the only function that computes exchange phases.  The
 exterior derivative, the star, the twisted derivatives and the plane
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
 from .qphase import (DeformationContext, ExactScalar, _add_into, _c_add,
-                     _c_conj, _c_mul, _c_neg, _c_scale, _neg_terms,
-                     _scale_terms)
+                     _c_conj, _c_mul, _c_neg, _c_scale, _key_div, _key_mul,
+                     _neg_terms, _phase_key, _scale_terms)
 
 __all__ = ["Element", "Monomial", "normal_order"]
 
@@ -64,8 +66,8 @@ def _mono_mul(ctx: DeformationContext, m1: Monomial, m2: Monomial):
     """Normal-order the concatenation of two canonical monomials (cached;
     callers share the result tuples).
 
-    Returns ``(exps, sign, key)`` where the product equals
-    sign * (phase with the given exponents) * key, or ``None`` when a
+    Returns ``(shift, sign, key)`` where the product equals
+    sign * (phase of the key ``shift``) * key, or ``None`` when a
     differential index repeats.
     """
     (e1, s1), (e2, s2) = m1, m2
@@ -102,8 +104,7 @@ def _mono_mul(ctx: DeformationContext, m1: Monomial, m2: Monomial):
         dxs = tuple(sorted(s1 + s2))
     else:
         dxs = s1 or s2
-    exps = tuple(map(add, e1, e2))
-    return tuple(acc), sign, (exps, dxs)
+    return _phase_key(acc), sign, (tuple(map(add, e1, e2)), dxs)
 
 
 def _mul_into(acc: dict, ctx: DeformationContext, terms1: dict,
@@ -114,7 +115,7 @@ def _mul_into(acc: dict, ctx: DeformationContext, terms1: dict,
     are summed raw and may cancel to zero, which ``_finish`` drops.  Callers
     have checked that both sides live over ``ctx``.
     """
-    zero = ctx._zero_exps
+    one = ctx.one_key
     right = terms2.items()
     for (m1, k1), v1 in terms1.items():
         n1 = _c_neg(v1)
@@ -123,11 +124,7 @@ def _mul_into(acc: dict, ctx: DeformationContext, terms1: dict,
             if r is None:
                 continue
             shift, sign, mono = r
-            k = k1 if k2 == zero else k2 if k1 == zero else tuple(
-                map(add, k1, k2))
-            if shift != zero:
-                k = tuple(map(add, k, shift))
-            key = (mono, k)
+            key = (mono, _key_mul(one, k1, k2, shift))
             v = _c_mul(v1 if sign > 0 else n1, v2)
             u = acc.get(key)
             acc[key] = v if u is None else _c_add(u, v)
@@ -143,7 +140,7 @@ def _finish(ctx: DeformationContext, acc: dict) -> "Element":
 
 class Element:
     """Sparse sum of canonical monomials with exact scalar coefficients,
-    stored flat as {(monomial, phase exponents): coefficient 5-tuple}."""
+    stored flat as {(monomial, phase key): coefficient 5-tuple}."""
 
     __slots__ = ("ctx", "terms")
 
@@ -243,14 +240,10 @@ class Element:
             res = Element.__new__(Element)
             res.ctx, res.terms = self.ctx, _scale_terms(self.terms, s)
             return res
-        zero = self.ctx._zero_exps
+        # s is central: the product with s at the unit monomial
         acc: dict = {}
-        for (mono, k1), v1 in self.terms.items():
-            for k2, v2 in s.terms.items():
-                key = (mono, k1 if k2 == zero else tuple(map(add, k1, k2)))
-                v = _c_mul(v1, v2)
-                u = acc.get(key)
-                acc[key] = v if u is None else _c_add(u, v)
+        _mul_into(acc, self.ctx, self.terms,
+                  Element.from_scalar(self.ctx, s).terms)
         return _finish(self.ctx, acc)
 
     # -- calculus -----------------------------------------------------------
@@ -268,7 +261,7 @@ class Element:
                 shift, sign, (_, new_dxs) = _mono_mul(
                     ctx, (zero, (b,)), (zero[:b] + exps[b:], dxs))
                 key = ((exps[:b - 1] + (eb - 1,) + exps[b:], new_dxs),
-                       tuple(map(add, k, shift)))
+                       _key_mul(ctx.one_key, k, shift))
                 w = _c_scale(v, eb * sign)
                 u = acc.get(key)
                 acc[key] = w if u is None else _c_add(u, w)
@@ -287,7 +280,7 @@ class Element:
             pdxs = tuple(ctx.primed(s) for s in reversed(dxs))
             shift, _, mono = _mono_mul(ctx, (zero, pdxs), (exps[::-1], ()))
             v = _c_conj(v)
-            out[(mono, tuple(map(sub, shift, k)))] = (
+            out[(mono, _key_div(ctx.one_key, shift, k))] = (
                 _c_neg(v) if (n * (n - 1) // 2) % 2 else v)
         res = Element.__new__(Element)
         res.ctx, res.terms = ctx, out

@@ -52,10 +52,10 @@ back to the tangent space of the quadric c = 1 at each sample point, which
 kills exactly the ideal J, with the minors of the tangent bases.
 
 The sups are absolute.  A value past the float range makes a sup inf (and
-numpy warns of the overflow), so an overflow never reads as zero.  Sphere points have |z_a| <= 1, so there high
-powers underflow instead: x1^100*dx2 reads about 1e-17 on the sphere, below
-DEFAULT_TOL, though it is not zero.  That is a known limit of the absolute
-tolerance.
+numpy warns of the overflow), so an overflow never reads as zero.  Sphere
+points have |z_a| <= 1, so there high powers underflow instead: x1^100*dx2
+reads about 1e-17 on the sphere, below DEFAULT_TOL, though it is not zero.
+That is a known limit of the absolute tolerance.
 
 ``BatchChecker`` is the one sampling path, with one sup per mode: scalars
 (``scalar_sup``), plane elements (``element_sup``) and sphere classes

@@ -48,6 +48,11 @@ Arithmetic runs on ints and takes a single gcd at the end (none when the
 denominator is 1); a Fraction appears only where a rational enters
 (``scalar`` and ``scale``).  The text form of a scalar is the expression
 grammar (``exprio.format_scalar``); ``repr`` shows the stored terms.
+
+A term's phase key is this module's form: only its key functions build,
+combine or unpack one.  The exponent vector over ``ctx.params`` is the
+boundary form, taken by ``shifted`` and ``reduce_pair`` and read by printing
+and evaluation.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 
 __all__ = [
@@ -149,8 +154,38 @@ def _c_eval(u) -> complex:
     return complex(a / n + _RT2 * (c / n), b / n + _RT2 * (d / n))
 
 
-# -- flat term dicts, a scalar's {phase exponents: coefficient} or an element's
-# {(monomial, phase exponents): coefficient}: the one sum, negation, scaling
+# -- phase keys: only these functions know a key's form, today the tuple of
+# exponents.  Products and quotients test factors with ``==`` against ``one``,
+# a context's ``one_key`` of exponents zero (None tests no factor).
+
+def _phase_key(exps) -> tuple:
+    return tuple(exps)
+
+
+def _phase_exps(k, n: int) -> tuple:
+    """The exponent vector, over n parameters, of the key k."""
+    return k
+
+
+def _key_is_one(k) -> bool:
+    return not any(k)
+
+
+def _key_mul(one, k1, k2, k3=None):
+    k = k1 if k2 == one else k2 if k1 == one else tuple(map(add, k1, k2))
+    return k if k3 is None or k3 == one else tuple(map(add, k, k3))
+
+
+def _key_div(one, k1, k2):
+    return k1 if k2 == one else tuple(map(sub, k1, k2))
+
+
+def _key_inv(k):
+    return tuple(-x for x in k)
+
+
+# -- flat term dicts, a scalar's {phase key: coefficient} or an element's
+# {(monomial, phase key): coefficient}: the one sum, negation, scaling
 
 def _add_into(acc: dict, terms: dict) -> None:
     """Add flat terms into ``acc`` in place, deleting each key that cancels."""
@@ -185,7 +220,7 @@ def _scale_terms(terms: dict, r) -> dict:
 def _term_at_roots(k, u, roots) -> complex:
     """Value of the term u * q^k with the phase for parameter j at roots[j]."""
     z = 1 + 0j
-    for e, r in zip(k, roots):
+    for e, r in zip(_phase_exps(k, len(roots)), roots):
         z *= r ** e
     return _c_eval(u) * z
 
@@ -201,7 +236,7 @@ class DeformationContext:
     """
 
     __slots__ = ("dim", "params", "param_index", "nparams", "commutative",
-                 "_pair_table", "_indices", "_zero_exps")
+                 "one_key", "_pair_table", "_indices")
 
     # {(dim, commutative): the context}
     _instances: dict = {}
@@ -227,7 +262,7 @@ class DeformationContext:
                            for b in range(a + 1, half + 1)]
         self.param_index = {p: i for i, p in enumerate(self.params)}
         self.nparams = len(self.params)
-        self._zero_exps = (0,) * self.nparams
+        self.one_key = _phase_key((0,) * self.nparams)
         self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {
             (a, b): self._pair_phase(a, b)
             for a in range(1, dim + 1) for b in range(1, dim + 1)}
@@ -304,32 +339,30 @@ class DeformationContext:
             num, den = v.numerator, v.denominator
         if not num:
             return _ZERO
-        return ExactScalar({self._zero_exps: (num, 0, 0, 0, den)})
+        return ExactScalar({self.one_key: (num, 0, 0, 0, den)})
 
     def scalar_one(self) -> "ExactScalar":
         return self.scalar(1)
 
     def i_unit(self) -> "ExactScalar":
-        return ExactScalar({self._zero_exps: (0, 1, 0, 0, 1)})
+        return ExactScalar({self.one_key: (0, 1, 0, 0, 1)})
 
     def i_power(self, k: int) -> "ExactScalar":
         one_i = (1, 0), (0, 1), (-1, 0), (0, -1)
         re, im = one_i[k % 4]
-        return ExactScalar({self._zero_exps: (re, im, 0, 0, 1)})
+        return ExactScalar({self.one_key: (re, im, 0, 0, 1)})
 
     def sqrt2(self) -> "ExactScalar":
-        return ExactScalar({self._zero_exps: (0, 0, 1, 0, 1)})
+        return ExactScalar({self.one_key: (0, 0, 1, 0, 1)})
 
     def q_power(self, a: int, b: int, k: int = 1) -> "ExactScalar":
         """The scalar q_{ab}^k, reduced to canonical form."""
-        exps = self.reduce_pair(a, b)
-        if k != 1:
-            exps = tuple(k * e for e in exps)
-        return ExactScalar({exps: _C_ONE})
+        return ExactScalar({_phase_key(k * e for e in self.reduce_pair(a, b)):
+                            _C_ONE})
 
 
 class ExactScalar:
-    """Exact element of Q(i, sqrt2)[q^±1]: {phase exponents -> coefficient}.
+    """Exact element of Q(i, sqrt2)[q^±1]: {phase key -> coefficient}.
 
     Immutable once built; all arithmetic returns new scalars and never stores
     zero coefficients.
@@ -378,15 +411,15 @@ class ExactScalar:
             # nonzero
             (k1, v1), = self.terms.items()
             (k2, v2), = other.terms.items()
-            res.terms = {k1 if not any(k2) else k2 if not any(k1)
-                         else tuple(map(add, k1, k2)): _c_mul(v1, v2)}
+            res.terms = {k1 if _key_is_one(k2) else k2 if _key_is_one(k1)
+                         else _key_mul(None, k1, k2): _c_mul(v1, v2)}
             return res
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 # a factor with all-zero exponents keeps the other's key
-                k = (k1 if not any(k2) else k2 if not any(k1)
-                     else tuple(map(add, k1, k2)))
+                k = (k1 if _key_is_one(k2) else k2 if _key_is_one(k1)
+                     else _key_mul(None, k1, k2))
                 v = _c_mul(v1, v2)
                 u = out.get(k)
                 if u is not None:
@@ -413,25 +446,21 @@ class ExactScalar:
     def shifted(self, shift: tuple[int, ...], sign: int = 1) -> "ExactScalar":
         """Multiply by ±(phase monomial with the given exponents)."""
         res = ExactScalar.__new__(ExactScalar)
-        if sign == 1:
-            res.terms = {tuple(map(add, k, shift)): v
-                         for k, v in self.terms.items()}
-        else:
-            res.terms = {tuple(map(add, k, shift)): _c_neg(v)
-                         for k, v in self.terms.items()}
+        shift = _phase_key(shift)
+        res.terms = {_key_mul(None, k, shift): v if sign == 1 else _c_neg(v)
+                     for k, v in self.terms.items()}
         return res
 
     def conj(self) -> "ExactScalar":
         """Antilinear involution: i -> -i, sqrt2 -> sqrt2, q -> q^-1."""
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {tuple(-x for x in k): _c_conj(v)
-                     for k, v in self.terms.items()}
+        res.terms = {_key_inv(k): _c_conj(v) for k, v in self.terms.items()}
         return res
 
     def invert_phases(self) -> "ExactScalar":
         """Substitute q -> q^-1 in every term, coefficients untouched."""
         res = ExactScalar.__new__(ExactScalar)
-        res.terms = {tuple(-x for x in k): v for k, v in self.terms.items()}
+        res.terms = {_key_inv(k): v for k, v in self.terms.items()}
         return res
 
     def inverse(self) -> "ExactScalar":
@@ -439,7 +468,7 @@ class ExactScalar:
         if len(self.terms) != 1:
             raise ZeroDivisionError("only single-term scalars are units")
         (k, v), = self.terms.items()
-        return ExactScalar({tuple(-x for x in k): _c_inv(v)})
+        return ExactScalar({_key_inv(k): _c_inv(v)})
 
     # -- predicates and accessors ---------------------------------------------
 
@@ -458,7 +487,7 @@ class ExactScalar:
         if len(self.terms) != 1:
             return False
         (k, v), = self.terms.items()
-        return not any(k) and not (v[1] or v[2] or v[3])
+        return _key_is_one(k) and not (v[1] or v[2] or v[3])
 
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):

@@ -7,8 +7,9 @@ classes in every form degree:
     omega lies in J  <=>  omega ^ dc lies in (c-1)*Omega.
 
 (=>) dc ^ dc = 0, dc graded-commutes with every form and c-1 is central,
-so ((c-1) alpha + dc ^ beta) ^ dc = (c-1) (alpha ^ dc).  (<=) Classically, the Euler contraction i_E
-(E = sum_a x^a d_a) is a degree -1 antiderivation with i_E dc = 2c, so
+so ((c-1) alpha + dc ^ beta) ^ dc = (c-1) (alpha ^ dc).  (<=) Classically,
+the Euler contraction i_E (E = sum_a x^a d_a) is a degree -1 antiderivation
+with i_E dc = 2c, so
 
     2c omega = i_E(dc ^ omega) + dc ^ i_E omega.
 
@@ -64,12 +65,12 @@ single term.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
 
 from .haar import haar_plane
 from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import (_C_MINUS_ONE, _C_ONE, _C_TWO, DeformationContext,
-                     ExactScalar, _c_add, _c_mul, _c_neg, _c_scale)
+                     ExactScalar, _c_add, _c_mul, _c_neg, _c_scale, _key_div,
+                     _key_mul)
 from .tensorcalc import _pairing_slots, epsilon_q, epsilon_qinv
 
 __all__ = [
@@ -89,7 +90,7 @@ def central_quadric(ctx: DeformationContext) -> Element:
     dim = ctx.dim
     return _finish(ctx, {
         ((tuple((j == a - 1) + (j == dim - a) for j in range(dim)), ()),
-         ctx._zero_exps): _C_ONE if 2 * a > dim else _C_TWO
+         ctx.one_key): _C_ONE if 2 * a > dim else _C_TWO
         for a in range(1, (dim + 1) // 2 + 1)})
 
 
@@ -104,7 +105,7 @@ def _companion_replacement(ctx: DeformationContext, p: int) -> Element:
     if p == 1:
         terms = {(mono, k): _c_scale(v, -1, 2) for (mono, k), v in
                  central_quadric(ctx).terms.items() if not mono[0][0]}
-        terms[(((0,) * ctx.dim, ()), ctx._zero_exps)] = (1, 0, 0, 0, 2)
+        terms[(((0,) * ctx.dim, ()), ctx.one_key)] = (1, 0, 0, 0, 2)
         return _finish(ctx, terms)
     return _companion_replacement(ctx, p - 1) * _companion_replacement(ctx, 1)
 
@@ -131,12 +132,11 @@ def reduce_mod_c(f: Element) -> Element:
         return f  # already in normal form
     acc: dict = {}
     groups: dict[int, dict] = {}
-    for key, v in f.terms.items():
-        mono, k = key
+    for (mono, k), v in f.terms.items():
         exps = mono[0]
         p = min(exps[0], exps[last])
         if not p:
-            acc[key] = v
+            acc[mono, k] = v
             continue
         rest = ((exps[0] - p,) + exps[1:last] + (exps[last] - p,), mono[1])
         pair_key = ((p,) + (0,) * (last - 1) + (p,), ())
@@ -144,7 +144,7 @@ def reduce_mod_c(f: Element) -> Element:
         shift, sign, prod_key = _mono_mul(ctx, rest, pair_key)
         if prod_key != mono or sign != 1:
             raise AssertionError("x^1 x^D does not split off the term")
-        groups.setdefault(p, {})[(rest, tuple(map(sub, k, shift)))] = v
+        groups.setdefault(p, {})[(rest, _key_div(ctx.one_key, k, shift))] = v
     for p, pieces in groups.items():
         _mul_into(acc, ctx, pieces, _companion_replacement(ctx, p).terms)
     return _finish(ctx, acc)
@@ -182,7 +182,7 @@ def _dc_slices(ctx: DeformationContext) -> dict:
     generator of J, holding dx^a (cached, shared)."""
     dim = ctx.dim
     return {a: {((tuple(int(j == dim - a) for j in range(dim)), (a,)),
-                 ctx._zero_exps): _C_TWO} for a in range(1, dim + 1)}
+                 ctx.one_key): _C_TWO} for a in range(1, dim + 1)}
 
 
 def top_decompose(om: Element) -> Element:
@@ -199,14 +199,14 @@ def top_decompose(om: Element) -> Element:
     full = tuple(range(1, ctx.dim + 1))
     index_sum = sum(full)
     slices = _dc_slices(ctx)
-    norm = ctx.i_power(-(ctx.dim // 2)).terms[ctx._zero_exps]
+    norm = ctx.i_power(-(ctx.dim // 2)).terms[ctx.one_key]
     acc: dict = {}
     for (mono, k), v in om.terms.items():
         ((dc_mono, _), _), = slices[index_sum - sum(mono[1])].items()
         shift, sign, (exps, dxs) = _mono_mul(ctx, mono, dc_mono)
         if dxs != full:
             raise AssertionError("top product is not proportional to the volume")
-        key = ((exps, ()), tuple(map(add, k, shift)))
+        key = ((exps, ()), _key_mul(ctx.one_key, k, shift))
         v = _c_mul(v if sign > 0 else _c_neg(v), norm)
         u = acc.get(key)
         acc[key] = v if u is None else _c_add(u, v)
@@ -341,7 +341,7 @@ def _pairing_sphere_basis(ctx: DeformationContext, u: tuple) -> dict:
             shift, s, _ = _mono_mul(ctx, (zero, v), (xb, (b,)))
             # the right slot's x^{b'} leaves rightward through dx^{(u+a)'}
             back = _mono_mul(ctx, (zero, partner), (xb, ()))[0]
-            right = {((xb, ()), tuple(map(sub, shift, back))):
+            right = {((xb, ()), _key_div(ctx.one_key, shift, back)):
                      _C_ONE if s > 0 else _C_MINUS_ONE}
             _mul_into(acc.setdefault(v, {}), ctx, left, right)
     out = {}

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import add, sub
 
 from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, ExactScalar,
-                     _c_mul)
+                     _c_mul, _key_div, _key_mul)
 
 __all__ = [
     "lambda_entry", "apply_lambda", "braid_word", "epsilon_q", "epsilon_qinv",
@@ -131,8 +130,7 @@ def antisym_w_bruteforce(ctx, upper, lower) -> ExactScalar:
         word = _reduced_word(perm)
         t, exps = braid_word(ctx, lower, word)
         if t == upper:
-            sign = -1 if len(word) % 2 else 1
-            total = total + ExactScalar({exps: _C_ONE}).scale(sign)
+            total = total + ctx.scalar((-1) ** len(word)).shifted(exps)
     return total
 
 
@@ -182,11 +180,11 @@ def epsilon_qinv(ctx: DeformationContext, indices) -> ExactScalar:
 def _reorder(ctx: DeformationContext, t: tuple) -> ExactScalar:
     """r(t): dx^{t_1} ... dx^{t_k} = r(t) dx^{sorted t}, t repeat-free."""
     # multiply the word out left to right through the kernel
-    zero = (0,) * ctx.dim
-    shift, sign, word = ctx._zero_exps, 1, (zero, t[:1])
+    zero, one = (0,) * ctx.dim, ctx.one_key
+    shift, sign, word = one, 1, (zero, t[:1])
     for a in t[1:]:
         step, step_sign, word = _mono_mul(ctx, word, (zero, (a,)))
-        shift, sign = tuple(map(add, shift, step)), sign * step_sign
+        shift, sign = _key_mul(one, shift, step), sign * step_sign
     return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
 
 
@@ -246,14 +244,14 @@ def _pairing_slots(alpha: Element, beta: Element):
     k = alpha.form_degree()
     if k != beta.form_degree():
         raise ValueError("pairing needs equal form degrees")
-    zero = (0,) * ctx.dim
+    zero, one = (0,) * ctx.dim, ctx.one_key
     lefts: dict[tuple, dict] = {}
     for ((e1, u), k1), c1 in alpha.terms.items():
         lefts.setdefault(u, {})[((e1, ()), k1)] = c1
     rights: dict[tuple, dict] = {}
     for ((e2, v), k2), c2 in beta.terms.items():
-        shift = _mono_mul(ctx, (zero, v), (e2, ()))[0]
-        rights.setdefault(v, {})[((e2, ()), tuple(map(sub, k2, shift)))] = c2
+        k2 = _key_div(one, k2, _mono_mul(ctx, (zero, v), (e2, ()))[0])
+        rights.setdefault(v, {})[((e2, ()), k2)] = c2
     return k, lefts, rights
 
 
@@ -274,7 +272,7 @@ def hodge_plane(alpha: Element) -> Element:
         # x^e dx^{dxs} is already in normal order; distinct u give distinct dxs
         dxs, phase = _hodge_basis(ctx, u)
         (k2, c2), = (phase * const).terms.items()
-        out[((e, dxs), tuple(map(add, k1, k2)))] = _c_mul(c, c2)
+        out[((e, dxs), _key_mul(ctx.one_key, k1, k2))] = _c_mul(c, c2)
     return _finish(ctx, out)
 
 

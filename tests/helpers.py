@@ -1,16 +1,58 @@
 """Shared test utilities: random elements and independent classical oracles."""
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
-from twistcalc import DeformationContext, Element
+import pytest
+
+from twistcalc import DeformationContext, Element, suites
 from twistcalc.identities import basis_form
 from twistcalc.suites import random_element, random_index_pair, random_monomial
 
 __all__ = [
     "basis_form", "random_element", "random_index_pair", "random_monomial",
     "classical_sphere_moment", "classical_gram_pairing", "central",
+    "recorded_run", "label_digest",
 ]
+
+
+def recorded_run(name: str, dim: int):
+    """run_suite(name, dim, seed=42) and a (suite, label, from r.check)
+    record of every case it ran."""
+    records, where = [], {"suite": None, "check": False}
+    case, check = suites._Runner.case, suites._Runner.check
+
+    def record(self, expression, *args, **kwargs):
+        records.append((where["suite"], expression, where["check"]))
+        return case(self, expression, *args, **kwargs)
+
+    def checked(self, family):
+        where["check"] = True
+        try:
+            return check(self, family)
+        finally:
+            where["check"] = False
+
+    def entered(nm, fn):
+        def run(*args):
+            where["suite"] = nm
+            return fn(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites._Runner, "case", record)
+        mp.setattr(suites._Runner, "check", checked)
+        for nm, fn in list(suites._SUITES.items()):
+            mp.setitem(suites._SUITES, nm, entered(nm, fn))
+        return suites.run_suite(name, dim=dim, seed=42), records
+
+
+def label_digest(records) -> str:
+    """SHA-256 of the sorted (suite, label) lines of a recorded run."""
+    text = "\n".join(f"{nm}\t{label}" for nm, label in
+                     sorted((nm, label) for nm, label, _ in records))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def central(ctx: DeformationContext) -> Element:

@@ -1,6 +1,5 @@
 """Command line surface: outputs, JSON schema, exit codes, determinism."""
 
-import hashlib
 import json
 import math
 import os
@@ -11,15 +10,19 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import frozenset_keys
 import twistcalc
+from helpers import basis_form, label_digest, recorded_run
 from twistcalc import (DeformationContext, Element, chern, cli, identities,
                        oracle, qphase, suites)
 from twistcalc.cli import main
-from twistcalc.exprio import parse_expr
+from twistcalc.exprio import format_element, parse_expr
+from twistcalc.sphere import hodge_sphere
 from twistcalc.suites import SUITE_NAMES, SuiteReport, run_suite
 
 
@@ -296,40 +299,9 @@ def test_sample_counts_moduli_and_n_are_checked(capsys):
             run_suite("chern", n=int(n))
 
 
-def _recorded_run(name: str, dim: int):
-    """run_suite(name, dim, seed=42) and a (suite, label, from r.check)
-    record of every case it ran."""
-    records, where = [], {"suite": None, "check": False}
-    case, check = suites._Runner.case, suites._Runner.check
-
-    def record(self, expression, *args, **kwargs):
-        records.append((where["suite"], expression, where["check"]))
-        return case(self, expression, *args, **kwargs)
-
-    def checked(self, family):
-        where["check"] = True
-        try:
-            return check(self, family)
-        finally:
-            where["check"] = False
-
-    def entered(nm, fn):
-        def run(*args):
-            where["suite"] = nm
-            return fn(*args)
-        return run
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(suites._Runner, "case", record)
-        mp.setattr(suites._Runner, "check", checked)
-        for nm, fn in list(suites._SUITES.items()):
-            mp.setitem(suites._SUITES, nm, entered(nm, fn))
-        return run_suite(name, dim=dim, seed=42), records
-
-
 @pytest.fixture(scope="module")
 def all_run():
-    return _recorded_run("all", 5)
+    return recorded_run("all", 5)
 
 
 def test_run_all_suites_clean(all_run):
@@ -342,8 +314,8 @@ def test_run_all_suites_clean(all_run):
 
 def test_case_labels_unique(all_run):
     # a failure record names its case, so no two cases may share a label
-    for report, records in (all_run, _recorded_run("haar", 3),
-                            _recorded_run("haar", 4)):
+    for report, records in (all_run, recorded_run("haar", 3),
+                            recorded_run("haar", 4)):
         labels = [label for _, label, _ in records]
         repeated = sorted(nm for nm, n in Counter(labels).items() if n > 1)
         assert len(labels) == report.cases and not repeated, repeated[:10]
@@ -408,12 +380,69 @@ LABELS_SHA256 = {
 
 @pytest.mark.parametrize("dim", sorted(LABELS_SHA256))
 def test_case_labels_golden(dim, all_run):
-    report, records = all_run if dim == 5 else _recorded_run("all", dim)
-    text = "\n".join(f"{nm}\t{label}" for nm, label in
-                     sorted((nm, label) for nm, label, _ in records))
+    report, records = all_run if dim == 5 else recorded_run("all", dim)
     assert report.failures == []
-    assert (report.cases, hashlib.sha256(text.encode()).hexdigest()) == \
-        LABELS_SHA256[dim]
+    assert (report.cases, label_digest(records)) == LABELS_SHA256[dim]
+
+
+# one monomial under four phases, which print in order of their exponents
+_PHASES_OF_X1 = "q(1,3)^2*q(1,2)*x1 + x1 + q(2,3)*x1 + q(1,2)^-1*x1"
+
+# run in a fresh interpreter: the suites at D = 5 and 7, the sphere Hodge
+# stars of the basis 2-forms at D = 7 and _PHASES_OF_X1, with frozenset keys
+_SWAPPED_KEYS = """
+import json
+from itertools import combinations
+
+import frozenset_keys
+rebound = frozenset_keys.install()
+from helpers import basis_form, label_digest, recorded_run
+from twistcalc import DeformationContext
+from twistcalc.exprio import format_element, parse_expr
+from twistcalc.sphere import hodge_sphere
+
+out = {"rebound": rebound, "runs": {}}
+for dim in (5, 7):
+    report, records = recorded_run("all", dim)
+    out["runs"][dim] = [report.to_dict(), label_digest(records)]
+ctx = DeformationContext(7)
+out["printed"] = []
+for el in [hodge_sphere(basis_form(ctx, u)) for u in combinations(
+        range(1, 8), 2)] + [parse_expr(ctx, PHASES)]:
+    assert el and all(type(k) is frozenset for _, k in el.terms), el
+    text = format_element(el)
+    assert parse_expr(ctx, text) == el, text
+    out["printed"].append(text)
+print(json.dumps(out))
+"""
+
+
+def test_phase_key_encoding_lives_in_qphase(all_run):
+    # only qphase knows the form of a phase key: with frozenset keys swapped
+    # in for its tuples, every module computes the same values, so the
+    # suites run the same cases under the same labels, and the Hodge stars
+    # print the same text, which parses back
+    src = Path(twistcalc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), str(Path(__file__).resolve().parent)])}
+    script = f"PHASES = {_PHASES_OF_X1!r}\n" + _SWAPPED_KEYS
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {f"twistcalc.qphase.{name}" for name in
+            frozenset_keys.KEY_FUNCTIONS} <= set(out["rebound"])
+    for dim in (5, 7):
+        report, digest = out["runs"][str(dim)]
+        assert report["failures"] == []
+        assert (report["cases"], digest) == LABELS_SHA256[dim]
+    assert _without_wall_times(out["runs"]["5"][0]) == \
+        _without_wall_times(all_run[0].to_dict())
+    ctx = DeformationContext(7)
+    assert out["printed"] == [format_element(hodge_sphere(basis_form(ctx, u)))
+                              for u in combinations(range(1, 8), 2)] + [
+        "q(1,2)^-1*x1 + x1 + q(2,3)^1*x1 + q(1,2)^1*q(1,3)^2*x1"]
 
 
 def test_suite_size_limits_refused_before_any_work(capsys, monkeypatch):

@@ -407,10 +407,15 @@ def test_block_sups_match_single_point_sups():
 
 # -- reach and size guards ----------------------------------------------------
 
-@pytest.mark.parametrize("d", [6, 7, 9])
+# sides of the two default models (moduli 13 and 17) per dimension
+_DEFAULT_SIDES = {6: [169, 289], 7: [169, 289], 9: [169, 289],
+                  10: [2197, 4913], 11: [2197, 4913]}
+
+
+@pytest.mark.parametrize("d", sorted(_DEFAULT_SIDES))
 def test_default_moduli_reach_without_dense_matrices(d):
     ctx = DeformationContext(d)
-    assert [m.size for m in _models(ctx, 42)] == [169, 289]
+    assert [m.size for m in _models(ctx, 42)] == _DEFAULT_SIDES[d]
     rng = random.Random(30 + d)
     x1, x2 = Element.x(ctx, 1), Element.x(ctx, 2)
     cc = central(ctx)
@@ -426,7 +431,7 @@ def test_default_moduli_reach_without_dense_matrices(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # words of side 289 take 7 kB each; the bound leaves no room for a
+    # words of side 4913 take 118 kB each; the bound leaves no room for a
     # runaway intermediate
     assert peak < 64 * 2 ** 20
 
@@ -467,6 +472,13 @@ def test_model_word_cap():
     for d in range(2, 10):
         for m in (13, 17):
             assert TorusRep(DeformationContext(d), moduli=(m,)).size <= 289
+    # sides grow with D: the default models build at D = 17 (sides 13^4 and
+    # 17^4), and D = 18 is the first dimension they are refused at
+    assert [m.size for m in _models(DeformationContext(17), 42)] == [
+        13 ** 4, 17 ** 4]
+    with pytest.raises(ValueError, match=r"side 371293 \(modulus 13, 5 slots\)"
+                       r" needs 19 words .* 7054567 entries, over the cap"):
+        _models(DeformationContext(18), 42)
 
 
 def test_overflow_makes_the_sup_inf():

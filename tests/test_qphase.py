@@ -118,6 +118,40 @@ def test_rational_factor_keeps_the_other_key():
         (got,) = product.terms
         assert got is want
     assert two * two == ctx.scalar(4) and two * q == q.scale(2)
+    # so does the one key in the key algebra of the term loops
+    one = ctx.one_key
+    assert key is one
+    for got in (qphase._key_mul(one, one, qkey), qphase._key_mul(one, qkey, one),
+                qphase._key_mul(one, qkey, one, one),
+                qphase._key_div(one, qkey, one)):
+        assert got is qkey
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 11), st.data())
+def test_key_algebra_is_exponent_arithmetic(dim, data):
+    # product, quotient, inverse and is-one test of phase keys agree with
+    # the arithmetic of their exponent vectors, through the conversions
+    ctx = DeformationContext(dim)
+    n, one = ctx.nparams, ctx.one_key
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    u, v, w = (data.draw(vectors) for _ in range(3))
+    ku, kv, kw = (qphase._phase_key(x) for x in (u, v, w))
+
+    def exps(k):
+        return qphase._phase_exps(k, n)
+
+    assert exps(ku) == u and exps(one) == (0,) * n
+    assert (ku == kv) == (u == v) and (ku == one) == (not any(u))
+    assert qphase._key_is_one(ku) == (not any(u)) and qphase._key_is_one(one)
+    for f in (one, None):
+        assert exps(qphase._key_mul(f, ku, kv)) == tuple(
+            a + b for a, b in zip(u, v))
+    assert exps(qphase._key_mul(one, ku, kv, kw)) == tuple(
+        a + b + c for a, b, c in zip(u, v, w))
+    assert exps(qphase._key_div(one, ku, kv)) == tuple(
+        a - b for a, b in zip(u, v))
+    assert exps(qphase._key_inv(ku)) == tuple(-a for a in u)
 
 
 def _random_scalar(ctx, rng):
