@@ -260,12 +260,12 @@ def _mul2(u, v):
     return u[0] ^ v[0], (u[1][v[0]] * v[1][0], u[1][1 ^ v[0]] * v[1][1])
 
 
-def _commutes(us, vs, scale: ExactScalar, one: ExactScalar) -> bool:
+def _commutes(us, vs, scale: ExactScalar) -> bool:
     """Whether (x us)(x vs) = scale (x vs)(x us), shown bit by bit: diagonal
     factors commute; elsewhere u_k v_k is a nonzero multiple of v_k u_k, and
     the multiples, read at each u_k v_k's first nonzero entry, multiply to
     scale."""
-    lhs, rhs = one, scale
+    lhs, rhs = scale.ctx.scalar_one(), scale
     for u, v in zip(us, vs):
         if u[0] or v[0]:
             (_, a), (_, b) = _mul2(u, v), _mul2(v, u)
@@ -286,17 +286,19 @@ def _kron_trace(us, vs) -> ExactScalar | None:
 
 
 def clifford_trace(rep: GammaRep, indices) -> ExactScalar:
-    """Trace of a product of 2n+1 gamma matrices: the diagonal sum of the
-    composed column view.
-
-    Equals 2^n times the inverse-phase epsilon tensor of the index tuple.
-    """
+    """Trace of a product of 2n+1 gamma matrices, 2^n times the inverse-phase
+    epsilon tensor of the index tuple: the first 2n gammas' factors multiplied
+    bit by bit, traced against the last one's (no 2^n-column view)."""
     indices = tuple(indices)
     if len(indices) != 2 * rep.n + 1:
         raise ValueError("the trace formula needs exactly 2n+1 indices")
-    view = reduce(_compose, map(rep.gamma, indices))
-    return sum((s for c, (r, s) in view.items() if r == c),
-               rep.ctx.scalar_zero())
+    for i in indices:
+        rep.ctx.check_index(i)
+    us = rep.factors[indices[0]]
+    for i in indices[1:-1]:
+        us = list(map(_mul2, us, rep.factors[i]))
+    t = _kron_trace(us, rep.factors[indices[-1]])
+    return rep.ctx.scalar_zero() if t is None else t
 
 
 def instanton_projector(n: int, ctx: DeformationContext | None = None):
@@ -376,7 +378,7 @@ def _expansion_trace(rep: GammaRep) -> Element:
     for a in range(1, ctx.dim + 1):
         for b in range(a + 1, ctx.dim + 1):
             if b != primed(a) and not _commutes(f[a], f[b],
-                                                -ctx.q_power(b, a), one):
+                                                -ctx.q_power(b, a)):
                 raise ValueError(f"block lemma fails: gamma^{a} gamma^{b} "
                                  f"!= -q({b},{a}) gamma^{b} gamma^{a}")
     for a in range(1, n + 1):
@@ -427,16 +429,13 @@ def charge(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
     Combines the character normalisation with 1/n!; the result is exactly 1
     for every n with all phase exponents cancelled.
     """
-    value = charge_integral(n, ctx)  # refuses n over the limit first
-    if ctx is None:
-        ctx = DeformationContext(2 * n + 1)
-    return value * _pairing_norm(ctx)
+    value = charge_integral(n, ctx)
+    return value * _pairing_norm(value.ctx)
 
 
 def charge_from_curvature(n: int, ctx: DeformationContext | None = None) -> ExactScalar:
     """Same pairing computed as (normalisation/n!) * int Tr(F^n)."""
     rep, e = instanton_projector(n, ctx)
-    ctx = rep.ctx
     f = curvature(e)
     trace = f.trace() if n == 1 else reduce(mul, [f] * (n - 1)).trace_mul(f)
-    return integrate_form(trace) * _pairing_norm(ctx)
+    return integrate_form(trace) * _pairing_norm(rep.ctx)

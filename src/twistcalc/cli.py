@@ -146,12 +146,11 @@ def _cmd_charge(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be a positive integer")
     value = chern.charge(args.n)  # refuses n above the limit first
-    ctx = DeformationContext(2 * args.n + 1)
-    exact = format_scalar(value, ctx)
-    ok = value == ctx.scalar_one()
+    exact = format_scalar(value)
+    ok = value == value.ctx.scalar_one()
     numeric = None
     if args.numeric_check:
-        numeric = value.eval([_DEFAULT_THETA] * ctx.nparams)
+        numeric = value.eval([_DEFAULT_THETA] * value.ctx.nparams)
     if args.json:
         print(json.dumps({"n": args.n, "exact": exact, "is_one": ok,
                           "numeric": _complex_json(numeric)}))
@@ -168,10 +167,10 @@ def _cmd_haar(args) -> int:
     angles = _angles(ctx, args.theta)
     numeric = value.eval(angles)
     if args.json:
-        print(json.dumps({"exact": format_scalar(value, ctx),
+        print(json.dumps({"exact": format_scalar(value),
                           "numeric": _complex_json(numeric)}))
     else:
-        print(f"exact:   {format_scalar(value, ctx)}")
+        print(f"exact:   {format_scalar(value)}")
         print(f"numeric: {numeric:.12g}")
     return 0
 
@@ -191,7 +190,7 @@ def _cmd_integrate(args) -> int:
     ctx = DeformationContext(args.sphere + 1)
     value = sphere.integrate_form(parse_expr(ctx, args.expr))
     numeric = value.eval(_angles(ctx, args.theta))
-    print(json.dumps({"exact": format_scalar(value, ctx),
+    print(json.dumps({"exact": format_scalar(value),
                       "numeric": _complex_json(numeric),
                       "degree": 0}))
     return 0

@@ -239,6 +239,6 @@ def format_element(el: Element) -> str:
     return out
 
 
-def format_scalar(s, ctx: DeformationContext) -> str:
+def format_scalar(s) -> str:
     """Grammar text of a bare scalar."""
-    return format_element(Element.from_scalar(ctx, s))
+    return format_element(Element.from_scalar(s.ctx, s))

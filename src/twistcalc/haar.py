@@ -138,4 +138,4 @@ def haar_plane(ctx: DeformationContext, f: Element) -> ExactScalar:
         w = _c_scale(v, p, q)
         u = acc.get(k)
         acc[k] = w if u is None else _c_add(u, w)
-    return ExactScalar(acc)
+    return ExactScalar(ctx, acc)

@@ -1,6 +1,7 @@
 """The catalogue of verified identities: each family is declared here once.
 
-An ``Identity`` is one equation ``lhs = rhs`` of a kind:
+An ``Identity`` is one equation ``lhs = rhs``, whose sides carry their one
+context, of a kind:
 
 - ``scalar``: two ``ExactScalar`` values, equal exactly;
 - ``element``: two ambient ``Element`` values, equal exactly;
@@ -50,7 +51,6 @@ class Identity(NamedTuple):
     group: str
     label: str
     kind: str  # "scalar", "element" or "sphere"
-    ctx: DeformationContext
     lhs: object
     rhs: object
 
@@ -74,18 +74,18 @@ def _per_rank(draws):
         yield seen[len(up)] - 1, up, lo
 
 
-def _singles(kind: str, ctx, cases):
+def _singles(kind: str, cases):
     """A family instance of one identity per (group, lhs, rhs) of ``cases``,
     labelled by its group."""
     for group, lhs, rhs in cases:
-        yield Identity(group, group, kind, ctx, lhs, rhs)
+        yield Identity(group, group, kind, lhs, rhs)
 
 
-def _family(group: str, kind: str, ctx, sides):
+def _family(group: str, kind: str, sides):
     """One family instance: an identity per (lhs, rhs) of ``sides``,
     labelled by the group and its position."""
     for j, (lhs, rhs) in enumerate(sides):
-        yield Identity(group, f"{group} #{j}", kind, ctx, lhs, rhs)
+        yield Identity(group, f"{group} #{j}", kind, lhs, rhs)
 
 
 # -- phases and the algebra ---------------------------------------------------
@@ -94,12 +94,12 @@ def pair_table(ctx):
     """The laws of the phase table: each column multiplies to 1,
     q_(a,b) q_(b,a) = 1, and priming both indices keeps the phase."""
     d, q, one = ctx.dim, ctx.q_power, ctx.scalar_one()
-    yield from _singles("scalar", ctx, (
+    yield from _singles("scalar", (
         (f"D={d}: prod_i q_(i,{p}) = 1",
          reduce(mul, (q(i, p) for i in range(1, d + 1))), one)
         for p in range(1, d + 1)))
     for a, b in product(range(1, d + 1), repeat=2):
-        yield from _singles("scalar", ctx, (
+        yield from _singles("scalar", (
             (f"D={d}: q_({a},{b}) q_({b},{a}) = 1", q(a, b) * q(b, a), one),
             (f"D={d}: q_({a},{b}) = q_({a}',{b}')", q(a, b),
              q(ctx.primed(a), ctx.primed(b)))))
@@ -109,7 +109,7 @@ def phase_examples(ctx, scalars):
     """At D = 5, whose one phase is q = q_(1,2): the table at three pairs,
     conjugation of i q, and conj(conj(s)) = s on each drawn scalar s."""
     q, i = ctx.q_power, ctx.i_unit()
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         ("D=5: q_(4,5)", q(4, 5), ctx.scalar_one().shifted((-1,))),
         ("D=5: q_(3,1) trivial", q(3, 1), ctx.scalar_one()),
         ("D=5: q_(1,2) generator", q(1, 2), ctx.scalar_one().shifted((1,))),
@@ -131,7 +131,7 @@ def algebra_relations(ctx):
          x(1).d() * x(2) + x(1) * x(2).d())]
     if ctx.dim == 5:
         cases.append(("dx3*x1 = x1*dx3", dx(3) * x(1), x(1) * dx(3)))
-    return _singles("element", ctx, cases)
+    return _singles("element", cases)
 
 
 def confluence(ctx, words):
@@ -142,7 +142,7 @@ def confluence(ctx, words):
         left, right = normal_order(ctx, word), Element.one(ctx)
         for kind, a in reversed(word):
             right = gen[kind](ctx, a) * right
-        yield from _singles("element", ctx, [
+        yield from _singles("element", [
             (f"D={ctx.dim} confluence of {word} #{j}", left, right)])
 
 
@@ -162,7 +162,7 @@ def basis_counts(ctx):
 
     extend((), Element.one(ctx))
     for k in range(d + 1):
-        yield from _singles("scalar", ctx, [
+        yield from _singles("scalar", [
             (f"degree-{k} basis count C({d},{k})", ctx.scalar(len(keys[k])),
              ctx.scalar(comb(d, k)))])
 
@@ -170,9 +170,9 @@ def basis_counts(ctx):
 def volume_form_laws(ctx):
     """The volume element V commutes with every x^a and is real."""
     d, v, x = ctx.dim, volume_element(ctx), Element.x
-    yield from _family(f"D={d}: volume form central", "element", ctx, (
+    yield from _family(f"D={d}: volume form central", "element", (
         (x(ctx, a) * v, v * x(ctx, a)) for a in range(1, d + 1)))
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         (f"D={d}: volume form real", v.star(), v)])
 
 
@@ -181,16 +181,16 @@ def form_laws(ctx, forms, printed):
     f** = f, (df)* = d(f*) and ddf = 0; and the printed form of the element
     ``printed`` parses back to it."""
     x, dx, zero = Element.x, Element.dx, Element.zero(ctx)
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         ("star(x1) = x5", x(ctx, 1).star(), x(ctx, 5)),
         ("star(dx1^dx2) = -dx4^dx5", (dx(ctx, 1) * dx(ctx, 2)).star(),
          -(dx(ctx, 4) * dx(ctx, 5)))])
     for j, f in enumerate(forms):
-        yield from _singles("element", ctx, [
+        yield from _singles("element", [
             (f"star(star(f)) = f #{j}", f.star().star(), f),
             (f"star(d f) = d(star f) #{j}", f.d().star(), f.star().d()),
             (f"dd f #{j}", f.d().d(), zero)])
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         ("print/parse round trip", parse_expr(ctx, format_element(printed)),
          printed)])
 
@@ -210,7 +210,7 @@ def haar_well_defined(ctx, max_deg: int):
                 e[j] += 1
             m = Element.monomial(ctx, (tuple(e), ()))
             yield Identity(group, f"D={d} h((c-1)m) {tuple(e)}", "scalar",
-                           ctx, haar_plane(ctx, rel * m), zero)
+                           haar_plane(ctx, rel * m), zero)
 
 
 def haar_trace(ctx, pairs):
@@ -218,7 +218,7 @@ def haar_trace(ctx, pairs):
     d = ctx.dim
     for j, (f, g) in enumerate(pairs):
         yield Identity(f"D={d}: h(fg) = h(gf)", f"D={d} trace #{j}", "scalar",
-                       ctx, haar_plane(ctx, f * g), haar_plane(ctx, g * f))
+                       haar_plane(ctx, f * g), haar_plane(ctx, g * f))
 
 
 def haar_reality(ctx, fs):
@@ -226,7 +226,7 @@ def haar_reality(ctx, fs):
     d = ctx.dim
     for j, f in enumerate(fs):
         yield Identity(f"D={d}: conj h(f) = h(f*)", f"D={d} reality #{j}",
-                       "scalar", ctx, haar_plane(ctx, f).conj(),
+                       "scalar", haar_plane(ctx, f).conj(),
                        haar_plane(ctx, f.star()))
 
 
@@ -239,7 +239,7 @@ def haar_moments(ctx):
         e[ctx.primed(i) - 1] += 1
         m = Element.monomial(ctx, (tuple(e), ()))
         yield Identity(f"D={d}: h(x{i} x{i}*) = 1/{d}",
-                       f"D={d} h(x{i} x{i}') = 1/{d}", "scalar", ctx,
+                       f"D={d} h(x{i} x{i}') = 1/{d}", "scalar",
                        haar_plane(ctx, m), ctx.scalar(Fraction(1, d)))
 
 
@@ -252,14 +252,14 @@ def haar_square_moments(ctx):
             e[i - 1] = 2
             m = Element.monomial(ctx, (tuple(e), ()))
             yield Identity(f"D={d}: h((x{i})^2) = 0", f"D={d} h((x{i})^2) = 0",
-                           "scalar", ctx, haar_plane(ctx, m),
+                           "scalar", haar_plane(ctx, m),
                            ctx.scalar_zero())
 
 
 def haar_units(ctx):
     """h(1) = h(c) = 1."""
     d, one = ctx.dim, ctx.scalar_one()
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         (f"D={d}: h(1) = 1", haar_plane(ctx, Element.one(ctx)), one),
         (f"D={d}: h(c) = 1", haar_plane(ctx, central_quadric(ctx)), one)])
 
@@ -267,7 +267,7 @@ def haar_units(ctx):
 def haar_values(ctx):
     """At D = 5: h(x3 x3) = h(x1 x5) = 1/5 and lambda_1(5) = 1/10."""
     x, fifth = Element.x, ctx.scalar(Fraction(1, 5))
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         ("D=5: h(x3 x3) = 1/5", haar_plane(ctx, x(ctx, 3, 2)), fifth),
         ("D=5: h(x1 x5) = 1/5", haar_plane(ctx, x(ctx, 1) * x(ctx, 5)), fifth),
         ("lambda_1(5) = 1/10", ctx.scalar(lambda_coefficient(5, 1)),
@@ -278,10 +278,10 @@ def derivative_laws(ctx, draws):
     """The Laplacian kills x1, and d_a d_b f = q_ab d_b d_a f on each drawn
     (a, b, f)."""
     d, da = ctx.dim, (lambda a, f: partial_derivative(ctx, a, f))
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         (f"D={d}: Delta(x1) = 0", laplacian(Element.x(ctx, 1)),
          Element.zero(ctx))])
-    yield from _family(f"D={d}: derivative exchange relation", "element", ctx, (
+    yield from _family(f"D={d}: derivative exchange relation", "element", (
         (da(a, da(b, f)), da(b, da(a, f)) * ctx.q_power(a, b))
         for a, b, f in draws))
 
@@ -293,7 +293,7 @@ def stokes(ctx, thetas):
     zero = ctx.scalar_zero()
     for j, th in enumerate(thetas):
         yield Identity("Stokes: integral d(theta) = 0",
-                       f"N={ctx.dim - 1} Stokes #{j}", "scalar", ctx,
+                       f"N={ctx.dim - 1} Stokes #{j}", "scalar",
                        integrate_form(th.d()), zero)
 
 
@@ -304,23 +304,22 @@ def sphere_relations(ctx):
     integral 1; its class is real and that of c vol."""
     one, cc, v = Element.one(ctx), central_quadric(ctx), volume_element(ctx)
     vol, x, c3 = volume_form(ctx), Element.x, DeformationContext(3)
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         ("reduce(c) = 1", reduce_mod_c(cc), one),
         ("reduce((c-1) x2)", reduce_mod_c((cc - one) * x(ctx, 2)),
-         Element.zero(ctx))])
-    yield from _singles("element", c3, [
+         Element.zero(ctx)),
         ("D=3: reduce(x2^2 + 2 x1x3) = 1", reduce_mod_c(
             x(c3, 2, 2) + (x(c3, 1) * x(c3, 3)).scale(2)), Element.one(c3))])
-    yield from _family("omega_k ^ dx^l = delta V", "element", ctx, (
+    yield from _family("omega_k ^ dx^l = delta V", "element", (
         (omega_form(ctx, k) * Element.dx(ctx, l),
          v if l == k else Element.zero(ctx))
         for k, l in product(range(1, ctx.dim + 1), repeat=2)))
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         ("sum_k x^k omega_k ^ dc = 2 c V", vol * cc.d(), (cc * v).scale(2)),
         ("top_decompose(volume) = c", top_decompose(vol), cc)])
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         ("integral of the volume = 1", integrate_form(vol), ctx.scalar_one())])
-    yield from _singles("sphere", ctx, [
+    yield from _singles("sphere", [
         ("[c w] = [w]", cc * vol, vol), ("[volume] = [volume]", vol, vol),
         ("volume class is real", vol.star(), vol)])
 
@@ -330,23 +329,23 @@ def integral_laws(ctx, pairs, triples):
     function a and top form w; and sees only the class: w and
     w + (c-1) a + dc ^ b have one integral on each drawn (w, a, b)."""
     cm1, dc = central_quadric(ctx) - Element.one(ctx), central_quadric(ctx).d()
-    yield from _family("integral[a w] = integral[w a]", "scalar", ctx, (
+    yield from _family("integral[a w] = integral[w a]", "scalar", (
         (integrate_form(a * w), integrate_form(w * a)) for a, w in pairs))
     yield from _family("integral independent of the representative", "scalar",
-                       ctx, ((integrate_form(w + cm1 * a + dc * b),
-                              integrate_form(w)) for w, a, b in triples))
+                       ((integrate_form(w + cm1 * a + dc * b),
+                         integrate_form(w)) for w, a, b in triples))
 
 
 def ideal_laws(ctx, beta, fs):
     """J holds dc ^ beta, and is a differential star ideal: d m and m* lie
     in J for m = (c-1) f, f each drawn form."""
     cc, zero = central_quadric(ctx), Element.zero(ctx)
-    yield from _singles("sphere", ctx, [
+    yield from _singles("sphere", [
         ("[dc ^ beta] = 0", cc.d() * beta, zero)])
     members = [(cc - Element.one(ctx)) * f for f in fs]
     yield from _family("J is a differential star ideal (samples)", "sphere",
-                       ctx, ((m2, zero) for m in members
-                             for m2 in (m.d(), m.star())))
+                       ((m2, zero) for m in members
+                        for m2 in (m.d(), m.star())))
 
 
 def connes_landi_s4(ctx):
@@ -361,7 +360,7 @@ def connes_landi_s4(ctx):
     sides.append((reduce_mod_c((x(1) * x(5) + x(2) * x(4)).scale(2)
                                + Element.x(ctx, 3, 2)), Element.one(ctx)))
     yield from _family("S^4 coordinate relations match the torus-sphere form",
-                       "element", ctx, sides)
+                       "element", sides)
 
 
 # -- Hodge stars on full bases ------------------------------------------------
@@ -407,8 +406,8 @@ def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol,
     """
 
     def eq(i, label, lhs, rhs):
-        return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, ctx,
-                        lhs, rhs)
+        return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, lhs,
+                        rhs)
 
     def singles():
         for s, (a, sa) in basis.items():
@@ -443,9 +442,9 @@ def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol,
 def hodge_plane_units(ctx):
     """*1 = V and *V = 1 on the plane."""
     d, v, one = ctx.dim, volume_element(ctx), Element.one(ctx)
-    yield Identity(f"D={d}: *1 = V", f"D={d} *1 - V", "element", ctx,
+    yield Identity(f"D={d}: *1 = V", f"D={d} *1 - V", "element",
                    hodge_plane(one), v)
-    yield Identity(f"D={d}: *V = 1", f"D={d} *V - 1", "element", ctx,
+    yield Identity(f"D={d}: *V = 1", f"D={d} *V - 1", "element",
                    hodge_plane(v), one)
 
 
@@ -475,9 +474,9 @@ def hodge_plane_basis(ctx):
 def hodge_sphere_units(ctx):
     """*1 = volume and *volume = 1 as sphere classes."""
     n, vol, one = ctx.dim - 1, volume_form(ctx), Element.one(ctx)
-    yield Identity(f"N={n}: *1 = volume", f"N={n} *1 - vol", "sphere", ctx,
+    yield Identity(f"N={n}: *1 = volume", f"N={n} *1 - vol", "sphere",
                    hodge_sphere(one), vol)
-    yield Identity(f"N={n}: *volume = 1", f"N={n} *vol - 1", "sphere", ctx,
+    yield Identity(f"N={n}: *volume = 1", f"N={n} *vol - 1", "sphere",
                    hodge_sphere(vol), one)
 
 
@@ -526,7 +525,7 @@ def hodge_sphere_basis(ctx):
     basis = _basis(ctx, n, hodge_sphere)
     for s, (th, sth) in basis.items():
         yield Identity(f"N={n}: explicit star = star through the normal",
-                       f"N={n} normal-route {s}", "sphere", ctx, sth,
+                       f"N={n} normal-route {s}", "sphere", sth,
                        hodge_plane(th * dc).scale(
                            Fraction((-1) ** (n - len(s)), 2)))
     yield from _hodge_family(
@@ -538,7 +537,7 @@ def hodge_sphere_basis(ctx):
 def plane_volume_norm(ctx):
     """<V, V> = 1 on the plane."""
     v = volume_element(ctx)
-    yield from _singles("element", ctx, [
+    yield from _singles("element", [
         (f"D={ctx.dim}: <V,V> = 1", pairing_plane(v, v), Element.one(ctx))])
 
 
@@ -546,7 +545,7 @@ def hodge_bilinearity(ctx, draws):
     """The sphere star is bilinear over functions: *(f theta h) =
     f (*theta) h as classes, on each drawn (dx indices of theta, f, h)."""
     yield from _family(f"N={ctx.dim - 1}: function bilinearity of the star",
-                       "sphere", ctx, (
+                       "sphere", (
         (hodge_sphere(f * basis_form(ctx, s) * h),
          f * hodge_sphere(basis_form(ctx, s)) * h) for s, f, h in draws))
 
@@ -559,10 +558,9 @@ def braid_squares(ctx):
     for t in product(range(1, d + 1), repeat=2):
         u, exps = braid_word(ctx, t, (0, 0))
         yield Identity(f"D={d}: braid matrix squares to identity",
-                       f"D={d} braid^2 {t}", "scalar", ctx,
+                       f"D={d} braid^2 {t}", "scalar",
                        ctx.scalar_one().shifted(exps) if u == t
-                       else ctx.scalar_zero(),
-                       ctx.scalar_one())
+                       else ctx.scalar_zero(), ctx.scalar_one())
 
 
 def braid_equation(ctx):
@@ -573,7 +571,7 @@ def braid_equation(ctx):
         ua, ea = braid_word(ctx, t, (0, 1, 0))
         ub, eb = braid_word(ctx, t, (1, 0, 1))
         yield Identity(f"D={d}: braid equation", f"D={d} braid eq {t}",
-                       "scalar", ctx, ctx.scalar_one().shifted(ea),
+                       "scalar", ctx.scalar_one().shifted(ea),
                        ctx.scalar_one().shifted(eb) if ub == ua
                        else ctx.scalar_zero())
 
@@ -628,7 +626,7 @@ def epsilon_contraction(ctx):
             w_row = w_rows.get(up, {})
             for lo in sorted(row.keys() | w_row.keys()):
                 yield Identity(group, f"D={d} contraction {up}|{lo}", "scalar",
-                               ctx, row.get(lo, zero), w_row.get(lo, zero))
+                               row.get(lo, zero), w_row.get(lo, zero))
 
 
 def epsilon_contraction_draws(ctx, draws):
@@ -640,7 +638,7 @@ def epsilon_contraction_draws(ctx, draws):
         w = antisym_w(ctx, up, lo).scale(factorial(d - len(up)))
         for tag, cyclic in (("", False), ("cyclic ", True)):
             yield Identity(f"D={d} {tag}contraction {up}|{lo} #{j}",
-                           f"D={d} {tag}contraction #{j}", "scalar", ctx,
+                           f"D={d} {tag}contraction #{j}", "scalar",
                            _contraction_row(ctx, up, cyclic).get(lo, zero), w)
 
 
@@ -653,13 +651,13 @@ def w_partial_traces(ctx, draws):
              for j, up, lo in _per_rank(draws)]
     for j, up, lo, want in cases:
         yield Identity(f"D={d}: trailing partial trace of W",
-                       f"D={d} k={len(up) + 1} trace-last #{j}", "scalar", ctx,
+                       f"D={d} k={len(up) + 1} trace-last #{j}", "scalar",
                        sum((antisym_w(ctx, up + (m,), lo + (m,))
                             for m in range(1, d + 1)), zero), want)
     for j, up, lo, want in cases:
         yield Identity(f"D={d}: leading partial trace of W",
                        f"D={d} k={len(up) + 1} trace-first #{j}", "scalar",
-                       ctx, sum((antisym_w(ctx, (m,) + up, (m,) + lo)
+                       sum((antisym_w(ctx, (m,) + up, (m,) + lo)
                                  for m in range(1, d + 1)), zero), want)
 
 
@@ -672,7 +670,7 @@ def w_recursion(ctx, draws):
     for j, up, lo in _per_rank(draws):
         rank = " (k=4)" if len(up) == 4 else ""
         yield Identity(f"W^{up}_{lo} recursion = permutation sum{rank} #{j}",
-                       f"W rec vs sum k={len(up)} #{j}", "scalar", ctx,
+                       f"W rec vs sum k={len(up)} #{j}", "scalar",
                        antisym_w(ctx, up, lo),
                        antisym_w_bruteforce(ctx, up, lo))
 
@@ -685,16 +683,16 @@ def metric_epsilon(ctx, orders):
     eps_qinv(idx) = det g eps_q(idx reversed)."""
     d = ctx.dim
     det = -1 if (d // 2) % 2 else 1
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         (f"D={d}: q-determinant of the metric",
          epsilon_q(ctx, tuple(map(ctx.primed, range(1, d + 1)))),
          ctx.scalar(det))])
     yield from _family(f"D={d}: priming indices multiplies epsilon by det g",
-                       "scalar", ctx, (
+                       "scalar", (
         (epsilon_q(ctx, tuple(map(ctx.primed, idx))),
          epsilon_q(ctx, idx).scale(det)) for idx in orders))
     yield from _family(f"D={d}: inverse-phase epsilon = reversed epsilon det g",
-                       "scalar", ctx, (
+                       "scalar", (
         (epsilon_qinv(ctx, idx), epsilon_q(ctx, idx[::-1]).scale(det))
         for idx in orders))
 
@@ -702,7 +700,7 @@ def metric_epsilon(ctx, orders):
 def pairing_symmetry(ctx, draws):
     """The wedge/tensor pairing is symmetric: W^{i reversed}_{a'} =
     W^a_{i primed} on each drawn index pair (a, i), a' = ``_primed(a)``."""
-    yield from _singles("scalar", ctx, (
+    yield from _singles("scalar", (
         (f"wedge/tensor pairing symmetry {a}|{i} #{j}",
          antisym_w(ctx, i[::-1], _primed(ctx, a)),
          antisym_w(ctx, a, tuple(map(ctx.primed, i))))
@@ -721,7 +719,7 @@ def clifford_relations(rep):
             defect = rep.relation_defect(i, j)
             for a, b in product(range(2 ** n), repeat=2):
                 yield Identity(group, f"n={n} relation ({i},{j})[{a}{b}]",
-                               "scalar", ctx, defect.get((a, b), zero), zero)
+                               "scalar", defect.get((a, b), zero), zero)
 
 
 def clifford_traces(rep, draws=None):
@@ -736,7 +734,7 @@ def clifford_traces(rep, draws=None):
         group = f"n={n}: trace formula random"
         items = [(f"n={n} trace #{j}", idx) for j, idx in enumerate(draws)]
     for label, idx in items:
-        yield Identity(group, label, "scalar", ctx, clifford_trace(rep, idx),
+        yield Identity(group, label, "scalar", clifford_trace(rep, idx),
                        epsilon_qinv(ctx, idx).scale(2 ** n))
 
 
@@ -747,9 +745,9 @@ def projector_laws(n: int):
     sphere and hermitian, entry by entry."""
     rep, e = instanton_projector(n)
     ee, entries = e * e, list(product(range(2 ** n), repeat=2))
-    yield from _family(f"n={n}: projector idempotent", "sphere", rep.ctx,
+    yield from _family(f"n={n}: projector idempotent", "sphere",
                        ((ee[a, b], e[a, b]) for a, b in entries))
-    yield from _family(f"n={n}: projector hermitian", "element", rep.ctx,
+    yield from _family(f"n={n}: projector hermitian", "element",
                        ((e[a, b].star(), e[b, a]) for a, b in entries))
 
 
@@ -759,9 +757,9 @@ def curvature_laws(n: int):
     rep, e = instanton_projector(n)
     f = curvature(e)
     entries = product(range(2 ** n), repeat=2)
-    yield from _family(f"n={n}: curvature antihermitian", "sphere", rep.ctx,
+    yield from _family(f"n={n}: curvature antihermitian", "sphere",
                        ((f[a, b].star(), -f[b, a]) for a, b in entries))
-    yield from _singles("scalar", rep.ctx, [
+    yield from _singles("scalar", [
         (f"n={n}: charge via curvature", charge_from_curvature(n),
          rep.ctx.scalar_one())])
 
@@ -772,7 +770,7 @@ def charge_laws(n: int):
     rep, e = instanton_projector(n)
     ctx, de = rep.ctx, e.map(lambda f: f.d())
     head = reduce(mul, [de] * (2 * n - 1))  # (de)^2n = head * de
-    yield from _singles("scalar", ctx, [
+    yield from _singles("scalar", [
         (f"n={n}: integral Tr[e(de)^{2 * n}] = (2n)! i^n / 2^(n+1)",
          charge_integral(n),
          ctx.i_power(n).scale(Fraction(factorial(2 * n), 2 ** (n + 1)))),
@@ -789,8 +787,8 @@ def character_laws(ctx, tuples, fs):
     n, one = ctx.dim - 1, Element.one(ctx)
     yield from _family(
         f"N={n}: character invariant under the signed cyclic shift", "scalar",
-        ctx, ((character_tau(t), character_tau([t[-1]] + t[:-1]).scale(
+        ((character_tau(t), character_tau([t[-1]] + t[:-1]).scale(
             (-1) ** n)) for t in tuples))
-    yield from _family("tau vanishes when a later entry is 1", "scalar", ctx, (
+    yield from _family("tau vanishes when a later entry is 1", "scalar", (
         (character_tau([one, f] + [one] * (n - 1)), ctx.scalar_zero())
         for f in fs))

@@ -46,7 +46,7 @@ from operator import add
 
 from .qphase import (DeformationContext, ExactScalar, _add_into, _c_add,
                      _c_conj, _c_mul, _c_neg, _c_scale, _key_div, _key_mul,
-                     _neg_terms, _phase_key, _scale_terms)
+                     _neg_terms, _phase_key, _scalar, _scale_terms)
 
 __all__ = ["Element", "Monomial", "normal_order"]
 
@@ -145,9 +145,12 @@ class Element:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: DeformationContext, terms: dict | None = None):
-        """The element sum_m terms[m] m of {monomial: ExactScalar}."""
+        """The element sum_m terms[m] m of {monomial: ExactScalar over ctx}."""
+        terms = terms or {}
+        if any(s.ctx is not ctx for s in terms.values()):
+            raise ValueError("a coefficient lives over another context")
         self.ctx = ctx
-        self.terms = {(mono, k): v for mono, s in (terms or {}).items()
+        self.terms = {(mono, k): v for mono, s in terms.items()
                       for k, v in s.terms.items()}
 
     # -- constructors --------------------------------------------------------
@@ -193,7 +196,7 @@ class Element:
             if slot is None:
                 slot = out[mono] = {}
             slot[k] = v
-        return {mono: ExactScalar(slot) for mono, slot in out.items()}
+        return {mono: _scalar(self.ctx, slot) for mono, slot in out.items()}
 
     # -- ring structure --------------------------------------------------------
 

@@ -554,6 +554,8 @@ class BatchChecker:
                 for j in range(self.points)]
 
     def scalar_sup(self, s: ExactScalar) -> float:
+        if s.ctx is not self.ctx:
+            raise ValueError("scalar and checker contexts differ")
         if not s.terms:
             return 0.0
         return max(abs(s.eval_at_roots(r)) for r in self.root_draws)

@@ -47,7 +47,14 @@ are therefore equal tuples, which keeps ``==`` and ``hash`` of scalars exact.
 Arithmetic runs on ints and takes a single gcd at the end (none when the
 denominator is 1); a Fraction appears only where a rational enters
 (``scalar`` and ``scale``).  The text form of a scalar is the expression
-grammar (``exprio.format_scalar``); ``repr`` shows the stored terms.
+grammar (``exprio.format_scalar``); ``repr`` shows the context and the
+stored terms.
+
+A scalar lives over one context, as an element does, and its phase keys
+only mean exponents over that context's parameters: arithmetic across
+contexts raises ``ValueError``, and scalars of two contexts are not equal.
+Each context has one zero, whose terms are a read-only view, so a caller
+that tried to fill it in place would raise instead of corrupting it.
 
 A term's phase key is this module's form: only its key functions build,
 combine or unpack one.  The exponent vector over ``ctx.params`` is the
@@ -156,7 +163,7 @@ def _c_eval(u) -> complex:
 
 # -- phase keys: only these functions know a key's form, today the tuple of
 # exponents.  Products and quotients test factors with ``==`` against ``one``,
-# a context's ``one_key`` of exponents zero (None tests no factor).
+# a context's ``one_key`` of exponents zero.
 
 def _phase_key(exps) -> tuple:
     return tuple(exps)
@@ -165,10 +172,6 @@ def _phase_key(exps) -> tuple:
 def _phase_exps(k, n: int) -> tuple:
     """The exponent vector, over n parameters, of the key k."""
     return k
-
-
-def _key_is_one(k) -> bool:
-    return not any(k)
 
 
 def _key_mul(one, k1, k2, k3=None):
@@ -236,7 +239,7 @@ class DeformationContext:
     """
 
     __slots__ = ("dim", "params", "param_index", "nparams", "commutative",
-                 "one_key", "_pair_table", "_indices")
+                 "one_key", "_zero", "_pair_table", "_indices")
 
     # {(dim, commutative): the context}
     _instances: dict = {}
@@ -263,6 +266,7 @@ class DeformationContext:
         self.param_index = {p: i for i, p in enumerate(self.params)}
         self.nparams = len(self.params)
         self.one_key = _phase_key((0,) * self.nparams)
+        self._zero = _scalar(self, MappingProxyType({}))
         self._pair_table: dict[tuple[int, int], tuple[int, int] | None] = {
             (a, b): self._pair_phase(a, b)
             for a in range(1, dim + 1) for b in range(1, dim + 1)}
@@ -287,7 +291,7 @@ class DeformationContext:
         return DeformationContext, (self.dim, self.commutative)
 
     def __repr__(self):
-        tag = ", commutative" if self.commutative else ""
+        tag = ", commutative=True" if self.commutative else ""
         return f"DeformationContext({self.dim}{tag})"
 
     # -- phase reduction ---------------------------------------------------
@@ -328,7 +332,7 @@ class DeformationContext:
     # -- scalar factories ----------------------------------------------------
 
     def scalar_zero(self) -> "ExactScalar":
-        return _ZERO
+        return self._zero
 
     def scalar(self, value) -> "ExactScalar":
         """Rational (int or Fraction) as an exact scalar."""
@@ -338,58 +342,59 @@ class DeformationContext:
             v = Fraction(value)
             num, den = v.numerator, v.denominator
         if not num:
-            return _ZERO
-        return ExactScalar({self.one_key: (num, 0, 0, 0, den)})
+            return self._zero
+        return _scalar(self, {self.one_key: (num, 0, 0, 0, den)})
 
     def scalar_one(self) -> "ExactScalar":
         return self.scalar(1)
 
     def i_unit(self) -> "ExactScalar":
-        return ExactScalar({self.one_key: (0, 1, 0, 0, 1)})
+        return _scalar(self, {self.one_key: (0, 1, 0, 0, 1)})
 
     def i_power(self, k: int) -> "ExactScalar":
         one_i = (1, 0), (0, 1), (-1, 0), (0, -1)
         re, im = one_i[k % 4]
-        return ExactScalar({self.one_key: (re, im, 0, 0, 1)})
+        return _scalar(self, {self.one_key: (re, im, 0, 0, 1)})
 
     def sqrt2(self) -> "ExactScalar":
-        return ExactScalar({self.one_key: (0, 0, 1, 0, 1)})
+        return _scalar(self, {self.one_key: (0, 0, 1, 0, 1)})
 
     def q_power(self, a: int, b: int, k: int = 1) -> "ExactScalar":
         """The scalar q_{ab}^k, reduced to canonical form."""
-        return ExactScalar({_phase_key(k * e for e in self.reduce_pair(a, b)):
-                            _C_ONE})
+        return _scalar(self, {_phase_key(k * e for e in self.reduce_pair(a, b)):
+                              _C_ONE})
 
 
 class ExactScalar:
-    """Exact element of Q(i, sqrt2)[q^±1]: {phase key -> coefficient}.
+    """Exact element of Q(i, sqrt2)[q^±1] over a context:
+    {phase key -> coefficient}.
 
     Immutable once built; all arithmetic returns new scalars and never stores
     zero coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, terms: dict):
+    def __init__(self, ctx: DeformationContext, terms: dict):
+        self.ctx = ctx
         self.terms = {k: v for k, v in terms.items()
                       if v[0] or v[1] or v[2] or v[3]}
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        if other.ctx is not self.ctx:
+            raise ValueError("scalars live over different contexts")
         if not self.terms:
             return other
         if not other.terms:
             return self
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = dict(self.terms)
-        _add_into(res.terms, other.terms)
-        return res
+        terms = dict(self.terms)
+        _add_into(terms, other.terms)
+        return _scalar(self.ctx, terms)
 
     def __neg__(self) -> "ExactScalar":
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = _neg_terms(self.terms)
-        return res
+        return _scalar(self.ctx, _neg_terms(self.terms))
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + -other
@@ -400,26 +405,25 @@ class ExactScalar:
                 return self.scale(other)
             if not isinstance(other, ExactScalar):
                 return NotImplemented
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            raise ValueError("scalars live over different contexts")
         if not self.terms:
             return self
         if not other.terms:
             return other
-        res = ExactScalar.__new__(ExactScalar)
+        one = ctx.one_key
         if len(self.terms) == 1 == len(other.terms):
             # one term each: no accumulator, and no zero test, since a
             # product of nonzero coefficients in the field Q(i, sqrt2) is
             # nonzero
             (k1, v1), = self.terms.items()
             (k2, v2), = other.terms.items()
-            res.terms = {k1 if _key_is_one(k2) else k2 if _key_is_one(k1)
-                         else _key_mul(None, k1, k2): _c_mul(v1, v2)}
-            return res
+            return _scalar(ctx, {_key_mul(one, k1, k2): _c_mul(v1, v2)})
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                # a factor with all-zero exponents keeps the other's key
-                k = (k1 if _key_is_one(k2) else k2 if _key_is_one(k1)
-                     else _key_mul(None, k1, k2))
+                k = _key_mul(one, k1, k2)
                 v = _c_mul(v1, v2)
                 u = out.get(k)
                 if u is not None:
@@ -428,8 +432,7 @@ class ExactScalar:
                     out[k] = v
                 elif u is not None:
                     del out[k]
-        res.terms = out
-        return res
+        return _scalar(ctx, out)
 
     __rmul__ = __mul__
 
@@ -437,38 +440,31 @@ class ExactScalar:
         if r == 1:
             return self
         terms = _scale_terms(self.terms, r)
-        if not terms:
-            return _ZERO
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = terms
-        return res
+        return _scalar(self.ctx, terms) if terms else self.ctx._zero
 
     def shifted(self, shift: tuple[int, ...], sign: int = 1) -> "ExactScalar":
         """Multiply by ±(phase monomial with the given exponents)."""
-        res = ExactScalar.__new__(ExactScalar)
-        shift = _phase_key(shift)
-        res.terms = {_key_mul(None, k, shift): v if sign == 1 else _c_neg(v)
-                     for k, v in self.terms.items()}
-        return res
+        one, shift = self.ctx.one_key, _phase_key(shift)
+        return _scalar(self.ctx, {
+            _key_mul(one, k, shift): v if sign == 1 else _c_neg(v)
+            for k, v in self.terms.items()})
 
     def conj(self) -> "ExactScalar":
         """Antilinear involution: i -> -i, sqrt2 -> sqrt2, q -> q^-1."""
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = {_key_inv(k): _c_conj(v) for k, v in self.terms.items()}
-        return res
+        return _scalar(self.ctx, {_key_inv(k): _c_conj(v)
+                                  for k, v in self.terms.items()})
 
     def invert_phases(self) -> "ExactScalar":
         """Substitute q -> q^-1 in every term, coefficients untouched."""
-        res = ExactScalar.__new__(ExactScalar)
-        res.terms = {_key_inv(k): v for k, v in self.terms.items()}
-        return res
+        return _scalar(self.ctx, {_key_inv(k): v
+                                  for k, v in self.terms.items()})
 
     def inverse(self) -> "ExactScalar":
         """Exact inverse of a single-term scalar (a unit of the ring)."""
         if len(self.terms) != 1:
             raise ZeroDivisionError("only single-term scalars are units")
         (k, v), = self.terms.items()
-        return ExactScalar({_key_inv(k): _c_inv(v)})
+        return _scalar(self.ctx, {_key_inv(k): _c_inv(v)})
 
     # -- predicates and accessors ---------------------------------------------
 
@@ -487,12 +483,12 @@ class ExactScalar:
         if len(self.terms) != 1:
             return False
         (k, v), = self.terms.items()
-        return _key_is_one(k) and not (v[1] or v[2] or v[3])
+        return k == self.ctx.one_key and not (v[1] or v[2] or v[3])
 
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.terms == other.terms
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -505,18 +501,21 @@ class ExactScalar:
 
     def eval_at_roots(self, roots) -> complex:
         """Numeric value with the phase for parameter j set to roots[j]."""
+        if len(roots) != self.ctx.nparams:
+            raise ValueError(f"{self.ctx!r} has {self.ctx.nparams} phase "
+                             f"parameters, got {len(roots)} values")
         total = 0j
         for k, v in self.terms.items():
             total += _term_at_roots(k, v, roots)
         return total
 
     def __repr__(self):
-        # eval(repr(s)) == s with ExactScalar in scope
-        return f"ExactScalar({dict(self.terms)!r})"
+        # eval(repr(s)) == s with ExactScalar and DeformationContext in scope
+        return f"ExactScalar({self.ctx!r}, {dict(self.terms)!r})"
 
 
-# The one zero scalar, shared by every caller: its terms are a read-only view,
-# so a caller that tried to fill it in place would raise instead of
-# corrupting every other zero.
-_ZERO = ExactScalar.__new__(ExactScalar)
-_ZERO.terms = MappingProxyType({})
+def _scalar(ctx: DeformationContext, terms) -> ExactScalar:
+    """The engine's one scalar constructor: ctx and flat terms, none zero."""
+    s = ExactScalar.__new__(ExactScalar)
+    s.ctx, s.terms = ctx, terms
+    return s

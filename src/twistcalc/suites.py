@@ -113,8 +113,7 @@ class _Runner:
             if bad is None:
                 self.case(group, True)
                 continue
-            text = (format_element if bad.kind != "scalar"
-                    else lambda s: format_scalar(s, bad.ctx))
+            text = format_scalar if bad.kind == "scalar" else format_element
             self.case(group, False, expected=text(bad.rhs), got=text(bad.lhs))
             if bad.kind == "sphere":
                 residue = sphere._first_residue(bad.lhs - bad.rhs)

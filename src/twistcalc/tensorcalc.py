@@ -29,7 +29,7 @@ from itertools import permutations
 
 from .ncalg import Element, _finish, _mono_mul, _mul_into
 from .qphase import (_C_MINUS_ONE, _C_ONE, DeformationContext, ExactScalar,
-                     _c_mul, _key_div, _key_mul)
+                     _c_mul, _key_div, _key_mul, _scalar)
 
 __all__ = [
     "lambda_entry", "apply_lambda", "braid_word", "epsilon_q", "epsilon_qinv",
@@ -185,7 +185,7 @@ def _reorder(ctx: DeformationContext, t: tuple) -> ExactScalar:
     for a in t[1:]:
         step, step_sign, word = _mono_mul(ctx, word, (zero, (a,)))
         shift, sign = _key_mul(one, shift, step), sign * step_sign
-    return ExactScalar({shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
+    return _scalar(ctx, {shift: _C_ONE if sign == 1 else _C_MINUS_ONE})
 
 
 @lru_cache(maxsize=None)

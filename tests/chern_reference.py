@@ -79,6 +79,14 @@ def kron_gammas(n, ctx):
     return gammas
 
 
+def view_trace(rep, indices):
+    """Tr(gamma^{i_1} ... gamma^{i_D}): the diagonal sum of the column
+    views composed in full, 2^n columns each."""
+    view = reduce(_compose, map(rep.gamma, indices))
+    return sum((s for c, (r, s) in view.items() if r == c),
+               rep.ctx.scalar_zero())
+
+
 def dense_trace(n, ctx=None):
     """Tr[e (de)^{2n}] as one element, by products of full matrices."""
     rep, e = instanton_projector(n, ctx)

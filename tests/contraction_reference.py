@@ -37,5 +37,5 @@ def epsilon_contraction_every_pair(ctx):
             w_row = w_rows.get(up, {})
             for lo, lo_text in tuples:
                 yield Identity(group, f"D={d} contraction {up_text}|{lo_text}",
-                               "scalar", ctx, row.get(lo, zero),
+                               "scalar", row.get(lo, zero),
                                w_row.get(lo, zero))

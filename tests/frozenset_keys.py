@@ -28,16 +28,10 @@ def _phase_key(exps):
 
 
 def _phase_exps(k, n):
-    # a parameter past n is dropped, as zip drops it from a tuple key
     exps = [0] * n
     for j, e in k:
-        if j < n:
-            exps[j] = e
+        exps[j] = e
     return tuple(exps)
-
-
-def _key_is_one(k):
-    return not k
 
 
 def _key_mul(one, k1, k2, k3=None):
@@ -57,7 +51,7 @@ def _key_div(one, k1, k2):
 
 
 KEY_FUNCTIONS = {fn.__name__: fn for fn in (
-    _phase_key, _phase_exps, _key_is_one, _key_mul, _key_inv, _key_div)}
+    _phase_key, _phase_exps, _key_mul, _key_inv, _key_div)}
 
 
 def install() -> list[str]:

@@ -35,8 +35,8 @@ def _hodge_family(ctx, n, basis, kind, head, names, star, pairing, vol):
     ``names``: **, exchange, isometry, duality, reality, defining relation."""
 
     def eq(i, label, lhs, rhs):
-        return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, ctx,
-                        lhs, rhs)
+        return Identity(f"{head}: {names[i]}", f"{head} {label}", kind, lhs,
+                        rhs)
 
     def singles():
         for k in range(n + 1):
@@ -85,7 +85,7 @@ def hodge_sphere_every_pair(ctx):
     for k in range(n + 1):
         for s, th, sth in basis[k]:
             yield Identity(f"N={n}: explicit star = star through the normal",
-                           f"N={n} normal-route {s}", "sphere", ctx, sth,
+                           f"N={n} normal-route {s}", "sphere", sth,
                            hodge_plane(th * dc).scale(
                                Fraction((-1) ** (n - k), 2)))
     yield from _hodge_family(ctx, n, basis, "sphere", f"N={n}",

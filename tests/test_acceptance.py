@@ -241,7 +241,7 @@ def test_c10_oracle_concordance():
     by_ctx: dict = {}
     for crit, identities in _catalogue().items():
         for i in identities:
-            by_ctx.setdefault(i.ctx, []).append((crit, i))
+            by_ctx.setdefault(i.lhs.ctx, []).append((crit, i))
     checked = 0
     for ctx, items in by_ctx.items():
         bc = BatchChecker(ctx, seed=42, points=20)

@@ -10,7 +10,8 @@ import pytest
 
 from chern_reference import (block_lemma_reference, column_expansion_trace,
                              dense_charge_integral, dense_trace, identity,
-                             kron_gammas, negated, nilpotent_products)
+                             kron_gammas, negated, nilpotent_products,
+                             view_trace)
 from helpers import random_monomial
 from twistcalc import DeformationContext, Element, chern
 from twistcalc.chern import (MAX_HALF_DIM, MAX_VIEW_HALF_DIM, GammaRep, Matrix,
@@ -18,6 +19,7 @@ from twistcalc.chern import (MAX_HALF_DIM, MAX_VIEW_HALF_DIM, GammaRep, Matrix,
                              charge_integral, clifford_trace, curvature,
                              instanton_projector, is_projector)
 from twistcalc.sphere import integrate_form, reduce_mod_c, sphere_equal
+from twistcalc.tensorcalc import epsilon_qinv
 
 
 def _dense(rep, view):
@@ -90,6 +92,37 @@ def test_trace_formula_spot_values_n1():
     assert clifford_trace(rep, (1, 1, 2)).is_zero()
     with pytest.raises(ValueError):
         clifford_trace(rep, (1, 2))
+
+
+def test_trace_formula_from_the_bit_factors():
+    # the factor path against the composed column views: every index tuple
+    # at n = 1, drawn tuples and orders at n = 2 and 3
+    rng = random.Random(34)
+    for n in (1, 2, 3):
+        rep = GammaRep(n)
+        d = rep.ctx.dim
+        if n == 1:
+            tuples = list(product(range(1, d + 1), repeat=d))
+        else:
+            tuples = [tuple(rng.choices(range(1, d + 1), k=d))
+                      for _ in range(60)]
+            tuples += [tuple(rng.sample(range(1, d + 1), d))
+                       for _ in range(60)]
+        for idx in tuples:
+            assert clifford_trace(rep, idx) == view_trace(rep, idx), idx
+    # above the views' limit: Tr(gamma^sigma) = 2^n eps_qinv(sigma)
+    for n in (MAX_VIEW_HALF_DIM + 1, 20):
+        rep = GammaRep(n)
+        d = rep.ctx.dim
+        for _ in range(3):
+            sigma = tuple(rng.sample(range(1, d + 1), d))
+            assert clifford_trace(rep, sigma) == \
+                epsilon_qinv(rep.ctx, sigma).scale(2 ** n), sigma
+        assert clifford_trace(rep, (1,) * d).is_zero()
+    # every index is checked, not only those whose factors are read
+    for idx in ((1, 2, 4), (0, 2, 3), (4, 1, 1)):
+        with pytest.raises(IndexError):
+            clifford_trace(GammaRep(1), idx)
 
 
 def test_projector_structure_n1():

@@ -51,7 +51,7 @@ def _coeff(draw, ctx):
         if not any(parts):
             parts[0] = 1
         terms[phase] = _c_reduce(*parts, draw(st.integers(1, 4)))
-    return ExactScalar(terms)
+    return ExactScalar(ctx, terms)
 
 
 @st.composite
@@ -333,9 +333,9 @@ def _random_element(ctx, rng):
         exps[rng.randrange(ctx.dim)] = rng.randint(0, 2)
         dxs = tuple(sorted(rng.sample(range(1, ctx.dim + 1), rng.randint(0, 2))))
         phase = tuple(rng.randint(-1, 1) for _ in range(ctx.nparams))
-        terms[(tuple(exps), dxs)] = ExactScalar(
-            {phase: _c_reduce(rng.randint(-2, 2), rng.randint(-1, 1),
-                              rng.randint(-1, 1), 0, rng.randint(1, 3))})
+        terms[(tuple(exps), dxs)] = ExactScalar(ctx, {
+            phase: _c_reduce(rng.randint(-2, 2), rng.randint(-1, 1),
+                             rng.randint(-1, 1), 0, rng.randint(1, 3))})
     return Element(ctx, terms)
 
 
@@ -368,19 +368,47 @@ def test_products_over_equal_contexts_built_apart():
         Element.x(DeformationContext(5, commutative=True), 1) * a
 
 
+def test_elements_refuse_coefficients_of_another_context():
+    c5, c7 = DeformationContext(5), DeformationContext(7)
+    c3, flat5 = DeformationContext(3), DeformationContext(5, commutative=True)
+    x1 = Element.x(c5, 1)
+    for ctx, s in ((c5, c7.q_power(2, 3)), (c5, c7.scalar_one()),
+                   (c5, flat5.scalar(2)), (flat5, c3.scalar(2)),
+                   (flat5, c3.scalar_zero())):
+        mono = ((0,) * ctx.dim, ())
+        el = Element.one(ctx)
+        for build in (lambda: Element(ctx, {mono: s}),
+                      lambda: Element.from_scalar(ctx, s),
+                      lambda: Element.monomial(ctx, mono, s),
+                      lambda: el.scale(s), lambda: el * s, lambda: s * el):
+            with pytest.raises(ValueError, match="another context"):
+                build()
+    # x1 times a D = 7 phase used to store a 3-parameter key in a D = 5
+    # element, which printed as x1 but was not equal to it
+    with pytest.raises(ValueError):
+        x1 * c7.q_power(2, 3)
+    assert x1 * c5.q_power(1, 2) == Element(c5, {((1, 0, 0, 0, 0), ()):
+                                                 c5.q_power(1, 2)})
+
+
 def test_shared_zero_is_read_only():
-    ctx = DeformationContext(5)
-    zero = ctx.scalar_zero()
-    assert zero is DeformationContext(7).scalar_zero()
-    with pytest.raises(TypeError):
-        zero.terms[(0,)] = (1, 0, 0, 0, 1)
-    assert zero == ExactScalar({}) and ExactScalar({}) == zero
-    assert hash(zero) == hash(ExactScalar({}))
-    assert not zero and zero.is_zero()
-    one = ctx.scalar_one()
-    assert one * zero is zero and zero * one is zero
-    assert zero + one == one and one + zero == one
-    assert ctx.scalar(0) is zero and one.scale(0) is zero
+    # each context has one zero, shared by all its callers
+    zeros = set()
+    for ctx in (DeformationContext(5), DeformationContext(7),
+                DeformationContext(5, commutative=True)):
+        zero = ctx.scalar_zero()
+        assert zero is ctx.scalar_zero() and zero.ctx is ctx
+        zeros.add(id(zero))
+        with pytest.raises(TypeError):
+            zero.terms[ctx.one_key] = (1, 0, 0, 0, 1)
+        assert zero == ExactScalar(ctx, {}) and ExactScalar(ctx, {}) == zero
+        assert hash(zero) == hash(ExactScalar(ctx, {}))
+        assert not zero and zero.is_zero()
+        one = ctx.scalar_one()
+        assert one * zero is zero and zero * one is zero
+        assert zero + one == one and one + zero == one
+        assert ctx.scalar(0) is zero and one.scale(0) is zero
+    assert len(zeros) == 3
 
 
 def test_epsilon_validation():

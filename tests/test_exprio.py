@@ -90,9 +90,9 @@ def test_format_deterministic_ordering():
 def test_format_scalar():
     ctx = DeformationContext(5)
     s = ctx.q_power(1, 2, -1).scale(Fraction(3, 2))
-    assert format_scalar(s, ctx) == "3/2*q(1,2)^-1"
-    assert format_scalar(ctx.scalar_zero(), ctx) == "0"
-    assert format_scalar(ctx.scalar_one(), ctx) == "1"
+    assert format_scalar(s) == "3/2*q(1,2)^-1"
+    assert format_scalar(ctx.scalar_zero()) == "0"
+    assert format_scalar(ctx.scalar_one()) == "1"
 
 
 # -- the one-pass parser against the Element-per-factor reference -----------

@@ -22,19 +22,19 @@ from twistcalc.tensorcalc import (antisym_w_bruteforce, epsilon_q,
 def test_holds_decides_by_kind():
     ctx = DeformationContext(3)
     c, one = central_quadric(ctx), Element.one(ctx)
-    assert holds(Identity("g", "c = 1", "sphere", ctx, c, one))
-    assert not holds(Identity("g", "c = 1", "element", ctx, c, one))
-    assert holds(Identity("g", "1 = 1", "scalar", ctx, ctx.scalar_one(),
+    assert holds(Identity("g", "c = 1", "sphere", c, one))
+    assert not holds(Identity("g", "c = 1", "element", c, one))
+    assert holds(Identity("g", "1 = 1", "scalar", ctx.scalar_one(),
                           ctx.scalar(1)))
 
 
 def test_one_case_per_family_instance():
     ctx = DeformationContext(3)
     one, zero = ctx.scalar_one(), ctx.scalar_zero()
-    family = [Identity("first", "a", "scalar", ctx, one, one),
-              Identity("first", "b", "scalar", ctx, one, zero),
-              Identity("first", "c", "scalar", ctx, zero, one),
-              Identity("second", "d", "scalar", ctx, zero, zero)]
+    family = [Identity("first", "a", "scalar", one, one),
+              Identity("first", "b", "scalar", one, zero),
+              Identity("first", "c", "scalar", zero, one),
+              Identity("second", "d", "scalar", zero, zero)]
     report = SuiteReport(suite="test")
     _Runner(report).check(family)
     assert report.cases == 2
@@ -51,13 +51,13 @@ def test_failing_sphere_identity_records_its_residue():
     ctx = DeformationContext(4)
     c, one, dx1 = central_quadric(ctx), Element.one(ctx), Element.dx(ctx, 1)
     q = ctx.q_power(1, 2)
-    family = [Identity("relation", "c = 1", "sphere", ctx, c, one),
-              Identity("relation", "c dx1 = 2 dx1", "sphere", ctx, c * dx1,
+    family = [Identity("relation", "c = 1", "sphere", c, one),
+              Identity("relation", "c dx1 = 2 dx1", "sphere", c * dx1,
                        dx1.scale(2)),
-              Identity("quadric", "c = 2", "sphere", ctx, c, one.scale(2)),
-              Identity("phase", "q = i sqrt2 / q", "scalar", ctx, q,
+              Identity("quadric", "c = 2", "sphere", c, one.scale(2)),
+              Identity("phase", "q = i sqrt2 / q", "scalar", q,
                        ctx.i_unit() * ctx.sqrt2() * q.inverse()),
-              Identity("product", "c x1 = x1", "element", ctx,
+              Identity("product", "c x1 = x1", "element",
                        c * Element.x(ctx, 1), Element.x(ctx, 1))]
     report = SuiteReport(suite="test")
     _Runner(report).check(family)
@@ -101,6 +101,7 @@ def test_contraction_sums_over_complement_orders_only():
     rng = random.Random(12)
     for d in (4, 5):
         ctx = DeformationContext(d)
+        zero = ctx.scalar_zero()
         repeats = set()
         for _ in range(30):
             up, lo = random_index_pair(rng, d, rng.randint(0, d))
@@ -113,7 +114,7 @@ def test_contraction_sums_over_complement_orders_only():
 
 def test_contraction_family_keeps_every_nonzero_pair():
     # the family against the every-pair reference: the same records wherever
-    # a side is nonzero, and it drops only pairs comparing the shared zero
+    # a side is nonzero, and it drops only pairs comparing the context's zero
     for d in (2, 3, 4):
         ctx = DeformationContext(d)
         kept, dropped = [], []

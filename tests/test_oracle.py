@@ -151,6 +151,10 @@ def test_scalar_checks():
     for i in range(1, 7):
         prod = prod * c6.q_power(i, 2)
     assert BatchChecker(c6).scalar_sup(prod - c6.scalar_one()) < DEFAULT_TOL
+    # a scalar of another context is refused, also one with as many phases
+    for other in (DeformationContext(4), DeformationContext(7)):
+        with pytest.raises(ValueError, match="contexts differ"):
+            bc.scalar_sup(other.scalar_one())
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -1,5 +1,6 @@
 """Phase ring: reduction of q_{ab}, exact scalar arithmetic, evaluation."""
 
+import cmath
 import copy
 import math
 import pickle
@@ -130,8 +131,8 @@ def test_rational_factor_keeps_the_other_key():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 11), st.data())
 def test_key_algebra_is_exponent_arithmetic(dim, data):
-    # product, quotient, inverse and is-one test of phase keys agree with
-    # the arithmetic of their exponent vectors, through the conversions
+    # product, quotient, inverse and the one-key test of phase keys agree
+    # with the arithmetic of their exponent vectors, through the conversions
     ctx = DeformationContext(dim)
     n, one = ctx.nparams, ctx.one_key
     vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
@@ -143,10 +144,8 @@ def test_key_algebra_is_exponent_arithmetic(dim, data):
 
     assert exps(ku) == u and exps(one) == (0,) * n
     assert (ku == kv) == (u == v) and (ku == one) == (not any(u))
-    assert qphase._key_is_one(ku) == (not any(u)) and qphase._key_is_one(one)
-    for f in (one, None):
-        assert exps(qphase._key_mul(f, ku, kv)) == tuple(
-            a + b for a, b in zip(u, v))
+    assert exps(qphase._key_mul(one, ku, kv)) == tuple(
+        a + b for a, b in zip(u, v))
     assert exps(qphase._key_mul(one, ku, kv, kw)) == tuple(
         a + b + c for a, b, c in zip(u, v, w))
     assert exps(qphase._key_div(one, ku, kv)) == tuple(
@@ -276,7 +275,7 @@ def test_coefficient_ops_match_fraction_reference(x, y, r):
         with pytest.raises(ZeroDivisionError):
             qphase._c_inv(u)
     ctx = DeformationContext(5)
-    s = qphase.ExactScalar({(2,): u})
+    s = qphase.ExactScalar(ctx, {(2,): u})
     checks.append((s.scale(r).terms.get((2,), (0, 0, 0, 0, 1)),
                    ref.c_scale(x, r)))
     for got, want in checks:
@@ -290,13 +289,16 @@ def test_coefficient_ops_match_fraction_reference(x, y, r):
 @given(st.dictionaries(st.integers(-3, 3), _coeffs, max_size=3), _coeffs)
 def test_scalar_hash_and_printing_match_reference(terms, y):
     ctx = DeformationContext(5)
-    s = qphase.ExactScalar({(e,): ref.to_engine(x) for e, x in terms.items()})
+    s = qphase.ExactScalar(ctx, {(e,): ref.to_engine(x)
+                                 for e, x in terms.items()})
     want = {(e,): x for e, x in terms.items() if any(x)}
-    assert format_scalar(s, ctx) == ref.format_scalar(want, ctx)
+    assert format_scalar(s) == ref.format_scalar(want, ctx)
+    scope = {"ExactScalar": qphase.ExactScalar,
+             "DeformationContext": DeformationContext}
     for value in (s, ctx.scalar_zero()):
-        assert eval(repr(value), {"ExactScalar": qphase.ExactScalar}) == value
+        assert eval(repr(value), scope) == value
     # the same value reached along another route is equal and hashes equal
-    t = qphase.ExactScalar({(0,): ref.to_engine(y)})
+    t = qphase.ExactScalar(ctx, {(0,): ref.to_engine(y)})
     other = (s + t) - t
     assert other == s and hash(other) == hash(s)
     doubled = (s + s).scale(Fraction(1, 2))
@@ -305,9 +307,11 @@ def test_scalar_hash_and_printing_match_reference(terms, y):
         _assert_canonical(coeff)
 
 
+# scalars over D = 7, whose phases are q_12, q_13 and q_23
 _scalars = st.dictionaries(
     st.tuples(*[st.integers(-3, 3)] * 3), _coeffs, max_size=4).map(
         lambda terms: qphase.ExactScalar(
+            DeformationContext(7),
             {k: ref.to_engine(x) for k, x in terms.items()}))
 
 
@@ -329,6 +333,63 @@ def test_eval_at_angles_is_eval_at_matching_roots(s, m, ks):
 @given(_scalars, _scalars)
 def test_difference_is_sum_with_the_negation(a, b):
     assert a - b == a + (-b)
-    assert a - a == DeformationContext(6).scalar_zero()
+    assert a - a == DeformationContext(7).scalar_zero()
     for coeff in (a - b).terms.values():
         _assert_canonical(coeff)
+
+
+def _cross_context_pairs():
+    """Pairs of scalars over different contexts: D = 5 and 7 phases, and
+    D = 3 and the commutative D = 5, both without parameters, whose keys
+    are the same empty tuple."""
+    c5, c7 = DeformationContext(5), DeformationContext(7)
+    c3, flat5 = DeformationContext(3), DeformationContext(5, commutative=True)
+    return [(c5.q_power(1, 2), c7.q_power(2, 3)),
+            (c5.scalar_one(), c7.scalar(2)),
+            (c3.scalar(3), flat5.scalar(3)),
+            (c3.i_unit(), flat5.sqrt2()),
+            (c3.scalar_zero(), flat5.scalar_one())]
+
+
+def test_scalars_of_different_contexts_do_not_mix():
+    for a, b in _cross_context_pairs():
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: b + a, lambda: b - a, lambda: b * a):
+            with pytest.raises(ValueError, match="different contexts"):
+                op()
+    # the D = 7 phase is no longer truncated onto the D = 5 key
+    with pytest.raises(ValueError):
+        DeformationContext(5).q_power(1, 2) * DeformationContext(7).q_power(2, 3)
+    # scalars of the same value over two contexts are not equal
+    c3, flat5 = DeformationContext(3), DeformationContext(5, commutative=True)
+    assert c3.scalar(3).terms == flat5.scalar(3).terms
+    assert c3.scalar(3) != flat5.scalar(3)
+    assert c3.scalar_zero() != flat5.scalar_zero()
+    assert DeformationContext(5).scalar_one() != DeformationContext(7).scalar_one()
+    assert c3.scalar(3) == c3.scalar(3) and c3.scalar(3).ctx is c3
+
+
+def test_eval_needs_one_value_per_parameter():
+    ctx = DeformationContext(9)  # six phase parameters
+    s = ctx.q_power(3, 4) + ctx.q_power(1, 2, 2).scale(3) + ctx.i_unit()
+    for values in ([0.5], [], [0.5] * 7):
+        for call in (s.eval, s.eval_at_roots):
+            with pytest.raises(ValueError, match=rf"has 6 phase parameters, "
+                                                 rf"got {len(values)} values"):
+                call(values)
+    with pytest.raises(ValueError):
+        ctx.q_power(3, 4).eval([0.5])
+    with pytest.raises(ValueError):
+        s.eval()
+    # with one angle per parameter the value is the sum of its terms
+    angles = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    q12, q34 = (ctx.param_index[p] for p in ((1, 2), (3, 4)))
+    sign = ctx.pair_reduction(3, 4)[1]
+    want = (cmath.exp(1j * sign * angles[q34])
+            + 3 * cmath.exp(2j * ctx.pair_reduction(1, 2)[1] * angles[q12])
+            + 1j)
+    assert abs(s.eval(angles) - want) < 1e-12
+    roots = [cmath.exp(1j * t) for t in angles]
+    assert s.eval_at_roots(roots) == s.eval(angles)
+    # a context without parameters takes no angles, as before
+    assert DeformationContext(3).scalar(2).eval() == 2
